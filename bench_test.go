@@ -24,7 +24,6 @@ import (
 	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
 	"biasmit/internal/core"
-	"biasmit/internal/density"
 	"biasmit/internal/device"
 	"biasmit/internal/experiments"
 	"biasmit/internal/kernels"
@@ -506,14 +505,15 @@ func BenchmarkAblationEDM(b *testing.B) {
 	}
 }
 
-// BenchmarkDensityExactGHZ measures the exact channel simulator on the
+// BenchmarkDensityExactGHZ measures the exact output distribution (one
+// density-matrix evolution plus the closed-form readout channel) on the
 // full ibmqx4 GHZ workload used by the cross-validation tests.
 func BenchmarkDensityExactGHZ(b *testing.B) {
 	dev := device.IBMQX4()
 	c := circuitForDensityBench()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := density.RunExact(c, dev); err != nil {
+		if _, err := backend.ExactDist(c, dev, backend.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

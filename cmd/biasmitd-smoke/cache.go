@@ -108,7 +108,9 @@ func cacheScenario(ctx context.Context, bin, dir string) error {
 	// requests onto it. The miss counter increments at registration —
 	// before the computation finishes — so polling it removes the race
 	// between launching the leader and launching the followers.
-	burst := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 1 << 17, Seed: 42}
+	// The leader runs trajectories on the 14-qubit machine for ~300ms; on
+	// a 5-qubit machine the exact engine would finish in milliseconds.
+	burst := &api.MitigateRequest{Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A", Shots: 4096, Seed: 42}
 	missesBefore, err := cacheMetric(ctx, d, "biasmitd_result_cache_misses_total")
 	if err != nil {
 		return err

@@ -91,7 +91,8 @@ func main() {
 	switch *policy {
 	case "baseline":
 		// Baseline is a single job, so parallelism lives inside the
-		// trial loop; results are deterministic per (seed, workers).
+		// trajectory trial loop; results are deterministic per (seed,
+		// workers). Runs on the exact engine ignore it.
 		job.Machine.Opt.Workers = *workers
 		counts, err = job.BaselineContext(ctx, *shots, *seed)
 	case "sim":

@@ -50,8 +50,9 @@ func main() {
 	ideal := flag.Bool("ideal", false, "disable all noise")
 	dumpQASM := flag.Bool("qasm", false, "print the transpiled circuit as OpenQASM 2.0 and exit")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-	workers := flag.Int("workers", 0, "partition the trial loop across this many goroutines; "+
-		"results are deterministic per (seed, workers) pair (0 = single stream)")
+	workers := flag.Int("workers", 0, "partition the trajectory trial loop across this many goroutines; "+
+		"results are deterministic per (seed, workers) pair (0 = single stream; "+
+		"runs on the exact engine, ≤8 qubits with shots ≥ 2^n, ignore it)")
 	chaosPlan := chaos.Flags(flag.CommandLine)
 	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()

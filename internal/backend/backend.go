@@ -2,19 +2,25 @@
 // loop (paper Fig 3a): initialize, run the program, read the qubits, log
 // the output, repeat for thousands of trials.
 //
-// Noise is simulated with stochastic quantum trajectories: after every
-// gate a depolarizing Pauli kick is sampled with the calibrated gate
-// error, and the operand qubits undergo amplitude-damping jumps for the
-// gate duration (T1 relaxation). Readout is then corrupted by the
-// device's classical readout channel — the asymmetric, possibly
+// The device's noise is placed once per run (placement.go): after every
+// gate a depolarizing channel with the calibrated gate error, then T1
+// amplitude damping on the operand qubits for the gate duration, plus
+// optional schedule-aware idle relaxation. Readout is then corrupted by
+// the device's classical readout channel — the asymmetric, possibly
 // correlated process the paper characterizes and mitigates. Individual
 // noise processes can be disabled for ablation studies.
 //
-// Trajectories are re-sampled throughout the run; several shots may share
-// one trajectory (ShotsPerTrajectory) since measurement sampling without
-// collapse is equivalent to re-preparing the same noisy execution. This
-// trades shot independence for speed on larger registers and converges to
-// the same distribution as the trajectory count grows.
+// Two engines execute that placement. The trajectory engine samples it:
+// each channel becomes a stochastic Pauli kick or damping jump on a state
+// vector, and several shots may share one trajectory
+// (ShotsPerTrajectory), since measurement sampling without collapse is
+// equivalent to re-preparing the same noisy execution. The exact engine
+// (exact.go) applies every channel to a density matrix once and draws
+// each shot from its diagonal. RunContext picks the exact engine for
+// small registers at shot counts where one O(4^n) evolution costs less
+// than a trajectory per shot (see Options.ShotsPerTrajectory); both
+// engines sample the same output distribution, but through different
+// random streams.
 package backend
 
 import (
@@ -29,7 +35,6 @@ import (
 	"biasmit/internal/noise"
 	"biasmit/internal/orchestrate"
 	"biasmit/internal/quantum"
-	"biasmit/internal/schedule"
 )
 
 // Runner is the signature of RunContext: one circuit execution on one
@@ -118,8 +123,14 @@ type Options struct {
 	// Seed makes the run deterministic.
 	Seed int64
 	// ShotsPerTrajectory bounds how many shots reuse one noisy
-	// trajectory. Zero selects a size-dependent default (1 for ≤8 qubits,
-	// 32 beyond).
+	// trajectory, and its zero value selects the engine. Zero runs the
+	// exact engine when the register has at most 8 qubits and the run
+	// has at least 2^n shots (one density-matrix evolution then costs
+	// less than a trajectory per shot); otherwise trajectories at a
+	// size-dependent default batch (1 for ≤8 qubits, 32 beyond). Both
+	// engines sample the same distribution, so the choice changes only
+	// the random stream. A positive value always runs trajectories,
+	// which is how tests pin the trajectory stream.
 	ShotsPerTrajectory int
 	// NoGateNoise disables depolarizing gate errors (ablation).
 	NoGateNoise bool
@@ -132,11 +143,13 @@ type Options struct {
 	// so poorly packed circuits lose high-Hamming-weight amplitude while
 	// waiting for measurement. Ignored when NoDecay is set.
 	ScheduleAwareDecay bool
-	// Workers runs the trial loop across this many goroutines, splitting
-	// the shot budget into per-worker chunks with derived seeds. Results
-	// are deterministic for a fixed (Seed, Workers) pair but differ
-	// between worker counts, since the random streams are partitioned
-	// differently. Zero or one keeps the sequential path.
+	// Workers runs the trajectory trial loop across this many
+	// goroutines, splitting the shot budget into per-worker chunks with
+	// derived seeds. Results are deterministic for a fixed (Seed,
+	// Workers) pair but differ between worker counts, since the random
+	// streams are partitioned differently. Zero or one keeps the
+	// sequential path. The exact engine ignores it: its one evolution
+	// and its O(n)-per-shot sampling run on the calling goroutine.
 	Workers int
 	// IdleInversion inserts an X–X pair at the midpoint of every idle
 	// window (requires ScheduleAwareDecay): the qubit spends half its
@@ -145,14 +158,16 @@ type Options struct {
 	// applied to idle decoherence rather than readout. The two extra X
 	// gates pay their own gate-error and duration cost.
 	IdleInversion bool
-	// NoFastPath is a debug/verification knob: it disables the CDF batch
-	// sampler, the pooled trajectory state, and the compiled readout
-	// channel, running the original allocate-per-trajectory,
-	// linear-scan-per-shot trial loop instead. Results are byte-identical
-	// either way — the fast path is stream-identical by construction and
-	// the equality tests assert it — so the only observable differences
-	// are time and allocations. The benchmark harness uses this to record
-	// the naive baseline the fast path is measured against.
+	// NoFastPath is a debug/verification knob: it disables the exact
+	// engine, the CDF batch sampler, the pooled trajectory state, and
+	// the compiled readout channel, running the original
+	// allocate-per-trajectory, linear-scan-per-shot trial loop instead.
+	// Against trajectories with the same ShotsPerTrajectory the results
+	// are byte-identical — the fast path is stream-identical by
+	// construction and the equality tests assert it — so the only
+	// observable differences are time and allocations. The benchmark
+	// harness uses this to record the naive baseline the fast path is
+	// measured against.
 	NoFastPath bool
 }
 
@@ -179,11 +194,15 @@ func Run(c *circuit.Circuit, dev *device.Device, opt Options) (*dist.Counts, err
 // qubits. The circuit must already be expressed on physical qubits: its
 // register must match the device size, and every two-qubit gate must
 // act on a coupled pair (use internal/transpile to map logical circuits
-// first). The trial loop checks ctx between trajectory batches (and
-// between parallel worker chunks), so a long-running job stops within
-// one batch of a cancellation or timeout. Every execution-path layer —
-// chaos injection, resilient retries, the serving daemon — composes
-// over this signature (see Runner).
+// first). It chooses the engine from its own inputs (see
+// Options.ShotsPerTrajectory), so the result stays a pure function of
+// (circuit, device, options). Both engines check ctx as they go — the
+// trajectory loop between trajectory batches and parallel worker
+// chunks, the exact engine between evolution steps and every 1024
+// shots — so a long-running job stops soon after a cancellation or
+// timeout. Every execution-path layer — chaos injection, resilient
+// retries, the serving daemon — composes over this signature (see
+// Runner).
 func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options) (*dist.Counts, error) {
 	if c.NumQubits != dev.NumQubits {
 		return nil, fmt.Errorf("backend: circuit register %d does not match device %s with %d qubits",
@@ -195,53 +214,51 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 	if err := checkConnectivity(c, dev); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(dev.NumQubits)
+	p, err := placeNoise(c, dev, opt)
+	if err != nil {
+		return nil, err
+	}
 
 	// Compile the readout channel once per run: Apply then corrupts each
 	// shot against precomputed per-qubit flip thresholds instead of
 	// rebuilding a flip-probability slice per shot.
 	readout := dev.ReadoutModel().Compile()
 
-	var idle *idlePlan
-	if opt.ScheduleAwareDecay && !opt.NoDecay {
-		before, final, err := schedule.PerOpIdle(c, dev)
-		if err != nil {
-			return nil, err
-		}
-		idle = &idlePlan{before: before, final: final}
+	if opt.useExact(dev.NumQubits) {
+		return runExact(ctx, p, opt, readout)
 	}
-
+	opt = opt.withDefaults(dev.NumQubits)
 	if opt.Workers > 1 {
-		return runParallel(ctx, c, dev, opt, idle, readout)
+		return runParallel(ctx, p, opt, readout)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	counts := dist.NewCounts(dev.NumQubits)
-	if err := runShots(ctx, c, dev, opt, idle, readout, opt.Shots, rng, counts); err != nil {
+	if err := runShots(ctx, p, opt, readout, opt.Shots, rng, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
 }
 
-// runShots executes the trial loop sequentially into counts, stopping
-// between trajectory batches if ctx ends.
+// runShots executes the trajectory trial loop sequentially into counts,
+// stopping between trajectory batches if ctx ends.
 //
-// This is the hot path of the entire system: every SIM group, AIM
-// canary, and profiler preparation bottoms out here, millions of shots
-// per experiment. The fast path (default) holds one pooled state vector
-// for the whole loop, re-preparing it in place per trajectory, and
-// samples each trajectory batch through a CDF built once per trajectory
-// (O(2^n) once + O(n) binary search per shot) instead of linear-scanning
-// 2^n amplitudes on every shot. Both the CDF sampler and the compiled
+// This is the hot path of every run the exact engine does not take:
+// wide registers, small shot budgets, and explicit ShotsPerTrajectory.
+// The fast path (default) holds one pooled state vector for the whole
+// loop, re-preparing it in place per trajectory, and samples each
+// trajectory batch through a CDF built once per trajectory (O(2^n) once
+// + O(n) binary search per shot) instead of linear-scanning 2^n
+// amplitudes on every shot. Both the CDF sampler and the compiled
 // readout channel are stream-identical to the naive operations — same
 // rng draws, same comparisons, same tie semantics — so the recorded
 // counts are byte-identical to Options.NoFastPath (asserted by
 // TestFastPathMatchesNaive and the fuzz suite in internal/quantum).
-func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan,
+func runShots(ctx context.Context, p *plan, opt Options,
 	readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
 	if opt.NoFastPath {
-		return runShotsNaive(ctx, c, dev, opt, idle, readout.Model(), shots, rng, counts)
+		return runShotsNaive(ctx, p, opt, readout.Model(), shots, rng, counts)
 	}
-	state := quantum.AcquireState(dev.NumQubits)
+	state := quantum.AcquireState(p.c.NumQubits)
 	var sampler *quantum.Sampler
 	defer func() {
 		// A panic mid-trajectory (chaos injection, a faulted gate)
@@ -266,7 +283,7 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 		if batch > remaining {
 			batch = remaining
 		}
-		runTrajectoryInto(state, c, dev, opt, idle, rng)
+		p.runTrajectory(state, rng)
 		if batch == 1 {
 			// One draw amortizes nothing: the linear scan inspects half
 			// the amplitudes on average, building the CDF touches all of
@@ -300,7 +317,7 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 // verification oracle and benchmark baseline for the fast path: a fresh
 // 2^n state per trajectory, an O(2^n) linear scan per shot, and the
 // uncompiled readout channel per shot.
-func runShotsNaive(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan,
+func runShotsNaive(ctx context.Context, p *plan, opt Options,
 	readout *noise.ReadoutModel, shots int, rng *rand.Rand, counts *dist.Counts) error {
 	remaining := shots
 	for remaining > 0 {
@@ -311,7 +328,8 @@ func runShotsNaive(ctx context.Context, c *circuit.Circuit, dev *device.Device, 
 		if batch > remaining {
 			batch = remaining
 		}
-		state := runTrajectory(c, dev, opt, idle, rng)
+		state := quantum.NewState(p.c.NumQubits)
+		p.runTrajectory(state, rng)
 		for i := 0; i < batch; i++ {
 			out := state.Sample(rng)
 			if !opt.NoReadoutError {
@@ -328,8 +346,7 @@ func runShotsNaive(ctx context.Context, c *circuit.Circuit, dev *device.Device, 
 // each with a seed derived from (opt.Seed, worker index), and merges the
 // per-worker histograms in worker order so the result is a pure function
 // of (circuit, device, options).
-func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options,
-	idle *idlePlan, readout *noise.CompiledReadout) (*dist.Counts, error) {
+func runParallel(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	workers := opt.Workers
 	if workers > opt.Shots {
 		workers = opt.Shots
@@ -345,9 +362,9 @@ func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, op
 	}
 	partial, err := orchestrate.Map(ctx, workers, shotsFor,
 		func(ctx context.Context, w, shots int) (*dist.Counts, error) {
-			local := dist.NewCounts(dev.NumQubits)
+			local := dist.NewCounts(p.c.NumQubits)
 			rng := rand.New(rand.NewSource(orchestrate.DeriveSeed(opt.Seed, w)))
-			if err := runShots(ctx, c, dev, opt, idle, readout, shots, rng, local); err != nil {
+			if err := runShots(ctx, p, opt, readout, shots, rng, local); err != nil {
 				return nil, err
 			}
 			return local, nil
@@ -355,110 +372,11 @@ func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, op
 	if err != nil {
 		return nil, err
 	}
-	counts := dist.NewCounts(dev.NumQubits)
-	for _, p := range partial {
-		counts.Merge(p)
+	counts := dist.NewCounts(p.c.NumQubits)
+	for _, part := range partial {
+		counts.Merge(part)
 	}
 	return counts, nil
-}
-
-// idlePlan holds the precomputed schedule gaps for schedule-aware decay.
-type idlePlan struct {
-	before [][]schedule.QubitGap // per op, gaps ending at that op
-	final  []schedule.QubitGap   // gaps ending at measurement
-}
-
-// runTrajectory simulates one noisy execution of the circuit into a
-// freshly allocated state (the naive path).
-func runTrajectory(c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan, rng *rand.Rand) *quantum.State {
-	state := quantum.NewState(dev.NumQubits)
-	runTrajectoryInto(state, c, dev, opt, idle, rng)
-	return state
-}
-
-// runTrajectoryInto simulates one noisy execution of the circuit into
-// state, which is re-prepared to |00…0⟩ first — the in-place form the
-// fast path uses to reuse one pooled amplitude buffer across every
-// trajectory of a run. The rng consumption is identical to an execution
-// into a fresh state.
-func runTrajectoryInto(state *quantum.State, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan, rng *rand.Rand) {
-	state.Reset()
-	for i, op := range c.Ops {
-		if idle != nil {
-			for _, gap := range idle.before[i] {
-				applyIdleGap(state, dev, opt, gap, rng)
-			}
-		}
-		circuit.ApplyOp(state, op)
-		if op.Kind == circuit.Barrier {
-			continue
-		}
-		applyGateNoise(state, dev, op, opt, rng)
-	}
-	if idle != nil {
-		for _, gap := range idle.final {
-			applyIdleGap(state, dev, opt, gap, rng)
-		}
-	}
-}
-
-// applyIdleGap relaxes a qubit through one idle window, optionally with
-// an inversion pair straddling the midpoint (Options.IdleInversion).
-func applyIdleGap(state *quantum.State, dev *device.Device, opt Options, gap schedule.QubitGap, rng *rand.Rand) {
-	q := gap.Qubit
-	t1 := dev.Qubits[q].T1
-	// Idle inversion only pays off when the gap dwarfs the two X gates.
-	if opt.IdleInversion && gap.Duration > 4*dev.Gate1Duration {
-		half := (gap.Duration - 2*dev.Gate1Duration) / 2
-		state.ApplyAmplitudeDamping(q, noise.DecayProb(half, t1), rng)
-		state.ApplyPauli(quantum.PauliX, q)
-		if !opt.NoGateNoise {
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
-		}
-		state.ApplyAmplitudeDamping(q, noise.DecayProb(dev.Gate1Duration, t1), rng)
-		state.ApplyAmplitudeDamping(q, noise.DecayProb(half, t1), rng)
-		state.ApplyPauli(quantum.PauliX, q)
-		if !opt.NoGateNoise {
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
-		}
-		state.ApplyAmplitudeDamping(q, noise.DecayProb(dev.Gate1Duration, t1), rng)
-		return
-	}
-	state.ApplyAmplitudeDamping(q, noise.DecayProb(gap.Duration, t1), rng)
-}
-
-func applyGateNoise(state *quantum.State, dev *device.Device, op circuit.Op, opt Options, rng *rand.Rand) {
-	duration := dev.Gate1Duration
-	if op.IsTwoQubit() {
-		duration = dev.Gate2Duration
-		if op.Kind == circuit.SwapOp {
-			duration = 3 * dev.Gate2Duration // SWAP decomposes into 3 CNOTs
-		}
-	}
-	if !opt.NoGateNoise {
-		if op.IsTwoQubit() {
-			p2, err := dev.Gate2Error(op.Qubits[0], op.Qubits[1])
-			if err != nil {
-				// Connectivity was validated before the run.
-				panic(err)
-			}
-			if op.Kind == circuit.SwapOp {
-				p2 = 1 - (1-p2)*(1-p2)*(1-p2)
-			}
-			pa, pb := noise.SamplePauli2(p2, rng)
-			state.ApplyPauli(pa, op.Qubits[0])
-			state.ApplyPauli(pb, op.Qubits[1])
-		} else {
-			q := op.Qubits[0]
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
-		}
-	}
-	if !opt.NoDecay {
-		for _, q := range op.Qubits {
-			gamma := noise.DecayProb(duration, dev.Qubits[q].T1)
-			state.ApplyAmplitudeDamping(q, gamma, rng)
-		}
-	}
 }
 
 // checkConnectivity verifies every two-qubit op acts on a coupled pair.

@@ -273,11 +273,13 @@ func TestRunWithCorrelatedReadout(t *testing.T) {
 func TestParallelWorkersDeterministic(t *testing.T) {
 	dev := device.IBMQX4()
 	c := circuit.New(5, "ghz").H(0).CX(1, 0).CX(2, 1).CX(3, 2).CX(3, 4)
-	a, err := Run(c, dev, Options{Shots: 4000, Seed: 91, Workers: 4})
+	// Pinned to trajectories: the exact engine ignores Workers.
+	opt := Options{Shots: 4000, Seed: 91, Workers: 4, ShotsPerTrajectory: 1}
+	a, err := Run(c, dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, dev, Options{Shots: 4000, Seed: 91, Workers: 4})
+	b, err := Run(c, dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +299,12 @@ func TestParallelConvergesToSequential(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		c.H(q)
 	}
-	seq, err := Run(c, dev, Options{Shots: 40000, Seed: 92})
+	// Pinned to trajectories: the exact engine ignores Workers.
+	seq, err := Run(c, dev, Options{Shots: 40000, Seed: 92, ShotsPerTrajectory: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(c, dev, Options{Shots: 40000, Seed: 92, Workers: 8})
+	par, err := Run(c, dev, Options{Shots: 40000, Seed: 92, Workers: 8, ShotsPerTrajectory: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

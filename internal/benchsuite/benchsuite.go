@@ -165,13 +165,15 @@ func ReadoutApply(b *testing.B, compiled bool) {
 
 // Verify cross-checks the two paths outside the benchmark loop: cmd/bench
 // refuses to record numbers for paths that disagree, so a stale baseline
-// can never hide a correctness break behind a performance win.
+// can never hide a correctness break behind a performance win. Both runs
+// are pinned to one shot per trajectory: at small widths the default
+// would put the fast run on the exact engine, whose stream differs.
 func Verify(width int) error {
 	dev := Device(width)
 	c := Circuit(width)
 	run := func(naive bool) (*dist.Counts, error) {
 		return backend.RunContext(context.Background(), c, dev, backend.Options{
-			Shots: 512, Seed: 3, NoFastPath: naive,
+			Shots: 512, Seed: 3, ShotsPerTrajectory: 1, NoFastPath: naive,
 		})
 	}
 	naive, err := run(true)

@@ -93,7 +93,9 @@ func TestJobCancelAndTypedErrors(t *testing.T) {
 	sub, err := cl.SubmitJob(ctx, &api.JobSubmitRequest{
 		Type: api.JobTypeMitigate,
 		Mitigate: &api.MitigateRequest{
-			Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 1 << 16, Seed: 5,
+			// Trajectories on the 14-qubit machine: the job is still
+			// queued or running when the cancel arrives.
+			Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A", Shots: 4096, Seed: 5,
 		},
 	})
 	if err != nil {

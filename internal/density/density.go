@@ -1,14 +1,17 @@
 // Package density implements an exact density-matrix simulator for small
-// registers. Where the backend samples stochastic trajectories, this
-// package applies the noise channels (depolarizing gate error, amplitude
-// damping, classical readout corruption) exactly, producing the true
-// output distribution with no sampling error.
+// registers. Where a trajectory samples one stochastic noise history, a
+// density matrix carries every history at once: this package applies the
+// noise channels (depolarizing gate error, amplitude damping) exactly,
+// and OutputDist folds in the classical readout channel, producing the
+// true output distribution with no sampling error.
 //
-// Its role in the reproduction is validation: the trajectory sampler and
-// the exact channel evolution must agree in distribution, which pins down
-// the correctness of the entire noise pipeline (see the cross-validation
-// tests). Cost scales as O(4^n), so it is practical up to ~8 qubits —
-// enough to cover both 5-qubit machines end to end.
+// It has two roles. It is an engine: the backend evolves ρ once per run
+// through the device's noise placement and draws every shot from diag(ρ)
+// on registers of up to 8 qubits, instead of simulating one noisy
+// trajectory per shot. And it is the oracle the trajectory engine is
+// checked against, since both must agree in distribution. The channel
+// kernels update ρ in place in O(4^n) per operation; the tests check
+// them against their Kraus-sum definitions.
 package density
 
 import (
@@ -97,58 +100,76 @@ func (m *Matrix) checkQubit(q int) {
 	}
 }
 
-// applyLeft multiplies every column by the single-qubit matrix u acting
-// on qubit q: ρ → (u⊗I)·ρ.
-func (m *Matrix) applyLeft(u quantum.Matrix2, q int) {
-	stride := 1 << uint(q)
-	for c := 0; c < m.d; c++ {
-		for base := 0; base < m.d; base += stride * 2 {
-			for off := 0; off < stride; off++ {
-				r0 := base + off
-				r1 := r0 + stride
-				a0, a1 := m.rho[r0*m.d+c], m.rho[r1*m.d+c]
-				m.rho[r0*m.d+c] = u[0][0]*a0 + u[0][1]*a1
-				m.rho[r1*m.d+c] = u[1][0]*a0 + u[1][1]*a1
-			}
-		}
-	}
+// The kernels below update ρ in place. Each walks the 2×2 (or 4×4)
+// blocks that share every index bit except the operand qubits' bits:
+// spread(i, q) is the i-th index whose bit q is clear, so the block of
+// qubit q at row r0 and column c0 spans rows {r0, r0|1<<q} and columns
+// {c0, c0|1<<q}.
+
+// spread inserts a zero at bit position q of i.
+func spread(i, q int) int {
+	low := i & (1<<uint(q) - 1)
+	return (i-low)<<1 | low
 }
 
-// applyRight multiplies every row by u† on qubit q: ρ → ρ·(u†⊗I).
-func (m *Matrix) applyRight(u quantum.Matrix2, q int) {
-	ud := u.Dagger()
-	stride := 1 << uint(q)
-	for r := 0; r < m.d; r++ {
-		row := m.rho[r*m.d : (r+1)*m.d]
-		for base := 0; base < m.d; base += stride * 2 {
-			for off := 0; off < stride; off++ {
-				c0 := base + off
-				c1 := c0 + stride
-				a0, a1 := row[c0], row[c1]
-				row[c0] = a0*ud[0][0] + a1*ud[1][0]
-				row[c1] = a0*ud[0][1] + a1*ud[1][1]
-			}
-		}
-	}
-}
+// spread2 inserts zeros at bit positions lo and hi (lo < hi) of i.
+func spread2(i, lo, hi int) int { return spread(spread(i, lo), hi) }
 
-// Apply1 conjugates ρ by the single-qubit unitary u on qubit q.
+// rs multiplies z by the real factor f without a full complex product.
+func rs(f float64, z complex128) complex128 { return complex(f*real(z), f*imag(z)) }
+
+func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }
+
+// Apply1 conjugates ρ by the single-qubit unitary u on qubit q:
+// ρ → (u⊗I)·ρ·(u†⊗I), one pass over the 2×2 blocks of qubit q.
 func (m *Matrix) Apply1(u quantum.Matrix2, q int) {
 	m.checkQubit(q)
-	m.applyLeft(u, q)
-	m.applyRight(u, q)
-}
-
-// permute conjugates ρ by a basis permutation: ρ'[p(r)][p(c)] = ρ[r][c].
-func (m *Matrix) permute(p func(int) int) {
-	next := make([]complex128, len(m.rho))
-	for r := 0; r < m.d; r++ {
-		pr := p(r)
-		for c := 0; c < m.d; c++ {
-			next[pr*m.d+p(c)] = m.rho[r*m.d+c]
+	d, bit, half := m.d, 1<<uint(q), m.d>>1
+	u00, u01, u10, u11 := u[0][0], u[0][1], u[1][0], u[1][1]
+	// (L·u†)[i][j] = Σ_k L[i][k]·conj(u[j][k]).
+	v00, v01, v10, v11 := conj(u00), conj(u01), conj(u10), conj(u11)
+	for i := 0; i < half; i++ {
+		r0 := spread(i, q)
+		row0 := m.rho[r0*d : (r0+1)*d]
+		row1 := m.rho[(r0|bit)*d : (r0|bit+1)*d]
+		for j := 0; j < half; j++ {
+			c0 := spread(j, q)
+			c1 := c0 | bit
+			a, b, c, e := row0[c0], row0[c1], row1[c0], row1[c1]
+			l00, l01 := u00*a+u01*c, u00*b+u01*e
+			l10, l11 := u10*a+u11*c, u10*b+u11*e
+			row0[c0] = l00*v00 + l01*v01
+			row0[c1] = l00*v10 + l01*v11
+			row1[c0] = l10*v00 + l11*v01
+			row1[c1] = l10*v10 + l11*v11
 		}
 	}
-	m.rho = next
+}
+
+// permute conjugates ρ in place by the involutive basis permutation p
+// that swaps each index i with i&sel == want for i^flip (and fixes every
+// other index): ρ'[r][c] = ρ[p(r)][p(c)]. Rows are swapped first, then
+// columns within each row, so no scratch buffer is needed.
+func (m *Matrix) permute(sel, want, flip int) {
+	d := m.d
+	for r := 0; r < d; r++ {
+		if r&sel != want {
+			continue
+		}
+		a := m.rho[r*d : (r+1)*d]
+		b := m.rho[(r^flip)*d : (r^flip+1)*d]
+		for c := range a {
+			a[c], b[c] = b[c], a[c]
+		}
+	}
+	for r := 0; r < d; r++ {
+		row := m.rho[r*d : (r+1)*d]
+		for c := 0; c < d; c++ {
+			if c&sel == want {
+				row[c], row[c^flip] = row[c^flip], row[c]
+			}
+		}
+	}
 }
 
 // ApplyCNOT conjugates ρ by a CNOT.
@@ -159,12 +180,8 @@ func (m *Matrix) ApplyCNOT(control, target int) {
 		panic("density: CNOT with identical qubits")
 	}
 	cb, tb := 1<<uint(control), 1<<uint(target)
-	m.permute(func(i int) int {
-		if i&cb != 0 {
-			return i ^ tb
-		}
-		return i
-	})
+	// Control set, target clear ↔ control set, target set.
+	m.permute(cb|tb, cb, tb)
 }
 
 // ApplySWAP conjugates ρ by a SWAP.
@@ -175,14 +192,8 @@ func (m *Matrix) ApplySWAP(a, b int) {
 		panic("density: SWAP with identical qubits")
 	}
 	ba, bb := 1<<uint(a), 1<<uint(b)
-	m.permute(func(i int) int {
-		bitA := i & ba >> uint(a)
-		bitB := i & bb >> uint(b)
-		if bitA == bitB {
-			return i
-		}
-		return i ^ ba ^ bb
-	})
+	// Bit a set, bit b clear ↔ bit a clear, bit b set.
+	m.permute(ba|bb, ba, ba|bb)
 }
 
 // ApplyCZ conjugates ρ by a controlled-Z.
@@ -193,17 +204,15 @@ func (m *Matrix) ApplyCZ(a, b int) {
 		panic("density: CZ with identical qubits")
 	}
 	mask := 1<<uint(a) | 1<<uint(b)
-	sign := func(i int) complex128 {
-		if i&mask == mask {
-			return -1
-		}
-		return 1
-	}
-	// U = diag(±1) is real: ρ'[r][c] = sign(r)·ρ[r][c]·sign(c).
+	// U = diag(±1) is real: ρ'[r][c] = sign(r)·ρ[r][c]·sign(c), which
+	// negates exactly the entries where one of r, c has both bits set.
 	for r := 0; r < m.d; r++ {
-		sr := sign(r)
-		for c := 0; c < m.d; c++ {
-			m.rho[r*m.d+c] *= sr * sign(c)
+		rSet := r&mask == mask
+		row := m.rho[r*m.d : (r+1)*m.d]
+		for c := range row {
+			if (c&mask == mask) != rSet {
+				row[c] = -row[c]
+			}
 		}
 	}
 }
@@ -215,24 +224,37 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Depolarize1 applies the single-qubit depolarizing channel with error
-// probability p on qubit q: ρ → (1−p)ρ + p/3·Σ_{P∈{X,Y,Z}} PρP.
+// probability p on qubit q: ρ → (1−p)ρ + p/3·Σ_{P∈{X,Y,Z}} PρP. The Pauli
+// twirl Σ_{P∈{I,X,Y,Z}} PρP = 2·Tr_q ρ ⊗ I turns the sum into
+// ρ → (1−4p/3)ρ + (2p/3)·Tr_q ρ ⊗ I, applied in place per 2×2 block.
 func (m *Matrix) Depolarize1(q int, p float64) {
 	m.checkQubit(q)
 	if p <= 0 {
 		return
 	}
-	orig := m.Clone()
-	scale(m.rho, complex(1-p, 0))
-	for _, pl := range []quantum.Matrix2{quantum.X, quantum.Y, quantum.Z} {
-		kick := orig.Clone()
-		kick.Apply1(pl, q)
-		accumulate(m.rho, kick.rho, complex(p/3, 0))
+	d, bit, half := m.d, 1<<uint(q), m.d>>1
+	keep, mix := 1-4*p/3, 2*p/3
+	for i := 0; i < half; i++ {
+		r0 := spread(i, q)
+		row0 := m.rho[r0*d : (r0+1)*d]
+		row1 := m.rho[(r0|bit)*d : (r0|bit+1)*d]
+		for j := 0; j < half; j++ {
+			c0 := spread(j, q)
+			c1 := c0 | bit
+			tr := rs(mix, row0[c0]+row1[c1])
+			row0[c0] = rs(keep, row0[c0]) + tr
+			row1[c1] = rs(keep, row1[c1]) + tr
+			row0[c1] = rs(keep, row0[c1])
+			row1[c0] = rs(keep, row1[c0])
+		}
 	}
 }
 
 // Depolarize2 applies the two-qubit depolarizing channel with error
 // probability p on qubits (a,b): a uniform mixture over the 15
-// non-identity Pauli pairs.
+// non-identity Pauli pairs. As in Depolarize1, the twirl over all 16
+// pairs is 4·Tr_ab ρ ⊗ I, so the channel is
+// ρ → (1−16p/15)ρ + (4p/15)·Tr_ab ρ ⊗ I, applied in place per 4×4 block.
 func (m *Matrix) Depolarize2(a, b int, p float64) {
 	m.checkQubit(a)
 	m.checkQubit(b)
@@ -242,23 +264,39 @@ func (m *Matrix) Depolarize2(a, b int, p float64) {
 	if p <= 0 {
 		return
 	}
-	orig := m.Clone()
-	scale(m.rho, complex(1-p, 0))
-	paulis := []quantum.Matrix2{quantum.I, quantum.X, quantum.Y, quantum.Z}
-	for i := 1; i < 16; i++ {
-		kick := orig.Clone()
-		if pa := paulis[i/4]; i/4 != 0 {
-			kick.Apply1(pa, a)
+	lo, hi := a, b
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	d, quarter := m.d, m.d>>2
+	off := [4]int{0, 1 << uint(a), 1 << uint(b), 1<<uint(a) | 1<<uint(b)}
+	keep, mix := 1-16*p/15, 4*p/15
+	for i := 0; i < quarter; i++ {
+		r := spread2(i, lo, hi)
+		for j := 0; j < quarter; j++ {
+			c := spread2(j, lo, hi)
+			var tr complex128
+			for k := range off {
+				tr += m.rho[(r+off[k])*d+c+off[k]]
+			}
+			tr = rs(mix, tr)
+			for k := range off {
+				row := m.rho[(r+off[k])*d : (r+off[k]+1)*d]
+				for l := range off {
+					v := rs(keep, row[c+off[l]])
+					if k == l {
+						v += tr
+					}
+					row[c+off[l]] = v
+				}
+			}
 		}
-		if pb := paulis[i%4]; i%4 != 0 {
-			kick.Apply1(pb, b)
-		}
-		accumulate(m.rho, kick.rho, complex(p/15, 0))
 	}
 }
 
 // AmplitudeDamp applies the T1 relaxation channel with decay probability
-// gamma on qubit q: ρ → K0ρK0† + K1ρK1†.
+// gamma on qubit q: ρ → K0ρK0† + K1ρK1† with K0 = diag(1, √(1−γ)) and
+// K1 = √γ·|0⟩⟨1|, in place per 2×2 block.
 func (m *Matrix) AmplitudeDamp(q int, gamma float64) {
 	m.checkQubit(q)
 	if gamma <= 0 {
@@ -267,42 +305,20 @@ func (m *Matrix) AmplitudeDamp(q int, gamma float64) {
 	if gamma > 1 {
 		panic(fmt.Sprintf("density: gamma %v out of [0,1]", gamma))
 	}
+	d, bit, half := m.d, 1<<uint(q), m.d>>1
 	s := math.Sqrt(1 - gamma)
-	bit := 1 << uint(q)
-	next := make([]complex128, len(m.rho))
-	for r := 0; r < m.d; r++ {
-		for c := 0; c < m.d; c++ {
-			v := m.rho[r*m.d+c]
-			if v == 0 {
-				continue
-			}
-			// K0 = diag(1, s): factor s per side with the bit set.
-			f := 1.0
-			if r&bit != 0 {
-				f *= s
-			}
-			if c&bit != 0 {
-				f *= s
-			}
-			next[r*m.d+c] += v * complex(f, 0)
-			// K1 = sqrt(gamma)|0><1|: contributes only from (1,1) blocks.
-			if r&bit != 0 && c&bit != 0 {
-				next[(r^bit)*m.d+(c^bit)] += v * complex(gamma, 0)
-			}
+	for i := 0; i < half; i++ {
+		r0 := spread(i, q)
+		row0 := m.rho[r0*d : (r0+1)*d]
+		row1 := m.rho[(r0|bit)*d : (r0|bit+1)*d]
+		for j := 0; j < half; j++ {
+			c0 := spread(j, q)
+			c1 := c0 | bit
+			row0[c0] += rs(gamma, row1[c1])
+			row1[c1] = rs(1-gamma, row1[c1])
+			row0[c1] = rs(s, row0[c1])
+			row1[c0] = rs(s, row1[c0])
 		}
-	}
-	m.rho = next
-}
-
-func scale(v []complex128, f complex128) {
-	for i := range v {
-		v[i] *= f
-	}
-}
-
-func accumulate(dst, src []complex128, f complex128) {
-	for i := range dst {
-		dst[i] += f * src[i]
 	}
 }
 

@@ -1,17 +1,14 @@
 package density
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"biasmit/internal/backend"
 	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
 	"biasmit/internal/device"
-	"biasmit/internal/kernels"
 	"biasmit/internal/noise"
 	"biasmit/internal/quantum"
 )
@@ -130,61 +127,6 @@ func TestOutputDistAppliesReadout(t *testing.T) {
 	}
 }
 
-func TestRunExactValidation(t *testing.T) {
-	dev := device.IBMQX2()
-	if _, err := RunExact(circuit.New(3, "small"), dev); err == nil {
-		t.Error("register mismatch accepted")
-	}
-	uncoupled := circuit.New(5, "bad").CX(0, 4)
-	if _, err := RunExact(uncoupled, dev); err == nil {
-		t.Error("uncoupled CNOT accepted")
-	}
-}
-
-func TestTrajectoriesConvergeToExactChannel(t *testing.T) {
-	// The central cross-validation: the stochastic trajectory backend
-	// must converge to the exact density-matrix evolution on a fully
-	// noisy workload (gates + decay + biased readout + crosstalk).
-	dev := device.IBMQX4()
-	c := circuit.New(5, "ghz-x4").H(0).CX(1, 0).CX(2, 1).CX(3, 2).CX(3, 4)
-	exact, err := RunExact(c, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := backend.RunContext(context.Background(), c, dev, backend.Options{Shots: 120000, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvd := counts.Dist().TVD(exact); tvd > 0.012 {
-		t.Errorf("trajectory vs exact TVD = %v", tvd)
-	}
-}
-
-func TestTrajectoriesConvergeOnBVKernel(t *testing.T) {
-	dev := device.IBMQX2()
-	bench := kernels.BV("bv", bitstring.MustParse("1011"))
-	// Express on device qubits without routing (identity layout works on
-	// ibmqx2 only if CNOTs are coupled; BV couples every key qubit to the
-	// ancilla q4 — ibmqx2 couples 2-4 and 3-4 only, so remap key bits
-	// onto {2,3} neighbours... simpler: use a 3-bit key on qubits 2,3→4).
-	_ = bench
-	c := circuit.New(5, "mini-bv")
-	c.X(4).H(4).H(2).H(3)
-	c.CX(2, 4).CX(3, 4)
-	c.H(2).H(3).H(4)
-	exact, err := RunExact(c, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := backend.RunContext(context.Background(), c, dev, backend.Options{Shots: 120000, Seed: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvd := counts.Dist().TVD(exact); tvd > 0.012 {
-		t.Errorf("trajectory vs exact TVD = %v", tvd)
-	}
-}
-
 func TestExactBMSMatchesNoiseModel(t *testing.T) {
 	// For a pure basis-state preparation with no gate noise (set error
 	// rates to zero), OutputDist's diagonal must equal the noise model's
@@ -274,4 +216,207 @@ func TestQuickDensityInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(107))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The Kraus-sum oracle. Every in-place kernel must equal Σ_k K_k ρ K_k†
+// evaluated entry by entry from the channel's textbook Kraus operators —
+// no block walks, permutations or twirl identities — on random ρ.
+
+// kraus is one local operator; its row and column indices put the first
+// operand qubit in bit 0 and the second (if any) in bit 1.
+type kraus [][]complex128
+
+// krausSum returns Σ_k K_k ρ K_k† for local Kraus operators on qubits.
+func krausSum(m *Matrix, qubits []int, ops []kraus) *Matrix {
+	out := &Matrix{n: m.n, d: m.d, rho: make([]complex128, len(m.rho))}
+	// off[l] holds local index l's bits at the operand positions, so the
+	// global index with row r's other bits and local index l is
+	// r&^mask | off[l].
+	dim := 1 << uint(len(qubits))
+	off := make([]int, dim)
+	for l := range off {
+		for b, q := range qubits {
+			off[l] |= (l >> uint(b) & 1) << uint(q)
+		}
+	}
+	mask := off[dim-1]
+	local := make([]int, m.d)
+	for i := range local {
+		for l, o := range off {
+			if i&mask == o {
+				local[i] = l
+			}
+		}
+	}
+	for _, k := range ops {
+		for r := 0; r < m.d; r++ {
+			for c := 0; c < m.d; c++ {
+				lr, lc := local[r], local[c]
+				var v complex128
+				for i := 0; i < dim; i++ {
+					if k[lr][i] == 0 {
+						continue
+					}
+					for j := 0; j < dim; j++ {
+						if k[lc][j] != 0 {
+							v += k[lr][i] * m.rho[(r&^mask|off[i])*m.d+(c&^mask|off[j])] * conj(k[lc][j])
+						}
+					}
+				}
+				out.rho[r*m.d+c] += v
+			}
+		}
+	}
+	return out
+}
+
+func kraus1(u quantum.Matrix2, f float64) kraus {
+	s := complex(math.Sqrt(f), 0)
+	return kraus{{s * u[0][0], s * u[0][1]}, {s * u[1][0], s * u[1][1]}}
+}
+
+// kraus2 is f^½·(a ⊗ b) with a on the first operand qubit.
+func kraus2(a, b quantum.Matrix2, f float64) kraus {
+	s := complex(math.Sqrt(f), 0)
+	k := make(kraus, 4)
+	for r := 0; r < 4; r++ {
+		k[r] = make([]complex128, 4)
+		for c := 0; c < 4; c++ {
+			k[r][c] = s * a[r&1][c&1] * b[r>>1][c>>1]
+		}
+	}
+	return k
+}
+
+// permutation2 is the two-qubit unitary that maps local basis state l to
+// p(l).
+func permutation2(p func(l int) int) kraus {
+	k := make(kraus, 4)
+	for r := range k {
+		k[r] = make([]complex128, 4)
+	}
+	for l := 0; l < 4; l++ {
+		k[p(l)][l] = 1
+	}
+	return k
+}
+
+func depolarize1Kraus(p float64) []kraus {
+	return []kraus{kraus1(quantum.I, 1-p), kraus1(quantum.X, p/3), kraus1(quantum.Y, p/3), kraus1(quantum.Z, p/3)}
+}
+
+func depolarize2Kraus(p float64) []kraus {
+	paulis := []quantum.Matrix2{quantum.I, quantum.X, quantum.Y, quantum.Z}
+	ops := []kraus{kraus2(quantum.I, quantum.I, 1-p)}
+	for i := 1; i < 16; i++ {
+		ops = append(ops, kraus2(paulis[i/4], paulis[i%4], p/15))
+	}
+	return ops
+}
+
+func dampKraus(gamma float64) []kraus {
+	return []kraus{
+		{{1, 0}, {0, complex(math.Sqrt(1-gamma), 0)}},
+		{{0, complex(math.Sqrt(gamma), 0)}, {0, 0}},
+	}
+}
+
+// randomDensity returns a random rank-3 mixed state on n qubits.
+func randomDensity(n int, rng *rand.Rand) *Matrix {
+	m := New(n)
+	m.rho[0] = 0
+	var w [3]float64
+	var total float64
+	for k := range w {
+		w[k] = rng.Float64()
+		total += w[k]
+	}
+	psi := make([]complex128, m.d)
+	for k := range w {
+		var norm float64
+		for i := range psi {
+			psi[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			norm += real(psi[i])*real(psi[i]) + imag(psi[i])*imag(psi[i])
+		}
+		f := w[k] / total / norm
+		for r := range psi {
+			for c := range psi {
+				m.rho[r*m.d+c] += complex(f, 0) * psi[r] * conj(psi[c])
+			}
+		}
+	}
+	return m
+}
+
+func maxDiff(a, b *Matrix) float64 {
+	var worst float64
+	for i := range a.rho {
+		d := a.rho[i] - b.rho[i]
+		worst = math.Max(worst, math.Hypot(real(d), imag(d)))
+	}
+	return worst
+}
+
+// checkKernelsAt compares the kernels with the Kraus-sum oracle on a
+// fresh random ρ: every single-qubit kernel on qubit a when b == a,
+// every two-qubit kernel on the ordered pair (a, b) otherwise.
+func checkKernelsAt(t testing.TB, n, a, b int, p float64, rng *rand.Rand) {
+	t.Helper()
+	type kernelCase struct {
+		name   string
+		qubits []int
+		kernel func(m *Matrix)
+		ops    []kraus
+	}
+	var cases []kernelCase
+	if a == b {
+		u := quantum.U3(rng.Float64()*math.Pi, rng.Float64()*2*math.Pi, rng.Float64()*2*math.Pi)
+		cases = []kernelCase{
+			{"Apply1", []int{a}, func(m *Matrix) { m.Apply1(u, a) }, []kraus{kraus1(u, 1)}},
+			{"Depolarize1", []int{a}, func(m *Matrix) { m.Depolarize1(a, p) }, depolarize1Kraus(p)},
+			{"AmplitudeDamp", []int{a}, func(m *Matrix) { m.AmplitudeDamp(a, p) }, dampKraus(p)},
+		}
+	} else {
+		cases = []kernelCase{
+			{"ApplyCNOT", []int{a, b}, func(m *Matrix) { m.ApplyCNOT(a, b) },
+				[]kraus{permutation2(func(l int) int { return l ^ (l&1)<<1 })}},
+			{"ApplySWAP", []int{a, b}, func(m *Matrix) { m.ApplySWAP(a, b) },
+				[]kraus{permutation2(func(l int) int { return l>>1 | (l&1)<<1 })}},
+			{"ApplyCZ", []int{a, b}, func(m *Matrix) { m.ApplyCZ(a, b) },
+				[]kraus{{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, -1}}}},
+			{"Depolarize2", []int{a, b}, func(m *Matrix) { m.Depolarize2(a, b, p) }, depolarize2Kraus(p)},
+		}
+	}
+	for _, tc := range cases {
+		rho := randomDensity(n, rng)
+		want := krausSum(rho, tc.qubits, tc.ops)
+		tc.kernel(rho)
+		if diff := maxDiff(rho, want); diff > 1e-12 {
+			t.Errorf("%s on %v of %d qubits, p=%v: max |kernel − Kraus sum| = %g", tc.name, tc.qubits, n, p, diff)
+		}
+	}
+}
+
+func TestKernelsMatchKrausSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{5, 8} {
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				checkKernelsAt(t, n, a, b, rng.Float64(), rng)
+			}
+		}
+	}
+}
+
+func FuzzKernelsMatchKraus(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(1), 0.1)
+	f.Add(int64(2), uint8(3), uint8(0), 0.75)
+	f.Add(int64(3), uint8(2), uint8(2), 1.0)
+	f.Fuzz(func(t *testing.T, seed int64, a, b uint8, p float64) {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			t.Skip()
+		}
+		const n = 4
+		checkKernelsAt(t, n, int(a)%n, int(b)%n, math.Abs(math.Mod(p, 1)), rand.New(rand.NewSource(seed)))
+	})
 }

@@ -325,7 +325,10 @@ func (s *Scheduler) releaseReserved(batch []*Job) {
 // run the shared prepare hook once, then execute members in order.
 func (s *Scheduler) runBatch(batch []*Job) {
 	type member struct {
-		j   *Job
+		j *Job
+		// run is the copy handed to the executor, taken under q.mu:
+		// Cancel may write to j while the batch runs.
+		run Job
 		ctx context.Context
 	}
 	q := s.q
@@ -382,7 +385,7 @@ func (s *Scheduler) runBatch(batch []*Job) {
 		cancels = append(cancels, cancel)
 		q.transitions[StateRunning]++
 		q.journalLocked(j)
-		members = append(members, member{j: j, ctx: ctx})
+		members = append(members, member{j: j, run: j.clone(), ctx: ctx})
 	}
 	if len(members) > 0 {
 		q.batches++
@@ -430,7 +433,7 @@ func (s *Scheduler) runBatch(batch []*Job) {
 	}
 	for _, m := range members {
 		wtask.Beat()
-		result, fail := s.opts.Exec(m.ctx, m.j.clone())
+		result, fail := s.opts.Exec(m.ctx, m.run)
 		s.settle(m.j, result, fail)
 	}
 }

@@ -106,6 +106,15 @@ func baselineJob(shots int, seed int64) *api.JobSubmitRequest {
 	}
 }
 
+// slowJob is a baseline job that holds a worker for ~300ms: trajectories
+// on the 14-qubit machine. On a 5-qubit machine the exact engine would
+// finish it in milliseconds.
+func slowJob(seed int64) *api.JobSubmitRequest {
+	job := baselineJob(4096, seed)
+	job.Mitigate.Machine = "ibmq-melbourne"
+	return job
+}
+
 func TestJobLifecycleResultMatchesSync(t *testing.T) {
 	_, ts := jobsTestServer(t, 0)
 
@@ -184,8 +193,8 @@ func TestJobCharacterizeAndList(t *testing.T) {
 func TestJobCancelReachesCancelled(t *testing.T) {
 	_, ts := jobsTestServer(t, 0)
 	// Park a slow job on the single worker so the next one queues.
-	slow := submitJob(t, ts.URL, "", baselineJob(1<<16, 1))
-	victim := submitJob(t, ts.URL, "", baselineJob(1<<16, 2))
+	slow := submitJob(t, ts.URL, "", slowJob(1))
+	victim := submitJob(t, ts.URL, "", slowJob(2))
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+victim.Job.ID, nil)
 	if err != nil {
@@ -224,7 +233,7 @@ func TestJobCancelReachesCancelled(t *testing.T) {
 
 func TestJobTenantQuota(t *testing.T) {
 	_, ts := jobsTestServer(t, 1)
-	first := submitJob(t, ts.URL, "tenant-a", baselineJob(1<<16, 1))
+	first := submitJob(t, ts.URL, "tenant-a", slowJob(1))
 
 	resp, data := postJob(t, ts.URL, "tenant-a", baselineJob(512, 2))
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -232,9 +232,11 @@ func TestMitigateValidationErrors(t *testing.T) {
 
 func TestMitigateDeadlineExceeded(t *testing.T) {
 	_, ts := testServer(t)
+	// Trajectories on the 14-qubit machine: the run takes far longer
+	// than its 1ms deadline.
 	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
-		Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A",
-		Shots: 1 << 16, TimeoutMS: 1,
+		Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A",
+		Shots: 4096, TimeoutMS: 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)

@@ -80,8 +80,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failed runs that open a machine's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker rejects work before probing again")
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
-	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async job batches")
-	batchWindow := flag.Duration("batch-window", 25*time.Millisecond, "how long a batchable async job waits for compatible jobs to coalesce (0 = no waiting)")
+	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
 	autoInflight := flag.Bool("max-inflight-auto", false, "adapt the in-flight ceiling to observed latency (AIMD) and shed excess with typed 503s, instead of the static -max-jobs gate")
 	queueTimeout := flag.Duration("queue-timeout", 100*time.Millisecond, "how long an admission-queued request may wait before being shed (needs -max-inflight-auto)")
@@ -90,7 +89,6 @@ func main() {
 	brownoutDwellUp := flag.Duration("brownout-dwell-up", 5*time.Second, "sustained calm required before stepping a brownout tier back up")
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry traffic allowed as a fraction of fresh admitted work (0 disables the budget)")
 	queueHighWater := flag.Int("queue-high-water", 0, "queued async jobs past which /healthz reports 503 unavailable (0 = never)")
-	watchdogStall := flag.Duration("watchdog-stall", 30*time.Second, "missing-heartbeat window after which a wedged job batch is dumped, cancelled, and requeued")
 	resultCache := flag.Bool("result-cache", true, "serve repeated identical mitigation requests from a content-addressed result cache, coalescing concurrent duplicates onto one execution")
 	resultCacheSize := flag.Int("result-cache-size", 1024, "result-cache entry bound; past it the LRU result is evicted (needs -result-cache)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
@@ -163,7 +161,6 @@ func main() {
 		MaxProfiles:       *maxProfiles,
 		JobsLog:           jlog,
 		JobWorkers:        *jobWorkers,
-		JobBatchWindow:    *batchWindow,
 		JobQuota:          *tenantQuota,
 		AutoInflight:      *autoInflight,
 		QueueTimeout:      *queueTimeout,
@@ -172,7 +169,6 @@ func main() {
 		BrownoutDwellUp:   *brownoutDwellUp,
 		RetryBudget:       *retryBudget,
 		QueueHighWater:    *queueHighWater,
-		WatchdogStall:     *watchdogStall,
 		ResultCache:       *resultCache,
 		ResultCacheSize:   *resultCacheSize,
 		Logger:            lg,

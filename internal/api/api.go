@@ -28,13 +28,6 @@ const Version = "v1"
 // trace_id field carries the identical value in the body.
 const TraceHeader = "X-Trace-Id"
 
-// HedgeHeader marks a hedged duplicate of an in-flight request: the
-// typed client's WithHedgedReads sets it to "true" on the second
-// attempt, which reuses the first attempt's trace ID instead of minting
-// a new trace. The server tags the trace hedge=true so both attempts
-// are distinguishable under one ID.
-const HedgeHeader = "X-Hedged"
-
 // Stable error codes of the biasmitd API. Clients should branch on
 // these, never on message text.
 const (
@@ -375,9 +368,6 @@ type JobInfo struct {
 	// went back from running to queued (crash recovery, drain, retry).
 	Attempts int `json:"attempts,omitempty"`
 	Requeues int `json:"requeues,omitempty"`
-	// BatchSize is how many compatible jobs shared the micro-batch this
-	// job last ran in (1 = ran alone).
-	BatchSize int `json:"batch_size,omitempty"`
 	// CancelRequested is true once DELETE /v1/jobs/{id} has been
 	// accepted for a job that was already running; the job winds down to
 	// cancelled asynchronously.

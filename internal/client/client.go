@@ -26,10 +26,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"biasmit/internal/api"
@@ -47,20 +45,6 @@ func WithTraceID(ctx context.Context, id string) (context.Context, string) {
 	return obs.WithTrace(ctx, tr), tr.ID()
 }
 
-// hedgeKey marks a context as belonging to a hedge attempt; once()
-// translates it into the X-Hedged header so the daemon tags the span
-// instead of treating the race as an independent request.
-type hedgeKey struct{}
-
-func markHedge(ctx context.Context) context.Context {
-	return context.WithValue(ctx, hedgeKey{}, true)
-}
-
-func isHedge(ctx context.Context) bool {
-	v, _ := ctx.Value(hedgeKey{}).(bool)
-	return v
-}
-
 // Client talks to one biasmitd instance. Construct with New; safe for
 // concurrent use (it shares one underlying http.Client).
 type Client struct {
@@ -69,15 +53,6 @@ type Client struct {
 	apiKey         string
 	breakerRetries int
 	retryCap       time.Duration
-
-	// budget, when set, caps the client's own extra traffic — breaker
-	// retries and hedges — to a fraction of its fresh requests, so a
-	// fleet of clients cannot amplify a brownout into a storm.
-	budget *overload.Budget
-	// hedge enables tail-latency hedging of idempotent characterization
-	// reads; lat tracks their latency for the p95 hedge delay.
-	hedge bool
-	lat   latencyTracker
 }
 
 // Option configures a Client.
@@ -104,24 +79,6 @@ func WithAPIKey(key string) Option {
 // immediately.
 func WithBreakerRetries(n int) Option {
 	return func(c *Client) { c.breakerRetries = n }
-}
-
-// WithRetryBudget caps the client's retries and hedges at ratio times
-// its fresh request rate (burst tokens of headroom; zeros pick the 0.1
-// ratio / 10 burst defaults). When the bucket runs dry, retries stop
-// and the last error surfaces — the client-side half of the server's
-// retry-budget defence.
-func WithRetryBudget(ratio, burst float64) Option {
-	return func(c *Client) { c.budget = overload.NewBudget(ratio, burst) }
-}
-
-// WithHedgedReads enables tail-latency hedging for idempotent
-// characterization reads (never Force re-characterizations): once a
-// call outlives the p95 of recent characterize latencies, a second
-// identical request races it and the first response wins. Hedges spend
-// the retry budget when one is configured.
-func WithHedgedReads() Option {
-	return func(c *Client) { c.hedge = true }
 }
 
 // New returns a client for the daemon at base, e.g.
@@ -156,85 +113,15 @@ func (c *Client) Mitigate(ctx context.Context, req *api.MitigateRequest) (*api.M
 }
 
 // Characterize runs POST /v1/characterize: learn (or fetch the cached)
-// RBMS profile of a machine. With WithHedgedReads, a non-Force call
-// that outlives the p95 of recent characterize latencies is raced by a
-// second identical request (the server deduplicates concurrent
-// characterizations of one key, so the hedge costs one HTTP round
-// trip, not a second quantum run).
+// RBMS profile of a machine. The daemon shares one characterization per
+// profile among concurrent callers, so a slow call is waiting on the
+// run every caller needs.
 func (c *Client) Characterize(ctx context.Context, req *api.CharacterizeRequest) (*api.CharacterizeResponse, error) {
-	if c.hedge && !req.Force {
-		return c.hedgedCharacterize(ctx, req)
-	}
-	started := time.Now()
 	out := new(api.CharacterizeResponse)
 	if err := c.call(ctx, http.MethodPost, "/v1/characterize", req, out); err != nil {
 		return nil, err
 	}
-	c.lat.observe(time.Since(started))
 	return out, nil
-}
-
-// hedgedCharacterize races a second request after the p95 delay,
-// first response wins. Until enough latency samples exist the call is
-// a plain (sampled) round trip.
-func (c *Client) hedgedCharacterize(ctx context.Context, req *api.CharacterizeRequest) (*api.CharacterizeResponse, error) {
-	delay, ok := c.lat.p95()
-	if !ok {
-		started := time.Now()
-		out := new(api.CharacterizeResponse)
-		if err := c.call(ctx, http.MethodPost, "/v1/characterize", req, out); err != nil {
-			return nil, err
-		}
-		c.lat.observe(time.Since(started))
-		return out, nil
-	}
-
-	type result struct {
-		out *api.CharacterizeResponse
-		err error
-	}
-	// Both attempts share one trace: the hedge is the same logical
-	// request racing itself, so it reuses the parent's ID (tagged
-	// hedge=true server-side via X-Hedged) instead of minting a second.
-	if obs.TraceID(ctx) == "" {
-		ctx = obs.WithTrace(ctx, obs.NewTrace("", nil))
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the losing attempt is abandoned, not leaked
-	results := make(chan result, 2)
-	attempt := func(ctx context.Context) {
-		started := time.Now()
-		out := new(api.CharacterizeResponse)
-		err := c.call(ctx, http.MethodPost, "/v1/characterize", req, out)
-		if err == nil {
-			c.lat.observe(time.Since(started))
-		}
-		results <- result{out, err}
-	}
-	go attempt(ctx)
-	inflight := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var first *result
-	for inflight > 0 {
-		select {
-		case <-timer.C:
-			// Primary outlived p95: hedge, if the budget funds it.
-			if c.budget == nil || c.budget.Allow() {
-				go attempt(markHedge(ctx))
-				inflight++
-			}
-		case res := <-results:
-			inflight--
-			if res.err == nil {
-				return res.out, nil
-			}
-			if first == nil {
-				first = &res
-			}
-		}
-	}
-	return nil, first.err
 }
 
 // Profiles runs GET /v1/profiles: the cached profile inventory (up to
@@ -355,11 +242,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 const maxResponseBytes = 8 << 20
 
 // call performs one JSON round-trip, retrying breaker_open rejections
-// when configured. Retries spend the retry budget when one is set:
-// fresh calls fund it, and a drained bucket surfaces the rejection
-// instead of piling on.
+// when configured.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	c.budget.OnRequest()
 	for attempt := 0; ; attempt++ {
 		err := c.once(ctx, method, path, in, out)
 		if err == nil {
@@ -367,9 +251,6 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 		}
 		ae, ok := err.(*api.Error)
 		if !ok || ae.Code != api.CodeBreakerOpen || attempt >= c.breakerRetries {
-			return err
-		}
-		if c.budget != nil && !c.budget.Allow() {
 			return err
 		}
 		cooldown := ae.RetryAfter
@@ -412,9 +293,6 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any) err
 	}
 	if id := obs.TraceID(ctx); id != "" {
 		req.Header.Set(api.TraceHeader, id)
-	}
-	if isHedge(ctx) {
-		req.Header.Set(api.HedgeHeader, "true")
 	}
 	// Deadline propagation: forward the caller's context deadline so the
 	// daemon can shed work it cannot finish in the remaining budget
@@ -502,42 +380,4 @@ func truncate(data []byte) string {
 		return string(data)
 	}
 	return string(data[:max]) + "…"
-}
-
-// latencyTracker keeps a ring of recent request latencies and reports
-// their p95 — the hedge trigger delay. It refuses to extrapolate from
-// thin air: p95 reports ok only once minHedgeSamples points exist.
-type latencyTracker struct {
-	mu      sync.Mutex
-	samples [64]time.Duration
-	next    int
-	n       int
-}
-
-const minHedgeSamples = 8
-
-func (t *latencyTracker) observe(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.samples[t.next] = d
-	t.next = (t.next + 1) % len(t.samples)
-	if t.n < len(t.samples) {
-		t.n++
-	}
-}
-
-func (t *latencyTracker) p95() (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n < minHedgeSamples {
-		return 0, false
-	}
-	sorted := make([]time.Duration, t.n)
-	copy(sorted, t.samples[:t.n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := t.n * 95 / 100
-	if idx >= t.n {
-		idx = t.n - 1
-	}
-	return sorted[idx], true
 }

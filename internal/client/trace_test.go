@@ -29,7 +29,7 @@ func TestTraceHeaderForwarded(t *testing.T) {
 
 	// Minted: WithTraceID("") makes one up and reports it.
 	ctx, minted := WithTraceID(context.Background(), "")
-	if err := obs.ValidTraceID(minted); err != nil {
+	if err := obs.ValidID(minted); err != nil {
 		t.Fatalf("minted trace ID %q invalid: %v", minted, err)
 	}
 	if _, err := cl.Profiles(ctx); err != nil {
@@ -79,58 +79,5 @@ func TestErrorTraceIDRestoredFromHeader(t *testing.T) {
 	}
 	if ae.TraceID != headerID {
 		t.Fatalf("error trace ID %q, want the header's %q", ae.TraceID, headerID)
-	}
-}
-
-// TestHedgeSharesParentTrace: the hedged duplicate of a slow
-// characterize is the same logical request, so it reuses the parent
-// trace ID and declares itself with X-Hedged — two attempts, one trace,
-// exactly one hedge marker.
-func TestHedgeSharesParentTrace(t *testing.T) {
-	type attempt struct{ trace, hedged string }
-	var mu sync.Mutex
-	var attempts []attempt
-	var calls int
-	stall := make(chan struct{}) // held open for the whole test
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		n := calls
-		attempts = append(attempts, attempt{r.Header.Get(api.TraceHeader), r.Header.Get(api.HedgeHeader)})
-		mu.Unlock()
-		if n == minHedgeSamples+1 {
-			select {
-			case <-stall:
-			case <-r.Context().Done():
-				return
-			}
-		}
-		w.Write([]byte(charBody))
-	}))
-	defer ts.Close()
-	defer close(stall)
-
-	cl := New(ts.URL, WithHedgedReads(), WithRetryBudget(0.1, 10))
-	req := &api.CharacterizeRequest{Machine: "ibmqx4"}
-	for i := 0; i < minHedgeSamples; i++ {
-		if _, err := cl.Characterize(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cl.Characterize(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(attempts) != minHedgeSamples+2 {
-		t.Fatalf("%d attempts, want %d (warmup + straggler + hedge)", len(attempts), minHedgeSamples+2)
-	}
-	straggler, hedge := attempts[minHedgeSamples], attempts[minHedgeSamples+1]
-	if straggler.trace == "" || straggler.trace != hedge.trace {
-		t.Fatalf("hedge minted its own trace: straggler=%q hedge=%q", straggler.trace, hedge.trace)
-	}
-	if straggler.hedged != "" || hedge.hedged != "true" {
-		t.Fatalf("hedge markers wrong: straggler=%q hedge=%q, want only the hedge marked", straggler.hedged, hedge.hedged)
 	}
 }

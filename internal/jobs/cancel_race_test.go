@@ -9,68 +9,13 @@ import (
 	"time"
 )
 
-// TestCancelDuringBatchWindowDeterministic pins the exact interleaving
-// satellite 3 worries about: a job is reserved for a micro-batch, the
-// dispatcher is holding the batch window open, and DELETE /v1/jobs lands
-// before the window fires. The injectable After hands the test the window
-// channel so the ordering is forced, not lucky. The cancel must win
-// cleanly — the job ends cancelled, the executor never runs.
-func TestCancelDuringBatchWindowDeterministic(t *testing.T) {
-	q, err := NewQueue(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the batch-window hold asks for a timer here (there are no
-	// retry-delayed jobs), so the first channel handed out is the window.
-	windows := make(chan chan time.Time, 4)
-	execCalls := 0
-	var mu sync.Mutex
-	s := NewScheduler(q, SchedulerOptions{
-		Workers:     1,
-		BatchWindow: time.Hour,
-		After: func(d time.Duration) <-chan time.Time {
-			ch := make(chan time.Time, 1)
-			windows <- ch
-			return ch
-		},
-		Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
-			mu.Lock()
-			execCalls++
-			mu.Unlock()
-			return j.Spec.Payload, nil
-		},
-	})
-	j, _ := q.Submit(Spec{Type: "mitigate", BatchKey: "m1"})
-	s.Start()
-
-	win := <-windows // dispatcher reserved the job and is holding the window
-	if _, err := q.Cancel(j.ID); err != nil {
-		t.Fatalf("cancel while window open: %v", err)
-	}
-	win <- time.Time{} // now let the batch fire
-
-	got := waitState(t, q, j.ID, StateCancelled)
-	if got.State != StateCancelled {
-		t.Fatalf("state = %v, want cancelled", got.State)
-	}
-	res := s.Drain(context.Background())
-	mu.Lock()
-	defer mu.Unlock()
-	if execCalls != 0 {
-		t.Fatalf("executor ran %d times for a job cancelled inside the batch window, want 0", execCalls)
-	}
-	if j2, ok := q.Get(j.ID); ok && j2.State == StateRunning {
-		t.Fatalf("job left running after drain (drain result %+v)", res)
-	}
-}
-
-// TestCancelRacingBatchWindowNeverOrphans hammers the same interleaving
-// without forcing it: many rounds of batchable jobs with a tiny real
-// batch window, each cancelled from a racing goroutine at a random
-// point. Run under -race this doubles as a data-race probe. The
-// invariant is the satellite's: after a full drain no job may be left
-// in the running state — every one is terminal, or still queued and
-// never started.
+// TestCancelRacingBatchWindowNeverOrphans hammers cancel against
+// dispatch: many rounds of jobs, each cancelled from a racing goroutine
+// at a random point — while still queued, at the moment the dispatcher
+// starts it, or mid-run. Run under -race this doubles as a data-race
+// probe. The invariant: after a full drain no job may be left in the
+// running state — every one is terminal, or still queued and never
+// started.
 func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 	const rounds = 30
 	const jobsPerRound = 4
@@ -81,9 +26,7 @@ func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewScheduler(q, SchedulerOptions{
-			Workers:     2,
-			BatchWindow: 200 * time.Microsecond,
-			MaxBatch:    jobsPerRound,
+			Workers: 2,
 			Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
 				select {
 				case <-ctx.Done():
@@ -95,7 +38,7 @@ func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 		})
 		ids := make([]string, 0, jobsPerRound)
 		for i := 0; i < jobsPerRound; i++ {
-			j, err := q.Submit(Spec{Type: "mitigate", BatchKey: "k"})
+			j, err := q.Submit(Spec{Type: "mitigate"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +53,7 @@ func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				time.Sleep(delay)
-				// ErrTerminal just means the batch beat us; fine.
+				// ErrTerminal just means the run beat us; fine.
 				_, _ = q.Cancel(id)
 			}()
 		}
@@ -123,8 +66,8 @@ func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 			}
 			switch j.State {
 			case StateDone, StateCancelled, StateFailed:
-				// Clean outcomes: ran to completion, cancelled before or
-				// during the window, or cut mid-run.
+				// Clean outcomes: ran to completion, cancelled while
+				// queued, or cut mid-run.
 			case StateQueued:
 				// Never picked before drain stopped dispatch — but then
 				// the cancel must have been requeue-raced, never lost

@@ -5,7 +5,7 @@
 //
 // The package is two halves sharing one lock:
 //
-//   - Queue: typed job specs with ULID-style ordered IDs, a journaled
+//   - Queue: typed job specs with ULID ordered IDs (internal/obs), a journaled
 //     state machine (queued → running → done/failed/cancelled), and
 //     crash-safe recovery. Every state transition is appended as a full
 //     job record to a checksummed WAL with periodic snapshot compaction
@@ -16,11 +16,10 @@
 //     what the first run would have produced.
 //
 //   - Scheduler: drains the queue into an orchestrate.Pool-backed
-//     worker set with priority classes, smooth weighted-round-robin
-//     per-tenant fairness, per-tenant admission quotas, and a
-//     micro-batcher that coalesces compatible jobs (same batch key,
-//     within a batching window on an injectable clock) so one profile
-//     fetch serves the whole batch.
+//     worker set with per-tenant round-robin fairness, priority classes
+//     within a tenant, per-tenant admission quotas, and a per-job
+//     watchdog. Each job runs alone in its worker slot; jobs that need
+//     the same RBMS profile share it through the profile store.
 //
 // The queue never executes anything itself; the executor is injected
 // (ExecFunc), which keeps this package free of simulator imports and
@@ -35,6 +34,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"biasmit/internal/obs"
 )
 
 // State is a job lifecycle state.
@@ -78,10 +79,6 @@ type Spec struct {
 	// MaxAttempts bounds executions when runs fail retryably; zero or
 	// one means a single attempt.
 	MaxAttempts int `json:"max_attempts,omitempty"`
-	// BatchKey marks the job compatible with others carrying the same
-	// key: the scheduler coalesces them into one micro-batch so shared
-	// setup (the profile fetch) is paid once. Empty = never batched.
-	BatchKey string `json:"batch_key,omitempty"`
 	// Deadline is the propagated absolute deadline (X-Request-Deadline):
 	// the scheduler fails the job with deadline_exceeded instead of
 	// starting it once the deadline has passed — executing work whose
@@ -123,26 +120,17 @@ type Job struct {
 	FinishedAt      time.Time       `json:"finished_at,omitempty"`
 	Attempts        int             `json:"attempts,omitempty"`
 	Requeues        int             `json:"requeues,omitempty"`
-	BatchSize       int             `json:"batch_size,omitempty"`
 	CancelRequested bool            `json:"cancel_requested,omitempty"`
 	Result          json.RawMessage `json:"result,omitempty"`
 	Failure         *Failure        `json:"failure,omitempty"`
 
 	// Runtime-only state, never persisted.
-	seq        uint64             // in-memory FIFO order (recovery preserves ID order)
-	reserved   bool               // pulled from pending by the dispatcher, not yet running
-	notBefore  time.Time          // earliest dispatch time (retry backoff)
-	cancel     context.CancelFunc // cancels the running execution
-	done       chan struct{}      // closed on terminal
-	stalled    bool               // watchdog cancelled the run; settle requeues
-	reservedAt time.Time          // when the dispatcher reserved the job
-	batchWait  time.Duration      // reserved→running gap (micro-batch window wait)
+	seq       uint64             // in-memory FIFO order (recovery preserves ID order)
+	notBefore time.Time          // earliest dispatch time (retry backoff)
+	cancel    context.CancelFunc // cancels the running execution
+	done      chan struct{}      // closed on terminal
+	stalled   bool               // watchdog cancelled the run; settle requeues
 }
-
-// BatchWait is how long the job sat reserved for a micro-batch before
-// its last execution started — the batch-window wait the executor
-// records as a trace span. Zero when the job went straight to running.
-func (j *Job) BatchWait() time.Duration { return j.batchWait }
 
 // clone returns a persistence/wire-safe copy (shared immutable slices,
 // no runtime fields — they are unexported, so marshalling ignores them,
@@ -198,11 +186,6 @@ type Stats struct {
 	// Transitions counts entries into each state (queued includes
 	// requeues).
 	Transitions map[State]uint64
-	// Batches counts micro-batches executed; BatchedJobs their total
-	// member count; MaxBatch the largest batch seen.
-	Batches     uint64
-	BatchedJobs uint64
-	MaxBatch    int
 	// Retries counts retryable-failure requeues; DrainRequeues counts
 	// jobs pushed back to queued by a drain deadline; StallRequeues
 	// counts jobs the watchdog cancelled and requeued; Expired counts
@@ -234,21 +217,18 @@ type Queue struct {
 	opts Options
 	now  func() time.Time
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	pending  map[string][]*Job // tenant -> dispatchable jobs, seq order
-	credits  map[string]int    // smooth-WRR state, tenant -> credit
-	terminal []string          // terminal job IDs, oldest first (retention)
-	gen      *idGen
-	seq      uint64
-	notifyCh chan struct{}
+	mu         sync.Mutex
+	jobs       map[string]*Job
+	pending    map[string][]*Job // tenant -> dispatchable jobs, seq order
+	lastTenant string            // round-robin turn: the tenant served last
+	terminal   []string          // terminal job IDs, oldest first (retention)
+	gen        *obs.IDGen
+	seq        uint64
+	notifyCh   chan struct{}
 
 	submitted   uint64
 	throttled   uint64
 	transitions map[State]uint64
-	batches     uint64
-	batchedJobs uint64
-	maxBatch    int
 	retries     uint64
 	drainReqs   uint64
 	stallReqs   uint64
@@ -276,8 +256,7 @@ func NewQueue(opts Options) (*Queue, error) {
 		now:         opts.Now,
 		jobs:        make(map[string]*Job),
 		pending:     make(map[string][]*Job),
-		credits:     make(map[string]int),
-		gen:         newIDGen(opts.Now),
+		gen:         obs.NewIDGen(opts.Now),
 		notifyCh:    make(chan struct{}, 1),
 		transitions: make(map[State]uint64),
 	}
@@ -442,9 +421,9 @@ func (q *Queue) Page(state State, tenant, cursor string, limit int) ([]Job, stri
 }
 
 // Cancel requests cancellation. A queued job is cancelled immediately;
-// a running (or batch-reserved) job gets its context cancelled and
-// winds down to cancelled asynchronously. Returns the job as it now
-// stands. ErrTerminal when there is nothing left to stop.
+// a running job gets its context cancelled and winds down to cancelled
+// asynchronously. Returns the job as it now stands. ErrTerminal when
+// there is nothing left to stop.
 func (q *Queue) Cancel(id string) (Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -455,14 +434,12 @@ func (q *Queue) Cancel(id string) (Job, error) {
 	switch {
 	case j.State.Terminal():
 		return j.clone(), ErrTerminal
-	case j.State == StateQueued && !j.reserved:
+	case j.State == StateQueued:
 		q.removePendingLocked(j)
 		q.terminalLocked(j, StateCancelled, nil, nil)
 	default:
-		// Running, or reserved for a batch about to start: flag it (the
-		// flag is honoured at batch start and persisted so a crash
-		// before wind-down still ends in cancelled) and cut the
-		// execution context.
+		// Running: flag it (persisted, so a crash before wind-down still
+		// ends in cancelled) and cut the execution context.
 		j.CancelRequested = true
 		q.journalLocked(j)
 		if j.cancel != nil {
@@ -502,7 +479,6 @@ func (q *Queue) terminalLocked(j *Job, st State, result json.RawMessage, fail *F
 	j.FinishedAt = q.now()
 	j.Result = result
 	j.Failure = fail
-	j.reserved = false
 	j.cancel = nil
 	j.stalled = false
 	q.transitions[st]++
@@ -512,12 +488,11 @@ func (q *Queue) terminalLocked(j *Job, st State, result json.RawMessage, fail *F
 	q.enforceRetentionLocked()
 }
 
-// requeueLocked sends a reserved/running job back to pending.
+// requeueLocked sends a running job back to pending.
 func (q *Queue) requeueLocked(j *Job, delay time.Duration) {
 	j.State = StateQueued
 	j.StartedAt = time.Time{}
 	j.Requeues++
-	j.reserved = false
 	j.cancel = nil
 	j.stalled = false
 	if delay > 0 {
@@ -558,9 +533,6 @@ func (q *Queue) Stats() Stats {
 		Submitted:         q.submitted,
 		Throttled:         q.throttled,
 		Transitions:       make(map[State]uint64, len(q.transitions)),
-		Batches:           q.batches,
-		BatchedJobs:       q.batchedJobs,
-		MaxBatch:          q.maxBatch,
 		Retries:           q.retries,
 		DrainRequeues:     q.drainReqs,
 		StallRequeues:     q.stallReqs,

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"biasmit/internal/obs"
 )
 
 // waitState polls until the job reaches state st or the deadline ends.
@@ -31,22 +33,36 @@ func waitState(t *testing.T, q *Queue, id string, st State) Job {
 	return Job{}
 }
 
+// TestIDOrderingAndValidation pins the job IDs a queue mints: each one
+// passes the ID validator, and IDs sort strictly in submission order
+// even when every submission lands in the same millisecond (a frozen
+// clock), which listings and the scheduler's FIFO tie-break rely on.
 func TestIDOrderingAndValidation(t *testing.T) {
-	g := newIDGen(nil)
+	frozen := time.Unix(1_700_000_000, 0)
+	q, err := NewQueue(Options{Now: func() time.Time { return frozen }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := ""
 	for i := 0; i < 10000; i++ {
-		id := g.Next()
-		if err := ValidID(id); err != nil {
+		j, err := q.Submit(Spec{Type: "mitigate", Payload: json.RawMessage(`{}`)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if id <= prev {
-			t.Fatalf("ID %q does not sort after %q", id, prev)
+		if err := obs.ValidID(j.ID); err != nil {
+			t.Fatal(err)
 		}
-		prev = id
+		if j.ID <= prev {
+			t.Fatalf("ID %q does not sort after %q", j.ID, prev)
+		}
+		prev = j.ID
 	}
 	for _, bad := range []string{"", "short", "abcdefghijklmnopqrstuvwxyz", "0123456789ABCDEFGHJKMNPQRSI"} {
-		if err := ValidID(bad); err == nil {
+		if err := obs.ValidID(bad); err == nil {
 			t.Fatalf("ValidID(%q) accepted", bad)
+		}
+		if _, ok := q.Get(bad); ok {
+			t.Fatalf("Get(%q) found a job", bad)
 		}
 	}
 }
@@ -85,8 +101,8 @@ func TestSubmitLifecycleDone(t *testing.T) {
 	if string(got.Result) != `{"echo":"mitigate"}` {
 		t.Fatalf("result = %s", got.Result)
 	}
-	if got.Attempts != 1 || got.BatchSize != 1 {
-		t.Fatalf("attempts=%d batch=%d, want 1/1", got.Attempts, got.BatchSize)
+	if got.Attempts != 1 {
+		t.Fatalf("attempts=%d, want 1", got.Attempts)
 	}
 	st := q.Stats()
 	if st.Done != 1 || st.Transitions[StateDone] != 1 || st.Transitions[StateRunning] != 1 {
@@ -218,13 +234,16 @@ func TestPriorityClasses(t *testing.T) {
 	}
 }
 
+// TestWeightedRoundRobinFairness: tenants share the workers in equal
+// turns. A tenant that queued a long backlog first does not make a
+// later tenant wait behind all of it — while both have work pending,
+// the slots alternate.
 func TestWeightedRoundRobinFairness(t *testing.T) {
 	q, _ := NewQueue(Options{})
 	var mu sync.Mutex
 	var order []string
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
-		Weights: map[string]int{"heavy": 2, "light": 1},
 		Exec: func(_ context.Context, j Job) (json.RawMessage, *Failure) {
 			mu.Lock()
 			order = append(order, j.Spec.Tenant)
@@ -232,11 +251,13 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 			return json.RawMessage(`{}`), nil
 		},
 	})
-	const n = 9
-	for i := 0; i < n; i++ {
-		if _, err := q.Submit(Spec{Tenant: "heavy"}); err != nil {
+	const bulk, light = 9, 3
+	for i := 0; i < bulk; i++ {
+		if _, err := q.Submit(Spec{Tenant: "bulk"}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < light; i++ {
 		if _, err := q.Submit(Spec{Tenant: "light"}); err != nil {
 			t.Fatal(err)
 		}
@@ -244,25 +265,16 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 	s.Start()
 	defer s.Drain(context.Background())
 	for _, j := range q.List("", "") {
-		if j.Spec.Tenant == "heavy" {
-			waitState(t, q, j.ID, StateDone)
-		}
+		waitState(t, q, j.ID, StateDone)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// While both tenants have work pending, every window of 3 slots gives
-	// the weight-2 tenant exactly 2 (smooth WRR). Check the first 3
-	// windows — both tenants still have backlog there.
-	for w := 0; w+3 <= 9; w += 3 {
-		heavy := 0
-		for _, tn := range order[w : w+3] {
-			if tn == "heavy" {
-				heavy++
-			}
-		}
-		if heavy != 2 {
-			t.Fatalf("window %d of %v gave heavy %d of 3 slots, want 2", w/3, order, heavy)
-		}
+	want := []string{"bulk", "light", "bulk", "light", "bulk", "light"}
+	for i := 0; i < bulk-light; i++ {
+		want = append(want, "bulk")
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
@@ -309,96 +321,6 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	got := waitState(t, q, j.ID, StateFailed)
 	if got.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", got.Attempts)
-	}
-}
-
-func TestMicroBatchCoalescesPendingJobs(t *testing.T) {
-	q, _ := NewQueue(Options{})
-	var mu sync.Mutex
-	prepares := 0
-	var prepSize int
-	s := NewScheduler(q, SchedulerOptions{
-		Workers: 1,
-		Prepare: func(_ context.Context, key string, size int) {
-			mu.Lock()
-			prepares++
-			prepSize = size
-			mu.Unlock()
-		},
-		Exec: func(_ context.Context, j Job) (json.RawMessage, *Failure) {
-			return json.RawMessage(`{}`), nil
-		},
-	})
-	var ids []string
-	for i := 0; i < 3; i++ {
-		j, _ := q.Submit(Spec{Type: "mitigate", Tenant: fmt.Sprintf("t%d", i), BatchKey: "aim|qx4|5|brute"})
-		ids = append(ids, j.ID)
-	}
-	solo, _ := q.Submit(Spec{Type: "mitigate", Tenant: "t0"}) // no batch key
-	s.Start()
-	defer s.Drain(context.Background())
-	sizes := map[int]int{}
-	for _, id := range ids {
-		j := waitState(t, q, id, StateDone)
-		sizes[j.BatchSize]++
-	}
-	if sizes[3] != 3 {
-		t.Fatalf("batch sizes %v, want all three jobs in one batch of 3", sizes)
-	}
-	if j := waitState(t, q, solo.ID, StateDone); j.BatchSize != 1 {
-		t.Fatalf("solo job batch size %d, want 1", j.BatchSize)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if prepares != 1 || prepSize != 3 {
-		t.Fatalf("prepare called %d times (size %d), want once with size 3", prepares, prepSize)
-	}
-	st := q.Stats()
-	if st.MaxBatch != 3 || st.Batches != 2 || st.BatchedJobs != 4 {
-		t.Fatalf("batch stats = %+v", st)
-	}
-}
-
-// TestBatchWindowCollectsLateArrivals drives the batching window with an
-// injectable clock: the lead job is held open, two compatible jobs
-// arrive "during" the window, and firing the window coalesces all
-// three.
-func TestBatchWindowCollectsLateArrivals(t *testing.T) {
-	q, _ := NewQueue(Options{})
-	windowAsked := make(chan struct{}, 8)
-	fire := make(chan time.Time)
-	s := NewScheduler(q, SchedulerOptions{
-		Workers:     1,
-		BatchWindow: time.Hour, // duration is nominal; the fake clock fires it
-		After: func(d time.Duration) <-chan time.Time {
-			if d == time.Hour {
-				windowAsked <- struct{}{}
-				return fire
-			}
-			return time.After(d)
-		},
-		Exec: func(_ context.Context, j Job) (json.RawMessage, *Failure) {
-			return json.RawMessage(`{}`), nil
-		},
-	})
-	s.Start()
-	defer s.Drain(context.Background())
-
-	lead, _ := q.Submit(Spec{Type: "mitigate", BatchKey: "k"})
-	select {
-	case <-windowAsked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("scheduler never opened the batching window")
-	}
-	// These arrive while the window is open.
-	late1, _ := q.Submit(Spec{Type: "mitigate", BatchKey: "k"})
-	late2, _ := q.Submit(Spec{Type: "mitigate", BatchKey: "k"})
-	fire <- time.Now()
-
-	for _, id := range []string{lead.ID, late1.ID, late2.ID} {
-		if j := waitState(t, q, id, StateDone); j.BatchSize != 3 {
-			t.Fatalf("job %s ran in batch of %d, want 3", id, j.BatchSize)
-		}
 	}
 }
 

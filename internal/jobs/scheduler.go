@@ -3,8 +3,6 @@ package jobs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,33 +16,17 @@ import (
 // bytes. The job argument is a snapshot; mutating it has no effect.
 type ExecFunc func(ctx context.Context, job Job) (json.RawMessage, *Failure)
 
-// PrepareFunc runs once per micro-batch before its members execute —
-// the shared-setup hook (one profile fetch serving the whole batch).
-// Failures are the members' problem to re-discover individually, so
-// Prepare returns nothing.
-type PrepareFunc func(ctx context.Context, batchKey string, size int)
-
 // SchedulerOptions tunes a Scheduler.
 type SchedulerOptions struct {
 	// Exec executes jobs (required).
 	Exec ExecFunc
-	// Prepare, when set, runs once per batch with a BatchKey.
-	Prepare PrepareFunc
-	// Workers bounds concurrently executing batches (default 2).
+	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
-	// BatchWindow is how long a dispatched batchable job waits for
-	// compatible jobs to coalesce before executing (0 = no waiting).
-	BatchWindow time.Duration
-	// MaxBatch bounds a micro-batch (default 8).
-	MaxBatch int
-	// Weights are the per-tenant fairness weights (default 1 each).
-	Weights map[string]int
-	// Watchdog, when set, heartbeats the dispatcher loop and every
-	// executing batch. A batch whose executor stops making progress
-	// (no heartbeat for the watchdog's stall threshold) gets a goroutine
-	// dump logged, its member contexts cancelled, and its jobs requeued
-	// — the self-healing path for runs wedged on a gray backend. Nil
-	// disables watching.
+	// Watchdog, when set, watches every executing job. A job still
+	// running past the watchdog's stall threshold gets a goroutine dump
+	// logged and its context cancelled, and is requeued once the
+	// executor returns — the self-healing path for runs wedged on a gray
+	// backend. Nil disables watching.
 	Watchdog *overload.Watchdog
 	// Now and After override the clock, for tests.
 	Now   func() time.Time
@@ -54,9 +36,6 @@ type SchedulerOptions struct {
 func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -86,7 +65,7 @@ type Scheduler struct {
 	stopDispatch context.CancelFunc
 	pool         *orchestrate.Pool
 	slots        chan struct{}  // worker backpressure: dispatch picks only when a worker is free
-	wg           sync.WaitGroup // in-flight batches
+	wg           sync.WaitGroup // executing jobs
 	dispatcherWG sync.WaitGroup
 
 	mu       sync.Mutex
@@ -103,9 +82,9 @@ func NewScheduler(q *Queue, opts SchedulerOptions) *Scheduler {
 		opts:         opts,
 		dispatchCtx:  ctx,
 		stopDispatch: cancel,
-		// The pool's own context is never cancelled while batches are in
+		// The pool's own context is never cancelled while jobs are in
 		// flight — drain cancels per-job contexts instead — so every
-		// submitted batch is guaranteed to run and settle its jobs.
+		// started job is guaranteed to run and settle.
 		pool:  orchestrate.NewPool(context.Background(), opts.Workers),
 		slots: make(chan struct{}, opts.Workers),
 	}
@@ -132,36 +111,26 @@ func (s *Scheduler) isDraining() bool {
 	return s.draining
 }
 
-// dispatch is the scheduler loop: pick the next batch under the
-// fairness policy, optionally hold it open for the batching window,
-// then hand it to the pool.
+// dispatch is the scheduler loop: hold a worker slot, start the next
+// job under the fairness policy, and hand it to the pool.
 func (s *Scheduler) dispatch() {
-	// The dispatcher heartbeats the watchdog every iteration and marks
-	// itself idle before blocking on an empty queue; a wedged dispatch
-	// loop (not an empty one) is what trips the stall detector.
-	task := s.opts.Watchdog.Register("jobs-dispatcher", s.stopDispatch)
-	defer task.Done()
 	for {
-		task.Beat()
-		// Hold a worker slot before picking: scheduling decisions (WRR
-		// slot, priority, batch coalescing) are made against the live
-		// queue as workers free up, and batches execute in pick order —
-		// the pool's semaphore never has to arbitrate.
-		task.Idle()
+		// Hold a worker slot before picking: scheduling decisions (tenant
+		// turn, priority) are made against the live queue as workers free
+		// up, and jobs execute in pick order — the pool's semaphore never
+		// has to arbitrate.
 		select {
 		case <-s.dispatchCtx.Done():
 			return
 		case s.slots <- struct{}{}:
 		}
-		task.Beat()
-		batch, wait := s.nextBatch()
-		if batch == nil {
+		e, wait := s.startNext()
+		if e == nil {
 			<-s.slots
 			var timer <-chan time.Time
 			if wait > 0 {
 				timer = s.opts.After(wait)
 			}
-			task.Idle()
 			select {
 			case <-s.dispatchCtx.Done():
 				return
@@ -170,184 +139,44 @@ func (s *Scheduler) dispatch() {
 			}
 			continue
 		}
-		if batch[0].Spec.BatchKey != "" && s.opts.BatchWindow > 0 && len(batch) < s.opts.MaxBatch {
-			// Hold the batch open: compatible jobs arriving within the
-			// window ride along and share the batch's setup.
-			task.Idle()
-			select {
-			case <-s.dispatchCtx.Done():
-				s.releaseReserved(batch)
-				return
-			case <-s.opts.After(s.opts.BatchWindow):
-			}
-			task.Beat()
-			batch = append(batch, s.gather(batch[0].Spec.BatchKey, s.opts.MaxBatch-len(batch))...)
-		}
 		s.wg.Add(1)
-		b := batch
 		s.pool.Go(func(context.Context) error {
 			defer func() { <-s.slots }()
 			defer s.wg.Done()
-			s.runBatch(b)
+			s.run(e)
 			return nil
 		})
 	}
 }
 
-// weight resolves a tenant's fairness weight.
-func (s *Scheduler) weight(tenant string) int {
-	if w, ok := s.opts.Weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
+// execution is one job the dispatcher moved to running: the live job,
+// the snapshot handed to the executor (taken under q.mu — Cancel may
+// write to the live job while it runs), and its execution context.
+type execution struct {
+	j      *Job
+	snap   Job
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
-// nextBatch picks the next job under smooth weighted round-robin across
-// tenants (priority then FIFO within a tenant) and immediately gathers
-// already-pending compatible jobs. Returns (nil, wait) when nothing is
-// dispatchable: wait > 0 means a retry-delayed job becomes ready then.
-func (s *Scheduler) nextBatch() ([]*Job, time.Duration) {
+// startNext picks the next job and moves it to running in one q.mu
+// critical section, so a job is always either pending or running and
+// Cancel never meets one in between. Jobs whose propagated deadline
+// passed while they sat queued are shed on the way. Returns (nil, wait)
+// when nothing is dispatchable: wait > 0 means a retry-delayed job
+// becomes ready then.
+func (s *Scheduler) startNext() (*execution, time.Duration) {
 	q := s.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := s.opts.Now()
-
-	// Tenants with at least one dispatchable job, in stable order so the
-	// WRR sequence is deterministic.
-	var tenants []string
-	var soonest time.Duration
-	for tenant, list := range q.pending {
-		ready := false
-		for _, j := range list {
-			if j.notBefore.IsZero() || !j.notBefore.After(now) {
-				ready = true
-				break
-			}
-			if d := j.notBefore.Sub(now); soonest == 0 || d < soonest {
-				soonest = d
-			}
+	for {
+		j, wait := q.nextLocked(now)
+		if j == nil {
+			return nil, wait
 		}
-		if ready {
-			tenants = append(tenants, tenant)
-		}
-	}
-	if len(tenants) == 0 {
-		return nil, soonest
-	}
-	sort.Strings(tenants)
-
-	// Smooth WRR: every dispatchable tenant earns its weight, the
-	// highest credit wins the slot and pays back the round's total.
-	total := 0
-	for _, t := range tenants {
-		q.credits[t] += s.weight(t)
-		total += s.weight(t)
-	}
-	pick := tenants[0]
-	for _, t := range tenants[1:] {
-		if q.credits[t] > q.credits[pick] {
-			pick = t
-		}
-	}
-	q.credits[pick] -= total
-
-	// Within the tenant: highest priority class first, then FIFO.
-	var lead *Job
-	for _, j := range q.pending[pick] {
-		if !j.notBefore.IsZero() && j.notBefore.After(now) {
-			continue
-		}
-		if lead == nil || j.Spec.Priority > lead.Spec.Priority {
-			lead = j
-		}
-	}
-	q.removePendingLocked(lead)
-	lead.reserved = true
-	lead.reservedAt = now
-	batch := []*Job{lead}
-	if lead.Spec.BatchKey != "" {
-		batch = append(batch, s.gatherLocked(lead.Spec.BatchKey, s.opts.MaxBatch-1, now)...)
-	}
-	return batch, 0
-}
-
-// gather pulls pending jobs compatible with key (any tenant — riding an
-// existing batch is free amortization, not a fairness slot).
-func (s *Scheduler) gather(key string, max int) []*Job {
-	s.q.mu.Lock()
-	defer s.q.mu.Unlock()
-	return s.gatherLocked(key, max, s.opts.Now())
-}
-
-func (s *Scheduler) gatherLocked(key string, max int, now time.Time) []*Job {
-	q := s.q
-	if max <= 0 {
-		return nil
-	}
-	var all []*Job
-	for _, list := range q.pending {
-		for _, j := range list {
-			if j.Spec.BatchKey == key && (j.notBefore.IsZero() || !j.notBefore.After(now)) {
-				all = append(all, j)
-			}
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
-	if len(all) > max {
-		all = all[:max]
-	}
-	for _, j := range all {
 		q.removePendingLocked(j)
-		j.reserved = true
-		j.reservedAt = now
-	}
-	return all
-}
-
-// releaseReserved puts a dispatched-but-never-started batch back in the
-// queue (dispatcher shutdown won the race).
-func (s *Scheduler) releaseReserved(batch []*Job) {
-	s.q.mu.Lock()
-	defer s.q.mu.Unlock()
-	for _, j := range batch {
-		if j.State == StateQueued && j.reserved {
-			j.reserved = false
-			q := s.q
-			q.pending[j.Spec.Tenant] = append(q.pending[j.Spec.Tenant], j)
-			list := q.pending[j.Spec.Tenant]
-			sort.Slice(list, func(a, b int) bool { return list[a].seq < list[b].seq })
-		}
-	}
-}
-
-// runBatch executes one micro-batch: start every member (skipping ones
-// cancelled while reserved, requeueing all of them if a drain began),
-// run the shared prepare hook once, then execute members in order.
-func (s *Scheduler) runBatch(batch []*Job) {
-	type member struct {
-		j *Job
-		// run is the copy handed to the executor, taken under q.mu:
-		// Cancel may write to j while the batch runs.
-		run Job
-		ctx context.Context
-	}
-	q := s.q
-	var members []member
-	var cancels []context.CancelFunc
-	draining := s.isDraining()
-	q.mu.Lock()
-	now := s.opts.Now()
-	size := 0
-	for _, j := range batch {
-		switch {
-		case j.CancelRequested:
-			q.terminalLocked(j, StateCancelled, nil, nil)
-		case draining:
-			// Drain began before this batch got a worker: checkpoint the
-			// members straight back to queued for the next boot.
-			q.drainReqs++
-			q.requeueLocked(j, 0)
-		case j.Spec.Deadline != nil && now.After(*j.Spec.Deadline):
+		if j.Spec.Deadline != nil && now.After(*j.Spec.Deadline) {
 			// The propagated deadline expired while the job sat queued:
 			// whoever asked has given up, so running it now is pure
 			// waste. Shed it as the typed failure the sync path returns.
@@ -357,85 +186,89 @@ func (s *Scheduler) runBatch(batch []*Job) {
 				Message: "job deadline expired before execution started",
 				Status:  504,
 			})
-		default:
-			size++
-		}
-	}
-	for _, j := range batch {
-		if j.State != StateQueued || !j.reserved {
 			continue
 		}
 		j.State = StateRunning
 		j.StartedAt = now
 		j.Attempts++
-		j.BatchSize = size
-		j.reserved = false
-		if !j.reservedAt.IsZero() {
-			// The reserved→running gap is the micro-batch window wait;
-			// the executor reports it as the batch_wait trace span.
-			j.batchWait = now.Sub(j.reservedAt)
-			j.reservedAt = time.Time{}
-		}
-		ctx, cancel := context.WithCancel(context.Background())
+		var ctx context.Context
 		if j.Spec.Deadline != nil {
 			// The execution budget is the remaining propagated deadline.
-			ctx, cancel = context.WithDeadline(context.Background(), *j.Spec.Deadline)
+			ctx, j.cancel = context.WithDeadline(context.Background(), *j.Spec.Deadline)
+		} else {
+			ctx, j.cancel = context.WithCancel(context.Background())
 		}
-		j.cancel = cancel
-		cancels = append(cancels, cancel)
 		q.transitions[StateRunning]++
 		q.journalLocked(j)
-		members = append(members, member{j: j, run: j.clone(), ctx: ctx})
+		return &execution{j: j, snap: j.clone(), ctx: ctx, cancel: j.cancel}, 0
 	}
-	if len(members) > 0 {
-		q.batches++
-		q.batchedJobs += uint64(len(members))
-		if len(members) > q.maxBatch {
-			q.maxBatch = len(members)
-		}
-	}
-	q.mu.Unlock()
-	if len(members) == 0 {
-		return
-	}
-	defer func() {
-		// Release the deadline timers (terminalLocked/requeueLocked only
-		// drop the reference).
-		for _, c := range cancels {
-			c()
-		}
-	}()
+}
 
-	// The batch heartbeats between members; an executor that stops
-	// making progress trips the watchdog, which dumps goroutines, marks
-	// the still-running members stalled, and cancels their contexts so
-	// settle() requeues them instead of failing them.
-	wtask := s.opts.Watchdog.Register(fmt.Sprintf("jobs-batch %s", members[0].j.ID), func() {
-		q.mu.Lock()
-		var cut []context.CancelFunc
-		for _, m := range members {
-			if m.j.State == StateRunning {
-				m.j.stalled = true
-				if m.j.cancel != nil {
-					cut = append(cut, m.j.cancel)
+// nextLocked picks the next dispatchable job. Tenants take turns: the
+// first tenant after the one served last, in name order and wrapping
+// around, that has a ready job. Within the tenant the highest priority
+// class goes first, then FIFO. Returns (nil, wait) when no job is
+// ready; wait > 0 is when the soonest retry-delayed job becomes ready.
+func (q *Queue) nextLocked(now time.Time) (*Job, time.Duration) {
+	var (
+		pick    string
+		lead    *Job
+		soonest time.Duration
+	)
+	for tenant, list := range q.pending {
+		var best *Job
+		for _, j := range list {
+			if !j.notBefore.IsZero() && j.notBefore.After(now) {
+				if d := j.notBefore.Sub(now); soonest == 0 || d < soonest {
+					soonest = d
 				}
+				continue
+			}
+			if best == nil || j.Spec.Priority > best.Spec.Priority {
+				best = j
 			}
 		}
-		q.mu.Unlock()
-		for _, c := range cut {
-			c()
+		if best != nil && (lead == nil || turnBefore(tenant, pick, q.lastTenant)) {
+			pick, lead = tenant, best
 		}
-	})
-	defer wtask.Done()
+	}
+	if lead == nil {
+		return nil, soonest
+	}
+	q.lastTenant = pick
+	return lead, 0
+}
 
-	if s.opts.Prepare != nil && members[0].j.Spec.BatchKey != "" {
-		s.opts.Prepare(members[0].ctx, members[0].j.Spec.BatchKey, len(members))
+// turnBefore reports whether tenant a's turn comes before tenant b's
+// when last was served most recently: tenants after last in name order
+// come first, then the rest from the start.
+func turnBefore(a, b, last string) bool {
+	if (a > last) != (b > last) {
+		return a > last
 	}
-	for _, m := range members {
-		wtask.Beat()
-		result, fail := s.opts.Exec(m.ctx, m.run)
-		s.settle(m.j, result, fail)
-	}
+	return a < b
+}
+
+// run executes one started job and settles its outcome. Every run is
+// bounded by its context, so the watchdog task covering the whole
+// execution only fires on a wedged one: it marks the job stalled and
+// cuts its context, and settle requeues it.
+func (s *Scheduler) run(e *execution) {
+	// Release the deadline timer (terminalLocked/requeueLocked only drop
+	// the reference).
+	defer e.cancel()
+	task := s.opts.Watchdog.Register("job "+e.snap.ID, func() {
+		s.q.mu.Lock()
+		// A later attempt of the same job is not this task's to stall.
+		if e.j.State == StateRunning && e.j.Attempts == e.snap.Attempts {
+			e.j.stalled = true
+		}
+		s.q.mu.Unlock()
+		e.cancel()
+	})
+	defer task.Done()
+	result, fail := s.opts.Exec(e.ctx, e.snap)
+	s.settle(e.j, result, fail)
 }
 
 // settle routes an execution outcome into the job's next state:

@@ -3,8 +3,12 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"biasmit/internal/persist"
 )
 
 // TestCrashRecoveryRequeuesMidRunJobs is the exactly-once core: kill the
@@ -244,5 +248,55 @@ func TestDrainGracefulFinish(t *testing.T) {
 		if j, _ := q.Get(id); j.State != StateDone {
 			t.Fatalf("job %s = %s after graceful drain, want done", id, j.State)
 		}
+	}
+}
+
+// TestReplaysBatchEraJournal: journals written while the scheduler still
+// micro-batched carry spec.batch_key and batch_size. Replay ignores both
+// fields: the queued record executes, and the done record stays
+// queryable with its result. The records below are byte-for-byte what
+// that version's EncodeRecord wrote.
+func TestReplaysBatchEraJournal(t *testing.T) {
+	dir := t.TempDir()
+	const queuedID, doneID = "01K6G3C2R0000000000000000A", "01K6G3C2R0000000000000000B"
+	var wal []byte
+	for _, rec := range []string{
+		`{"seq":1,"job":{"id":"01K6G3C2R0000000000000000A","spec":{"type":"mitigate","tenant":"anon","batch_key":"ibmqx4|5|brute","trace_id":"01K6G3C2R0000000000000000T","payload":{"seed":1}},"state":"queued","submitted_at":"2026-10-01T12:00:00Z","started_at":"0001-01-01T00:00:00Z","finished_at":"0001-01-01T00:00:00Z"}}`,
+		`{"seq":2,"job":{"id":"01K6G3C2R0000000000000000B","spec":{"type":"mitigate","tenant":"anon","batch_key":"ibmqx4|5|brute","payload":{"seed":2}},"state":"done","submitted_at":"2026-10-01T12:00:00Z","started_at":"2026-10-01T12:00:01Z","finished_at":"2026-10-01T12:00:02Z","attempts":1,"batch_size":2,"result":{"ok":true}}}`,
+	} {
+		wal = persist.AppendWALRecord(wal, []byte(rec))
+	}
+	if err := os.WriteFile(filepath.Join(dir, jobWALFile), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := OpenLog(dir)
+	if err != nil {
+		t.Fatalf("replaying a batch-era journal: %v", err)
+	}
+	defer log.Close()
+	q, err := NewQueue(Options{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.RecoveredJobs != 1 || st.Queued != 1 || st.Done != 1 {
+		t.Fatalf("recovery stats = %+v, want the queued job live and the done one as history", st)
+	}
+	s := NewScheduler(q, SchedulerOptions{
+		Workers: 1,
+		Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
+			return j.Spec.Payload, nil
+		},
+	})
+	s.Start()
+	defer s.Drain(context.Background())
+
+	ran := waitState(t, q, queuedID, StateDone)
+	if string(ran.Result) != `{"seed":1}` || ran.Attempts != 1 || ran.Spec.TraceID != "01K6G3C2R0000000000000000T" {
+		t.Fatalf("replayed queued job = %+v", ran)
+	}
+	done, ok := q.Get(doneID)
+	if !ok || done.State != StateDone || string(done.Result) != `{"ok":true}` || done.Attempts != 1 {
+		t.Fatalf("replayed done job = %+v (found %v)", done, ok)
 	}
 }

@@ -9,20 +9,22 @@ import (
 	"time"
 )
 
-// Trace IDs are ULID-shaped, the same text form the job queue uses for
-// job IDs: a 48-bit millisecond timestamp followed by 80 bits of
-// entropy, rendered as 26 characters of Crockford base32. Lexicographic
-// order is therefore mint-time order, which keeps /debug/traces and log
-// greps naturally chronological, and the alphabet (no I, L, O, U)
-// survives transcription into a support ticket.
+// IDs are ULID-shaped — trace IDs here, job IDs in the job queue: a
+// 48-bit millisecond timestamp followed by 80 bits of entropy, rendered
+// as 26 characters of Crockford base32. Lexicographic order is
+// therefore mint-time order, which keeps /debug/traces, job listings,
+// the job WAL, and log greps naturally chronological, and the alphabet
+// (no I, L, O, U) survives transcription into a support ticket. Within
+// one millisecond the entropy is incremented rather than redrawn, so
+// IDs from one generator are strictly monotonic even under bursts.
 
-const traceIDLen = 26
+const idLen = 26
 
 // crockford is the base32 alphabet ULIDs use.
 const crockford = "0123456789ABCDEFGHJKMNPQRSTVWXYZ"
 
-// traceIDGen mints ordered trace IDs. Safe for concurrent use.
-type traceIDGen struct {
+// IDGen mints ordered IDs. Safe for concurrent use.
+type IDGen struct {
 	mu      sync.Mutex
 	now     func() time.Time
 	rnd     *rand.Rand
@@ -30,7 +32,10 @@ type traceIDGen struct {
 	entropy [10]byte
 }
 
-func newTraceIDGen(now func() time.Time) *traceIDGen {
+// NewIDGen builds a generator on the given clock, seeding its entropy
+// stream from the OS so two processes never collide. A nil clock
+// selects time.Now.
+func NewIDGen(now func() time.Time) *IDGen {
 	if now == nil {
 		now = time.Now
 	}
@@ -38,10 +43,11 @@ func newTraceIDGen(now func() time.Time) *traceIDGen {
 	if _, err := cryptorand.Read(seed[:]); err != nil {
 		binary.LittleEndian.PutUint64(seed[:], uint64(time.Now().UnixNano()))
 	}
-	return &traceIDGen{now: now, rnd: rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))}
+	return &IDGen{now: now, rnd: rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))}
 }
 
-func (g *traceIDGen) next() string {
+// Next mints one ID.
+func (g *IDGen) Next() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ms := uint64(g.now().UnixMilli())
@@ -60,12 +66,12 @@ func (g *traceIDGen) next() string {
 		binary.LittleEndian.PutUint64(g.entropy[0:8], g.rnd.Uint64())
 		binary.LittleEndian.PutUint16(g.entropy[8:10], uint16(g.rnd.Uint32()))
 	}
-	return encodeTraceID(ms, g.entropy)
+	return encodeID(ms, g.entropy)
 }
 
-// encodeTraceID renders 48 bits of timestamp plus 80 bits of entropy as
-// 26 Crockford base32 characters (the standard ULID text form).
-func encodeTraceID(ms uint64, entropy [10]byte) string {
+// encodeID renders 48 bits of timestamp plus 80 bits of entropy as 26
+// Crockford base32 characters (the standard ULID text form).
+func encodeID(ms uint64, entropy [10]byte) string {
 	var bin [16]byte
 	bin[0] = byte(ms >> 40)
 	bin[1] = byte(ms >> 32)
@@ -75,10 +81,12 @@ func encodeTraceID(ms uint64, entropy [10]byte) string {
 	bin[5] = byte(ms)
 	copy(bin[6:], entropy[:])
 
-	var out [traceIDLen]byte
+	var out [idLen]byte
+	// 128 bits into 26 five-bit groups, most significant first (the top
+	// group holds only 3 bits, ULID-style).
 	var acc uint32
 	bits := 0
-	j := traceIDLen - 1
+	j := idLen - 1
 	for i := len(bin) - 1; i >= 0; i-- {
 		acc |= uint32(bin[i]) << bits
 		bits += 8
@@ -97,24 +105,25 @@ func encodeTraceID(ms uint64, entropy [10]byte) string {
 	return string(out[:])
 }
 
-var defaultIDGen = newTraceIDGen(nil)
+var defaultIDGen = NewIDGen(nil)
 
 // NewTraceID mints one trace ID from the process-wide generator.
-func NewTraceID() string { return defaultIDGen.next() }
+func NewTraceID() string { return defaultIDGen.Next() }
 
-// ValidTraceID reports whether s is shaped like a trace ID: 26
-// Crockford base32 characters. The server uses it to decide whether an
-// inbound X-Trace-Id header is worth adopting.
-func ValidTraceID(s string) error {
-	if len(s) != traceIDLen {
-		return fmt.Errorf("obs: trace ID %q has length %d, want %d", s, len(s), traceIDLen)
+// ValidID reports whether s is shaped like an ID: 26 Crockford base32
+// characters. The server uses it to decide whether an inbound
+// X-Trace-Id header is worth adopting, and to reject a malformed job ID
+// before a map lookup.
+func ValidID(s string) error {
+	if len(s) != idLen {
+		return fmt.Errorf("obs: ID %q has length %d, want %d", s, len(s), idLen)
 	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		ok := (c >= '0' && c <= '9') ||
 			(c >= 'A' && c <= 'Z' && c != 'I' && c != 'L' && c != 'O' && c != 'U')
 		if !ok {
-			return fmt.Errorf("obs: trace ID %q has invalid character %q", s, c)
+			return fmt.Errorf("obs: ID %q has invalid character %q", s, c)
 		}
 	}
 	return nil

@@ -35,12 +35,16 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// TestTraceIDShapeAndOrder pins the ULID text form trace IDs and job
+// IDs share: every minted ID validates and sorts strictly after the one
+// before it, and the validator rejects wrong lengths and characters
+// outside the Crockford alphabet.
 func TestTraceIDShapeAndOrder(t *testing.T) {
-	gen := newTraceIDGen(nil)
+	gen := NewIDGen(nil)
 	prev := ""
-	for i := 0; i < 1000; i++ {
-		id := gen.next()
-		if err := ValidTraceID(id); err != nil {
+	for i := 0; i < 10000; i++ {
+		id := gen.Next()
+		if err := ValidID(id); err != nil {
 			t.Fatalf("minted invalid ID: %v", err)
 		}
 		if id <= prev {
@@ -48,13 +52,18 @@ func TestTraceIDShapeAndOrder(t *testing.T) {
 		}
 		prev = id
 	}
-	if err := ValidTraceID(""); err == nil {
-		t.Fatal("empty string validated as a trace ID")
+	for _, bad := range []string{
+		"",
+		"short",
+		"abcdefghijklmnopqrstuvwxyz",  // lower case
+		"0123456789ABCDEFGHJKMNPQRSI", // 27 characters
+		strings.Repeat("I", 26),       // excluded alphabet character
+	} {
+		if err := ValidID(bad); err == nil {
+			t.Fatalf("ValidID(%q) accepted", bad)
+		}
 	}
-	if err := ValidTraceID(strings.Repeat("I", 26)); err == nil {
-		t.Fatal("excluded alphabet character validated")
-	}
-	if err := ValidTraceID(NewTraceID()); err != nil {
+	if err := ValidID(NewTraceID()); err != nil {
 		t.Fatalf("package-level NewTraceID invalid: %v", err)
 	}
 }
@@ -62,7 +71,7 @@ func TestTraceIDShapeAndOrder(t *testing.T) {
 func TestTraceSpansAndFinish(t *testing.T) {
 	clk := newFakeClock()
 	tr := NewTrace("", clk.now)
-	if err := ValidTraceID(tr.ID()); err != nil {
+	if err := ValidID(tr.ID()); err != nil {
 		t.Fatalf("minted trace ID invalid: %v", err)
 	}
 

@@ -67,7 +67,7 @@ func NewTrace(id string, now func() time.Time) *Trace {
 	if now == nil {
 		now = time.Now
 	}
-	if ValidTraceID(id) != nil {
+	if ValidID(id) != nil {
 		id = NewTraceID()
 	}
 	return &Trace{id: id, start: now(), now: now}
@@ -89,8 +89,8 @@ func (t *Trace) Start() time.Time {
 	return t.start
 }
 
-// SetTag attaches a key/value to the whole trace (e.g. hedge=true,
-// tenant, job_id). Last write per key wins.
+// SetTag attaches a key/value to the whole trace (e.g. tenant, job_id).
+// Last write per key wins.
 func (t *Trace) SetTag(key, value string) {
 	if t == nil {
 		return
@@ -132,9 +132,9 @@ func (t *Trace) StartSpan(name string) *Span {
 	return &Span{tr: t, name: name, start: t.now()}
 }
 
-// AddSpan records a stage that was measured externally — queue wait
-// computed from timestamps, batch wait measured by the scheduler. The
-// span is placed as if it ended now and lasted d.
+// AddSpan records a stage that was measured externally, such as a job's
+// queue wait computed from timestamps. The span is placed as if it
+// ended now and lasted d.
 func (t *Trace) AddSpan(name string, d time.Duration) {
 	if t == nil {
 		return

@@ -62,8 +62,8 @@ func (b *Budget) OnRequest() {
 	b.mu.Unlock()
 }
 
-// Allow spends one token if available, reporting whether the retry (or
-// hedge) may proceed. Denied retries must surface the original error.
+// Allow spends one token if available, reporting whether the retry may
+// proceed. Denied retries must surface the original error.
 func (b *Budget) Allow() bool {
 	if b == nil {
 		return true

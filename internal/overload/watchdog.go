@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Watchdog heartbeats long-lived loops (job workers, the scheduler
-// dispatcher) and detects the failure mode breakers cannot see: a loop
-// that is neither dead nor making progress. Each loop registers a Task
-// and calls Beat() at every iteration; a task whose heartbeat goes stale
-// while not idle gets a full goroutine dump in the log (the evidence a
-// human needs to find the deadlock) and its cancel func invoked so the
-// stuck work is cancelled and — for jobs — requeued.
+// Watchdog detects the failure mode breakers cannot see: work that is
+// neither dead nor making progress. Each watched unit (in biasmitd, an
+// executing async job) registers a Task and may call Beat() as it
+// progresses; a task whose heartbeat goes stale while not idle gets a
+// full goroutine dump in the log (the evidence a human needs to find
+// the deadlock) and its cancel func invoked so the stuck work is
+// cancelled and — for jobs — requeued.
 type Watchdog struct {
 	interval time.Duration
 	stall    time.Duration

@@ -8,9 +8,10 @@
 // (machine, register width, characterization method), served while
 // younger than a TTL, and re-learned on demand. Concurrent requests for
 // the same missing profile are deduplicated singleflight-style — one
-// leader runs the characterization circuits, every other caller waits
-// for its result — so a burst of AIM requests after a restart triggers
-// exactly one characterization per key. A background refresh pass
+// internal/flight flight runs the characterization circuits, every
+// caller waits for its result on its own context — so a burst of AIM
+// requests after a restart triggers exactly one characterization per
+// key, and no caller's hang-up fails the others. A background refresh pass
 // (built on internal/orchestrate) re-learns aging profiles before they
 // expire, so steady-state traffic keeps hitting fresh cache entries and
 // never pays the characterization latency in-line.
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"biasmit/internal/core"
+	"biasmit/internal/flight"
 	"biasmit/internal/orchestrate"
 	"biasmit/internal/persist"
 )
@@ -57,7 +59,9 @@ type Profile struct {
 
 // CharacterizeFunc learns a fresh profile for key by running the actual
 // characterization circuits. It is called by at most one goroutine per
-// key at a time; the store fills in Key and LearnedAt if left zero.
+// key at a time, on a context that carries the first caller's values
+// but not its cancellation or deadline; the store fills in Key and
+// LearnedAt if left zero.
 type CharacterizeFunc func(ctx context.Context, key Key) (*Profile, error)
 
 // Journal records profile mutations durably. The store calls Put before
@@ -150,14 +154,6 @@ type Stats struct {
 	Entries       int
 }
 
-// call is one in-flight characterization; done is closed when profile
-// and err are final.
-type call struct {
-	done    chan struct{}
-	profile *Profile
-	err     error
-}
-
 // Store is a concurrency-safe profile cache. Construct with New.
 type Store struct {
 	characterize   CharacterizeFunc
@@ -167,10 +163,10 @@ type Store struct {
 	maxProfiles    int
 	journal        Journal
 	now            func() time.Time
+	flights        flight.Group[Key, *Profile]
 
 	mu       sync.Mutex
 	profiles map[Key]*Profile
-	inflight map[Key]*call
 	useSeq   uint64         // monotonic LRU clock
 	lastUse  map[Key]uint64 // useSeq at last hit/publication
 	gens     map[Key]uint64 // bumped whenever the profile under a key changes
@@ -197,7 +193,6 @@ func New(characterize CharacterizeFunc, opt Options) *Store {
 		journal:        opt.Journal,
 		now:            opt.Now,
 		profiles:       make(map[Key]*Profile),
-		inflight:       make(map[Key]*call),
 		lastUse:        make(map[Key]uint64),
 		gens:           make(map[Key]uint64),
 	}
@@ -234,9 +229,10 @@ func (s *Store) Get(key Key) (*Profile, bool) {
 // GetOrCharacterize returns the cached profile for key, learning it
 // first if it is missing or stale. The second result reports whether the
 // profile came from cache. Concurrent callers for the same key share one
-// characterization: the first becomes the leader and runs it, the rest
-// wait for the leader's result (or their own ctx ending). A leader
-// failure is returned to every waiter and nothing is cached.
+// characterization, each waiting on its own ctx; a caller whose ctx
+// ends gets its ctx error while the characterization runs on for the
+// rest. A characterization failure is returned to every waiter and
+// nothing is cached.
 func (s *Store) GetOrCharacterize(ctx context.Context, key Key) (*Profile, bool, error) {
 	s.mu.Lock()
 	if p := s.profiles[key]; p != nil && s.now().Sub(p.LearnedAt) < s.ttl {
@@ -249,20 +245,8 @@ func (s *Store) GetOrCharacterize(ctx context.Context, key Key) (*Profile, bool,
 	} else {
 		s.stats.Expired++
 	}
-	if c, ok := s.inflight[key]; ok {
-		s.stats.Joined++
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.profile, false, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	c := s.beginLocked(key)
-	s.mu.Unlock()
-	s.run(ctx, key, c, false)
-	return c.profile, false, c.err
+	p, err := s.characterizeLocked(ctx, key)
+	return p, false, err
 }
 
 // ServeResult reports how Serve satisfied a lookup.
@@ -303,80 +287,76 @@ func (s *Store) Serve(ctx context.Context, key Key) (*Profile, ServeResult, erro
 // cache state, joining an already in-flight one if present.
 func (s *Store) Characterize(ctx context.Context, key Key) (*Profile, error) {
 	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
+	return s.characterizeLocked(ctx, key)
+}
+
+// characterizeLocked joins key's in-flight characterization or starts
+// one, releases s.mu (which the caller holds), and waits on ctx.
+// Joining under s.mu is what keeps a burst to one characterization: the
+// flight publishes under s.mu before it retires, so a caller that
+// missed the cache finds the flight.
+func (s *Store) characterizeLocked(ctx context.Context, key Key) (*Profile, error) {
+	c, joined := s.flights.Do(ctx, key, s.learn(key), s.settle(key, false))
+	if joined {
 		s.stats.Joined++
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.profile, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	c := s.beginLocked(key)
 	s.mu.Unlock()
-	s.run(ctx, key, c, false)
-	return c.profile, c.err
+	return c.Wait(ctx)
 }
 
-// beginLocked registers a new in-flight call for key. The caller must
-// hold s.mu and have checked no call is in flight.
-func (s *Store) beginLocked(key Key) *call {
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
-	return c
-}
-
-// run executes the characterization as the call's leader and publishes
-// the outcome. On success the finished profile is journaled (write-ahead)
-// and then swapped into the cache under the lock — readers only ever see
-// the old pointer or the complete new one. On failure any previously
-// cached profile is left untouched.
-func (s *Store) run(ctx context.Context, key Key, c *call, refresh bool) {
-	p, err := s.characterize(ctx, key)
-	if err == nil && p == nil {
-		err = fmt.Errorf("profilestore: characterize returned no profile for %s", key)
-	}
-	var jerr error
-	if err == nil {
+// learn runs the characterization for key as its flight, outside s.mu.
+// The finished profile is journaled before settle publishes it:
+// durability before visibility, so a crash can never lose a profile a
+// caller was already told about. A journal failure is counted, not
+// fatal — see Journal.
+func (s *Store) learn(key Key) func(context.Context) (*Profile, error) {
+	return func(ctx context.Context) (*Profile, error) {
+		p, err := s.characterize(ctx, key)
+		if err != nil {
+			return nil, err
+		}
+		if p == nil {
+			return nil, fmt.Errorf("profilestore: characterize returned no profile for %s", key)
+		}
 		q := *p // publish a copy so the CharacterizeFunc can't mutate it later
 		q.Key = key
 		if q.LearnedAt.IsZero() {
 			q.LearnedAt = s.now()
 		}
-		p = &q
-		if s.journal != nil {
-			// Durability before visibility: the record hits the journal
-			// (and its fsync) before any reader can observe the profile, so
-			// a crash can never lose a profile a caller was already told
-			// about. A journal failure is counted, not fatal — see Journal.
-			jerr = s.journal.Put(RecordOf(p))
-		}
-	}
-	var evicted []Key
-	s.mu.Lock()
-	delete(s.inflight, key)
-	switch {
-	case err == nil:
-		evicted = s.publishLocked(p)
-		c.profile = p
-		if jerr != nil {
+		if s.journal != nil && s.journal.Put(RecordOf(&q)) != nil {
+			s.mu.Lock()
 			s.stats.JournalErrors++
+			s.mu.Unlock()
 		}
-		if refresh {
-			s.stats.Refreshes++
-		} else {
-			s.stats.Characterizations++
-		}
-	case refresh:
-		s.stats.RefreshErrors++
-	default:
-		s.stats.CharacterizeErrors++
+		return &q, nil
 	}
-	c.err = err
-	s.mu.Unlock()
-	close(c.done)
-	s.journalDeletes(evicted)
+}
+
+// settle publishes a finished characterization of key, swapping it into
+// the cache under the lock — readers only ever see the old pointer or
+// the complete new one — or counts its failure, leaving any previously
+// cached profile untouched.
+func (s *Store) settle(key Key, refresh bool) func(*Profile, error) (*Profile, error) {
+	return func(p *Profile, err error) (*Profile, error) {
+		var evicted []Key
+		s.mu.Lock()
+		switch {
+		case err == nil:
+			evicted = s.publishLocked(p)
+			if refresh {
+				s.stats.Refreshes++
+			} else {
+				s.stats.Characterizations++
+			}
+		case refresh:
+			s.stats.RefreshErrors++
+		default:
+			s.stats.CharacterizeErrors++
+		}
+		s.mu.Unlock()
+		s.journalDeletes(evicted)
+		return p, err
+	}
 }
 
 // touchLocked stamps key as most recently used. Caller holds s.mu.
@@ -518,7 +498,7 @@ func (s *Store) Refresh(ctx context.Context) error {
 	s.mu.Lock()
 	due := make([]Key, 0, len(s.profiles))
 	for key, p := range s.profiles {
-		if _, busy := s.inflight[key]; busy {
+		if s.flights.Busy(key) {
 			continue
 		}
 		if now.Sub(p.LearnedAt) >= s.refreshAfter {
@@ -532,17 +512,14 @@ func (s *Store) Refresh(ctx context.Context) error {
 	sort.Slice(due, func(i, j int) bool { return due[i].String() < due[j].String() })
 	_, err := orchestrate.Map(ctx, s.refreshWorkers, due,
 		func(ctx context.Context, _ int, key Key) (struct{}, error) {
-			s.mu.Lock()
-			if _, busy := s.inflight[key]; busy {
+			c, joined := s.flights.Do(ctx, key, s.learn(key), s.settle(key, true))
+			if joined {
 				// A request-path characterization started since the scan;
 				// it will publish a fresh profile, so skip this key.
-				s.mu.Unlock()
 				return struct{}{}, nil
 			}
-			c := s.beginLocked(key)
-			s.mu.Unlock()
-			s.run(ctx, key, c, true)
-			return struct{}{}, c.err
+			_, err := c.Wait(ctx)
+			return struct{}{}, err
 		})
 	return err
 }

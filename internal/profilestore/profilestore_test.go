@@ -397,3 +397,137 @@ func TestGenerationTracksProfileChanges(t *testing.T) {
 		t.Fatalf("unrelated key generation %d, want 0", g)
 	}
 }
+
+// TestWaiterSurvivesLeaderCancel: the caller that started a
+// characterization hanging up fails only its own wait. A caller that
+// joined with a live context still gets the profile, and the profile is
+// published for everyone after.
+func TestWaiterSurvivesLeaderCancel(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	key := Key{Machine: "ibmqx4", Width: 3, Method: "brute"}
+	s := New(func(ctx context.Context, k Key) (*Profile, error) {
+		calls.Add(1)
+		close(started)
+		select {
+		case <-release:
+			return uniformProfile(k, 3), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}, Options{TTL: time.Hour})
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCharacterize(leaderCtx, key)
+		leaderErr <- err
+	}()
+	<-started
+	type result struct {
+		p   *Profile
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		p, _, err := s.GetOrCharacterize(context.Background(), key)
+		waiter <- result{p, err}
+	}()
+	deadline := time.After(10 * time.Second)
+	for s.StatsSnapshot().Joined != 1 {
+		select {
+		case <-deadline:
+			t.Fatalf("waiter never joined: %+v", s.StatsSnapshot())
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want its own context.Canceled", err)
+	}
+	close(release)
+	res := <-waiter
+	if res.err != nil {
+		t.Fatalf("waiter with a live ctx got %v", res.err)
+	}
+	checkUniform(t, res.p)
+	if p, cached, err := s.GetOrCharacterize(context.Background(), key); err != nil || !cached || p != res.p {
+		t.Fatalf("after the flight: cached=%v err=%v, want the published profile", cached, err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("characterize ran %d times, want 1", n)
+	}
+}
+
+// TestCharacterizePanicBecomesError: a panicking characterization fails
+// its callers with an error instead of crashing the process or leaving
+// the key in flight for good; the next call characterizes afresh.
+func TestCharacterizePanicBecomesError(t *testing.T) {
+	var calls atomic.Int64
+	key := Key{Machine: "ibmqx2", Width: 2, Method: "brute"}
+	s := New(func(ctx context.Context, k Key) (*Profile, error) {
+		if calls.Add(1) == 1 {
+			panic("characterizer bug")
+		}
+		return uniformProfile(k, 1), nil
+	}, Options{TTL: time.Hour})
+
+	if _, _, err := s.GetOrCharacterize(context.Background(), key); err == nil {
+		t.Fatal("panicking characterization returned no error")
+	}
+	if st := s.StatsSnapshot(); st.CharacterizeErrors != 1 || st.Entries != 0 {
+		t.Fatalf("stats after panic = %+v, want 1 error and nothing cached", st)
+	}
+	p, cached, err := s.GetOrCharacterize(context.Background(), key)
+	if err != nil || cached || p == nil {
+		t.Fatalf("call after panic: cached=%v err=%v, want a fresh characterization", cached, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("characterize ran %d times, want 2", n)
+	}
+}
+
+// TestRefreshSkipsKeysInFlight: a refresh pass leaves a key alone while
+// a request-path characterization of it runs — that run publishes the
+// fresh profile.
+func TestRefreshSkipsKeysInFlight(t *testing.T) {
+	clock := newFakeClock()
+	var calls atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	key := Key{Machine: "ibmqx4", Width: 3, Method: "brute"}
+	s := New(func(ctx context.Context, k Key) (*Profile, error) {
+		n := calls.Add(1)
+		if n == 2 {
+			close(entered)
+			<-release
+		}
+		return uniformProfile(k, float64(n)), nil
+	}, Options{TTL: 10 * time.Minute, RefreshAfter: time.Minute, Now: clock.now})
+
+	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(11 * time.Minute) // expired, and due for refresh
+	relearned := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCharacterize(context.Background(), key)
+		relearned <- err
+	}()
+	<-entered
+	if err := s.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("characterize ran %d times, want 2 (refresh must skip the key in flight)", n)
+	}
+	close(release)
+	if err := <-relearned; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StatsSnapshot(); st.Refreshes != 0 || st.Characterizations != 2 {
+		t.Fatalf("stats = %+v, want 2 characterizations and no refresh", st)
+	}
+}

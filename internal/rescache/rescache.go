@@ -19,8 +19,8 @@
 //   - Torn reads: a waiter must never observe a half-built result, and
 //     one waiter's cancellation must not cancel the computation other
 //     waiters (or the cache) are depending on. The cache runs each
-//     computation exactly once on a detached context and fans the
-//     finished bytes out; waiters that give up early get their own
+//     computation exactly once as an internal/flight flight and fans
+//     the finished bytes out; waiters that give up early get their own
 //     ctx error while the computation keeps running to completion.
 //
 // The cache stores opaque byte slices (in biasmitd: the marshaled
@@ -36,6 +36,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+
+	"biasmit/internal/flight"
 )
 
 // Outcome classifies how Do satisfied a request.
@@ -105,25 +107,18 @@ type Options struct {
 	// recently used entry is evicted past it. Zero or negative
 	// selects 1024.
 	MaxEntries int
-	// Detach derives the context the shared computation runs on from
-	// the leader's request context. It must sever cancellation (so one
-	// waiter hanging up cannot kill the result every other waiter is
-	// blocked on) while keeping request-scoped values (trace,
-	// priority class). Nil selects context.WithoutCancel.
-	Detach func(context.Context) context.Context
 }
 
 // Cache is a bounded, generation-checked LRU of computed results with
 // singleflight coalescing. All methods are safe for concurrent use.
 type Cache struct {
 	maxEntries int
-	detach     func(context.Context) context.Context
+	flights    flight.Group[flightKey, Computed]
 
-	mu       sync.Mutex
-	entries  map[string]*entry
-	inflight map[flightKey]*call
-	useSeq   uint64
-	bytes    int64
+	mu      sync.Mutex
+	entries map[string]*entry
+	useSeq  uint64
+	bytes   int64
 
 	hits        uint64
 	misses      uint64
@@ -148,28 +143,14 @@ type flightKey struct {
 	gen uint64
 }
 
-// call is one in-flight computation and its fan-out point.
-type call struct {
-	done  chan struct{}
-	value []byte
-	err   error
-}
-
 // New builds a Cache.
 func New(opts Options) *Cache {
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = 1024
 	}
-	if opts.Detach == nil {
-		opts.Detach = func(ctx context.Context) context.Context {
-			return context.WithoutCancel(ctx)
-		}
-	}
 	return &Cache{
 		maxEntries: opts.MaxEntries,
-		detach:     opts.Detach,
 		entries:    make(map[string]*entry),
-		inflight:   make(map[flightKey]*call),
 	}
 }
 
@@ -201,66 +182,31 @@ func (c *Cache) Do(ctx context.Context, key string, gen uint64, compute func(con
 		c.removeLocked(key, e)
 	}
 
+	// Joining or starting the flight happens under c.mu, the lock the
+	// settle hook stores under: a caller that missed the entry above
+	// finds the flight that will store it.
 	fk := flightKey{key: key, gen: gen}
-	if cl, ok := c.inflight[fk]; ok {
+	cl, joined := c.flights.Do(ctx, fk, compute, func(res Computed, err error) (Computed, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		switch {
+		case err != nil:
+			c.errors++
+		case res.Store:
+			c.storeLocked(key, res.Gen, res.Value)
+		}
+		return res, err
+	})
+	outcome := Miss
+	if joined {
+		outcome = Coalesced
 		c.coalesced++
-		c.mu.Unlock()
-		return c.wait(ctx, cl, Coalesced)
-	}
-
-	// Singleflight leader: register the call, then run compute on a
-	// detached goroutine so the leader hanging up cannot strand the
-	// waiters that coalesced onto it.
-	c.misses++
-	cl := &call{done: make(chan struct{})}
-	c.inflight[fk] = cl
-	c.mu.Unlock()
-
-	go c.run(c.detach(ctx), fk, cl, compute)
-	return c.wait(ctx, cl, Miss)
-}
-
-// run executes one computation and publishes its result.
-func (c *Cache) run(ctx context.Context, fk flightKey, cl *call, compute func(context.Context) (Computed, error)) {
-	var (
-		res Computed
-		err error
-	)
-	func() {
-		// The computation runs on a bare goroutine — a panic here
-		// would crash the daemon with no net/http recovery between.
-		// Convert it to an error and fan that out instead.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("rescache: compute panicked: %v", r)
-			}
-		}()
-		res, err = compute(ctx)
-	}()
-
-	c.mu.Lock()
-	delete(c.inflight, fk)
-	switch {
-	case err != nil:
-		c.errors++
-	case res.Store:
-		c.storeLocked(fk.key, res.Gen, res.Value)
+	} else {
+		c.misses++
 	}
 	c.mu.Unlock()
-
-	cl.value, cl.err = res.Value, err
-	close(cl.done)
-}
-
-// wait blocks until the computation finishes or ctx is done. The
-// computation keeps running either way.
-func (c *Cache) wait(ctx context.Context, cl *call, outcome Outcome) ([]byte, Outcome, error) {
-	select {
-	case <-cl.done:
-		return cl.value, outcome, cl.err
-	case <-ctx.Done():
-		return nil, outcome, ctx.Err()
-	}
+	res, err := cl.Wait(ctx)
+	return res.Value, outcome, err
 }
 
 // storeLocked installs a finished result and enforces the LRU bound.

@@ -15,7 +15,6 @@ import (
 	"biasmit/internal/jobs"
 	"biasmit/internal/obs"
 	"biasmit/internal/overload"
-	"biasmit/internal/profilestore"
 )
 
 // The async job API: POST /v1/jobs submits a mitigation or
@@ -66,7 +65,6 @@ func jobInfo(j jobs.Job) api.JobInfo {
 		SubmittedAt:     j.SubmittedAt.UTC(),
 		Attempts:        j.Attempts,
 		Requeues:        j.Requeues,
-		BatchSize:       j.BatchSize,
 		CancelRequested: j.CancelRequested,
 	}
 	if !j.StartedAt.IsZero() {
@@ -104,9 +102,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobSubmit validates a submission enough to reject obvious
-// mistakes synchronously (unknown machine/benchmark/policy never enter
-// the queue), computes the micro-batching key, and durably enqueues.
+// handleJobSubmit runs the synchronous endpoint's validation on the
+// submission — a job the sync call would reject never enters the
+// queue — and durably enqueues it.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobSubmitRequest
 	sp := obs.StartSpan(r.Context(), "decode")
@@ -139,6 +137,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.Deadline = &dl
 	}
+	var body any
 	switch req.Type {
 	case api.JobTypeMitigate:
 		if req.Mitigate == nil || req.Characterize != nil {
@@ -146,23 +145,27 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				"a %q job carries exactly the mitigate body", req.Type))
 			return
 		}
-		if err := s.vetMitigateJob(req.Mitigate, &spec); err != nil {
-			writeError(w, r, err)
-			return
-		}
+		_, _, err = s.validateMitigate(req.Mitigate)
+		body = req.Mitigate
 	case api.JobTypeCharacterize:
 		if req.Characterize == nil || req.Mitigate != nil {
 			writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
 				"a %q job carries exactly the characterize body", req.Type))
 			return
 		}
-		if err := s.vetCharacterizeJob(req.Characterize, &spec); err != nil {
-			writeError(w, r, err)
-			return
-		}
+		_, err = s.validateCharacterize(req.Characterize)
+		body = req.Characterize
 	default:
 		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
 			"unknown job type %q (want %s or %s)", req.Type, api.JobTypeMitigate, api.JobTypeCharacterize))
+		return
+	}
+	if err != nil {
+		writeError(w, r, err)
+		return
+	}
+	if spec.Payload, err = json.Marshal(body); err != nil {
+		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest, "encoding job payload: %v", err))
 		return
 	}
 	j, err := s.jobq.Submit(spec)
@@ -171,109 +174,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, r, http.StatusAccepted, jobResponse(j))
-}
-
-// vetMitigateJob front-loads the request validation a synchronous
-// mitigate would fail on, fixes the payload bytes the executor will
-// decode, and derives the batch key: AIM runs on the same
-// machine/width/method share one profile fetch.
-func (s *Server) vetMitigateJob(req *MitigateRequest, spec *jobs.Spec) *APIError {
-	dev, ok := s.cfg.Machines(req.Machine)
-	if !ok {
-		return apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
-	}
-	bench, err := resolveBenchmark(req)
-	if err != nil {
-		return toAPIError(err)
-	}
-	if err := s.checkShots(req.Shots); err != nil {
-		return toAPIError(err)
-	}
-	switch req.Policy {
-	case "baseline", "sim":
-	case "aim":
-		method, merr := resolveProfileMethod(req.ProfileMethod, bench.Width())
-		if merr != nil {
-			return toAPIError(merr)
-		}
-		spec.BatchKey = batchKey(dev.Name, bench.Width(), method)
-	default:
-		return apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"unknown policy %q (want baseline, sim, or aim)", req.Policy)
-	}
-	payload, perr := json.Marshal(req)
-	if perr != nil {
-		return apiErrorf(http.StatusBadRequest, CodeBadRequest, "encoding job payload: %v", perr)
-	}
-	spec.Payload = payload
-	return nil
-}
-
-// vetCharacterizeJob mirrors the synchronous characterize validation
-// and keys the batch so concurrent characterizations of one profile
-// coalesce (a forced re-characterization never batches — its point is a
-// fresh run).
-func (s *Server) vetCharacterizeJob(req *CharacterizeRequest, spec *jobs.Spec) *APIError {
-	dev, ok := s.cfg.Machines(req.Machine)
-	if !ok {
-		return apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
-	}
-	width := req.Qubits
-	if width == 0 {
-		width = dev.NumQubits
-		if (req.Method == "" || req.Method == "auto" || req.Method == "brute") && width > 5 {
-			width = 5
-		}
-	}
-	if width < 1 || width > dev.NumQubits {
-		return apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"qubits %d out of range [1,%d] for %s", width, dev.NumQubits, dev.Name)
-	}
-	method, err := resolveProfileMethod(req.Method, width)
-	if err != nil {
-		return toAPIError(err)
-	}
-	if !req.Force {
-		spec.BatchKey = batchKey(dev.Name, width, method)
-	}
-	payload, perr := json.Marshal(req)
-	if perr != nil {
-		return apiErrorf(http.StatusBadRequest, CodeBadRequest, "encoding job payload: %v", perr)
-	}
-	spec.Payload = payload
-	return nil
-}
-
-// batchKey marks jobs that share one RBMS profile as batch-compatible.
-// The separator cannot occur in machine names, widths, or methods.
-func batchKey(machine string, width int, method string) string {
-	return machine + "|" + strconv.Itoa(width) + "|" + method
-}
-
-// parseBatchKey is batchKey's inverse, for the prepare hook.
-func parseBatchKey(key string) (profilestore.Key, bool) {
-	parts := strings.Split(key, "|")
-	if len(parts) != 3 {
-		return profilestore.Key{}, false
-	}
-	width, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return profilestore.Key{}, false
-	}
-	return profilestore.Key{Machine: parts[0], Width: width, Method: parts[2]}, true
-}
-
-// prepareBatch is the scheduler's shared-setup hook: fetch (or learn)
-// the batch's RBMS profile once, so every member's own profile lookup
-// is a cache hit. Errors are deliberately dropped — each member
-// re-discovers them through its normal path and fails with the proper
-// code.
-func (s *Server) prepareBatch(ctx context.Context, key string, size int) {
-	pk, ok := parseBatchKey(key)
-	if !ok {
-		return
-	}
-	_, _, _ = s.store.Serve(ctx, pk)
 }
 
 // execJob is the scheduler's executor. It rebuilds the job's trace
@@ -293,15 +193,8 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, *job
 	if j.Requeues > 0 {
 		tr.SetTag("requeues", strconv.Itoa(j.Requeues))
 	}
-	// The time between submission and this attempt splits into plain
-	// queue wait and — for batchable jobs — the micro-batch coalescing
-	// window the scheduler held the job open for.
-	bw := j.BatchWait()
-	if qw := s.cfg.Now().Sub(j.SubmittedAt) - bw; qw > 0 {
+	if qw := s.cfg.Now().Sub(j.SubmittedAt); qw > 0 {
 		tr.AddSpan("queue_wait", qw)
-	}
-	if bw > 0 {
-		tr.AddSpan("batch_wait", bw)
 	}
 	ctx = obs.WithTrace(ctx, tr)
 	result, fail := s.runJob(ctx, j)
@@ -414,7 +307,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, apiErrorf(http.StatusNotFound, CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
 		return
 	}
-	if err := jobs.ValidID(id); err != nil {
+	if err := obs.ValidID(id); err != nil {
 		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest, "malformed job ID %q", id))
 		return
 	}

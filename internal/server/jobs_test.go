@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -274,6 +275,12 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad budget", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: -1}},
 			http.StatusBadRequest, CodeBadBudget},
+		{"canary fraction out of range", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
+			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 100, CanaryFraction: 1.5}},
+			http.StatusBadRequest, CodeBadRequest},
+		{"negative k", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
+			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 100, K: -1}},
+			http.StatusBadRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, data := postJob(t, ts.URL, "", tc.req)
@@ -338,11 +345,47 @@ func TestJobMetricsExposed(t *testing.T) {
 		`biasmitd_jobs_depth{state="queued"} 0`,
 		`biasmitd_job_transitions_total{state="done"} 1`,
 		"biasmitd_jobs_submitted_total 1",
-		"biasmitd_job_batches_total 1",
 		"biasmitd_jobs_persistence_enabled 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestWatchdogSparesLongJobInsideDeadline: a job whose run takes longer
+// than 30 s but stays inside its deadline is slow, not wedged — it
+// finishes on its first attempt. Every execution is bounded by
+// MaxTimeout, so the watchdog only fires on a run far past that. The
+// server's fake clock drives the watchdog, so no real waiting.
+func TestWatchdogSparesLongJobInsideDeadline(t *testing.T) {
+	clk := newFakeClock()
+	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
+	entered := blocker.entered
+	cfg := Config{
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		JobWorkers: 1, Now: clk.now,
+	}
+	cfg.wrapRun = blocker.wrap
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(blocker.release) }) }
+	t.Cleanup(release)
+
+	sub := submitJob(t, ts.URL, "", baselineJob(128, 5))
+	<-entered // the job's backend run is parked
+	clk.advance(31 * time.Second)
+	s.watchdog.Sweep()
+	release()
+
+	got := waitJob(t, ts.URL, sub.Job.ID)
+	if got.Job.State != api.JobStateDone || got.Job.Attempts != 1 || got.Job.Requeues != 0 {
+		t.Fatalf("job = %s after %d attempts / %d requeues, want done on attempt 1",
+			got.Job.State, got.Job.Attempts, got.Job.Requeues)
+	}
+	if st := s.watchdog.Stats(); st.Stalls != 0 {
+		t.Fatalf("watchdog stats = %+v, want no stall", st)
 	}
 }

@@ -198,8 +198,8 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 		gauge("biasmitd_journal_live_records", "Profiles in the durable journal (mirror of the cache gauge).", int64(persist.LiveRecords))
 	}
 
-	// Async job queue: depth by state, lifecycle transitions, batching,
-	// fairness throttles, and the queue's own durability counters.
+	// Async job queue: depth by state, lifecycle transitions, fairness
+	// throttles, and the queue's own durability counters.
 	fmt.Fprintln(w, "# HELP biasmitd_jobs_depth Async jobs currently in each lifecycle state.")
 	fmt.Fprintln(w, "# TYPE biasmitd_jobs_depth gauge")
 	for _, sc := range []struct {
@@ -218,9 +218,6 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	}
 	counter("biasmitd_jobs_submitted_total", "Async job submissions accepted.", jobStats.Submitted)
 	counter("biasmitd_jobs_throttled_total", "Async job submissions rejected by a tenant quota.", jobStats.Throttled)
-	counter("biasmitd_job_batches_total", "Micro-batches executed.", jobStats.Batches)
-	counter("biasmitd_job_batched_jobs_total", "Jobs executed inside micro-batches.", jobStats.BatchedJobs)
-	gauge("biasmitd_job_max_batch_size", "Largest micro-batch executed since boot.", int64(jobStats.MaxBatch))
 	counter("biasmitd_job_retries_total", "Jobs requeued after a retryable failure.", jobStats.Retries)
 	counter("biasmitd_job_drain_requeues_total", "Running jobs checkpointed back to queued by a drain deadline.", jobStats.DrainRequeues)
 	counter("biasmitd_job_journal_errors_total", "Job journal appends that failed (the queue kept going).", jobStats.JournalErrors)
@@ -320,8 +317,8 @@ func (s *Server) writeOverloadMetrics(w io.Writer) {
 	counter("biasmitd_brownout_steps_down_total", "Brownout tier degradations under admission pressure.", br.StepsDown)
 	counter("biasmitd_brownout_steps_up_total", "Brownout tier recoveries after sustained calm.", br.StepsUp)
 	ws := s.watchdog.Stats()
-	gauge("biasmitd_watchdog_tasks", "Loops and batches currently heartbeating the watchdog.", int64(ws.Tasks))
-	counter("biasmitd_watchdog_stalls_total", "Stalled tasks the watchdog cancelled and requeued.", ws.Stalls)
+	gauge("biasmitd_watchdog_tasks", "Executing async jobs the watchdog is watching.", int64(ws.Tasks))
+	counter("biasmitd_watchdog_stalls_total", "Stalled jobs the watchdog cancelled and requeued.", ws.Stalls)
 }
 
 // writeTraceMetrics renders the tracing layer: per-stage latency

@@ -119,13 +119,8 @@ type Config struct {
 	// construction. The caller owns the log's lifecycle (Close after
 	// DrainJobs).
 	JobsLog *jobs.Log
-	// JobWorkers bounds concurrently executing async job batches
-	// (default 2).
+	// JobWorkers bounds concurrently executing async jobs (default 2).
 	JobWorkers int
-	// JobBatchWindow is how long a dispatched batchable job is held open
-	// for compatible jobs to coalesce into its micro-batch (default 0:
-	// only already-queued jobs coalesce).
-	JobBatchWindow time.Duration
 	// JobQuota bounds each tenant's queued+running async jobs;
 	// submissions past it are rejected with 429 quota_exceeded. Zero
 	// means unbounded.
@@ -161,12 +156,12 @@ type Config struct {
 	// once more than this many async jobs sit queued — the backpressure
 	// signal load balancers act on.
 	QueueHighWater int
-	// WatchdogInterval/WatchdogStall tune the scheduler watchdog: a job
-	// batch with no executor heartbeat for WatchdogStall gets a goroutine
-	// dump logged, its contexts cancelled, and its jobs requeued
-	// (defaults 1s / 30s).
+	// WatchdogInterval is how often the job watchdog sweeps (default
+	// 1s). Its stall threshold is not settable: every execution is
+	// bounded by MaxTimeout, so an async job still running at twice that
+	// ignores its context, and gets a goroutine dump logged, its context
+	// cancelled, and a requeue.
 	WatchdogInterval time.Duration
-	WatchdogStall    time.Duration
 	// ResultCache enables the content-addressed mitigation result
 	// cache (internal/rescache): responses to identical requests are
 	// replayed byte-for-byte, identical in-flight requests coalesce
@@ -283,7 +278,7 @@ type Server struct {
 	// limiter replaces the static admission gate with adaptive
 	// concurrency + priority shedding, budget caps retry traffic,
 	// brown steps AIM down to SIM/baseline under sustained pressure,
-	// watchdog cancels-and-requeues wedged job batches.
+	// watchdog cancels-and-requeues wedged async jobs.
 	limiter  *overload.Limiter
 	budget   *overload.Budget
 	brown    *overload.Brownout
@@ -325,7 +320,7 @@ func New(cfg Config) *Server {
 	if cfg.Brownout {
 		s.brown = overload.NewBrownout(cfg.BrownoutDwellDown, cfg.BrownoutDwellUp, cfg.Now)
 	}
-	s.watchdog = overload.NewWatchdog(cfg.WatchdogInterval, cfg.WatchdogStall, cfg.Logf)
+	s.watchdog = overload.NewWatchdog(cfg.WatchdogInterval, 2*cfg.MaxTimeout, cfg.Logf)
 	s.watchdog.SetNow(cfg.Now)
 	s.watchdog.Start()
 	opts := profilestore.Options{
@@ -356,12 +351,10 @@ func New(cfg Config) *Server {
 	}
 	s.jobq = q
 	s.jobsched = jobs.NewScheduler(q, jobs.SchedulerOptions{
-		Exec:        s.execJob,
-		Prepare:     s.prepareBatch,
-		Workers:     cfg.JobWorkers,
-		BatchWindow: cfg.JobBatchWindow,
-		Watchdog:    s.watchdog,
-		Now:         cfg.Now,
+		Exec:     s.execJob,
+		Workers:  cfg.JobWorkers,
+		Watchdog: s.watchdog,
+		Now:      cfg.Now,
 	})
 	s.jobsched.Start()
 	for _, rt := range s.routes() {
@@ -437,11 +430,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tr := obs.NewTrace(r.Header.Get(api.TraceHeader), s.cfg.Now)
-		if r.Header.Get(api.HedgeHeader) == "true" {
-			// A hedged duplicate shares its primary's trace ID; the tag is
-			// what tells the two apart in the ring and the logs.
-			tr.SetTag("hedge", "true")
-		}
 		w.Header().Set(api.TraceHeader, tr.ID())
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 		s.reg.begin(route)
@@ -714,7 +702,11 @@ func keyStream(key profilestore.Key) int {
 // qubits) with the server's characterization budget. Per-benchmark
 // layouts can differ from this canonical register; the paper's stability
 // result (§6.1) is what makes the shared profile reusable across them.
+// The store runs it detached from any one caller, so it carries its own
+// bound: MaxTimeout, the longest any waiting request may run.
 func (s *Server) characterizeKey(ctx context.Context, key profilestore.Key) (*profilestore.Profile, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
+	defer cancel()
 	dev, ok := s.cfg.Machines(key.Machine)
 	if !ok {
 		return nil, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", key.Machine)
@@ -823,28 +815,9 @@ func (s *Server) handleMitigate(w http.ResponseWriter, r *http.Request) {
 
 // mitigate validates and executes one mitigation request.
 func (s *Server) mitigate(ctx context.Context, req *MitigateRequest) (*MitigateResponse, error) {
-	dev, ok := s.cfg.Machines(req.Machine)
-	if !ok {
-		return nil, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
-	}
-	bench, err := resolveBenchmark(req)
+	dev, bench, err := s.validateMitigate(req)
 	if err != nil {
 		return nil, err
-	}
-	if err := s.checkShots(req.Shots); err != nil {
-		return nil, err
-	}
-	switch req.Policy {
-	case "baseline", "sim", "aim":
-	default:
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"unknown policy %q (want baseline, sim, or aim)", req.Policy)
-	}
-	if req.CanaryFraction < 0 || req.CanaryFraction >= 1 {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "canary_fraction %v out of [0,1)", req.CanaryFraction)
-	}
-	if req.K < 0 {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest, "k must be non-negative")
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -855,6 +828,41 @@ func (s *Server) mitigate(ctx context.Context, req *MitigateRequest) (*MitigateR
 		return s.mitigateCached(ctx, req, dev, bench, seed)
 	}
 	return s.mitigateExec(ctx, req, dev, bench, seed)
+}
+
+// validateMitigate runs every check a mitigation request must pass
+// before it executes, resolving its machine and benchmark. POST /v1/jobs
+// runs the same checks at submission, so a job the synchronous endpoint
+// would reject never enters the queue.
+func (s *Server) validateMitigate(req *MitigateRequest) (*device.Device, kernels.Benchmark, error) {
+	dev, ok := s.cfg.Machines(req.Machine)
+	if !ok {
+		return nil, kernels.Benchmark{}, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
+	}
+	bench, err := resolveBenchmark(req)
+	if err != nil {
+		return nil, kernels.Benchmark{}, err
+	}
+	if err := s.checkShots(req.Shots); err != nil {
+		return nil, kernels.Benchmark{}, err
+	}
+	switch req.Policy {
+	case "baseline", "sim":
+	case "aim":
+		if _, err := resolveProfileMethod(req.ProfileMethod, bench.Width()); err != nil {
+			return nil, kernels.Benchmark{}, err
+		}
+	default:
+		return nil, kernels.Benchmark{}, apiErrorf(http.StatusBadRequest, CodeBadRequest,
+			"unknown policy %q (want baseline, sim, or aim)", req.Policy)
+	}
+	if req.CanaryFraction < 0 || req.CanaryFraction >= 1 {
+		return nil, kernels.Benchmark{}, apiErrorf(http.StatusBadRequest, CodeBadRequest, "canary_fraction %v out of [0,1)", req.CanaryFraction)
+	}
+	if req.K < 0 {
+		return nil, kernels.Benchmark{}, apiErrorf(http.StatusBadRequest, CodeBadRequest, "k must be non-negative")
+	}
+	return dev, bench, nil
 }
 
 // mitigateExec runs one validated mitigation request through the full
@@ -1057,10 +1065,7 @@ func (s *Server) mitigateCached(ctx context.Context, req *MitigateRequest, dev *
 	key, gen, profKey, hasProf, err := s.resultCacheKey(req, dev, bench, seed)
 	csp.End()
 	if err != nil {
-		// A key that cannot be built (bad profile method) fails the
-		// same way uncached execution would — run it for the typed
-		// error.
-		return s.mitigateExec(ctx, req, dev, bench, seed)
+		return nil, err
 	}
 
 	compute := func(cctx context.Context) (rescache.Computed, error) {
@@ -1188,26 +1193,10 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // characterizeRequest validates and executes one characterization
 // request against the shared profile store.
 func (s *Server) characterizeRequest(ctx context.Context, req *CharacterizeRequest) (*CharacterizeResponse, error) {
-	dev, ok := s.cfg.Machines(req.Machine)
-	if !ok {
-		return nil, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
-	}
-	width := req.Qubits
-	if width == 0 {
-		width = dev.NumQubits
-		if (req.Method == "" || req.Method == "auto" || req.Method == "brute") && width > 5 {
-			width = 5
-		}
-	}
-	if width < 1 || width > dev.NumQubits {
-		return nil, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-			"qubits %d out of range [1,%d] for %s", width, dev.NumQubits, dev.Name)
-	}
-	method, err := resolveProfileMethod(req.Method, width)
+	key, err := s.validateCharacterize(req)
 	if err != nil {
 		return nil, err
 	}
-	key := profilestore.Key{Machine: dev.Name, Width: width, Method: method}
 
 	ctx, cancel := s.deadline(ctx, req.TimeoutMS)
 	defer cancel()
@@ -1246,6 +1235,32 @@ func (s *Server) characterizeRequest(ctx context.Context, req *CharacterizeReque
 		resp.Strengths = p.RBMS.Relative().Strength
 	}
 	return resp, nil
+}
+
+// validateCharacterize checks a characterization request and resolves
+// the profile it names. POST /v1/jobs runs the same checks at
+// submission.
+func (s *Server) validateCharacterize(req *CharacterizeRequest) (profilestore.Key, error) {
+	dev, ok := s.cfg.Machines(req.Machine)
+	if !ok {
+		return profilestore.Key{}, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
+	}
+	width := req.Qubits
+	if width == 0 {
+		width = dev.NumQubits
+		if (req.Method == "" || req.Method == "auto" || req.Method == "brute") && width > 5 {
+			width = 5
+		}
+	}
+	if width < 1 || width > dev.NumQubits {
+		return profilestore.Key{}, apiErrorf(http.StatusBadRequest, CodeBadRequest,
+			"qubits %d out of range [1,%d] for %s", width, dev.NumQubits, dev.Name)
+	}
+	method, err := resolveProfileMethod(req.Method, width)
+	if err != nil {
+		return profilestore.Key{}, err
+	}
+	return profilestore.Key{Machine: dev.Name, Width: width, Method: method}, nil
 }
 
 // handleProfiles lists cached profiles in stable key order

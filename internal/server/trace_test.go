@@ -167,14 +167,13 @@ func TestTraceIDAdoptedAndMinted(t *testing.T) {
 // TestDebugTracesSpansAccountForElapsed runs one mitigation under a
 // known trace ID and requires /debug/traces to hold it with a span
 // breakdown (decode → sample → correct → serialize) whose durations
-// stay within the recorded end-to-end time, plus the hedge tag when
-// X-Hedged is set.
+// stay within the recorded end-to-end time.
 func TestDebugTracesSpansAccountForElapsed(t *testing.T) {
 	_, ts := testServer(t)
 	mine := obs.NewTraceID()
 	resp, data := doRequest(t, "POST", ts.URL+"/v1/mitigate",
 		`{"machine":"ibmqx4","policy":"baseline","benchmark":"bv-4A","shots":4096,"seed":9}`,
-		map[string]string{api.TraceHeader: mine, api.HedgeHeader: "true", "Content-Type": "application/json"})
+		map[string]string{api.TraceHeader: mine, "Content-Type": "application/json"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mitigate: status %d: %s", resp.StatusCode, data)
 	}
@@ -195,9 +194,6 @@ func TestDebugTracesSpansAccountForElapsed(t *testing.T) {
 	}
 	if entry.Route != "/v1/mitigate" || entry.Status != 200 {
 		t.Fatalf("entry route=%q status=%d, want /v1/mitigate 200", entry.Route, entry.Status)
-	}
-	if entry.Tags["hedge"] != "true" {
-		t.Fatalf("X-Hedged request not tagged hedge=true: %+v", entry.Tags)
 	}
 	var sum float64
 	seen := map[string]bool{}

@@ -9,7 +9,9 @@
 // allocation budget: any benchmark whose allocs/op grows beyond 2× its
 // baseline fails the run (allocation counts are deterministic, so this
 // gate is machine-independent). Timing deltas are reported but never
-// block — CI machines are too noisy for wall-clock gates.
+// block — CI machines are too noisy for wall-clock gates. The baseline
+// is read before anything runs, and an -out naming the baseline file is
+// refused: the report would overwrite the baseline it is gated against.
 //
 // Usage:
 //
@@ -64,6 +66,22 @@ func main() {
 	out := flag.String("out", "BENCH_PR4.json", "path to write the report")
 	baseline := flag.String("baseline", "", "committed report to gate allocs/op against (empty = record only)")
 	flag.Parse()
+
+	var base *Report
+	if *baseline != "" {
+		raw, err := os.ReadFile(*baseline)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		base = new(Report)
+		if err := json.Unmarshal(raw, base); err != nil {
+			fatalf("parsing %s: %v", *baseline, err)
+		}
+		bst, _ := os.Stat(*baseline)
+		if ost, err := os.Stat(*out); err == nil && os.SameFile(ost, bst) {
+			fatalf("-out %s names the -baseline file: the report would overwrite the baseline it is gated against", *out)
+		}
+	}
 
 	// Refuse to benchmark paths that disagree: a fast wrong answer is
 	// not a result worth recording.
@@ -143,8 +161,8 @@ func main() {
 	}
 	logf("wrote %s (%d benchmarks)", *out, len(report.Benchmarks))
 
-	if *baseline != "" {
-		if err := gate(*baseline, report); err != nil {
+	if base != nil {
+		if err := gate(*base, report); err != nil {
 			fatalf("regression gate: %v", err)
 		}
 		logf("allocation budget holds against %s", *baseline)
@@ -153,15 +171,7 @@ func main() {
 
 // gate compares the fresh report against the committed baseline: blocking
 // on allocs/op growth past the budget factor, informational on timing.
-func gate(path string, fresh Report) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
+func gate(base, fresh Report) error {
 	baseBy := make(map[string]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		baseBy[r.Name] = r

@@ -13,24 +13,27 @@
 //	curl -s -X POST localhost:8642/v1/mitigate \
 //	  -d '{"machine":"ibmqx4","policy":"aim","benchmark":"bv-4A","shots":8192}'
 //
+// With -data-dir the profile store is durable: every learned profile is
+// journaled to a checksummed WAL (fsync-on-commit), and a restarted
+// daemon — even after kill -9 — warm-loads every committed profile
+// instead of cold-starting into a characterization storm. -preload
+// imports profile files written by `characterize -out` (same
+// serialization) into the store at boot.
+//
 // With -jobs-dir the async job queue (POST /v1/jobs) is durable too:
 // every job state transition is journaled the same way, and a restarted
 // daemon re-queues jobs that were caught mid-run — same seed, same
 // bytes, exactly one terminal state per job.
 //
-// With -data-dir the profile store is durable: every learned profile is
-// journaled to a checksummed WAL (fsync-on-commit) and periodically
-// compacted into a snapshot, and a restarted daemon — even after kill
-// -9 — warm-loads every committed profile instead of cold-starting into
-// a characterization storm. -preload imports profile files written by
-// `characterize -out` (same serialization) into the store at boot.
+// Both journals are compacted into a snapshot every -snapshot-interval
+// while the daemon runs, and once more at shutdown.
 //
 // Mitigation is a deterministic function of (machine, circuit, policy,
 // shots, seed, profile), so by default repeated identical requests are
 // served from a content-addressed result cache and concurrent
 // duplicates coalesce onto a single execution (-result-cache=false
-// disables this; -result-cache-size bounds it). Re-characterizing a
-// machine invalidates every cached result that depended on its profile.
+// disables this). Re-characterizing a machine invalidates every cached
+// result that depended on its profile.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests get -drain-timeout to finish, then the process
@@ -69,14 +72,12 @@ func main() {
 	profileTTL := flag.Duration("profile-ttl", 30*time.Minute, "how long cached RBMS profiles stay fresh")
 	refreshInterval := flag.Duration("refresh-interval", 0, "background profile refresh period (0 = disabled)")
 	dataDir := flag.String("data-dir", "", "durable profile store directory (WAL + snapshots; empty = memory-only)")
-	snapshotInterval := flag.Duration("snapshot-interval", 5*time.Minute, "how often the WAL is compacted into a snapshot (needs -data-dir)")
+	snapshotInterval := flag.Duration("snapshot-interval", 5*time.Minute, "how often the -data-dir and -jobs-dir WALs are compacted into snapshots")
 	maxProfiles := flag.Int("max-profiles", 0, "profile cache bound; past it the LRU profile is evicted (0 = unbounded)")
 	preload := flag.String("preload", "", "comma-separated profile files (characterize -out format) imported at boot")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	seed := flag.Int64("seed", 1, "base seed for characterization runs")
 	retryAttempts := flag.Int("retry-attempts", 4, "execution attempts per backend run before its transient error surfaces (1 disables retries)")
-	retryBaseDelay := flag.Duration("retry-base-delay", 50*time.Millisecond, "base delay for the full-jitter exponential retry backoff")
-	sliceShots := flag.Int("slice-shots", 0, "partial-shot salvage granularity: split runs into independently seeded slices of this many trials (0 = no slicing)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failed runs that open a machine's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker rejects work before probing again")
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
@@ -90,11 +91,9 @@ func main() {
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry traffic allowed as a fraction of fresh admitted work (0 disables the budget)")
 	queueHighWater := flag.Int("queue-high-water", 0, "queued async jobs past which /healthz reports 503 unavailable (0 = never)")
 	resultCache := flag.Bool("result-cache", true, "serve repeated identical mitigation requests from a content-addressed result cache, coalescing concurrent duplicates onto one execution")
-	resultCacheSize := flag.Int("result-cache-size", 1024, "result-cache entry bound; past it the LRU result is evicted (needs -result-cache)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	slowRequest := flag.Duration("slow-request", 500*time.Millisecond, "requests slower than this are kept as slow-request exemplars on /metrics and /debug/traces?slow=1")
-	traceBuffer := flag.Int("trace-buffer", 256, "recent request traces retained for /debug/traces")
 	chaosPlan := chaos.Flags(flag.CommandLine)
 	flag.Parse()
 
@@ -116,30 +115,30 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Both durable journals share one path: open and log the recovery
+	// here, compact every -snapshot-interval, close after the drain.
+	var journals []journal
+	opened := func(what, dir string, j journal, err error) {
+		if err != nil {
+			die(err)
+		}
+		rec := j.Stats().Recovery
+		lg.Info("recovered "+what, "count", rec.Records, "dir", dir,
+			"snapshot", rec.SnapshotRecords, "wal_replayed", rec.WALRecords,
+			"wal_skipped", rec.WALSkipped, "torn_tail", rec.TailTruncated)
+		journals = append(journals, j)
+	}
 	var dlog *profilestore.DiskLog
 	if *dataDir != "" {
 		var err error
 		dlog, err = profilestore.OpenDiskLog(*dataDir)
-		if err != nil {
-			die(err)
-		}
-		rec := dlog.Recovery()
-		lg.Info("recovered profiles", "count", rec.Profiles, "dir", *dataDir,
-			"snapshot", rec.SnapshotProfiles, "wal_replayed", rec.WALRecords,
-			"wal_skipped", rec.WALSkipped, "torn_tail", rec.TailTruncated)
+		opened("profiles", *dataDir, dlog, err)
 	}
-
 	var jlog *jobs.Log
 	if *jobsDir != "" {
 		var err error
 		jlog, err = jobs.OpenLog(*jobsDir)
-		if err != nil {
-			die(err)
-		}
-		rec := jlog.Recovery()
-		lg.Info("recovered jobs", "count", rec.Jobs, "dir", *jobsDir,
-			"snapshot", rec.SnapshotJobs, "wal_replayed", rec.WALRecords,
-			"wal_skipped", rec.WALSkipped, "torn_tail", rec.TailTruncated)
+		opened("jobs", *jobsDir, jlog, err)
 	}
 
 	srv := server.New(server.Config{
@@ -153,8 +152,6 @@ func main() {
 		Seed:              *seed,
 		Chaos:             *chaosPlan,
 		RetryAttempts:     *retryAttempts,
-		RetryBaseDelay:    *retryBaseDelay,
-		SliceShots:        *sliceShots,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,
 		Persist:           dlog,
@@ -170,9 +167,7 @@ func main() {
 		RetryBudget:       *retryBudget,
 		QueueHighWater:    *queueHighWater,
 		ResultCache:       *resultCache,
-		ResultCacheSize:   *resultCacheSize,
 		Logger:            lg,
-		TraceBuffer:       *traceBuffer,
 		SlowRequest:       *slowRequest,
 	})
 	if st := srv.JobStats(); st.RecoveredJobs > 0 {
@@ -194,8 +189,10 @@ func main() {
 	if *refreshInterval > 0 {
 		go srv.Store().RefreshLoop(ctx, *refreshInterval)
 	}
-	if dlog != nil && *snapshotInterval > 0 {
-		go dlog.CompactLoop(ctx, *snapshotInterval)
+	if *snapshotInterval > 0 {
+		for _, j := range journals {
+			go j.CompactLoop(ctx, *snapshotInterval)
+		}
 	}
 
 	if *pprofAddr != "" {
@@ -232,7 +229,7 @@ func main() {
 	lg.Info("draining in-flight requests", "budget", drainTimeout.String())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	drainJobs := func() {
+	drain := func() {
 		// Queued jobs are checkpointed; running jobs finish within the
 		// remaining drain budget or are cancelled and journaled back to
 		// queued, so the next boot re-executes them deterministically.
@@ -240,30 +237,29 @@ func main() {
 		if res.Finished > 0 || res.Requeued > 0 {
 			lg.Info("job queue drained", "finished", res.Finished, "requeued", res.Requeued)
 		}
-		if jlog != nil {
-			if err := jlog.Close(); err != nil {
-				lg.Error("closing job journal", "error", err.Error())
+		// Final compaction: a clean shutdown leaves fresh snapshots and
+		// empty WALs, so the next boot replays nothing.
+		for _, j := range journals {
+			if err := j.Close(); err != nil {
+				lg.Error("closing journal", "error", err.Error())
 			}
 		}
 	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		lg.Error("drain incomplete", "error", err.Error())
 		_ = httpSrv.Close()
-		drainJobs()
-		if dlog != nil {
-			_ = dlog.Close()
-		}
+		drain()
 		os.Exit(1)
 	}
-	drainJobs()
-	if dlog != nil {
-		// Final compaction: a clean shutdown leaves a fresh snapshot and
-		// an empty WAL, so the next boot replays nothing.
-		if err := dlog.Close(); err != nil {
-			lg.Error("closing profile journal", "error", err.Error())
-		}
-	}
+	drain()
 	lg.Info("drained cleanly")
+}
+
+// journal is what the daemon does with either durable journal.
+type journal interface {
+	Stats() persist.JournalStats
+	CompactLoop(ctx context.Context, interval time.Duration)
+	Close() error
 }
 
 // preloadProfile imports one `characterize -out` file into the store —

@@ -74,7 +74,7 @@ func FuzzJobLogReplay(f *testing.F) {
 		if err != nil {
 			return // a framed-but-invalid record fails the open, by design
 		}
-		first := l.Recovered()
+		first := l.Records()
 		for _, j := range first {
 			if j.ID == "" {
 				t.Fatal("recovered a job without an ID")
@@ -93,7 +93,7 @@ func FuzzJobLogReplay(f *testing.F) {
 			t.Fatalf("reopen after compact: %v", err)
 		}
 		defer l2.Close()
-		second := l2.Recovered()
+		second := l2.Records()
 		if len(second) != len(first) {
 			t.Fatalf("replay not idempotent: %d jobs, then %d", len(first), len(second))
 		}

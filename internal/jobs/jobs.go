@@ -8,9 +8,9 @@
 //   - Queue: typed job specs with ULID ordered IDs (internal/obs), a journaled
 //     state machine (queued → running → done/failed/cancelled), and
 //     crash-safe recovery. Every state transition is appended as a full
-//     job record to a checksummed WAL with periodic snapshot compaction
-//     (internal/persist, the same torn-tail-tolerant replay as the
-//     profile store). On restart no job is lost and none duplicated:
+//     job record to a persist.Journal — a checksummed WAL with periodic
+//     snapshot compaction, the same journal the profile store keeps. On
+//     restart no job is lost and none duplicated:
 //     jobs caught mid-run are re-queued and re-executed — the executor
 //     is deterministic per seed, so the re-run is byte-identical to
 //     what the first run would have produced.
@@ -207,8 +207,6 @@ type Stats struct {
 	// JournalErrors counts transition appends that failed (the in-memory
 	// state kept going).
 	JournalErrors uint64
-	// Log mirrors the journal's own counters (zero when memory-only).
-	Log LogStats
 }
 
 // Queue is the durable job queue. Construct with NewQueue; all methods
@@ -260,7 +258,11 @@ func NewQueue(opts Options) (*Queue, error) {
 		notifyCh:    make(chan struct{}, 1),
 		transitions: make(map[State]uint64),
 	}
-	for _, rec := range opts.Log.Recovered() {
+	var recovered []Job
+	if opts.Log != nil {
+		recovered = opts.Log.Records()
+	}
+	for _, rec := range recovered {
 		j := rec // copy
 		j.seq = q.nextSeq()
 		j.done = make(chan struct{})
@@ -346,8 +348,10 @@ func (q *Queue) Submit(spec Spec) (Job, error) {
 		seq:         q.nextSeq(),
 		done:        make(chan struct{}),
 	}
-	if err := q.opts.Log.Append(j); err != nil {
-		return Job{}, err
+	if q.opts.Log != nil {
+		if err := q.opts.Log.Put(j.clone()); err != nil {
+			return Job{}, err
+		}
 	}
 	q.jobs[j.ID] = j
 	q.pending[spec.Tenant] = append(q.pending[spec.Tenant], j)
@@ -466,9 +470,9 @@ func (q *Queue) removePendingLocked(j *Job) {
 // journalLocked appends the job's current state to the log, absorbing
 // (and counting) failures: once a job is accepted, in-memory progress
 // must not stall on a sick disk — the WAL append-error counter is the
-// operator's signal.
+// operator's signal. A memory-only queue does nothing here.
 func (q *Queue) journalLocked(j *Job) {
-	if err := q.opts.Log.Append(j); err != nil {
+	if q.opts.Log != nil && q.opts.Log.Put(j.clone()) != nil {
 		q.journalErrs++
 	}
 }
@@ -517,13 +521,20 @@ func (q *Queue) enforceRetentionLocked() {
 		id := q.terminal[0]
 		q.terminal = q.terminal[1:]
 		delete(q.jobs, id)
-		q.opts.Log.Forget(id)
+		if q.opts.Log != nil {
+			q.opts.Log.Forget(id)
+		}
 	}
 }
 
 // Checkpoint folds the journal into a fresh snapshot (the drain path's
 // "checkpoint queued jobs"). No-op when memory-only.
-func (q *Queue) Checkpoint() error { return q.opts.Log.Compact() }
+func (q *Queue) Checkpoint() error {
+	if q.opts.Log == nil {
+		return nil
+	}
+	return q.opts.Log.Compact()
+}
 
 // Stats snapshots the queue's gauges and counters.
 func (q *Queue) Stats() Stats {
@@ -540,7 +551,6 @@ func (q *Queue) Stats() Stats {
 		RecoveredJobs:     q.recovered,
 		RecoveredRequeued: q.recoveredRq,
 		JournalErrors:     q.journalErrs,
-		Log:               q.opts.Log.Stats(),
 	}
 	for s, n := range q.transitions {
 		st.Transitions[s] = n

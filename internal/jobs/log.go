@@ -4,33 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 
 	"biasmit/internal/persist"
 )
 
-// The durable side of the queue mirrors the profile store's journal
-// (profilestore.DiskLog): every state transition appends one full job
-// record to a checksummed WAL (persist.WAL, fsync-on-commit), and the
-// WAL is periodically folded into an atomically written snapshot.
-// Full-record entries make replay idempotent — last writer wins — which
-// is what makes the snapshot/WAL overlap window harmless: a crash
-// between "snapshot renamed" and "WAL reset" replays stale entries as
-// no-ops (their sequence number is at or below the snapshot watermark).
+// The durable side of the queue is a persist.Journal keyed by job ID,
+// the same journal the profile store keeps: every state transition
+// appends one full job record to a checksummed WAL (fsync-on-commit),
+// and the WAL is periodically folded into an atomically written
+// snapshot. This file holds only the on-disk format.
 //
 // Layout under the jobs directory:
 //
-//	jobs.snapshot.json  snapshot envelope (atomic temp+rename writes)
-//	jobs.wal            length-prefixed CRC32-framed records
-//
-// Replay tolerates a torn WAL tail exactly like the profile journal: a
-// kill -9 mid-append loses at most the record being appended, never the
-// log. A record that frames intact but does not decode is a schema
-// problem and fails the open — silently dropping committed transitions
-// would un-happen a job.
+//	jobs.snapshot.json  jobSnapshot (atomic temp+rename writes)
+//	jobs.wal            length-prefixed CRC32-framed Record payloads
 
 const (
 	jobSnapshotFile = "jobs.snapshot.json"
@@ -87,246 +74,61 @@ type jobSnapshot struct {
 	Jobs    []Record `json:"jobs"`
 }
 
-// LogRecovery describes what OpenLog reconstructed.
-type LogRecovery struct {
-	// SnapshotJobs is how many records the snapshot held.
-	SnapshotJobs int
-	// WALRecords is how many intact WAL entries were replayed;
-	// WALSkipped counts those already folded into the snapshot.
-	WALRecords int
-	WALSkipped int
-	// TailTruncated is true when the WAL ended in a torn record that was
-	// dropped — the signature of a crash mid-append.
-	TailTruncated bool
-	// Jobs is the live record count after snapshot+WAL replay.
-	Jobs int
-}
+type logEntry = persist.Entry[string, Job]
 
-// LogStats is a point-in-time snapshot of the log's counters, for
-// /metrics.
-type LogStats struct {
-	Recovery        LogRecovery
-	WALAppends      uint64
-	WALAppendErrors uint64
-	WALSizeBytes    int64
-	Snapshots       uint64
-	SnapshotErrors  uint64
-	LiveRecords     int
-}
-
-// Log journals job transitions to a data directory. Construct with
-// OpenLog; safe for concurrent use. A nil *Log is a valid no-op journal
-// (the memory-only queue).
-type Log struct {
-	dir string
-
-	mu       sync.Mutex
-	wal      *persist.WAL
-	seq      uint64
-	state    map[string]Record
-	recovery LogRecovery
-	appends  uint64
-	appendEs uint64
-	snaps    uint64
-	snapEs   uint64
-	closed   bool
-}
-
-// OpenLog opens (creating if needed) the jobs directory and
-// reconstructs the journaled state: snapshot first, then WAL replay.
-func OpenLog(dir string) (*Log, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: creating jobs dir %s: %w", dir, err)
-	}
-	l := &Log{dir: dir, state: make(map[string]Record)}
-
-	snapPath := filepath.Join(dir, jobSnapshotFile)
-	var lastSeq uint64
-	if data, err := os.ReadFile(snapPath); err == nil {
+var logFormat = persist.Format[string, Job]{
+	WALFile:      jobWALFile,
+	SnapshotFile: jobSnapshotFile,
+	Key:          func(j Job) string { return j.ID },
+	Less:         func(a, b string) bool { return a < b },
+	EncodeEntry: func(e logEntry) ([]byte, error) {
+		if e.Value == nil {
+			return nil, fmt.Errorf("jobs: the job journal records no deletions")
+		}
+		return EncodeRecord(Record{Seq: e.Seq, Job: *e.Value})
+	},
+	DecodeEntry: func(payload []byte) (logEntry, error) {
+		rec, err := DecodeRecord(payload)
+		return logEntry{Seq: rec.Seq, Value: &rec.Job}, err
+	},
+	WriteSnapshot: func(w io.Writer, lastSeq uint64, live []logEntry) error {
+		snap := jobSnapshot{Kind: jobSnapshotKind, Version: jobSnapshotVersion, LastSeq: lastSeq,
+			Jobs: make([]Record, len(live))}
+		for i, e := range live {
+			snap.Jobs[i] = Record{Seq: e.Seq, Job: *e.Value}
+		}
+		// No indentation: an indented encoder re-formats embedded
+		// RawMessage payloads/results, and job result bytes must survive
+		// snapshot round-trips untouched.
+		return json.NewEncoder(w).Encode(snap)
+	},
+	ReadSnapshot: func(r io.Reader) (uint64, []logEntry, error) {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return 0, nil, err
+		}
 		var snap jobSnapshot
 		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("jobs: reading %s: %w", snapPath, err)
+			return 0, nil, err
 		}
 		if snap.Kind != jobSnapshotKind {
-			return nil, fmt.Errorf("jobs: %s holds %q, expected %q", snapPath, snap.Kind, jobSnapshotKind)
+			return 0, nil, fmt.Errorf("jobs: snapshot holds %q, expected %q", snap.Kind, jobSnapshotKind)
 		}
 		if snap.Version != jobSnapshotVersion {
-			return nil, fmt.Errorf("jobs: %s version %d not supported (current %d)", snapPath, snap.Version, jobSnapshotVersion)
+			return 0, nil, fmt.Errorf("jobs: snapshot version %d not supported (current %d)", snap.Version, jobSnapshotVersion)
 		}
-		lastSeq = snap.LastSeq
-		for _, rec := range snap.Jobs {
-			l.state[rec.Job.ID] = rec
+		live := make([]logEntry, len(snap.Jobs))
+		for i := range snap.Jobs {
+			live[i] = logEntry{Seq: snap.Jobs[i].Seq, Value: &snap.Jobs[i].Job}
 		}
-		l.recovery.SnapshotJobs = len(snap.Jobs)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("jobs: opening %s: %w", snapPath, err)
-	}
-	l.seq = lastSeq
-
-	wal, rep, err := persist.OpenWAL(filepath.Join(dir, jobWALFile), func(payload []byte) error {
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		l.recovery.WALRecords++
-		if rec.Seq > l.seq {
-			l.seq = rec.Seq
-		}
-		if rec.Seq <= lastSeq {
-			l.recovery.WALSkipped++
-			return nil
-		}
-		l.state[rec.Job.ID] = rec
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	l.wal = wal
-	l.recovery.TailTruncated = rep.Truncated
-	l.recovery.Jobs = len(l.state)
-	return l, nil
+		return snap.LastSeq, live, nil
+	},
 }
 
-// Recovery reports what the open reconstructed. Nil-safe.
-func (l *Log) Recovery() LogRecovery {
-	if l == nil {
-		return LogRecovery{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recovery
-}
+// Log journals job transitions to a jobs directory, keyed by job ID. A
+// queue without one is memory-only.
+type Log = persist.Journal[string, Job]
 
-// Recovered returns the journaled jobs in ID (= submission) order,
-// ready for Queue recovery.
-func (l *Log) Recovered() []Job {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	out := make([]Job, 0, len(l.state))
-	for _, rec := range l.state {
-		out = append(out, rec.Job)
-	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Append journals one job transition: the full job as it now stands.
-// Durable (written and fsynced) when it returns nil. Nil-safe no-op.
-func (l *Log) Append(j *Job) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("jobs: journal is closed")
-	}
-	rec := Record{Seq: l.seq + 1, Job: j.clone()}
-	payload, err := EncodeRecord(rec)
-	if err != nil {
-		l.appendEs++
-		return err
-	}
-	if err := l.wal.Append(payload); err != nil {
-		l.appendEs++
-		return err
-	}
-	l.seq = rec.Seq
-	l.appends++
-	l.state[rec.Job.ID] = rec
-	return nil
-}
-
-// Forget journals nothing but drops a job from the live state so the
-// next compaction stops carrying it — used when the queue evicts an old
-// terminal job from its retention window.
-func (l *Log) Forget(id string) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.state, id)
-}
-
-// Compact folds the journaled state into a fresh snapshot (written
-// atomically) and empties the WAL. Crash-safe at every step, same
-// argument as profilestore.DiskLog.Compact.
-func (l *Log) Compact() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.compactLocked()
-}
-
-func (l *Log) compactLocked() error {
-	if l.closed {
-		return fmt.Errorf("jobs: journal is closed")
-	}
-	snap := jobSnapshot{Kind: jobSnapshotKind, Version: jobSnapshotVersion, LastSeq: l.seq,
-		Jobs: make([]Record, 0, len(l.state))}
-	ids := make([]string, 0, len(l.state))
-	for id := range l.state {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		snap.Jobs = append(snap.Jobs, l.state[id])
-	}
-	// No indentation: an indented encoder re-formats embedded RawMessage
-	// payloads/results, and job result bytes must survive snapshot
-	// round-trips untouched.
-	err := persist.WriteFileAtomic(filepath.Join(l.dir, jobSnapshotFile), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(snap)
-	})
-	if err != nil {
-		l.snapEs++
-		return err
-	}
-	if err := l.wal.Reset(); err != nil {
-		l.snapEs++
-		return err
-	}
-	l.snaps++
-	return nil
-}
-
-// Stats snapshots the log's counters. Nil-safe.
-func (l *Log) Stats() LogStats {
-	if l == nil {
-		return LogStats{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LogStats{
-		Recovery:        l.recovery,
-		WALAppends:      l.appends,
-		WALAppendErrors: l.appendEs,
-		WALSizeBytes:    l.wal.Size(),
-		Snapshots:       l.snaps,
-		SnapshotErrors:  l.snapEs,
-		LiveRecords:     len(l.state),
-	}
-}
-
-// Close compacts once more (best effort — a failure leaves the WAL to
-// replay on the next boot) and releases the log. Nil-safe.
-func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	_ = l.compactLocked()
-	l.closed = true
-	return l.wal.Close()
-}
+// OpenLog opens (creating if needed) the jobs directory and
+// reconstructs the journaled jobs: snapshot first, then WAL replay.
+func OpenLog(dir string) (*Log, error) { return persist.OpenJournal(dir, logFormat) }

@@ -1,11 +1,15 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"biasmit/internal/persist"
 )
 
 func testJob(id string, st State) *Job {
@@ -26,13 +30,13 @@ func TestLogRoundTrip(t *testing.T) {
 	a := testJob("00000000000000000000000000", StateQueued)
 	b := testJob("00000000000000000000000001", StateQueued)
 	for _, j := range []*Job{a, b} {
-		if err := l.Append(j); err != nil {
+		if err := l.Put(*j); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b.State = StateDone
 	b.Result = json.RawMessage(`{"ok":true}`)
-	if err := l.Append(b); err != nil {
+	if err := l.Put(*b); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -44,7 +48,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got := l2.Recovered()
+	got := l2.Records()
 	if len(got) != 2 {
 		t.Fatalf("recovered %d jobs, want 2", len(got))
 	}
@@ -55,7 +59,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("job b = %+v", got[1])
 	}
 	// Close compacted, so the reopen came from the snapshot.
-	if rec := l2.Recovery(); rec.SnapshotJobs != 2 || rec.WALRecords != 0 {
+	if rec := l2.Stats().Recovery; rec.SnapshotRecords != 2 || rec.WALRecords != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 }
@@ -66,7 +70,7 @@ func TestLogTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testJob("00000000000000000000000000", StateQueued)); err != nil {
+	if err := l.Put(*testJob("00000000000000000000000000", StateQueued)); err != nil {
 		t.Fatal(err)
 	}
 	// Leave the WAL un-compacted and simulate a crash mid-append: a
@@ -86,11 +90,11 @@ func TestLogTornTailTolerated(t *testing.T) {
 		t.Fatalf("torn tail must not fail the open: %v", err)
 	}
 	defer l2.Close()
-	rec := l2.Recovery()
+	rec := l2.Stats().Recovery
 	if !rec.TailTruncated {
 		t.Fatalf("recovery = %+v, want TailTruncated", rec)
 	}
-	if rec.WALRecords != 1 || rec.Jobs != 1 {
+	if rec.WALRecords != 1 || rec.Records != 1 {
 		t.Fatalf("recovery = %+v, want the intact record preserved", rec)
 	}
 }
@@ -110,14 +114,14 @@ func TestLogSnapshotWatermark(t *testing.T) {
 		if i == 0 {
 			st = StateDone
 		}
-		if err := l.Append(testJob(id, st)); err != nil {
+		if err := l.Put(*testJob(id, st)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testJob("00000000000000000000000003", StateQueued)); err != nil {
+	if err := l.Put(*testJob("00000000000000000000000003", StateQueued)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash window where the snapshot exists but the WAL was
@@ -131,8 +135,8 @@ func TestLogSnapshotWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	rec := l2.Recovery()
-	if rec.SnapshotJobs != 3 || rec.WALRecords != 1 || rec.Jobs != 4 {
+	rec := l2.Stats().Recovery
+	if rec.SnapshotRecords != 3 || rec.WALRecords != 1 || rec.Records != 4 {
 		t.Fatalf("recovery = %+v, want 3 snapshot jobs + 1 WAL record = 4", rec)
 	}
 	if rec.WALSkipped != 0 {
@@ -146,10 +150,10 @@ func TestLogForgetDropsFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testJob("00000000000000000000000000", StateDone)); err != nil {
+	if err := l.Put(*testJob("00000000000000000000000000", StateDone)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(testJob("00000000000000000000000001", StateQueued)); err != nil {
+	if err := l.Put(*testJob("00000000000000000000000001", StateQueued)); err != nil {
 		t.Fatal(err)
 	}
 	l.Forget("00000000000000000000000000")
@@ -161,7 +165,7 @@ func TestLogForgetDropsFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got := l2.Recovered()
+	got := l2.Records()
 	if len(got) != 1 || got[0].ID != "00000000000000000000000001" {
 		t.Fatalf("recovered = %+v, want only the un-forgotten job", got)
 	}
@@ -201,7 +205,7 @@ func TestLogPreservesTraceID(t *testing.T) {
 	}
 	j := testJob("00000000000000000000000000", StateQueued)
 	j.Spec.TraceID = "01AAAAAAAAAAAAAAAAAAAAAAAA"
-	if err := l.Append(j); err != nil {
+	if err := l.Put(*j); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -216,8 +220,67 @@ func TestLogPreservesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got := l2.Recovered()
+	got := l2.Records()
 	if len(got) != 1 || got[0].Spec.TraceID != j.Spec.TraceID {
 		t.Fatalf("recovered %+v, want spec trace ID %q", got, j.Spec.TraceID)
+	}
+}
+
+// TestReplaysParentJobSnapshot: testdata/parent-jobs.snapshot.json is
+// byte-for-byte what the job journal wrote before it became a
+// persist.Journal (three jobs: queued, done, failed). It replays to
+// exactly those jobs, and compacting them rewrites the same bytes.
+func TestReplaysParentJobSnapshot(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-jobs.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, jobSnapshotFile), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec := l.Stats().Recovery; rec != (persist.Recovery{SnapshotRecords: 3, Records: 3}) {
+		t.Fatalf("recovery = %+v, want a 3-job snapshot", rec)
+	}
+	t0 := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	deadline := t0.Add(time.Minute)
+	want := []Job{{
+		ID:          "01K6G3C2R0000000000000000A",
+		Spec:        Spec{Type: "mitigate", Tenant: "team-a", Priority: 1, TraceID: "01K6G3C2R0000000000000000T", Payload: json.RawMessage(`{"machine":"ibmqx4","seed":1}`)},
+		State:       StateQueued,
+		SubmittedAt: t0,
+	}, {
+		ID:          "01K6G3C2R0000000000000000B",
+		Spec:        Spec{Type: "characterize", Tenant: "anon", MaxAttempts: 3, Deadline: &deadline, Payload: json.RawMessage(`{"machine":"ibmqx2"}`)},
+		State:       StateDone,
+		SubmittedAt: t0,
+		StartedAt:   t0.Add(time.Second),
+		FinishedAt:  t0.Add(2 * time.Second),
+		Attempts:    1,
+		Result:      json.RawMessage(`{"profile":{"cached":false}}`),
+	}, {
+		ID:          "01K6G3C2R0000000000000000C",
+		Spec:        Spec{Type: "mitigate", Tenant: "anon", Payload: json.RawMessage(`{"seed":3}`)},
+		State:       StateFailed,
+		SubmittedAt: t0,
+		StartedAt:   t0.Add(time.Second),
+		FinishedAt:  t0.Add(3 * time.Second),
+		Attempts:    1,
+		Requeues:    1,
+		Failure:     &Failure{Code: "upstream_transient", Message: "backend fault", Status: 503, Retryable: true, RetryAfterMS: 250},
+	}}
+	if got := l.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered\n%+v\nwant\n%+v", got, want)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, jobSnapshotFile)); err != nil || !bytes.Equal(got, fixture) {
+		t.Fatalf("compacted snapshot differs from the parent's (err %v):\n%s", err, got)
 	}
 }

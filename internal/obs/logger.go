@@ -85,8 +85,8 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv...) }
 func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv...) }
 
 // Logf is the printf bridge for components that take a plain
-// `func(format string, args ...any)` sink (the watchdog, server
-// Config.Logf). Records at info level with the formatted text as msg.
+// `func(format string, args ...any)` sink (the watchdog). Records at
+// info level with the formatted text as msg.
 func (l *Logger) Logf(format string, args ...any) {
 	l.log(LevelInfo, fmt.Sprintf(format, args...))
 }

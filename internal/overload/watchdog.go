@@ -8,11 +8,11 @@ import (
 )
 
 // Watchdog detects the failure mode breakers cannot see: work that is
-// neither dead nor making progress. Each watched unit (in biasmitd, an
-// executing async job) registers a Task and may call Beat() as it
-// progresses; a task whose heartbeat goes stale while not idle gets a
-// full goroutine dump in the log (the evidence a human needs to find
-// the deadlock) and its cancel func invoked so the stuck work is
+// neither dead nor finishing. Each watched unit (in biasmitd, an
+// executing async job) registers a Task and calls Done when it ends; a
+// task still registered longer than the stall threshold gets a full
+// goroutine dump in the log (the evidence a human needs to find the
+// deadlock) and its cancel func invoked once, so the stuck work is
 // cancelled and — for jobs — requeued.
 type Watchdog struct {
 	interval time.Duration
@@ -27,16 +27,13 @@ type Watchdog struct {
 	wg     sync.WaitGroup
 }
 
-// Task is one watched loop.
+// Task is one watched unit of work.
 type Task struct {
 	w      *Watchdog
 	name   string
 	cancel func()
-
-	mu    sync.Mutex
-	last  time.Time
-	idle  bool
-	fired bool // a stall already dumped+cancelled; don't re-fire until the next Beat
+	start  time.Time
+	fired  bool // a stall already dumped+cancelled; guarded by w.mu
 }
 
 // WatchdogStats is a snapshot for /metrics.
@@ -46,10 +43,9 @@ type WatchdogStats struct {
 }
 
 // NewWatchdog builds a watchdog that sweeps every interval and declares
-// a non-idle task stalled once its heartbeat is older than stall. logf
-// may be nil to discard; now may be nil for the wall clock. A nil
-// *Watchdog disables watching — Register and the Task methods all
-// no-op — so wiring stays optional.
+// a task stalled once it has been registered longer than stall. logf
+// may be nil to discard. A nil *Watchdog disables watching — Register
+// and Task.Done no-op — so wiring stays optional.
 func NewWatchdog(interval, stall time.Duration, logf func(string, ...any)) *Watchdog {
 	if interval <= 0 {
 		interval = time.Second
@@ -120,9 +116,9 @@ func (w *Watchdog) Stop() {
 	w.wg.Wait()
 }
 
-// Register adds a watched loop. cancel is invoked (once per stall) when
-// the task's heartbeat goes stale; it must be safe to call from the
-// sweep goroutine. The task starts live with a fresh heartbeat.
+// Register adds a watched unit of work, timed from now. cancel is
+// invoked once if the task stalls; it must be safe to call from the
+// sweep goroutine.
 func (w *Watchdog) Register(name string, cancel func()) *Task {
 	if w == nil {
 		return nil
@@ -130,7 +126,7 @@ func (w *Watchdog) Register(name string, cancel func()) *Task {
 	if cancel == nil {
 		cancel = func() {}
 	}
-	t := &Task{w: w, name: name, cancel: cancel, last: w.now()}
+	t := &Task{w: w, name: name, cancel: cancel, start: w.now()}
 	w.mu.Lock()
 	w.tasks[t] = struct{}{}
 	w.mu.Unlock()
@@ -144,30 +140,21 @@ func (w *Watchdog) Sweep() {
 		return
 	}
 	now := w.now()
+	var stalled []*Task
 	w.mu.Lock()
-	tasks := make([]*Task, 0, len(w.tasks))
 	for t := range w.tasks {
-		tasks = append(tasks, t)
+		if !t.fired && now.Sub(t.start) > w.stall {
+			t.fired = true
+			w.stalls++
+			stalled = append(stalled, t)
+		}
 	}
 	w.mu.Unlock()
 
-	for _, t := range tasks {
-		t.mu.Lock()
-		stalled := !t.idle && !t.fired && now.Sub(t.last) > w.stall
-		if stalled {
-			t.fired = true
-		}
-		name, age, cancel := t.name, now.Sub(t.last), t.cancel
-		t.mu.Unlock()
-		if !stalled {
-			continue
-		}
-		w.mu.Lock()
-		w.stalls++
-		w.mu.Unlock()
-		w.logf("watchdog: task %q stalled (no heartbeat for %s); goroutine dump follows\n%s",
-			name, age, goroutineDump())
-		cancel()
+	for _, t := range stalled {
+		w.logf("watchdog: task %q stalled (running for %s); goroutine dump follows\n%s",
+			t.name, now.Sub(t.start), goroutineDump())
+		t.cancel()
 	}
 }
 
@@ -195,31 +182,6 @@ func goroutineDump() string {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-}
-
-// Beat records liveness: the loop completed an iteration (or made
-// observable progress inside one). Clears idle and re-arms stall
-// detection after a fire.
-func (t *Task) Beat() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.last = t.w.now()
-	t.idle = false
-	t.fired = false
-	t.mu.Unlock()
-}
-
-// Idle marks the loop as intentionally blocked (waiting for work); idle
-// tasks are never declared stalled until their next Beat.
-func (t *Task) Idle() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.idle = true
-	t.mu.Unlock()
 }
 
 // Done unregisters the task.

@@ -1,39 +1,19 @@
-// DiskLog is the profile store's durability engine: a checksummed
-// write-ahead log of profile puts/deletes plus periodically compacted
-// snapshots, both built on internal/persist primitives and both
-// speaking persist.ProfileRecord — the same serialization the
-// characterize CLI writes.
+// The profile store's durability engine is a persist.Journal of profile
+// puts and deletes, speaking persist.ProfileRecord — the same
+// serialization the characterize CLI writes. This file holds only the
+// on-disk format; sequencing, replay, compaction and the counters live
+// in persist.Journal.
 //
 // Layout under the data directory:
 //
 //	snapshot.json  persist.ProfileSnapshot (atomic temp+rename writes)
-//	wal.log        length-prefixed CRC32-framed records (persist.WAL)
-//
-// Every journal entry carries a monotonic sequence number; a snapshot
-// records the sequence of the last entry it folds in. Recovery loads
-// the snapshot, then replays WAL entries with higher sequence numbers
-// in append order — entries at or below the snapshot's watermark are
-// skipped, so a crash between "snapshot renamed" and "WAL reset" is
-// harmless (the stale entries replay as no-ops). Replay tolerates a
-// torn WAL tail: a kill -9 mid-append loses at most the entry being
-// appended, never the log.
-//
-// The DiskLog keeps its own materialized map of the journaled state, so
-// compaction never has to coordinate with the store's lock: Compact
-// snapshots the map and resets the WAL under the DiskLog's own mutex,
-// strictly serialized with appends.
+//	wal.log        length-prefixed CRC32-framed walEntry records
 package profilestore
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
 
 	"biasmit/internal/persist"
 )
@@ -47,281 +27,81 @@ const (
 type walEntry struct {
 	// Op is "put" or "del".
 	Op string `json:"op"`
-	// Seq orders this entry against snapshots (see package comment).
+	// Seq orders this entry against snapshots (see persist.Journal).
 	Seq uint64 `json:"seq"`
-	// Profile is the full record for a put — full-record entries make
-	// replay idempotent (last writer wins), which is what allows the
-	// snapshot/WAL overlap window.
+	// Profile is the full record for a put.
 	Profile *persist.ProfileRecord `json:"profile,omitempty"`
 	// Key identifies the entry for a del.
 	Key *Key `json:"key,omitempty"`
 }
 
-// RecoveryInfo describes what OpenDiskLog reconstructed.
-type RecoveryInfo struct {
-	// SnapshotProfiles is how many records the snapshot held (0 when no
-	// snapshot existed).
-	SnapshotProfiles int
-	// WALRecords is how many intact WAL entries were replayed.
-	WALRecords int
-	// WALSkipped counts replayed entries already folded into the
-	// snapshot (sequence at or below its watermark).
-	WALSkipped int
-	// TailTruncated is true when the WAL ended in a torn record that was
-	// dropped — the signature of a crash mid-append.
-	TailTruncated bool
-	// Profiles is the live record count after snapshot+WAL replay.
-	Profiles int
-	// Invalid counts recovered records that failed validation and were
-	// dropped (corrupt strengths, width mismatch).
-	Invalid int
-}
+type diskEntry = persist.Entry[Key, persist.ProfileRecord]
 
-// DiskLogStats is a point-in-time snapshot of the log's counters, for
-// /metrics.
-type DiskLogStats struct {
-	Recovery        RecoveryInfo
-	WALAppends      uint64
-	WALAppendErrors uint64
-	WALSizeBytes    int64
-	Snapshots       uint64
-	SnapshotErrors  uint64
-	// LiveRecords is the journaled profile count (the durable mirror of
-	// the store's entry gauge).
-	LiveRecords int
-}
-
-// DiskLog journals profile mutations to a data directory. Construct
-// with OpenDiskLog; it implements Journal and is safe for concurrent
-// use. The zero value is not usable.
-type DiskLog struct {
-	dir string
-
-	// mu serializes appends, compaction, and state mutation; the fsync
-	// per append happens under it. Profile churn is calibration-rate
-	// (minutes), so contention is not a concern.
-	mu       sync.Mutex
-	wal      *persist.WAL
-	seq      uint64
-	state    map[Key]persist.ProfileRecord
-	recovery RecoveryInfo
-	appends  uint64
-	appendEs uint64
-	snaps    uint64
-	snapEs   uint64
-	closed   bool
-}
-
-// OpenDiskLog opens (creating if needed) the data directory and
-// reconstructs the journaled state: snapshot first, then WAL replay.
-// The returned log is ready for appends; recovered profiles are
-// available via RecoveredProfiles.
-func OpenDiskLog(dir string) (*DiskLog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("profilestore: creating data dir %s: %w", dir, err)
-	}
-	d := &DiskLog{
-		dir:   dir,
-		state: make(map[Key]persist.ProfileRecord),
-	}
-
-	snapPath := filepath.Join(dir, snapshotFile)
-	var lastSeq uint64
-	if f, err := os.Open(snapPath); err == nil {
-		snap, serr := persist.LoadSnapshot(f)
-		f.Close()
-		if serr != nil {
-			return nil, fmt.Errorf("profilestore: reading %s: %w", snapPath, serr)
+var diskFormat = persist.Format[Key, persist.ProfileRecord]{
+	WALFile:      walFile,
+	SnapshotFile: snapshotFile,
+	Key: func(rec persist.ProfileRecord) Key {
+		return Key{Machine: rec.Machine, Width: rec.Width, Method: rec.Method}
+	},
+	Less: func(a, b Key) bool { return a.String() < b.String() },
+	Valid: func(rec persist.ProfileRecord) error {
+		_, err := rec.RBMS()
+		return err
+	},
+	EncodeEntry: func(e diskEntry) ([]byte, error) {
+		if e.Value == nil {
+			return json.Marshal(walEntry{Op: "del", Seq: e.Seq, Key: &e.Key})
 		}
-		lastSeq = snap.LastSeq
-		for _, rec := range snap.Profiles {
-			d.restore(rec)
-		}
-		d.recovery.SnapshotProfiles = len(snap.Profiles)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("profilestore: opening %s: %w", snapPath, err)
-	}
-	d.seq = lastSeq
-
-	wal, rep, err := persist.OpenWAL(filepath.Join(dir, walFile), func(payload []byte) error {
+		return json.Marshal(walEntry{Op: "put", Seq: e.Seq, Profile: e.Value})
+	},
+	DecodeEntry: func(payload []byte) (diskEntry, error) {
 		var e walEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return fmt.Errorf("decoding entry: %w", err)
-		}
-		d.recovery.WALRecords++
-		if e.Seq > d.seq {
-			d.seq = e.Seq
-		}
-		if e.Seq <= lastSeq {
-			// Already folded into the snapshot (crash landed between the
-			// snapshot rename and the WAL reset).
-			d.recovery.WALSkipped++
-			return nil
+			return diskEntry{}, fmt.Errorf("decoding entry: %w", err)
 		}
 		switch {
 		case e.Op == "put" && e.Profile != nil:
-			d.restore(*e.Profile)
+			return diskEntry{Seq: e.Seq, Value: e.Profile}, nil
 		case e.Op == "del" && e.Key != nil:
-			delete(d.state, *e.Key)
-		default:
-			return fmt.Errorf("malformed entry op=%q", e.Op)
+			return diskEntry{Seq: e.Seq, Key: *e.Key}, nil
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.wal = wal
-	d.recovery.TailTruncated = rep.Truncated
-	d.recovery.Profiles = len(d.state)
-	return d, nil
+		return diskEntry{}, fmt.Errorf("malformed entry op=%q", e.Op)
+	},
+	WriteSnapshot: func(w io.Writer, lastSeq uint64, live []diskEntry) error {
+		snap := persist.ProfileSnapshot{LastSeq: lastSeq, Profiles: make([]persist.ProfileRecord, len(live))}
+		for i, e := range live {
+			snap.Profiles[i] = *e.Value
+		}
+		return persist.SaveSnapshot(w, snap)
+	},
+	ReadSnapshot: func(r io.Reader) (uint64, []diskEntry, error) {
+		snap, err := persist.LoadSnapshot(r)
+		if err != nil {
+			return 0, nil, err
+		}
+		live := make([]diskEntry, len(snap.Profiles))
+		for i := range snap.Profiles {
+			live[i].Value = &snap.Profiles[i]
+		}
+		return snap.LastSeq, live, nil
+	},
 }
 
-// restore folds one recovered record into the state map, dropping (and
-// counting) records that no longer validate.
-func (d *DiskLog) restore(rec persist.ProfileRecord) {
-	if _, err := rec.RBMS(); err != nil {
-		d.recovery.Invalid++
-		return
-	}
-	d.state[Key{Machine: rec.Machine, Width: rec.Width, Method: rec.Method}] = rec
-}
+// DiskLog journals profile mutations to a data directory.
+type DiskLog = persist.Journal[Key, persist.ProfileRecord]
 
-// Recovery reports what the open reconstructed.
-func (d *DiskLog) Recovery() RecoveryInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recovery
-}
+// OpenDiskLog opens (creating if needed) the data directory and
+// reconstructs the journaled profiles: snapshot first, then WAL replay.
+func OpenDiskLog(dir string) (*DiskLog, error) { return persist.OpenJournal(dir, diskFormat) }
 
-// RecoveredProfiles converts the recovered state into store profiles,
+// RecoveredProfiles converts d's journaled records into store profiles,
 // sorted by key — ready for Store.Load.
-func (d *DiskLog) RecoveredProfiles() []*Profile {
-	d.mu.Lock()
-	records := make([]persist.ProfileRecord, 0, len(d.state))
-	for _, rec := range d.state {
-		records = append(records, rec)
-	}
-	d.mu.Unlock()
-	out := make([]*Profile, 0, len(records))
-	for _, rec := range records {
+func RecoveredProfiles(d *DiskLog) []*Profile {
+	var out []*Profile
+	for _, rec := range d.Records() {
 		if p, err := FromRecord(rec); err == nil {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
-}
-
-// Put journals one profile record (Journal interface). The entry is on
-// disk and fsynced when Put returns nil.
-func (d *DiskLog) Put(rec persist.ProfileRecord) error {
-	key := Key{Machine: rec.Machine, Width: rec.Width, Method: rec.Method}
-	return d.append(walEntry{Op: "put", Profile: &rec}, func() { d.state[key] = rec })
-}
-
-// Delete journals one profile deletion (Journal interface).
-func (d *DiskLog) Delete(key Key) error {
-	return d.append(walEntry{Op: "del", Key: &key}, func() { delete(d.state, key) })
-}
-
-func (d *DiskLog) append(e walEntry, commit func()) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("profilestore: journal is closed")
-	}
-	e.Seq = d.seq + 1
-	payload, err := json.Marshal(e)
-	if err != nil {
-		d.appendEs++
-		return fmt.Errorf("profilestore: encoding journal entry: %w", err)
-	}
-	if err := d.wal.Append(payload); err != nil {
-		d.appendEs++
-		return err
-	}
-	d.seq = e.Seq
-	d.appends++
-	commit()
-	return nil
-}
-
-// Compact folds the journaled state into a fresh snapshot (written
-// atomically) and empties the WAL. Crash-safe at every step: until the
-// rename lands the old snapshot+WAL still reconstruct the state, and
-// after it lands the stale WAL entries are skipped by sequence number.
-func (d *DiskLog) Compact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("profilestore: journal is closed")
-	}
-	snap := persist.ProfileSnapshot{LastSeq: d.seq, Profiles: make([]persist.ProfileRecord, 0, len(d.state))}
-	keys := make([]Key, 0, len(d.state))
-	for key := range d.state {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, key := range keys {
-		snap.Profiles = append(snap.Profiles, d.state[key])
-	}
-	err := persist.WriteFileAtomic(filepath.Join(d.dir, snapshotFile), func(w io.Writer) error {
-		return persist.SaveSnapshot(w, snap)
-	})
-	if err != nil {
-		d.snapEs++
-		return err
-	}
-	if err := d.wal.Reset(); err != nil {
-		d.snapEs++
-		return err
-	}
-	d.snaps++
-	return nil
-}
-
-// CompactLoop calls Compact every interval until ctx ends, mirroring
-// Store.RefreshLoop: errors are absorbed (and counted in Stats), the
-// next tick retries.
-func (d *DiskLog) CompactLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_ = d.Compact()
-		}
-	}
-}
-
-// Stats snapshots the log's counters.
-func (d *DiskLog) Stats() DiskLogStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return DiskLogStats{
-		Recovery:        d.recovery,
-		WALAppends:      d.appends,
-		WALAppendErrors: d.appendEs,
-		WALSizeBytes:    d.wal.Size(),
-		Snapshots:       d.snaps,
-		SnapshotErrors:  d.snapEs,
-		LiveRecords:     len(d.state),
-	}
-}
-
-// Close compacts once more (best effort — a failure leaves the WAL to
-// replay on the next boot, which is exactly its job) and releases the
-// log.
-func (d *DiskLog) Close() error {
-	_ = d.Compact()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	return d.wal.Close()
 }

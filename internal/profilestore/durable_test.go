@@ -1,6 +1,7 @@
 package profilestore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -59,11 +60,11 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 	// No Close, no Compact: the process "dies" here.
 
 	d2 := openLog(t, dir)
-	rec := d2.Recovery()
-	if rec.SnapshotProfiles != 0 || rec.WALRecords != 4 || rec.TailTruncated || rec.Profiles != 2 {
+	rec := d2.Stats().Recovery
+	if rec.SnapshotRecords != 0 || rec.WALRecords != 4 || rec.TailTruncated || rec.Records != 2 {
 		t.Fatalf("recovery %+v, want 4 WAL records -> 2 profiles, no snapshot, clean tail", rec)
 	}
-	got := d2.RecoveredProfiles()
+	got := RecoveredProfiles(d2)
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d profiles, want %d", len(got), len(want))
 	}
@@ -78,7 +79,7 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 
 	// A store warm-loaded from the recovery serves without characterizing.
 	s2 := durableStore(t, d2, clock, 0, &calls)
-	if n := s2.Load(d2.RecoveredProfiles()); n != 2 {
+	if n := s2.Load(RecoveredProfiles(d2)); n != 2 {
 		t.Fatalf("Load = %d, want 2", n)
 	}
 	before := calls.Load()
@@ -115,11 +116,11 @@ func TestDiskLogCompactThenMoreWrites(t *testing.T) {
 	}
 
 	d2 := openLog(t, dir)
-	rec := d2.Recovery()
-	if rec.SnapshotProfiles != 2 || rec.WALRecords != 2 || rec.WALSkipped != 0 || rec.Profiles != 2 {
+	rec := d2.Stats().Recovery
+	if rec.SnapshotRecords != 2 || rec.WALRecords != 2 || rec.WALSkipped != 0 || rec.Records != 2 {
 		t.Fatalf("recovery %+v, want snapshot=2 + wal=2 -> profiles {qb,qc}", rec)
 	}
-	got := d2.RecoveredProfiles()
+	got := RecoveredProfiles(d2)
 	if len(got) != 2 || got[0].Key.Machine != "qb" || got[1].Key.Machine != "qc" {
 		t.Fatalf("recovered %v", got)
 	}
@@ -150,11 +151,11 @@ func TestDiskLogTornTailTolerated(t *testing.T) {
 	f.Close()
 
 	d2 := openLog(t, dir)
-	rec := d2.Recovery()
+	rec := d2.Stats().Recovery
 	if !rec.TailTruncated {
 		t.Fatalf("recovery %+v, want TailTruncated", rec)
 	}
-	if rec.Profiles != 2 || rec.WALRecords != 2 {
+	if rec.Records != 2 || rec.WALRecords != 2 {
 		t.Fatalf("recovery %+v, want both pre-tear profiles", rec)
 	}
 	// The log is healed: appends and another reopen stay clean.
@@ -162,7 +163,7 @@ func TestDiskLogTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	d3 := openLog(t, dir)
-	if rec := d3.Recovery(); rec.TailTruncated || rec.Profiles != 3 {
+	if rec := d3.Stats().Recovery; rec.TailTruncated || rec.Records != 3 {
 		t.Fatalf("post-heal recovery %+v, want 3 profiles, clean tail", rec)
 	}
 }
@@ -183,8 +184,8 @@ func TestDiskLogEmptyWALWithSnapshot(t *testing.T) {
 	}
 
 	d2 := openLog(t, dir)
-	rec := d2.Recovery()
-	if rec.SnapshotProfiles != 1 || rec.WALRecords != 0 || rec.Profiles != 1 {
+	rec := d2.Stats().Recovery
+	if rec.SnapshotRecords != 1 || rec.WALRecords != 0 || rec.Records != 1 {
 		t.Fatalf("recovery %+v, want snapshot-only single profile", rec)
 	}
 }
@@ -224,11 +225,11 @@ func TestDiskLogSnapshotNewerThanWAL(t *testing.T) {
 	}
 
 	d2 := openLog(t, dir)
-	rec := d2.Recovery()
-	if rec.WALRecords != 2 || rec.WALSkipped != 2 || rec.Profiles != 1 {
+	rec := d2.Stats().Recovery
+	if rec.WALRecords != 2 || rec.WALSkipped != 2 || rec.Records != 1 {
 		t.Fatalf("recovery %+v, want both WAL entries skipped", rec)
 	}
-	got := d2.RecoveredProfiles()
+	got := RecoveredProfiles(d2)
 	if len(got) != 1 || got[0].RBMS.Strength[0] != 9 {
 		t.Fatalf("recovered %+v, want the snapshot's strength-9 profile", got)
 	}
@@ -237,7 +238,7 @@ func TestDiskLogSnapshotNewerThanWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	d3 := openLog(t, dir)
-	if rec := d3.Recovery(); rec.Profiles != 2 || rec.WALSkipped != 2 {
+	if rec := d3.Stats().Recovery; rec.Records != 2 || rec.WALSkipped != 2 {
 		t.Fatalf("post-append recovery %+v, want 2 profiles", rec)
 	}
 }
@@ -280,7 +281,7 @@ func TestStoreLRUEvictionIsJournaled(t *testing.T) {
 
 	// Durability of the eviction: a recovered store has exactly A and C.
 	d2 := openLog(t, dir)
-	got := d2.RecoveredProfiles()
+	got := RecoveredProfiles(d2)
 	if len(got) != 2 || got[0].Key != keyA || got[1].Key != keyC {
 		t.Fatalf("recovered %v, want [qa qc]", got)
 	}
@@ -289,7 +290,7 @@ func TestStoreLRUEvictionIsJournaled(t *testing.T) {
 	s2 := New(func(ctx context.Context, k Key) (*Profile, error) {
 		return uniformProfile(k, 1), nil
 	}, Options{TTL: time.Hour, Now: clock.now, Journal: d2, MaxProfiles: 1})
-	if n := s2.Load(d2.RecoveredProfiles()); n != 2 {
+	if n := s2.Load(RecoveredProfiles(d2)); n != 2 {
 		t.Fatalf("Load = %d, want 2 before trimming", n)
 	}
 	if st := s2.StatsSnapshot(); st.Entries != 1 {
@@ -327,7 +328,7 @@ func TestStoreImportJournals(t *testing.T) {
 	}
 
 	d2 := openLog(t, dir)
-	if got := d2.RecoveredProfiles(); len(got) != 1 || got[0].Key != key {
+	if got := RecoveredProfiles(d2); len(got) != 1 || got[0].Key != key {
 		t.Fatalf("recovered %v, want the imported profile", got)
 	}
 }
@@ -346,7 +347,95 @@ func TestStoreInvalidateIsDurable(t *testing.T) {
 	s.Invalidate(key)
 
 	d2 := openLog(t, dir)
-	if got := d2.RecoveredProfiles(); len(got) != 0 {
+	if got := RecoveredProfiles(d2); len(got) != 0 {
 		t.Fatalf("recovered %v, want none after invalidate", got)
+	}
+}
+
+// The parent-format fixtures below are byte-for-byte what the profile
+// journal wrote before it became a persist.Journal: three WAL entries
+// (put A, put B, del A), and testdata/parent-snapshot.json, compacted
+// after a further put of A'.
+var (
+	parentA = persist.ProfileRecord{Machine: "ibmqx4", Layout: []int{0, 1}, Method: "brute", Width: 2,
+		Strength: []float64{1, 0.875, 0.9375, 0.75}, Shots: 256, LearnedAt: time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)}
+	parentB = persist.ProfileRecord{Machine: "ibmqx2", Layout: []int{2, 1, 0}, Method: "awct", Width: 3,
+		Strength: []float64{1, 0.5, 0.625, 0.25, 0.75, 0.375, 0.5, 0.125}, Shots: 512, LearnedAt: time.Date(2026, 10, 1, 13, 0, 0, 0, time.UTC)}
+	parentA2 = persist.ProfileRecord{Machine: "ibmqx4", Layout: []int{0, 1}, Method: "brute", Width: 2,
+		Strength: []float64{1, 0.8125, 0.9375, 0.6875}, Shots: 256, LearnedAt: time.Date(2026, 10, 1, 14, 0, 0, 0, time.UTC)}
+	parentWAL = []string{
+		`{"op":"put","seq":1,"profile":{"machine":"ibmqx4","layout":[0,1],"method":"brute","width":2,"strength":[1,0.875,0.9375,0.75],"shots":256,"learned_at":"2026-10-01T12:00:00Z"}}`,
+		`{"op":"put","seq":2,"profile":{"machine":"ibmqx2","layout":[2,1,0],"method":"awct","width":3,"strength":[1,0.5,0.625,0.25,0.75,0.375,0.5,0.125],"shots":512,"learned_at":"2026-10-01T13:00:00Z"}}`,
+		`{"op":"del","seq":3,"key":{"machine":"ibmqx4","width":2,"method":"brute"}}`,
+	}
+)
+
+// profileOf is the store profile a valid record recovers to.
+func profileOf(t *testing.T, rec persist.ProfileRecord) *Profile {
+	t.Helper()
+	p, err := FromRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestReplaysParentFormatWAL: a parent-format WAL replays to exactly
+// profile B, and journaling the same three mutations today writes the
+// same bytes, so the parent can replay them too.
+func TestReplaysParentFormatWAL(t *testing.T) {
+	dir := t.TempDir()
+	var wal []byte
+	for _, payload := range parentWAL {
+		wal = persist.AppendWALRecord(wal, []byte(payload))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := openLog(t, dir)
+	if rec := d.Stats().Recovery; rec != (persist.Recovery{WALRecords: 3, Records: 1}) {
+		t.Fatalf("recovery %+v, want 3 WAL records -> 1 profile", rec)
+	}
+	if got, want := RecoveredProfiles(d), []*Profile{profileOf(t, parentB)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+
+	fresh := t.TempDir()
+	d2 := openLog(t, fresh)
+	for _, err := range []error{d2.Put(parentA), d2.Put(parentB), d2.Delete(testKey("ibmqx4", 2))} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(filepath.Join(fresh, "wal.log")); err != nil || !bytes.Equal(got, wal) {
+		t.Fatalf("journaled WAL differs from the parent's (err %v):\n%q\nwant\n%q", err, got, wal)
+	}
+}
+
+// TestReplaysParentFormatSnapshot: a parent-written snapshot replays to
+// exactly its two profiles, and compacting them rewrites the same
+// bytes.
+func TestReplaysParentFormatSnapshot(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := openLog(t, dir)
+	if rec := d.Stats().Recovery; rec != (persist.Recovery{SnapshotRecords: 2, Records: 2}) {
+		t.Fatalf("recovery %+v, want a 2-profile snapshot", rec)
+	}
+	want := []*Profile{profileOf(t, parentB), profileOf(t, parentA2)}
+	if got := RecoveredProfiles(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "snapshot.json")); err != nil || !bytes.Equal(got, fixture) {
+		t.Fatalf("compacted snapshot differs from the parent's (err %v):\n%s", err, got)
 	}
 }

@@ -64,17 +64,6 @@ type Profile struct {
 // LearnedAt if left zero.
 type CharacterizeFunc func(ctx context.Context, key Key) (*Profile, error)
 
-// Journal records profile mutations durably. The store calls Put before
-// a profile becomes visible to readers (write-ahead) and Delete after an
-// eviction or invalidation. A Journal error never fails the serving
-// path — the in-memory store stays correct and the error is counted in
-// Stats.JournalErrors — because losing durability is strictly better
-// than losing availability for a cache that can re-learn its contents.
-type Journal interface {
-	Put(rec persist.ProfileRecord) error
-	Delete(key Key) error
-}
-
 // RecordOf converts a profile to its on-disk record form — the shared
 // serialization (persist.ProfileRecord) that the WAL, snapshots, and
 // the characterize CLI all speak.
@@ -126,9 +115,14 @@ type Options struct {
 	// past the bound evicts the least-recently-used entry. Zero means
 	// unbounded.
 	MaxProfiles int
-	// Journal, when non-nil, records every insert/refresh/eviction
-	// durably (see the Journal interface for the error contract).
-	Journal Journal
+	// Journal, when non-nil, records every profile mutation durably:
+	// the store puts a profile before it becomes visible to readers
+	// (write-ahead) and deletes it after an eviction or invalidation. A
+	// journal error never fails the serving path — the in-memory store
+	// stays correct and the error is counted in Stats.JournalErrors —
+	// because losing durability is strictly better than losing
+	// availability for a cache that can re-learn its contents.
+	Journal *DiskLog
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 }
@@ -161,7 +155,7 @@ type Store struct {
 	refreshAfter   time.Duration
 	refreshWorkers int
 	maxProfiles    int
-	journal        Journal
+	journal        *DiskLog
 	now            func() time.Time
 	flights        flight.Group[Key, *Profile]
 
@@ -308,7 +302,7 @@ func (s *Store) characterizeLocked(ctx context.Context, key Key) (*Profile, erro
 // The finished profile is journaled before settle publishes it:
 // durability before visibility, so a crash can never lose a profile a
 // caller was already told about. A journal failure is counted, not
-// fatal — see Journal.
+// fatal — see Options.Journal.
 func (s *Store) learn(key Key) func(context.Context) (*Profile, error) {
 	return func(ctx context.Context) (*Profile, error) {
 		p, err := s.characterize(ctx, key)

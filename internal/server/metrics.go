@@ -9,6 +9,7 @@ import (
 	"biasmit/internal/jobs"
 	"biasmit/internal/obs"
 	"biasmit/internal/overload"
+	"biasmit/internal/persist"
 	"biasmit/internal/profilestore"
 	"biasmit/internal/resilient"
 )
@@ -114,10 +115,10 @@ func breakerStateValue(state string) int {
 }
 
 // write renders the registry plus the profile-cache stats, the resilient
-// executor counters, the per-machine breaker snapshots, and — when the
-// store is durable — the persistence counters and recovery gauges, in
-// the Prometheus text exposition format.
-func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resilient.MetricsSnapshot, breakers []breakerInfo, persist *profilestore.DiskLogStats, jobStats jobs.Stats, jobsDurable bool) {
+// executor counters, the per-machine breaker snapshots, and the profile
+// and job journals' counters and recovery gauges (nil for a memory-only
+// store or queue), in the Prometheus text exposition format.
+func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resilient.MetricsSnapshot, breakers []breakerInfo, profiles *persist.JournalStats, jobStats jobs.Stats, jobsJournal *persist.JournalStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -176,26 +177,33 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
-	if persist == nil {
-		gauge("biasmitd_persistence_enabled", "1 when the profile store journals to disk, 0 for memory-only.", 0)
-	} else {
-		gauge("biasmitd_persistence_enabled", "1 when the profile store journals to disk, 0 for memory-only.", 1)
-		gauge("biasmitd_profiles_restored", "Profiles reconstructed from snapshot+WAL at the last boot.", int64(persist.Recovery.Profiles))
-		gauge("biasmitd_recovery_snapshot_profiles", "Profiles the boot-time snapshot held.", int64(persist.Recovery.SnapshotProfiles))
-		gauge("biasmitd_recovery_wal_records", "Intact WAL records replayed at the last boot.", int64(persist.Recovery.WALRecords))
-		gauge("biasmitd_recovery_wal_skipped", "Replayed WAL records already folded into the snapshot.", int64(persist.Recovery.WALSkipped))
-		gauge("biasmitd_recovery_invalid_records", "Recovered records dropped by validation.", int64(persist.Recovery.Invalid))
+	// journal renders the series both durable journals share, named
+	// prefix+suffix; what names the journal in the help text.
+	journal := func(prefix, what string, st *persist.JournalStats) {
+		if st == nil {
+			gauge(prefix+"persistence_enabled", "1 when the "+what+" journal is on disk, 0 for memory-only.", 0)
+			return
+		}
+		gauge(prefix+"persistence_enabled", "1 when the "+what+" journal is on disk, 0 for memory-only.", 1)
 		tail := int64(0)
-		if persist.Recovery.TailTruncated {
+		if st.Recovery.TailTruncated {
 			tail = 1
 		}
-		gauge("biasmitd_recovery_wal_tail_truncated", "1 when the last boot dropped a torn WAL tail (crash mid-append).", tail)
-		counter("biasmitd_wal_appends_total", "Journal entries committed (written and fsynced).", persist.WALAppends)
-		counter("biasmitd_wal_append_errors_total", "Journal entries that failed to commit.", persist.WALAppendErrors)
-		gauge("biasmitd_wal_size_bytes", "Committed bytes currently in the WAL.", persist.WALSizeBytes)
-		counter("biasmitd_snapshots_total", "Snapshot compactions completed.", persist.Snapshots)
-		counter("biasmitd_snapshot_errors_total", "Snapshot compactions failed.", persist.SnapshotErrors)
-		gauge("biasmitd_journal_live_records", "Profiles in the durable journal (mirror of the cache gauge).", int64(persist.LiveRecords))
+		gauge(prefix+"recovery_wal_tail_truncated", "1 when the last boot dropped a torn tail of the "+what+" WAL (crash mid-append).", tail)
+		counter(prefix+"wal_appends_total", "Entries committed (written and fsynced) to the "+what+" WAL.", st.WALAppends)
+		counter(prefix+"wal_append_errors_total", "Entries that failed to commit to the "+what+" WAL.", st.WALAppendErrors)
+		gauge(prefix+"wal_size_bytes", "Committed bytes currently in the "+what+" WAL.", st.WALSizeBytes)
+		counter(prefix+"snapshots_total", "Snapshot compactions of the "+what+" journal completed.", st.Snapshots)
+		counter(prefix+"snapshot_errors_total", "Snapshot compactions of the "+what+" journal failed.", st.SnapshotErrors)
+	}
+	journal("biasmitd_", "profile", profiles)
+	if profiles != nil {
+		gauge("biasmitd_profiles_restored", "Profiles reconstructed from snapshot+WAL at the last boot.", int64(profiles.Recovery.Records))
+		gauge("biasmitd_recovery_snapshot_profiles", "Profiles the boot-time snapshot held.", int64(profiles.Recovery.SnapshotRecords))
+		gauge("biasmitd_recovery_wal_records", "Intact WAL records replayed at the last boot.", int64(profiles.Recovery.WALRecords))
+		gauge("biasmitd_recovery_wal_skipped", "Replayed WAL records already folded into the snapshot.", int64(profiles.Recovery.WALSkipped))
+		gauge("biasmitd_recovery_invalid_records", "Recovered records dropped by validation.", int64(profiles.Recovery.Invalid))
+		gauge("biasmitd_journal_live_records", "Profiles in the durable journal (mirror of the cache gauge).", int64(profiles.LiveRecords))
 	}
 
 	// Async job queue: depth by state, lifecycle transitions, fairness
@@ -223,21 +231,7 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	counter("biasmitd_job_journal_errors_total", "Job journal appends that failed (the queue kept going).", jobStats.JournalErrors)
 	gauge("biasmitd_jobs_recovered", "Live jobs reconstructed from the journal at the last boot.", int64(jobStats.RecoveredJobs))
 	gauge("biasmitd_jobs_recovered_requeued", "Recovered jobs that were mid-run and went back to queued.", int64(jobStats.RecoveredRequeued))
-	if !jobsDurable {
-		gauge("biasmitd_jobs_persistence_enabled", "1 when the job queue journals to disk, 0 for memory-only.", 0)
-	} else {
-		gauge("biasmitd_jobs_persistence_enabled", "1 when the job queue journals to disk, 0 for memory-only.", 1)
-		counter("biasmitd_jobs_wal_appends_total", "Job journal entries committed (written and fsynced).", jobStats.Log.WALAppends)
-		counter("biasmitd_jobs_wal_append_errors_total", "Job journal entries that failed to commit.", jobStats.Log.WALAppendErrors)
-		gauge("biasmitd_jobs_wal_size_bytes", "Committed bytes currently in the job WAL.", jobStats.Log.WALSizeBytes)
-		counter("biasmitd_jobs_snapshots_total", "Job journal snapshot compactions completed.", jobStats.Log.Snapshots)
-		counter("biasmitd_jobs_snapshot_errors_total", "Job journal snapshot compactions failed.", jobStats.Log.SnapshotErrors)
-		tail := int64(0)
-		if jobStats.Log.Recovery.TailTruncated {
-			tail = 1
-		}
-		gauge("biasmitd_jobs_recovery_wal_tail_truncated", "1 when the last boot dropped a torn job-WAL tail (crash mid-append).", tail)
-	}
+	journal("biasmitd_jobs_", "job", jobsJournal)
 
 	counter("biasmitd_backend_runs_total", "Backend runs started (past the breaker).", runs.Runs)
 	counter("biasmitd_backend_attempts_total", "Dispatch passes over a run's pending slices.", runs.Attempts)

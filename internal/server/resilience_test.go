@@ -175,7 +175,7 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 func TestHealthzUnavailableWhenEveryBreakerOpen(t *testing.T) {
 	f := &faultySwitch{}
 	s, ts, _ := resilientServer(t, f, Config{BreakerThreshold: 1})
-	for _, name := range s.cfg.MachineNames {
+	for _, name := range machineNames {
 		dev, ok := device.ByName(name)
 		if !ok {
 			t.Fatalf("unknown machine %q", name)

@@ -47,6 +47,7 @@ import (
 	"biasmit/internal/obs"
 	"biasmit/internal/orchestrate"
 	"biasmit/internal/overload"
+	"biasmit/internal/persist"
 	"biasmit/internal/profilestore"
 	"biasmit/internal/qasm"
 	"biasmit/internal/rescache"
@@ -100,14 +101,6 @@ type Config struct {
 	// before its transient error surfaces (default 4; 1 disables
 	// retries).
 	RetryAttempts int
-	// RetryBaseDelay seeds the retry backoff (default 50ms; see
-	// resilient.Policy).
-	RetryBaseDelay time.Duration
-	// SliceShots is the partial-shot salvage granularity: backend runs
-	// above this many trials are split into independently seeded slices
-	// so a fault only re-runs unfinished work (default 0: no slicing,
-	// byte-compatible with the raw backend).
-	SliceShots int
 	// BreakerThreshold is how many consecutive failed runs open a
 	// machine's circuit breaker (default 5); BreakerCooldown is how long
 	// an open breaker rejects work before probing again (default 30s).
@@ -125,9 +118,6 @@ type Config struct {
 	// submissions past it are rejected with 429 quota_exceeded. Zero
 	// means unbounded.
 	JobQuota int
-	// MachineNames lists the machines /healthz reports on; defaults to
-	// the paper's three machines (device.AllMachines).
-	MachineNames []string
 	// AutoInflight replaces the static MaxJobs admission gate with the
 	// adaptive concurrency limiter (internal/overload): the in-flight
 	// ceiling tracks observed latency against the min-latency baseline,
@@ -156,12 +146,6 @@ type Config struct {
 	// once more than this many async jobs sit queued — the backpressure
 	// signal load balancers act on.
 	QueueHighWater int
-	// WatchdogInterval is how often the job watchdog sweeps (default
-	// 1s). Its stall threshold is not settable: every execution is
-	// bounded by MaxTimeout, so an async job still running at twice that
-	// ignores its context, and gets a goroutine dump logged, its context
-	// cancelled, and a requeue.
-	WatchdogInterval time.Duration
 	// ResultCache enables the content-addressed mitigation result
 	// cache (internal/rescache): responses to identical requests are
 	// replayed byte-for-byte, identical in-flight requests coalesce
@@ -170,22 +154,13 @@ type Config struct {
 	// moves. Off by default in the zero Config; cmd/biasmitd enables
 	// it unless -result-cache=false.
 	ResultCache bool
-	// ResultCacheSize bounds the result cache's entry count (LRU past
-	// it; default 1024).
-	ResultCacheSize int
 	// Logger is the server's structured logger: every completed request
 	// and job execution emits one JSON line through it, keyed by trace
 	// ID. Defaults to info-level JSON on stderr.
 	Logger *obs.Logger
-	// TraceBuffer is how many finished traces GET /debug/traces retains
-	// (default 256).
-	TraceBuffer int
 	// SlowRequest is the elapsed time past which a finished trace is
 	// retained as a slow-request exemplar on /metrics (default 500ms).
 	SlowRequest time.Duration
-	// Logf sinks watchdog and overload diagnostics (default: info lines
-	// through Logger).
-	Logf func(format string, args ...any)
 	// Now overrides the clock, for tests.
 	Now func() time.Time
 	// sleep overrides the retry backoff sleep, for tests.
@@ -194,6 +169,16 @@ type Config struct {
 	// the retrying executor are layered on.
 	wrapRun func(backend.Runner) backend.Runner
 }
+
+// machineNames lists the machines /healthz and the breaker metrics
+// always report on: the paper's three.
+var machineNames = func() []string {
+	var names []string
+	for _, dev := range device.AllMachines() {
+		names = append(names, dev.Name)
+	}
+	return names
+}()
 
 func (c Config) withDefaults() Config {
 	if c.Machines == nil {
@@ -220,22 +205,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryAttempts <= 0 {
 		c.RetryAttempts = 4
 	}
-	if c.ResultCacheSize <= 0 {
-		c.ResultCacheSize = 1024
-	}
-	if len(c.MachineNames) == 0 {
-		for _, dev := range device.AllMachines() {
-			c.MachineNames = append(c.MachineNames, dev.Name)
-		}
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NewLogger(os.Stderr, obs.LevelInfo)
-	}
-	if c.Logf == nil {
-		c.Logf = c.Logger.Logf
 	}
 	return c
 }
@@ -302,10 +276,10 @@ func New(cfg Config) *Server {
 		start:      cfg.Now(),
 		runMetrics: &resilient.Metrics{},
 		execs:      make(map[string]*machineExec),
-		traces:     obs.NewRecorder(cfg.TraceBuffer, cfg.SlowRequest),
+		traces:     obs.NewRecorder(0, cfg.SlowRequest), // keeps the last 256 traces
 	}
 	if cfg.ResultCache {
-		s.rescache = rescache.New(rescache.Options{MaxEntries: cfg.ResultCacheSize})
+		s.rescache = rescache.New(rescache.Options{}) // 1024 entries
 	}
 	if cfg.AutoInflight {
 		s.limiter = overload.NewLimiter(overload.LimiterConfig{
@@ -320,24 +294,26 @@ func New(cfg Config) *Server {
 	if cfg.Brownout {
 		s.brown = overload.NewBrownout(cfg.BrownoutDwellDown, cfg.BrownoutDwellUp, cfg.Now)
 	}
-	s.watchdog = overload.NewWatchdog(cfg.WatchdogInterval, 2*cfg.MaxTimeout, cfg.Logf)
+	// The watchdog sweeps every second. Its stall threshold is derived,
+	// not set: every execution is bounded by MaxTimeout, so an async job
+	// still running at twice that ignores its context, and gets a
+	// goroutine dump logged, its context cancelled, and a requeue.
+	s.watchdog = overload.NewWatchdog(0, 2*cfg.MaxTimeout, cfg.Logger.Logf)
 	s.watchdog.SetNow(cfg.Now)
 	s.watchdog.Start()
 	opts := profilestore.Options{
 		TTL:            cfg.ProfileTTL,
 		RefreshWorkers: 1, // one characterization at a time in the background
 		MaxProfiles:    cfg.MaxProfiles,
+		Journal:        cfg.Persist,
 		Now:            cfg.Now,
-	}
-	if cfg.Persist != nil {
-		opts.Journal = cfg.Persist
 	}
 	s.store = profilestore.New(s.characterizeKey, opts)
 	if cfg.Persist != nil {
 		// Warm restart: profiles recovered from snapshot+WAL serve
 		// immediately, with their original LearnedAt (staleness carries
 		// across the restart — an old profile on disk is still old).
-		s.store.Load(cfg.Persist.RecoveredProfiles())
+		s.store.Load(profilestore.RecoveredProfiles(cfg.Persist))
 	}
 	q, err := jobs.NewQueue(jobs.Options{
 		Log:          cfg.JobsLog,
@@ -503,10 +479,10 @@ func (s *Server) exec(dev *device.Device) *machineExec {
 	if s.cfg.wrapRun != nil {
 		run = s.cfg.wrapRun(run)
 	}
+	// Backoff starts at resilient's 50ms default, and runs are never
+	// sliced, so served counts match the raw backend's byte for byte.
 	pol := resilient.Policy{
 		MaxAttempts: s.cfg.RetryAttempts,
-		BaseDelay:   s.cfg.RetryBaseDelay,
-		SliceShots:  s.cfg.SliceShots,
 		Seed:        s.cfg.Seed,
 		Breaker:     br,
 		Machine:     dev.Name,
@@ -1309,7 +1285,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS: time.Since(s.start).Milliseconds(),
 	}
 	open := 0
-	for _, name := range s.cfg.MachineNames {
+	for _, name := range machineNames {
 		hm := HealthMachine{Machine: name, Breaker: resilient.StateClosed}
 		if br := s.breakerFor(name); br != nil {
 			hm.Breaker = br.State()
@@ -1358,13 +1334,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var persistStats *profilestore.DiskLogStats
+	var profiles, jobsJournal *persist.JournalStats
 	if s.cfg.Persist != nil {
 		st := s.cfg.Persist.Stats()
-		persistStats = &st
+		profiles = &st
 	}
-	s.reg.write(w, s.store.StatsSnapshot(), s.runMetrics.Snapshot(), s.breakerInfos(), persistStats,
-		s.jobq.Stats(), s.cfg.JobsLog != nil)
+	if s.cfg.JobsLog != nil {
+		st := s.cfg.JobsLog.Stats()
+		jobsJournal = &st
+	}
+	s.reg.write(w, s.store.StatsSnapshot(), s.runMetrics.Snapshot(), s.breakerInfos(), profiles,
+		s.jobq.Stats(), jobsJournal)
 	s.writeOverloadMetrics(w)
 	s.writeResultCacheMetrics(w)
 	s.writeTraceMetrics(w)
@@ -1434,7 +1414,7 @@ func toTraceEntry(td obs.TraceData) api.TraceEntry {
 // stable machine-name order. Machines never executed on report closed
 // with zeroed transition counters.
 func (s *Server) breakerInfos() []breakerInfo {
-	names := append([]string(nil), s.cfg.MachineNames...)
+	names := append([]string(nil), machineNames...)
 	s.execMu.Lock()
 	for name := range s.execs {
 		found := false

@@ -229,7 +229,7 @@ func BenchmarkAblationSIMModes(b *testing.B) {
 			}
 			var pst float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.SIM(job, strings, 2000, int64(i))
+				res, err := core.SIMContext(context.Background(), job, strings, 2000, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -257,7 +257,7 @@ func BenchmarkAblationAIMCanary(b *testing.B) {
 		b.Run(name("canary_pct", int(frac*100)), func(b *testing.B) {
 			var pst float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.AIM(job, rbms, core.AIMConfig{CanaryFraction: frac}, 2000, int64(i))
+				res, err := core.AIMContext(context.Background(), job, rbms, core.AIMConfig{CanaryFraction: frac}, 2000, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,7 +285,7 @@ func BenchmarkAblationAIMK(b *testing.B) {
 		b.Run(name("k", k), func(b *testing.B) {
 			var pst float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.AIM(job, rbms, core.AIMConfig{K: k}, 2000, int64(i))
+				res, err := core.AIMContext(context.Background(), job, rbms, core.AIMConfig{K: k}, 2000, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

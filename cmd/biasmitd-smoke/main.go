@@ -32,8 +32,8 @@
 //	         zero re-characterizations, byte-identical mitigation
 //	         output — before stopping the second daemon gracefully.
 //	overload admission-control round-trip. Owns the daemon (-daemon,
-//	         -data-dir as scratch): boots it with the adaptive limiter,
-//	         brownout, and a gray-slow chaos backend, storms the
+//	         -data-dir as scratch): boots it with the shedding admission
+//	         gate, brownout, and a gray-slow chaos backend, storms the
 //	         mitigate endpoint at several times capacity, and asserts
 //	         excess load sheds with typed overloaded 503s + Retry-After
 //	         within the queue timeout, AIM requests degrade to cheaper

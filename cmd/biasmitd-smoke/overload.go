@@ -54,9 +54,10 @@ func (st *stormStats) record(resp *api.MitigateResponse, err error, waited time.
 // overloadScenario is the overload-control round-trip of the CI chaos
 // job. It owns the daemon lifecycle:
 //
-//  1. boot biasmitd with the adaptive limiter, brownout, and a retry
-//     budget, plus a gray-slow chaos backend (every run succeeds
-//     slowly) so a modest client fleet saturates it;
+//  1. boot biasmitd with its admission gate in shedding mode
+//     (-max-inflight-auto: 2 slots, 50ms queue timeout), brownout, and
+//     a retry budget, plus a gray-slow chaos backend (every run
+//     succeeds slowly) so a modest client fleet saturates it;
 //  2. pre-warm the AIM profile, then storm the mitigate endpoint at
 //     several times capacity for a few seconds while async jobs are
 //     queued mid-storm. Require: excess requests shed with the typed
@@ -67,7 +68,7 @@ func (st *stormStats) record(resp *api.MitigateResponse, err error, waited time.
 //  3. stop the load and require full recovery: tier back to 0 with AIM
 //     served as AIM, /healthz ok, every mid-storm job reaching done —
 //     shed attempts retried within the job's budget, zero jobs lost;
-//  4. check the limiter/brownout counters on /metrics, then SIGTERM
+//  4. check the gate/brownout counters on /metrics, then SIGTERM
 //     and require a clean drain.
 func overloadScenario(ctx context.Context, bin, dir string) error {
 	if bin == "" || dir == "" {
@@ -107,7 +108,7 @@ func overloadScenario(ctx context.Context, bin, dir string) error {
 		return fmt.Errorf("pre-warm aim run: %w", err)
 	}
 
-	// The storm: 12 clients against ~2 slots of gray-slow capacity.
+	// The storm: 12 clients against 2 slots of gray-slow capacity.
 	st := new(stormStats)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -83,9 +83,9 @@ func main() {
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
-	autoInflight := flag.Bool("max-inflight-auto", false, "adapt the in-flight ceiling to observed latency (AIMD) and shed excess with typed 503s, instead of the static -max-jobs gate")
-	queueTimeout := flag.Duration("queue-timeout", 100*time.Millisecond, "how long an admission-queued request may wait before being shed (needs -max-inflight-auto)")
-	brownout := flag.Bool("brownout", false, "degrade AIM to SIM to baseline under sustained admission pressure instead of shedding, stepping back up when it clears")
+	shed := flag.Bool("max-inflight-auto", false, "shed requests that wait past -queue-timeout for one of the -max-jobs slots (or find 64 already waiting) with typed 503s + Retry-After, lowest priority class first, instead of queueing them until their deadline")
+	queueTimeout := flag.Duration("queue-timeout", 100*time.Millisecond, "with -max-inflight-auto, how long a request may wait for an admission slot before it is shed")
+	brownout := flag.Bool("brownout", false, "with -max-inflight-auto, degrade AIM to SIM to baseline while admissions keep being shed, stepping back up when it clears")
 	brownoutDwellDown := flag.Duration("brownout-dwell-down", 2*time.Second, "sustained pressure required before stepping a brownout tier down")
 	brownoutDwellUp := flag.Duration("brownout-dwell-up", 5*time.Second, "sustained calm required before stepping a brownout tier back up")
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry traffic allowed as a fraction of fresh admitted work (0 disables the budget)")
@@ -141,6 +141,14 @@ func main() {
 		opened("jobs", *jobsDir, jlog, err)
 	}
 
+	// The admission gate waits for a slot unless it is told to shed.
+	var gateTimeout time.Duration
+	if *shed {
+		if *queueTimeout <= 0 {
+			die(errors.New("-max-inflight-auto needs a positive -queue-timeout"))
+		}
+		gateTimeout = *queueTimeout
+	}
 	srv := server.New(server.Config{
 		Workers:           *workers,
 		MaxJobs:           *maxJobs,
@@ -159,8 +167,7 @@ func main() {
 		JobsLog:           jlog,
 		JobWorkers:        *jobWorkers,
 		JobQuota:          *tenantQuota,
-		AutoInflight:      *autoInflight,
-		QueueTimeout:      *queueTimeout,
+		QueueTimeout:      gateTimeout,
 		Brownout:          *brownout,
 		BrownoutDwellDown: *brownoutDwellDown,
 		BrownoutDwellUp:   *brownoutDwellUp,

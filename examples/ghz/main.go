@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := core.SIM4(job, shots, 2)
+	sim, err := core.SIM4Context(context.Background(), job, shots, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

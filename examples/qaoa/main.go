@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("machine's strongest 6-bit state: %v\n", rbms.StrongestState())
 
-	aim, err := core.AIM(job, rbms, core.AIMConfig{}, shots, 3)
+	aim, err := core.AIMContext(context.Background(), job, rbms, core.AIMConfig{}, shots, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

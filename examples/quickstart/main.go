@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 
 	// SIM splits the same trial budget across four inversion strings
 	// (none, all, even bits, odd bits) and merges the corrected outputs.
-	sim, err := core.SIM4(job, shots, 2)
+	sim, err := core.SIM4Context(context.Background(), job, shots, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

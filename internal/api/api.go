@@ -54,7 +54,7 @@ const (
 	// even after the server's retry budget; the request is safe to retry.
 	CodeUpstreamTransient = "upstream_transient"
 	// CodeOverloaded marks a request shed by admission control: the
-	// adaptive concurrency limiter's queue was full or timed out, or the
+	// shedding admission gate's queue was full or timed out, or the
 	// request could not finish inside its propagated deadline budget.
 	// The response carries a Retry-After header; clients must not retry
 	// sooner (HTTP 503). The request did no work and is safe to retry.

@@ -182,13 +182,6 @@ func (o Options) withDefaults(numQubits int) Options {
 	return o
 }
 
-// Run is RunContext with a background context — a convenience for
-// call sites with nothing to cancel. New code should take and pass a
-// context and call RunContext directly.
-func Run(c *circuit.Circuit, dev *device.Device, opt Options) (*dist.Counts, error) {
-	return RunContext(context.Background(), c, dev, opt)
-}
-
 // RunContext is the canonical entry point of the executor: it runs c on
 // dev and returns the histogram of measured outcomes over all device
 // qubits. The circuit must already be expressed on physical qubits: its

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,15 +34,15 @@ func noiselessDevice() *device.Device {
 func TestRunValidation(t *testing.T) {
 	dev := device.IBMQX2()
 	c3 := circuit.New(3, "small")
-	if _, err := Run(c3, dev, Options{Shots: 10}); err == nil {
+	if _, err := RunContext(context.Background(), c3, dev, Options{Shots: 10}); err == nil {
 		t.Error("register mismatch accepted")
 	}
 	c5 := circuit.New(5, "ok").H(0)
-	if _, err := Run(c5, dev, Options{Shots: 0}); err == nil {
+	if _, err := RunContext(context.Background(), c5, dev, Options{Shots: 0}); err == nil {
 		t.Error("zero shots accepted")
 	}
 	uncoupled := circuit.New(5, "bad").CX(0, 4) // 0-4 not coupled on ibmqx2
-	if _, err := Run(uncoupled, dev, Options{Shots: 10}); err == nil {
+	if _, err := RunContext(context.Background(), uncoupled, dev, Options{Shots: 10}); err == nil {
 		t.Error("uncoupled CNOT accepted")
 	}
 }
@@ -51,11 +52,11 @@ func TestRunIsDeterministic(t *testing.T) {
 	c := circuit.New(5, "ghz").H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4)
 	// ibmqx4 links: rewrite onto its coupling (1-0, 2-0, 2-1, 3-2, 3-4, 4-2).
 	c = circuit.New(5, "ghz").H(0).CX(1, 0).CX(2, 1).CX(3, 2).CX(3, 4)
-	a, err := Run(c, dev, Options{Shots: 500, Seed: 42})
+	a, err := RunContext(context.Background(), c, dev, Options{Shots: 500, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, dev, Options{Shots: 500, Seed: 42})
+	b, err := RunContext(context.Background(), c, dev, Options{Shots: 500, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestRunIsDeterministic(t *testing.T) {
 			t.Fatalf("seeded runs differ at %v: %d vs %d", o, a.Get(o), b.Get(o))
 		}
 	}
-	c2, err := Run(c, dev, Options{Shots: 500, Seed: 43})
+	c2, err := RunContext(context.Background(), c, dev, Options{Shots: 500, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRunIsDeterministic(t *testing.T) {
 func TestNoiselessRunMatchesIdeal(t *testing.T) {
 	dev := noiselessDevice()
 	c := circuit.New(5, "bell-ish").H(0).CX(0, 1).CX(1, 2)
-	counts, err := Run(c, dev, Options{Shots: 50000, Seed: 1})
+	counts, err := RunContext(context.Background(), c, dev, Options{Shots: 50000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestReadoutBiasAppearsInRun(t *testing.T) {
 	prep0 := circuit.New(5, "prep0")
 	prep1 := circuit.New(5, "prep1").PrepareBasis(bs("11111"))
 
-	c0, err := Run(prep0, dev, Options{Shots: shots, Seed: 2})
+	c0, err := RunContext(context.Background(), prep0, dev, Options{Shots: shots, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := Run(prep1, dev, Options{Shots: shots, Seed: 3})
+	c1, err := RunContext(context.Background(), prep1, dev, Options{Shots: shots, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestAblationNoReadoutError(t *testing.T) {
 	dev := device.IBMQX2()
 	c := circuit.New(5, "prep").PrepareBasis(bs("11111"))
 	shots := 20000
-	noisy, err := Run(c, dev, Options{Shots: shots, Seed: 4})
+	noisy, err := RunContext(context.Background(), c, dev, Options{Shots: shots, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Run(c, dev, Options{Shots: shots, Seed: 4, NoReadoutError: true})
+	clean, err := RunContext(context.Background(), c, dev, Options{Shots: shots, Seed: 4, NoReadoutError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestAblationNoGateNoiseNoDecay(t *testing.T) {
 	// With all noise disabled the run must match the ideal distribution.
 	dev := device.IBMQX4()
 	c := circuit.New(5, "ghz").H(0).CX(1, 0).CX(2, 1).CX(3, 2).CX(3, 4)
-	counts, err := Run(c, dev, Options{
+	counts, err := RunContext(context.Background(), c, dev, Options{
 		Shots: 30000, Seed: 5,
 		NoGateNoise: true, NoDecay: true, NoReadoutError: true,
 	})
@@ -170,7 +171,7 @@ func TestDecayBiasesGHZTowardZeros(t *testing.T) {
 	dev.Gate1Duration = 0.06
 	dev.Gate2Duration = 0.30
 	c := circuit.New(5, "ghz").H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4)
-	counts, err := Run(c, dev, Options{Shots: 30000, Seed: 6})
+	counts, err := RunContext(context.Background(), c, dev, Options{Shots: 30000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestGateNoiseDegradesDeepCircuits(t *testing.T) {
 		}
 	}
 	shots := 4000
-	noisy, err := Run(c, dev, Options{Shots: shots, Seed: 7, NoReadoutError: true, NoDecay: true})
+	noisy, err := RunContext(context.Background(), c, dev, Options{Shots: shots, Seed: 7, NoReadoutError: true, NoDecay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func TestShotsPerTrajectoryConvergence(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		c.H(q)
 	}
-	one, err := Run(c, dev, Options{Shots: 40000, Seed: 8, ShotsPerTrajectory: 1})
+	one, err := RunContext(context.Background(), c, dev, Options{Shots: 40000, Seed: 8, ShotsPerTrajectory: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(c, dev, Options{Shots: 40000, Seed: 9, ShotsPerTrajectory: 50})
+	many, err := RunContext(context.Background(), c, dev, Options{Shots: 40000, Seed: 9, ShotsPerTrajectory: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestRunAgreesWithExactReadoutModel(t *testing.T) {
 	dev := device.IBMQX4()
 	x := bs("01101")
 	c := circuit.New(5, "prep").PrepareBasis(x)
-	counts, err := Run(c, dev, Options{Shots: 60000, Seed: 10, NoGateNoise: true, NoDecay: true})
+	counts, err := RunContext(context.Background(), c, dev, Options{Shots: 60000, Seed: 10, NoGateNoise: true, NoDecay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestRunWithCorrelatedReadout(t *testing.T) {
 		{Trigger: 0, TriggerState: true, Target: 1, PExtra: 0.5},
 	}
 	c := circuit.New(5, "prep").PrepareBasis(bs("00001"))
-	counts, err := Run(c, dev, Options{Shots: 40000, Seed: 11})
+	counts, err := RunContext(context.Background(), c, dev, Options{Shots: 40000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +276,11 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 	c := circuit.New(5, "ghz").H(0).CX(1, 0).CX(2, 1).CX(3, 2).CX(3, 4)
 	// Pinned to trajectories: the exact engine ignores Workers.
 	opt := Options{Shots: 4000, Seed: 91, Workers: 4, ShotsPerTrajectory: 1}
-	a, err := Run(c, dev, opt)
+	a, err := RunContext(context.Background(), c, dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(c, dev, opt)
+	b, err := RunContext(context.Background(), c, dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +301,11 @@ func TestParallelConvergesToSequential(t *testing.T) {
 		c.H(q)
 	}
 	// Pinned to trajectories: the exact engine ignores Workers.
-	seq, err := Run(c, dev, Options{Shots: 40000, Seed: 92, ShotsPerTrajectory: 1})
+	seq, err := RunContext(context.Background(), c, dev, Options{Shots: 40000, Seed: 92, ShotsPerTrajectory: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(c, dev, Options{Shots: 40000, Seed: 92, Workers: 8, ShotsPerTrajectory: 1})
+	par, err := RunContext(context.Background(), c, dev, Options{Shots: 40000, Seed: 92, Workers: 8, ShotsPerTrajectory: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestParallelConvergesToSequential(t *testing.T) {
 func TestParallelMoreWorkersThanShots(t *testing.T) {
 	dev := device.IBMQX2()
 	c := circuit.New(5, "h").H(0)
-	counts, err := Run(c, dev, Options{Shots: 3, Seed: 93, Workers: 16})
+	counts, err := RunContext(context.Background(), c, dev, Options{Shots: 3, Seed: 93, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"context"
 	"testing"
 
 	"biasmit/internal/circuit"
@@ -61,12 +62,12 @@ func fastPathAblations() []struct {
 func runBothPaths(t *testing.T, fc fastPathCase, opt Options) (*dist.Counts, *dist.Counts) {
 	t.Helper()
 	opt.NoFastPath = true
-	naive, err := Run(fc.c, fc.dev, opt)
+	naive, err := RunContext(context.Background(), fc.c, fc.dev, opt)
 	if err != nil {
 		t.Fatalf("naive path: %v", err)
 	}
 	opt.NoFastPath = false
-	fast, err := Run(fc.c, fc.dev, opt)
+	fast, err := RunContext(context.Background(), fc.c, fc.dev, opt)
 	if err != nil {
 		t.Fatalf("fast path: %v", err)
 	}
@@ -158,12 +159,12 @@ func TestFastPathBatchBoundary(t *testing.T) {
 func TestFastPathDeterministicAcrossRuns(t *testing.T) {
 	fc := fastPathCases()[1]
 	opt := Options{Shots: 500, Seed: 5, ShotsPerTrajectory: 16}
-	first, err := Run(fc.c, fc.dev, opt)
+	first, err := RunContext(context.Background(), fc.c, fc.dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(fc.c, fc.dev, opt)
+		again, err := RunContext(context.Background(), fc.c, fc.dev, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

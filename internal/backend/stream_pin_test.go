@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -58,7 +59,7 @@ func TestTrajectoryStreamPinned(t *testing.T) {
 				// Explicit, so the run stays on trajectories.
 				opt.ShotsPerTrajectory = 1
 			}
-			counts, err := Run(fc.c, fc.dev, opt)
+			counts, err := RunContext(context.Background(), fc.c, fc.dev, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,16 +68,17 @@ type Plan struct {
 	// GraySlowRate is the probability of a gray failure: the call
 	// succeeds — nothing for a breaker to count — but only after a
 	// delay of 50–100% of GraySlow. This is the slow-drip backend that
-	// kills services the error-rate machinery cannot see; only a
-	// latency-sensing limiter reacts to it.
+	// kills services the error-rate machinery cannot see: slow runs
+	// hold their admission slots longer, so what reacts to it is a
+	// shedding admission gate's queue timeout (and deadlines).
 	GraySlowRate float64
 	// GraySlow is the maximum gray-failure delay (default 100ms when a
 	// gray-slow fault fires with a zero GraySlow).
 	GraySlow time.Duration
 	// RampStep, when positive, adds an unconditional creeping delay of
 	// min(callIndex×RampStep, RampMax) to every intercepted call: a
-	// backend whose latency degrades gradually, the ramp an adaptive
-	// limiter must back off from before anything ever "fails".
+	// backend whose latency degrades gradually, the ramp that deadlines
+	// and queue timeouts must absorb before anything ever "fails".
 	RampStep time.Duration
 	// RampMax caps the creeping ramp (default 1s when RampStep is set
 	// with a zero RampMax).

@@ -178,42 +178,7 @@ func topKByLikelihood(l map[bitstring.Bits]float64, k int) []bitstring.Bits {
 	return keys
 }
 
-// AutoAIM is the one-call form of the paper's full AIM pipeline
-// (Fig 12): it profiles the job's output register with the technique the
-// paper prescribes for its size — brute force up to 5 qubits, AWCT with
-// window 4 / overlap 2 beyond — then runs AIM with that profile. The
-// profiling budget (profileShots per basis state or per window) is spent
-// once per machine in practice; pair with internal/persist to reuse a
-// saved profile instead.
-func AutoAIM(j *Job, cfg AIMConfig, profileShots, shots int, seed int64) (*AIMResult, RBMS, error) {
-	return AutoAIMContext(context.Background(), j, cfg, profileShots, shots, seed)
-}
-
-// AutoAIMContext is AutoAIM with cancellation; profiling and both AIM
-// phases stop promptly when ctx ends.
-func AutoAIMContext(ctx context.Context, j *Job, cfg AIMConfig, profileShots, shots int, seed int64) (*AIMResult, RBMS, error) {
-	if profileShots <= 0 {
-		return nil, RBMS{}, fmt.Errorf("core: profileShots must be positive")
-	}
-	prof := j.Profiler()
-	var rbms RBMS
-	var err error
-	if j.Width() <= 5 {
-		rbms, err = prof.BruteForceContext(ctx, profileShots, deriveSeed(seed, 6000))
-	} else {
-		rbms, err = prof.AWCTContext(ctx, 4, 2, profileShots, deriveSeed(seed, 6000))
-	}
-	if err != nil {
-		return nil, RBMS{}, fmt.Errorf("core: AutoAIM profiling: %w", err)
-	}
-	res, err := AIMContext(ctx, j, rbms, cfg, shots, seed)
-	if err != nil {
-		return nil, RBMS{}, err
-	}
-	return res, rbms, nil
-}
-
-// AIM runs Adaptive Invert-and-Measure (paper §6.2, Fig 12):
+// AIMContext runs Adaptive Invert-and-Measure (paper §6.2, Fig 12):
 //
 //  1. Canary phase: CanaryFraction of the budget runs as SIM over
 //     CanaryStrings, producing a bias-averaged output estimate.
@@ -224,16 +189,11 @@ func AutoAIMContext(ctx context.Context, j *Job, cfg AIMConfig, profileShots, sh
 //     strongest state (inversion = candidate XOR strongest).
 //
 // All phases' corrected histograms merge into the final output log; the
-// total trial count equals the baseline's, as in the paper.
-func AIM(j *Job, rbms RBMS, cfg AIMConfig, shots int, seed int64) (*AIMResult, error) {
-	return AIMContext(context.Background(), j, rbms, cfg, shots, seed)
-}
-
-// AIMContext is AIM with cancellation. The canary phase runs as a
-// (possibly parallel) SIMContext; the adaptive phase's tailored modes are
-// independent jobs run on Machine.Workers goroutines, with each mode's
-// seed derived from (seed, mode index) and histograms merged in mode
-// order — bit-identical at every worker count.
+// total trial count equals the baseline's, as in the paper. The canary
+// phase runs as a (possibly parallel) SIMContext; the adaptive phase's
+// tailored modes are independent jobs run on Machine.Workers goroutines,
+// with each mode's seed derived from (seed, mode index) and histograms
+// merged in mode order — bit-identical at every worker count.
 func AIMContext(ctx context.Context, j *Job, rbms RBMS, cfg AIMConfig, shots int, seed int64) (*AIMResult, error) {
 	cfg, err := cfg.withDefaults(j.Width())
 	if err != nil {

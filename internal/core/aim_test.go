@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestAIMPreservesTrialBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rbms := exactRBMS(dev, []int{0, 1, 2, 3, 4})
-	res, err := AIM(job, rbms, AIMConfig{}, 8000, 301)
+	res, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, 8000, 301)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestAIMCandidateInversionsTargetStrongest(t *testing.T) {
 		t.Fatal(err)
 	}
 	rbms := exactRBMS(dev, []int{0, 1, 2, 3, 4})
-	res, err := AIM(job, rbms, AIMConfig{}, 8000, 302)
+	res, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, 8000, 302)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestAIMBeatsSIMOnWeakStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SIM4(job, shots, 304)
+	sim, err := SIM4Context(context.Background(), job, shots, 304)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aim, err := AIM(job, rbms, AIMConfig{}, shots, 305)
+	aim, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, shots, 305)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestAIMFlattensPSTAcrossStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aim, err := AIM(job, rbms, AIMConfig{}, 12000, int64(500+i))
+		aim, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, 12000, int64(500+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,13 +204,13 @@ func TestAIMValidation(t *testing.T) {
 	}
 	rbms3 := exactRBMS(dev, []int{0, 1, 2})
 	rbms5 := exactRBMS(dev, []int{0, 1, 2, 3, 4})
-	if _, err := AIM(job, rbms5, AIMConfig{}, 8000, 1); err == nil {
+	if _, err := AIMContext(context.Background(), job, rbms5, AIMConfig{}, 8000, 1); err == nil {
 		t.Error("RBMS width mismatch accepted")
 	}
-	if _, err := AIM(job, rbms3, AIMConfig{}, 8, 1); err == nil {
+	if _, err := AIMContext(context.Background(), job, rbms3, AIMConfig{}, 8, 1); err == nil {
 		t.Error("tiny budget accepted")
 	}
-	if _, err := AIM(job, rbms3, AIMConfig{CanaryFraction: 0.99, K: 100}, 100, 1); err == nil {
+	if _, err := AIMContext(context.Background(), job, rbms3, AIMConfig{CanaryFraction: 0.99, K: 100}, 100, 1); err == nil {
 		t.Error("K exceeding adaptive budget accepted")
 	}
 }
@@ -231,7 +232,7 @@ func TestAIMImprovesIST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aim, err := AIM(job, rbms, AIMConfig{}, shots, 307)
+	aim, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, shots, 307)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +284,11 @@ func TestAIMWeightedBeatsEqualAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shots = 32000
-	weighted, err := AIM(job, rbms, AIMConfig{}, shots, 601)
+	weighted, err := AIMContext(context.Background(), job, rbms, AIMConfig{}, shots, 601)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equal, err := AIM(job, rbms, AIMConfig{EqualAllocation: true}, shots, 602)
+	equal, err := AIMContext(context.Background(), job, rbms, AIMConfig{EqualAllocation: true}, shots, 602)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestAIMWithExpansionRescuesMisreadOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AIM(job, rbms, AIMConfig{ExpandHamming: 1}, 8000, 603)
+	res, err := AIMContext(context.Background(), job, rbms, AIMConfig{ExpandHamming: 1}, 8000, 603)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,14 @@ func TestAutoAIMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rbms, err := AutoAIM(job, AIMConfig{}, 1000, 16000, 801)
+	// The paper's full pipeline (Fig 12): brute-force profile the 5-qubit
+	// output register, then AIM with that profile.
+	ctx := context.Background()
+	rbms, err := job.Profiler().BruteForceContext(ctx, 1000, deriveSeed(801, 6000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := AIMContext(ctx, job, rbms, AIMConfig{}, 16000, 801)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +386,10 @@ func TestAutoAIMEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pstOf(res.Merged, target) <= pstOf(base, target) {
-		t.Errorf("AutoAIM %.4f not above baseline %.4f",
+		t.Errorf("AIM %.4f not above baseline %.4f",
 			pstOf(res.Merged, target), pstOf(base, target))
 	}
-	if _, _, err := AutoAIM(job, AIMConfig{}, 0, 100, 1); err == nil {
+	if _, err := job.Profiler().BruteForceContext(ctx, 0, 1); err == nil {
 		t.Error("zero profile shots accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,7 +198,7 @@ func TestSIMPreservesTrialBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SIM4(job, 10001, 104)
+	res, err := SIM4Context(context.Background(), job, 10001, 104)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSIMImprovesWeakStatePST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SIM4(job, shots, 106)
+	sim, err := SIM4Context(context.Background(), job, shots, 106)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestSIMCostsStrongStatePST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SIM4(job, shots, 108)
+	sim, err := SIM4Context(context.Background(), job, shots, 108)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +272,11 @@ func TestSIMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SIM(job, nil, 100, 1); err == nil {
+	if _, err := SIMContext(context.Background(), job, nil, 100, 1); err == nil {
 		t.Error("empty string set accepted")
 	}
 	strings, _ := StandardInversionStrings(3, 4)
-	if _, err := SIM(job, strings, 3, 1); err == nil {
+	if _, err := SIMContext(context.Background(), job, strings, 3, 1); err == nil {
 		t.Error("shots < modes accepted")
 	}
 }
@@ -298,7 +299,7 @@ func TestSIMAveragesTowardMeanBMS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := SIM(job, all, 8000, 110)
+		sim, err := SIMContext(context.Background(), job, all, 8000, 110)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestFig7WorkedExampleShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	strings2, _ := StandardInversionStrings(3, 2)
-	res, err := SIM(job, strings2, 20000, 111)
+	res, err := SIMContext(context.Background(), job, strings2, 20000, 111)
 	if err != nil {
 		t.Fatal(err)
 	}

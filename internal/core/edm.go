@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -131,7 +132,7 @@ func EDMWithSIM(c *circuit.Circuit, m *Machine, layouts [][]int, shots int, seed
 		if err != nil {
 			return nil, fmt.Errorf("core: EDM mapping %v: %w", layouts[i], err)
 		}
-		sim, err := SIM(job, strings, n, deriveSeed(seed, 4000+i))
+		sim, err := SIMContext(context.TODO(), job, strings, n, deriveSeed(seed, 4000+i))
 		if err != nil {
 			return nil, err
 		}

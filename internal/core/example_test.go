@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"biasmit/internal/backend"
@@ -42,7 +43,7 @@ func ExampleJob_RunWithInversion() {
 
 // SIM needs no knowledge of the state being measured: it splits trials
 // across four static inversion strings and merges.
-func ExampleSIM4() {
+func ExampleSIM4Context() {
 	m := readoutMachine(device.IBMQX2())
 	target := bitstring.MustParse("11111")
 	job, err := core.NewJobWithLayout(kernels.BasisPrep(target), m, []int{0, 1, 2, 3, 4})
@@ -51,7 +52,7 @@ func ExampleSIM4() {
 		return
 	}
 	baseline, _ := job.Baseline(40000, 3)
-	sim, _ := core.SIM4(job, 40000, 4)
+	sim, _ := core.SIM4Context(context.Background(), job, 40000, 4)
 
 	basePST := metrics.PST(baseline.Dist(), target)
 	simPST := metrics.PST(sim.Merged.Dist(), target)
@@ -64,7 +65,7 @@ func ExampleSIM4() {
 
 // AIM profiles the machine, shortlists outputs with canary trials, and
 // measures each candidate mapped onto the strongest state.
-func ExampleAIM() {
+func ExampleAIMContext() {
 	m := readoutMachine(device.IBMQX4())
 	target := bitstring.MustParse("11011")
 	job, err := core.NewJobWithLayout(kernels.BasisPrep(target), m, []int{0, 1, 2, 3, 4})
@@ -73,7 +74,7 @@ func ExampleAIM() {
 		return
 	}
 	rbms, _ := job.Profiler().BruteForce(2000, 5)
-	res, _ := core.AIM(job, rbms, core.AIMConfig{}, 20000, 6)
+	res, _ := core.AIMContext(context.Background(), job, rbms, core.AIMConfig{}, 20000, 6)
 
 	fmt.Printf("trial budget preserved: %v\n", res.Merged.Total() == 20000)
 	fmt.Printf("true output among candidates: %v\n", hasCandidate(res, target))

@@ -69,7 +69,7 @@ func TestSIMParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SIM4(j, shots, seed)
+		res, err := SIM4Context(context.Background(), j, shots, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +95,15 @@ func TestAIMParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, rbms, err := AutoAIM(j, AIMConfig{}, 200, shots, seed)
+		ctx := context.Background()
+		rbms, err := j.Profiler().BruteForceContext(ctx, 200, deriveSeed(seed, 6000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = rbms
+		res, err := AIMContext(ctx, j, rbms, AIMConfig{}, shots, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res
 	}
 	want := run(1)

@@ -52,19 +52,14 @@ type SIMResult struct {
 	PerMode []*dist.Counts
 }
 
-// SIM runs Static Invert-and-Measure: the trial budget is split into
-// equal groups, one per inversion string; each group is executed with its
-// string applied before measurement and XOR-corrected afterwards; the
-// corrected histograms are merged into one output log (paper Fig 7).
-func SIM(j *Job, strings []bitstring.Bits, shots int, seed int64) (*SIMResult, error) {
-	return SIMContext(context.Background(), j, strings, shots, seed)
-}
-
-// SIMContext is SIM with cancellation. The inversion groups are
-// independent jobs and run on Machine.Workers goroutines; each group's
-// seed is derived from (seed, group index) and the per-group histograms
-// merge in group order, so the result is bit-identical at every worker
-// count.
+// SIMContext runs Static Invert-and-Measure: the trial budget is split
+// into equal groups, one per inversion string; each group is executed
+// with its string applied before measurement and XOR-corrected
+// afterwards; the corrected histograms are merged into one output log
+// (paper Fig 7). The inversion groups are independent jobs and run on
+// Machine.Workers goroutines; each group's seed is derived from (seed,
+// group index) and the per-group histograms merge in group order, so
+// the result is bit-identical at every worker count.
 func SIMContext(ctx context.Context, j *Job, strings []bitstring.Bits, shots int, seed int64) (*SIMResult, error) {
 	if len(strings) == 0 {
 		return nil, fmt.Errorf("core: SIM needs at least one inversion string")
@@ -94,12 +89,7 @@ func SIMContext(ctx context.Context, j *Job, strings []bitstring.Bits, shots int
 	return res, nil
 }
 
-// SIM4 runs the paper's default four-mode SIM configuration.
-func SIM4(j *Job, shots int, seed int64) (*SIMResult, error) {
-	return SIM4Context(context.Background(), j, shots, seed)
-}
-
-// SIM4Context is SIM4 with cancellation.
+// SIM4Context runs the paper's default four-mode SIM configuration.
 func SIM4Context(ctx context.Context, j *Job, shots int, seed int64) (*SIMResult, error) {
 	strings, err := StandardInversionStrings(j.Width(), 4)
 	if err != nil {

@@ -21,10 +21,7 @@ func TestCancelRacingBatchWindowNeverOrphans(t *testing.T) {
 	const jobsPerRound = 4
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < rounds; round++ {
-		q, err := NewQueue(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := NewQueue(Options{})
 		s := NewScheduler(q, SchedulerOptions{
 			Workers: 2,
 			Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {

@@ -15,11 +15,12 @@
 //     is deterministic per seed, so the re-run is byte-identical to
 //     what the first run would have produced.
 //
-//   - Scheduler: drains the queue into an orchestrate.Pool-backed
-//     worker set with per-tenant round-robin fairness, priority classes
-//     within a tenant, per-tenant admission quotas, and a per-job
-//     watchdog. Each job runs alone in its worker slot; jobs that need
-//     the same RBMS profile share it through the profile store.
+//   - Scheduler: drains the queue into a bounded worker set with
+//     per-tenant round-robin fairness, priority classes within a
+//     tenant, per-tenant admission quotas, and a per-job watchdog. Each
+//     job runs alone in its worker slot; jobs that need the same RBMS
+//     profile share it through the profile store. A panicking executor
+//     fails its job instead of taking the worker set down.
 //
 // The queue never executes anything itself; the executor is injected
 // (ExecFunc), which keeps this package free of simulator imports and
@@ -242,7 +243,7 @@ type Queue struct {
 // never reached a terminal state, so re-executing them is the
 // exactly-once outcome. Requeues performed here are themselves
 // journaled, so a second crash replays the same decision.
-func NewQueue(opts Options) (*Queue, error) {
+func NewQueue(opts Options) *Queue {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -303,7 +304,7 @@ func NewQueue(opts Options) (*Queue, error) {
 		q.jobs[j.ID] = &j
 	}
 	q.enforceRetentionLocked()
-	return q, nil
+	return q
 }
 
 func (q *Queue) nextSeq() uint64 {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,10 +40,7 @@ func waitState(t *testing.T, q *Queue, id string, st State) Job {
 // clock), which listings and the scheduler's FIFO tie-break rely on.
 func TestIDOrderingAndValidation(t *testing.T) {
 	frozen := time.Unix(1_700_000_000, 0)
-	q, err := NewQueue(Options{Now: func() time.Time { return frozen }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{Now: func() time.Time { return frozen }})
 	prev := ""
 	for i := 0; i < 10000; i++ {
 		j, err := q.Submit(Spec{Type: "mitigate", Payload: json.RawMessage(`{}`)})
@@ -68,10 +66,7 @@ func TestIDOrderingAndValidation(t *testing.T) {
 }
 
 func TestSubmitLifecycleDone(t *testing.T) {
-	q, err := NewQueue(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{})
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 2,
 		Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
@@ -111,7 +106,7 @@ func TestSubmitLifecycleDone(t *testing.T) {
 }
 
 func TestFailureIsTerminal(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
 		Exec: func(context.Context, Job) (json.RawMessage, *Failure) {
@@ -130,8 +125,70 @@ func TestFailureIsTerminal(t *testing.T) {
 	}
 }
 
+// TestPanickingExecutorFailsOnlyItsJob: an executor panic fails that
+// job (internal, 500, not retryable, since a deterministic executor
+// would panic again) and the scheduler keeps going: every later job
+// runs to done and Drain returns. Every wait is bounded, so a wedged
+// scheduler fails the test instead of hanging it.
+func TestPanickingExecutorFailsOnlyItsJob(t *testing.T) {
+	q := NewQueue(Options{})
+	var calls atomic.Int32
+	s := NewScheduler(q, SchedulerOptions{
+		Workers: 2,
+		Exec: func(_ context.Context, j Job) (json.RawMessage, *Failure) {
+			if calls.Add(1) == 1 {
+				panic("executor bug")
+			}
+			return j.Spec.Payload, nil
+		},
+	})
+	var ids []string
+	for i := 0; i < 6; i++ {
+		j, err := q.Submit(Spec{Type: "mitigate", Payload: json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	s.Start()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for st := q.Stats(); st.Done+st.Failed < len(ids); st = q.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never settled after an executor panic: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	failed := 0
+	for _, id := range ids {
+		j, _ := q.Get(id)
+		switch {
+		case j.State == StateDone:
+		case j.State == StateFailed && j.Failure != nil && j.Failure.Code == "internal" &&
+			j.Failure.Status == 500 && !j.Failure.Retryable:
+			failed++
+		default:
+			t.Fatalf("job %s ended %s with failure %+v", id, j.State, j.Failure)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d jobs failed, want only the one whose executor panicked", failed)
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		s.Drain(context.Background())
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain never returned after an executor panic")
+	}
+}
+
 func TestCancelQueuedImmediate(t *testing.T) {
-	q, _ := NewQueue(Options{}) // no scheduler: the job stays queued
+	q := NewQueue(Options{}) // no scheduler: the job stays queued
 	j, _ := q.Submit(Spec{Type: "mitigate"})
 	got, err := q.Cancel(j.ID)
 	if err != nil {
@@ -150,7 +207,7 @@ func TestCancelQueuedImmediate(t *testing.T) {
 
 func TestCancelRunningPropagatesContext(t *testing.T) {
 	started := make(chan struct{})
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
 		Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
@@ -176,7 +233,7 @@ func TestCancelRunningPropagatesContext(t *testing.T) {
 }
 
 func TestTenantQuota(t *testing.T) {
-	q, _ := NewQueue(Options{MaxPerTenant: 2})
+	q := NewQueue(Options{MaxPerTenant: 2})
 	if _, err := q.Submit(Spec{Tenant: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +255,7 @@ func TestTenantQuota(t *testing.T) {
 }
 
 func TestPriorityClasses(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	var mu sync.Mutex
 	var order []string
 	s := NewScheduler(q, SchedulerOptions{
@@ -239,7 +296,7 @@ func TestPriorityClasses(t *testing.T) {
 // later tenant wait behind all of it — while both have work pending,
 // the slots alternate.
 func TestWeightedRoundRobinFairness(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	var mu sync.Mutex
 	var order []string
 	s := NewScheduler(q, SchedulerOptions{
@@ -279,7 +336,7 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 }
 
 func TestRetryableFailureRequeues(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	var mu sync.Mutex
 	attempts := 0
 	s := NewScheduler(q, SchedulerOptions{
@@ -308,7 +365,7 @@ func TestRetryableFailureRequeues(t *testing.T) {
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
 		Exec: func(context.Context, Job) (json.RawMessage, *Failure) {
@@ -325,7 +382,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 func TestListFilters(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	a, _ := q.Submit(Spec{Tenant: "a"})
 	b, _ := q.Submit(Spec{Tenant: "b"})
 	if _, err := q.Cancel(b.ID); err != nil {
@@ -350,7 +407,7 @@ func TestListFilters(t *testing.T) {
 }
 
 func TestTerminalRetention(t *testing.T) {
-	q, _ := NewQueue(Options{Retention: 2})
+	q := NewQueue(Options{Retention: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
 		j, _ := q.Submit(Spec{})
@@ -368,7 +425,7 @@ func TestTerminalRetention(t *testing.T) {
 }
 
 func TestPageCursorWalk(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	var want []string
 	for i := 0; i < 5; i++ {
 		j, err := q.Submit(Spec{Tenant: "a"})

@@ -3,10 +3,10 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
-	"biasmit/internal/orchestrate"
 	"biasmit/internal/overload"
 )
 
@@ -63,7 +63,6 @@ type Scheduler struct {
 
 	dispatchCtx  context.Context
 	stopDispatch context.CancelFunc
-	pool         *orchestrate.Pool
 	slots        chan struct{}  // worker backpressure: dispatch picks only when a worker is free
 	wg           sync.WaitGroup // executing jobs
 	dispatcherWG sync.WaitGroup
@@ -82,11 +81,7 @@ func NewScheduler(q *Queue, opts SchedulerOptions) *Scheduler {
 		opts:         opts,
 		dispatchCtx:  ctx,
 		stopDispatch: cancel,
-		// The pool's own context is never cancelled while jobs are in
-		// flight — drain cancels per-job contexts instead — so every
-		// started job is guaranteed to run and settle.
-		pool:  orchestrate.NewPool(context.Background(), opts.Workers),
-		slots: make(chan struct{}, opts.Workers),
+		slots:        make(chan struct{}, opts.Workers),
 	}
 }
 
@@ -112,13 +107,13 @@ func (s *Scheduler) isDraining() bool {
 }
 
 // dispatch is the scheduler loop: hold a worker slot, start the next
-// job under the fairness policy, and hand it to the pool.
+// job under the fairness policy, and run it on its own goroutine, which
+// gives the slot back when the job settles.
 func (s *Scheduler) dispatch() {
 	for {
 		// Hold a worker slot before picking: scheduling decisions (tenant
 		// turn, priority) are made against the live queue as workers free
-		// up, and jobs execute in pick order — the pool's semaphore never
-		// has to arbitrate.
+		// up, and jobs execute in pick order.
 		select {
 		case <-s.dispatchCtx.Done():
 			return
@@ -140,12 +135,11 @@ func (s *Scheduler) dispatch() {
 			continue
 		}
 		s.wg.Add(1)
-		s.pool.Go(func(context.Context) error {
+		go func() {
 			defer func() { <-s.slots }()
 			defer s.wg.Done()
 			s.run(e)
-			return nil
-		})
+		}()
 	}
 }
 
@@ -267,8 +261,24 @@ func (s *Scheduler) run(e *execution) {
 		e.cancel()
 	})
 	defer task.Done()
-	result, fail := s.opts.Exec(e.ctx, e.snap)
+	result, fail := s.exec(e)
 	s.settle(e.j, result, fail)
+}
+
+// exec runs the executor, turning a panic into an internal failure so
+// the job settles and its worker slot frees. A deterministic executor
+// would panic again, so the failure is not retryable.
+func (s *Scheduler) exec(e *execution) (result json.RawMessage, fail *Failure) {
+	defer func() {
+		if r := recover(); r != nil {
+			result, fail = nil, &Failure{
+				Code:    "internal",
+				Message: fmt.Sprintf("job executor panicked: %v", r),
+				Status:  500,
+			}
+		}
+	}()
+	return s.opts.Exec(e.ctx, e.snap)
 }
 
 // settle routes an execution outcome into the job's next state:
@@ -335,7 +345,6 @@ func (s *Scheduler) Drain(ctx context.Context) DrainResult {
 		s.q.mu.Unlock()
 		<-done
 	}
-	_ = s.pool.Wait()
 	_ = s.q.Checkpoint()
 
 	after := s.q.Stats()

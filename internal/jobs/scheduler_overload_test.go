@@ -33,10 +33,7 @@ func TestWatchdogStallRequeuesJob(t *testing.T) {
 	w.SetNow(now)
 	// No w.Start(): the test drives Sweep by hand against the fake clock.
 
-	q, err := NewQueue(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{})
 	var mu sync.Mutex
 	attempts := 0
 	wedged := make(chan struct{})
@@ -82,10 +79,7 @@ func TestWatchdogStallRequeuesJob(t *testing.T) {
 // deadline passed while it sat queued fails typed, without the executor
 // ever running.
 func TestDeadlineExpiredJobShedsBeforeStart(t *testing.T) {
-	q, err := NewQueue(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{})
 	execCalls := 0
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
@@ -114,10 +108,7 @@ func TestDeadlineExpiredJobShedsBeforeStart(t *testing.T) {
 // TestDeadlineCapsExecutionContext: a live deadline reaches the
 // executor's context so a started job cannot overrun its budget.
 func TestDeadlineCapsExecutionContext(t *testing.T) {
-	q, err := NewQueue(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{})
 	gotDeadline := make(chan time.Time, 1)
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 1,
@@ -144,10 +135,7 @@ func TestDeadlineCapsExecutionContext(t *testing.T) {
 func TestOldestQueuedAge(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	cur := base
-	q, err := NewQueue(Options{Now: func() time.Time { return cur }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{Now: func() time.Time { return cur }})
 	if _, err := q.Submit(Spec{Type: "mitigate"}); err != nil {
 		t.Fatal(err)
 	}

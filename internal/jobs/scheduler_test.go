@@ -21,10 +21,7 @@ func TestCrashRecoveryRequeuesMidRunJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := NewQueue(Options{Log: log1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1 := NewQueue(Options{Log: log1})
 	started := make(chan struct{})
 	s1 := NewScheduler(q1, SchedulerOptions{
 		Workers: 1,
@@ -46,10 +43,7 @@ func TestCrashRecoveryRequeuesMidRunJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	q2, err := NewQueue(Options{Log: log2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := NewQueue(Options{Log: log2})
 	st := q2.Stats()
 	if st.RecoveredJobs != 2 || st.RecoveredRequeued != 1 {
 		t.Fatalf("recovery stats = %+v, want 2 recovered / 1 requeued", st)
@@ -89,10 +83,7 @@ func TestCrashRecoveryHonoursPendingCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := NewQueue(Options{Log: log1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1 := NewQueue(Options{Log: log1})
 	started := make(chan struct{})
 	s1 := NewScheduler(q1, SchedulerOptions{
 		Workers: 1,
@@ -114,10 +105,7 @@ func TestCrashRecoveryHonoursPendingCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	q2, err := NewQueue(Options{Log: log2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := NewQueue(Options{Log: log2})
 	got, ok := q2.Get(j.ID)
 	if !ok || got.State != StateCancelled {
 		t.Fatalf("job after recovery = %+v, want cancelled", got)
@@ -141,10 +129,7 @@ func TestDrainDeadlineCheckpointsAndRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := NewQueue(Options{Log: log1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1 := NewQueue(Options{Log: log1})
 	fixed := time.Unix(1700000000, 0).UTC()
 	started := make(chan struct{}, 2)
 	s1 := NewScheduler(q1, SchedulerOptions{
@@ -200,10 +185,7 @@ func TestDrainDeadlineCheckpointsAndRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	q2, err := NewQueue(Options{Log: log2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := NewQueue(Options{Log: log2})
 	if st := q2.Stats(); st.RecoveredJobs != 3 || st.RecoveredRequeued != 0 {
 		t.Fatalf("recovery stats = %+v, want 3 recovered / 0 requeued (drain journaled them queued)", st)
 	}
@@ -225,7 +207,7 @@ func TestDrainDeadlineCheckpointsAndRequeues(t *testing.T) {
 // TestDrainGracefulFinish: with no deadline pressure, running jobs
 // finish normally and nothing is requeued.
 func TestDrainGracefulFinish(t *testing.T) {
-	q, _ := NewQueue(Options{})
+	q := NewQueue(Options{})
 	started := make(chan struct{}, 2)
 	s := NewScheduler(q, SchedulerOptions{
 		Workers: 2,
@@ -275,10 +257,7 @@ func TestReplaysBatchEraJournal(t *testing.T) {
 		t.Fatalf("replaying a batch-era journal: %v", err)
 	}
 	defer log.Close()
-	q, err := NewQueue(Options{Log: log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewQueue(Options{Log: log})
 	if st := q.Stats(); st.RecoveredJobs != 1 || st.Queued != 1 || st.Done != 1 {
 		t.Fatalf("recovery stats = %+v, want the queued job live and the done one as history", st)
 	}

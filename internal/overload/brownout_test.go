@@ -1,9 +1,33 @@
 package overload
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
+
+// fakeClock is a manually advanced clock shared by the brownout and
+// watchdog tests.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
 
 func TestBrownoutStepsDownUnderSustainedPressure(t *testing.T) {
 	clock := newFakeClock()

@@ -3,112 +3,51 @@ package overload
 import (
 	"container/list"
 	"context"
-	"math"
 	"sync"
 	"time"
 )
 
-// LimiterConfig tunes the adaptive concurrency limiter. Zero fields take
-// the documented defaults.
+// LimiterConfig tunes the admission gate. Zero fields take the
+// documented defaults.
 type LimiterConfig struct {
-	// Initial is the starting concurrency limit (default 4).
-	Initial float64
-	// Min is the floor the limit never shrinks below (default 1).
-	Min float64
-	// Max is the ceiling the limit never grows above (default 256).
-	Max float64
-	// Tolerance is how much the windowed average latency may exceed the
-	// min-latency baseline before the limiter backs off (default 2.0:
-	// back off once requests take twice as long as the uncongested
-	// baseline — the queueing-delay signal).
-	Tolerance float64
-	// Backoff is the multiplicative-decrease factor applied to the
-	// limit when the window is over tolerance (default 0.9).
-	Backoff float64
-	// Window is the number of completed requests per adjustment window
-	// (default 16).
-	Window int
-	// QueueTimeout is the CoDel-style sojourn bound: a request queued
-	// longer than this is shed with a typed 503 instead of serving
-	// stale work (default 100ms).
+	// Limit is how many admitted requests may hold a slot at once
+	// (default 1).
+	Limit int
+	// QueueTimeout, when positive, is the CoDel-style sojourn bound: a
+	// request queued longer than this is shed with a typed 503 instead
+	// of serving stale work. Zero waits for a slot until the caller's
+	// context ends.
 	QueueTimeout time.Duration
-	// MaxQueue bounds the number of waiting requests across all
-	// classes; arrivals beyond it are shed immediately, evicting a
-	// lower-class waiter first when the arrival outranks one
-	// (default 64).
+	// MaxQueue, when positive, bounds the number of waiting requests
+	// across all classes; arrivals beyond it are shed immediately,
+	// evicting a lower-class waiter first when the arrival outranks one.
+	// Zero leaves the queue unbounded.
 	MaxQueue int
-	// RetryAfter is the backoff hint stamped on shed responses
-	// (default 1s).
-	RetryAfter time.Duration
 
-	// Now is the injectable clock (default time.Now).
-	Now func() time.Time
 	// After is the injectable timer used for queue timeouts
 	// (default time.After).
 	After func(time.Duration) <-chan time.Time
 }
 
 func (c *LimiterConfig) defaults() {
-	if c.Initial <= 0 {
-		c.Initial = 4
-	}
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Max <= 0 {
-		c.Max = 256
-	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2.0
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.9
-	}
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 100 * time.Millisecond
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.Limit <= 0 {
+		c.Limit = 1
 	}
 	if c.After == nil {
-		c.After = func(d time.Duration) <-chan time.Time { return time.After(d) }
+		c.After = time.After
 	}
-	c.Initial = math.Min(math.Max(c.Initial, c.Min), c.Max)
 }
 
-// Limiter is an adaptive concurrency limiter: additive-increase /
-// multiplicative-decrease on the observed latency of completed requests
-// against a windowed min-latency baseline. While the average latency of
-// the last Window completions stays within Tolerance× the baseline the
-// limit grows by one per window; when it exceeds tolerance — the
-// signature of queueing delay, including gray-slow backends that fail
-// nothing but serve everything slowly — the limit shrinks
-// multiplicatively. Requests over the limit wait in per-class FIFO
-// queues bounded by a CoDel-style sojourn timeout, and the queues drain
-// highest class first so that under pressure jobs are shed before
-// interactive mitigation, which is shed before characterization.
+// Limiter is a fixed-limit priority admission gate. At most Limit
+// requests hold a slot; the rest wait in per-class FIFO queues, and a
+// freed slot goes to the oldest waiter of the highest class. With a
+// QueueTimeout or a MaxQueue the gate also sheds, lowest class first.
 type Limiter struct {
 	cfg LimiterConfig
 
 	mu       sync.Mutex
 	inflight int
-	limit    float64
 	queues   [numClasses]*list.List // of *waiter, FIFO within a class
-
-	// Adjustment window.
-	winCount int
-	winSum   time.Duration
-	winMin   time.Duration
-	baseline time.Duration // smallest window-min seen, slowly inflated
 
 	stats LimiterStats
 }
@@ -121,23 +60,18 @@ type waiter struct {
 
 // LimiterStats is a snapshot of limiter counters for /metrics.
 type LimiterStats struct {
-	Limit      float64
-	Inflight   int
-	Queued     int
-	BaselineMS float64
-	Admitted   [numClasses]uint64
-	Shed       [numClasses]uint64 // queue_full + eviction sheds
-	Timeouts   [numClasses]uint64 // queue_timeout sheds
-	Evictions  uint64             // lower-class waiters displaced
-	AdjustUp   uint64
-	AdjustDown uint64
+	Inflight  int
+	Queued    int
+	Admitted  [numClasses]uint64
+	Shed      [numClasses]uint64 // queue_full + eviction sheds
+	Timeouts  [numClasses]uint64 // queue_timeout sheds
+	Evictions uint64             // lower-class waiters displaced
 }
 
-// NewLimiter returns a started limiter; a nil receiver disables
-// admission control (every Acquire admits immediately).
+// NewLimiter returns a ready gate.
 func NewLimiter(cfg LimiterConfig) *Limiter {
 	cfg.defaults()
-	l := &Limiter{cfg: cfg, limit: cfg.Initial}
+	l := &Limiter{cfg: cfg}
 	for i := range l.queues {
 		l.queues[i] = list.New()
 	}
@@ -146,41 +80,39 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 
 // Acquire admits the request, blocks it in the class queue, or sheds it.
 // On admission it returns a release func that MUST be called exactly
-// once when the request finishes; the release records the request's
-// latency sample and hands the slot to the highest-priority waiter.
-// A nil limiter admits everything with a no-op release.
+// once when the request finishes; the release hands the slot to the
+// highest-priority waiter.
 func (l *Limiter) Acquire(ctx context.Context, class Class) (func(), error) {
-	if l == nil {
-		return func() {}, nil
-	}
 	if class < 0 || class >= numClasses {
 		class = ClassMitigate
 	}
 	l.mu.Lock()
-	if float64(l.inflight) < l.limitLocked() {
+	if l.inflight < l.cfg.Limit {
 		l.inflight++
 		l.stats.Admitted[class]++
-		start := l.cfg.Now()
 		l.mu.Unlock()
-		return l.releaseFunc(start), nil
+		return l.releaseFunc(), nil
 	}
 	// Over the limit: queue, evicting a lower-class waiter if full.
-	if l.queuedLocked() >= l.cfg.MaxQueue {
+	if l.cfg.MaxQueue > 0 && l.queuedLocked() >= l.cfg.MaxQueue {
 		if !l.evictLowerLocked(class) {
 			l.stats.Shed[class]++
 			l.mu.Unlock()
-			return nil, &Error{Reason: "queue_full", Class: class, RetryAfter: l.cfg.RetryAfter}
+			return nil, shed("queue_full", class)
 		}
 	}
 	w := &waiter{class: class, ch: make(chan func(), 1)}
 	w.elem = l.queues[class].PushBack(w)
-	timeoutC := l.cfg.After(l.cfg.QueueTimeout)
+	var timeoutC <-chan time.Time // nil: wait until ctx ends
+	if l.cfg.QueueTimeout > 0 {
+		timeoutC = l.cfg.After(l.cfg.QueueTimeout)
+	}
 	l.mu.Unlock()
 
 	select {
 	case release := <-w.ch:
 		if release == nil { // evicted by a higher-class arrival
-			return nil, &Error{Reason: "queue_full", Class: class, RetryAfter: l.cfg.RetryAfter}
+			return nil, shed("queue_full", class)
 		}
 		return release, nil
 	case <-timeoutC:
@@ -190,14 +122,14 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) (func(), error) {
 			w.elem = nil
 			l.stats.Timeouts[class]++
 			l.mu.Unlock()
-			return nil, &Error{Reason: "queue_timeout", Class: class, RetryAfter: l.cfg.RetryAfter}
+			return nil, shed("queue_timeout", class)
 		}
 		l.mu.Unlock()
 		// Admission raced the timeout: the release func is already in
 		// the buffered channel; honor the admission.
 		release := <-w.ch
 		if release == nil {
-			return nil, &Error{Reason: "queue_full", Class: class, RetryAfter: l.cfg.RetryAfter}
+			return nil, shed("queue_full", class)
 		}
 		return release, nil
 	case <-ctx.Done():
@@ -218,30 +150,30 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) (func(), error) {
 	}
 }
 
+// shed is the typed refusal of a request the gate will not admit, with
+// a one-second Retry-After hint.
+func shed(reason string, class Class) *Error {
+	return &Error{Reason: reason, Class: class, RetryAfter: time.Second}
+}
+
 // releaseFunc returns the once-only release closure for an admitted
-// request started at the given instant.
-func (l *Limiter) releaseFunc(start time.Time) func() {
+// request.
+func (l *Limiter) releaseFunc() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			elapsed := l.cfg.Now().Sub(start)
 			l.mu.Lock()
 			l.inflight--
-			l.recordLocked(elapsed)
 			l.admitWaitersLocked()
 			l.mu.Unlock()
 		})
 	}
 }
 
-func (l *Limiter) limitLocked() float64 { return l.limit }
-
 func (l *Limiter) queuedLocked() int {
 	n := 0
 	for _, q := range l.queues {
-		if q != nil {
-			n += q.Len()
-		}
+		n += q.Len()
 	}
 	return n
 }
@@ -253,7 +185,7 @@ func (l *Limiter) queuedLocked() int {
 func (l *Limiter) evictLowerLocked(arriving Class) bool {
 	for c := Class(0); c < arriving; c++ {
 		q := l.queues[c]
-		if q == nil || q.Len() == 0 {
+		if q.Len() == 0 {
 			continue
 		}
 		w := q.Remove(q.Back()).(*waiter)
@@ -269,11 +201,10 @@ func (l *Limiter) evictLowerLocked(arriving Class) bool {
 // admitWaitersLocked hands freed slots to waiters, highest class first,
 // FIFO within a class.
 func (l *Limiter) admitWaitersLocked() {
-	for float64(l.inflight) < l.limitLocked() {
+	for l.inflight < l.cfg.Limit {
 		var w *waiter
 		for c := numClasses - 1; c >= 0; c-- {
-			q := l.queues[c]
-			if q != nil && q.Len() > 0 {
+			if q := l.queues[c]; q.Len() > 0 {
 				w = q.Remove(q.Front()).(*waiter)
 				break
 			}
@@ -284,56 +215,16 @@ func (l *Limiter) admitWaitersLocked() {
 		w.elem = nil
 		l.inflight++
 		l.stats.Admitted[w.class]++
-		w.ch <- l.releaseFunc(l.cfg.Now())
+		w.ch <- l.releaseFunc()
 	}
 }
 
-// recordLocked folds one completed-request latency into the adjustment
-// window and, at window boundaries, runs the AIMD step.
-func (l *Limiter) recordLocked(elapsed time.Duration) {
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	l.winCount++
-	l.winSum += elapsed
-	if l.winMin == 0 || elapsed < l.winMin {
-		l.winMin = elapsed
-	}
-	if l.winCount < l.cfg.Window {
-		return
-	}
-	avg := l.winSum / time.Duration(l.winCount)
-	if l.baseline == 0 || l.winMin < l.baseline {
-		l.baseline = l.winMin
-	} else {
-		// Slow upward drift so the baseline tracks genuine regime
-		// changes (a new benchmark mix) instead of pinning forever to
-		// one lucky fast request.
-		l.baseline += l.baseline / 64
-	}
-	if l.baseline > 0 && float64(avg) > l.cfg.Tolerance*float64(l.baseline) {
-		l.limit = math.Max(l.cfg.Min, l.limit*l.cfg.Backoff)
-		l.stats.AdjustDown++
-	} else {
-		l.limit = math.Min(l.cfg.Max, l.limit+1)
-		l.stats.AdjustUp++
-	}
-	l.winCount = 0
-	l.winSum = 0
-	l.winMin = 0
-}
-
-// Stats snapshots the limiter counters. Safe on a nil limiter.
+// Stats snapshots the limiter counters.
 func (l *Limiter) Stats() LimiterStats {
-	if l == nil {
-		return LimiterStats{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
-	s.Limit = l.limit
 	s.Inflight = l.inflight
 	s.Queued = l.queuedLocked()
-	s.BaselineMS = float64(l.baseline) / float64(time.Millisecond)
 	return s
 }

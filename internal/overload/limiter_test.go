@@ -8,34 +8,8 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced clock shared by the limiter tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// neverFire is an After that never delivers, for tests that must not hit
-// the queue timeout.
-func neverFire(time.Duration) <-chan time.Time { return make(chan time.Time) }
-
 func TestLimiterAdmitsUnderLimit(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, After: neverFire})
+	l := NewLimiter(LimiterConfig{Limit: 2})
 	ctx := context.Background()
 	r1, err := l.Acquire(ctx, ClassMitigate)
 	if err != nil {
@@ -56,23 +30,13 @@ func TestLimiterAdmitsUnderLimit(t *testing.T) {
 	}
 }
 
-func TestLimiterNilAdmitsEverything(t *testing.T) {
-	var l *Limiter
-	release, err := l.Acquire(context.Background(), ClassJobs)
-	if err != nil {
-		t.Fatalf("nil limiter acquire: %v", err)
-	}
-	release()
-	if s := l.Stats(); s.Inflight != 0 {
-		t.Fatalf("nil limiter stats = %+v", s)
-	}
-}
-
 func TestLimiterQueueTimeoutSheds(t *testing.T) {
 	fire := make(chan time.Time)
 	l := NewLimiter(LimiterConfig{
-		Initial: 1,
-		After:   func(time.Duration) <-chan time.Time { return fire },
+		Limit:        1,
+		QueueTimeout: 100 * time.Millisecond,
+		MaxQueue:     64,
+		After:        func(time.Duration) <-chan time.Time { return fire },
 	})
 	hold, err := l.Acquire(context.Background(), ClassMitigate)
 	if err != nil {
@@ -102,7 +66,7 @@ func TestLimiterQueueTimeoutSheds(t *testing.T) {
 }
 
 func TestLimiterAdmitsHighestClassFirst(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, After: neverFire})
+	l := NewLimiter(LimiterConfig{Limit: 1})
 	hold, err := l.Acquire(context.Background(), ClassMitigate)
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
@@ -136,7 +100,7 @@ func TestLimiterAdmitsHighestClassFirst(t *testing.T) {
 }
 
 func TestLimiterEvictsLowerClassWhenFull(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1, After: neverFire})
+	l := NewLimiter(LimiterConfig{Limit: 1, MaxQueue: 1})
 	hold, err := l.Acquire(context.Background(), ClassMitigate)
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
@@ -176,7 +140,7 @@ func TestLimiterEvictsLowerClassWhenFull(t *testing.T) {
 }
 
 func TestLimiterShedsSameClassWhenFull(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, MaxQueue: 1, After: neverFire})
+	l := NewLimiter(LimiterConfig{Limit: 1, MaxQueue: 1})
 	hold, err := l.Acquire(context.Background(), ClassJobs)
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
@@ -204,7 +168,7 @@ func TestLimiterShedsSameClassWhenFull(t *testing.T) {
 }
 
 func TestLimiterContextCancelWhileQueued(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 1, After: neverFire})
+	l := NewLimiter(LimiterConfig{Limit: 1})
 	hold, err := l.Acquire(context.Background(), ClassMitigate)
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
@@ -227,81 +191,8 @@ func TestLimiterContextCancelWhileQueued(t *testing.T) {
 	}
 }
 
-func TestLimiterAIMD(t *testing.T) {
-	clock := newFakeClock()
-	l := NewLimiter(LimiterConfig{
-		Initial: 2, Min: 1, Max: 8, Window: 4, Tolerance: 2,
-		Now: clock.Now, After: neverFire,
-	})
-	run := func(latency time.Duration) {
-		release, err := l.Acquire(context.Background(), ClassMitigate)
-		if err != nil {
-			t.Fatalf("acquire: %v", err)
-		}
-		clock.Advance(latency)
-		release()
-	}
-
-	// One healthy window: avg == baseline, additive increase.
-	for i := 0; i < 4; i++ {
-		run(time.Millisecond)
-	}
-	if got := l.Stats().Limit; got != 3 {
-		t.Fatalf("limit after healthy window = %v, want 3", got)
-	}
-
-	// One congested window: avg 10ms over a ~1ms baseline, back off.
-	for i := 0; i < 4; i++ {
-		run(10 * time.Millisecond)
-	}
-	s := l.Stats()
-	if s.Limit >= 3 {
-		t.Fatalf("limit after congested window = %v, want multiplicative decrease below 3", s.Limit)
-	}
-	if s.AdjustUp != 1 || s.AdjustDown != 1 {
-		t.Fatalf("adjustments = up %d down %d, want 1 and 1", s.AdjustUp, s.AdjustDown)
-	}
-
-	// Recovery: healthy windows grow the limit back (min-latency
-	// baseline is sticky, so fast requests read as healthy again).
-	for i := 0; i < 8; i++ {
-		run(time.Millisecond)
-	}
-	if got := l.Stats().Limit; got <= s.Limit {
-		t.Fatalf("limit after recovery = %v, want growth above %v", got, s.Limit)
-	}
-}
-
-func TestLimiterLimitRespectsFloorAndCeiling(t *testing.T) {
-	clock := newFakeClock()
-	l := NewLimiter(LimiterConfig{
-		Initial: 2, Min: 1, Max: 3, Window: 2, Tolerance: 2,
-		Now: clock.Now, After: neverFire,
-	})
-	run := func(latency time.Duration) {
-		release, err := l.Acquire(context.Background(), ClassMitigate)
-		if err != nil {
-			t.Fatalf("acquire: %v", err)
-		}
-		clock.Advance(latency)
-		release()
-	}
-	for i := 0; i < 20; i++ {
-		run(time.Millisecond)
-	}
-	if got := l.Stats().Limit; got != 3 {
-		t.Fatalf("limit = %v, want pinned at Max 3", got)
-	}
-	for i := 0; i < 40; i++ {
-		run(50 * time.Millisecond)
-	}
-	if got := l.Stats().Limit; got < 1 {
-		t.Fatalf("limit = %v, want >= Min 1", got)
-	}
-}
-
 func TestLimiterConcurrentStress(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Max: 8, Window: 8, QueueTimeout: 50 * time.Millisecond})
+	l := NewLimiter(LimiterConfig{Limit: 4, QueueTimeout: 50 * time.Millisecond, MaxQueue: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

@@ -1,14 +1,16 @@
 // Package overload is the admission-control and self-healing layer for
-// biasmitd: an adaptive concurrency limiter (AIMD on observed latency
-// against a min-latency baseline), a CoDel-style queue-timeout admission
-// gate with priority-aware shedding, a token-bucket retry budget shared
-// by server and client, deadline propagation over the wire, a brownout
-// controller that steps mitigation quality down under sustained
-// pressure, and a watchdog that detects stalled worker loops.
+// biasmitd: a fixed-limit priority admission gate (per-class FIFO
+// queues admitted highest class first, with an optional CoDel-style
+// queue timeout and a bounded queue that shed lowest class first), a
+// token-bucket retry budget for the server's backend re-runs, deadline
+// propagation over the wire, a brownout controller that steps
+// mitigation quality down under sustained shedding, and a watchdog that
+// detects stalled job executions.
 //
 // The package depends only on the standard library so that server, jobs,
 // client, and resilient can all import it without cycles. Every
-// component takes an injectable clock and is safe for concurrent use.
+// component is safe for concurrent use; the time-driven ones (gate
+// timeouts, brownout, watchdog) take an injectable clock or timer.
 package overload
 
 import (
@@ -17,8 +19,9 @@ import (
 	"time"
 )
 
-// Class is the admission priority of a request. Shedding order is the
-// inverse of the numeric order: ClassJobs is shed first (async work can
+// Class is the admission priority of a request. Freed slots go to the
+// highest class first, and shedding order is the inverse of the numeric
+// order: ClassJobs is shed first (async work can
 // wait in the durable queue), ClassCharacterize is shed last
 // (characterization runs are the expensive investment that every later
 // mitigation amortizes, so dropping one wastes the most).

@@ -1,8 +1,10 @@
 // Package persist serializes the artifacts a long-running mitigation
-// workflow wants to keep between sessions: device calibrations, learned
-// RBMS profiles, and confusion-matrix calibrations. Everything is
-// versioned JSON inside a small typed envelope, so a file's kind is
-// checked before decoding and future format changes stay detectable.
+// workflow wants to keep between sessions: learned RBMS profiles and
+// the profile store's snapshots. Everything is versioned JSON inside a
+// small typed envelope, so a file's kind is checked before decoding and
+// future format changes stay detectable. It also holds the durable
+// journal (WAL plus snapshot) that the profile store and the job queue
+// share.
 //
 // AIM's machine profile is explicitly designed to be reusable — the
 // paper validates that the bias ordering is stable across calibration
@@ -17,8 +19,6 @@ import (
 	"time"
 
 	"biasmit/internal/core"
-	"biasmit/internal/correct"
-	"biasmit/internal/device"
 )
 
 // Envelope wraps every persisted artifact with its kind and version.
@@ -30,9 +30,7 @@ type Envelope struct {
 
 // Artifact kinds.
 const (
-	KindDevice   = "biasmit/device"
 	KindRBMS     = "biasmit/rbms"
-	KindTensored = "biasmit/tensored-calibration"
 	KindSnapshot = "biasmit/profile-snapshot"
 )
 
@@ -66,26 +64,6 @@ func load(r io.Reader, kind string, payload interface{}) error {
 		return fmt.Errorf("persist: decoding %s payload: %w", kind, err)
 	}
 	return nil
-}
-
-// SaveDevice writes a device model (all calibration data included).
-func SaveDevice(w io.Writer, d *device.Device) error {
-	if err := d.Validate(); err != nil {
-		return fmt.Errorf("persist: refusing to save invalid device: %w", err)
-	}
-	return save(w, KindDevice, d)
-}
-
-// LoadDevice reads and validates a device model.
-func LoadDevice(r io.Reader) (*device.Device, error) {
-	var d device.Device
-	if err := load(r, KindDevice, &d); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: loaded device is invalid: %w", err)
-	}
-	return &d, nil
 }
 
 // ProfileRecord is the one on-disk form of a learned measurement
@@ -188,34 +166,4 @@ func LoadSnapshot(r io.Reader) (ProfileSnapshot, error) {
 		return ProfileSnapshot{}, err
 	}
 	return s, nil
-}
-
-// tensoredPayload is the on-disk form of a per-qubit confusion-matrix
-// calibration.
-type tensoredPayload struct {
-	Machine  string          `json:"machine,omitempty"`
-	Layout   []int           `json:"layout,omitempty"`
-	Matrices [][2][2]float64 `json:"matrices"`
-}
-
-// SaveTensored writes a tensored confusion-matrix calibration.
-func SaveTensored(w io.Writer, t *correct.Tensored, machine string, layout []int) error {
-	return save(w, KindTensored, tensoredPayload{
-		Machine:  machine,
-		Layout:   layout,
-		Matrices: t.Matrices,
-	})
-}
-
-// LoadTensored reads a calibration, recomputing the inverse matrices.
-func LoadTensored(r io.Reader) (*correct.Tensored, string, []int, error) {
-	var p tensoredPayload
-	if err := load(r, KindTensored, &p); err != nil {
-		return nil, "", nil, err
-	}
-	t, err := correct.NewTensored(p.Matrices)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("persist: loaded calibration is invalid: %w", err)
-	}
-	return t, p.Machine, p.Layout, nil
 }

@@ -257,7 +257,7 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 }
 
 // writeOverloadMetrics renders the overload-control subsystem: the
-// adaptive limiter's ceiling and per-class admission counters, the
+// admission gate's occupancy and per-class admission counters, the
 // retry budget's token level, brownout tier transitions, and watchdog
 // stall recoveries. Written after the registry block by /metrics.
 func (s *Server) writeOverloadMetrics(w io.Writer) {
@@ -267,37 +267,24 @@ func (s *Server) writeOverloadMetrics(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	enabled := int64(0)
-	if s.limiter != nil {
-		enabled = 1
+	perClass := func(name, help string, v *[3]uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		for c := overload.ClassJobs; c <= overload.ClassCharacterize; c++ {
+			fmt.Fprintf(w, "%s{class=%q} %d\n", name, c.String(), v[c])
+		}
 	}
-	gauge("biasmitd_overload_limiter_enabled", "1 when the adaptive concurrency limiter gates admissions.", enabled)
-	if s.limiter != nil {
-		ls := s.limiter.Stats()
-		fmt.Fprintln(w, "# HELP biasmitd_overload_limit Current adaptive in-flight ceiling.")
-		fmt.Fprintln(w, "# TYPE biasmitd_overload_limit gauge")
-		fmt.Fprintf(w, "biasmitd_overload_limit %g\n", ls.Limit)
-		gauge("biasmitd_overload_inflight", "Requests currently holding an admission slot.", int64(ls.Inflight))
-		gauge("biasmitd_overload_queued", "Requests waiting in the admission queue.", int64(ls.Queued))
-		fmt.Fprintln(w, "# HELP biasmitd_overload_admissions_total Requests admitted, by priority class.")
-		fmt.Fprintln(w, "# TYPE biasmitd_overload_admissions_total counter")
-		for c := overload.ClassJobs; c <= overload.ClassCharacterize; c++ {
-			fmt.Fprintf(w, "biasmitd_overload_admissions_total{class=%q} %d\n", c.String(), ls.Admitted[c])
-		}
-		fmt.Fprintln(w, "# HELP biasmitd_overload_sheds_total Requests shed by admission control, by priority class.")
-		fmt.Fprintln(w, "# TYPE biasmitd_overload_sheds_total counter")
-		for c := overload.ClassJobs; c <= overload.ClassCharacterize; c++ {
-			fmt.Fprintf(w, "biasmitd_overload_sheds_total{class=%q} %d\n", c.String(), ls.Shed[c])
-		}
-		fmt.Fprintln(w, "# HELP biasmitd_overload_queue_timeouts_total Queued requests shed at the CoDel queue timeout, by priority class.")
-		fmt.Fprintln(w, "# TYPE biasmitd_overload_queue_timeouts_total counter")
-		for c := overload.ClassJobs; c <= overload.ClassCharacterize; c++ {
-			fmt.Fprintf(w, "biasmitd_overload_queue_timeouts_total{class=%q} %d\n", c.String(), ls.Timeouts[c])
-		}
-		counter("biasmitd_overload_limit_raises_total", "Adaptive-limit increases (latency at baseline).", ls.AdjustUp)
-		counter("biasmitd_overload_limit_cuts_total", "Adaptive-limit multiplicative decreases (latency inflated).", ls.AdjustDown)
-		counter("biasmitd_overload_evictions_total", "Queued low-class waiters displaced by higher-class arrivals.", ls.Evictions)
+	sheds := int64(0)
+	if s.cfg.QueueTimeout > 0 {
+		sheds = 1
 	}
+	gauge("biasmitd_overload_limiter_enabled", "1 when the admission gate sheds requests queued past the queue timeout; 0 when they wait for a slot.", sheds)
+	ls := s.limiter.Stats()
+	gauge("biasmitd_overload_inflight", "Requests currently holding an admission slot.", int64(ls.Inflight))
+	gauge("biasmitd_overload_queued", "Requests waiting in the admission queue.", int64(ls.Queued))
+	perClass("biasmitd_overload_admissions_total", "Requests admitted, by priority class.", &ls.Admitted)
+	perClass("biasmitd_overload_sheds_total", "Requests shed by admission control, by priority class.", &ls.Shed)
+	perClass("biasmitd_overload_queue_timeouts_total", "Queued requests shed at the CoDel queue timeout, by priority class.", &ls.Timeouts)
+	counter("biasmitd_overload_evictions_total", "Queued low-class waiters displaced by higher-class arrivals.", ls.Evictions)
 	if s.budget != nil {
 		bs := s.budget.Stats()
 		fmt.Fprintln(w, "# HELP biasmitd_retry_budget_tokens Retry tokens currently available.")

@@ -131,16 +131,16 @@ func (b *blockingRuns) wrap(run backend.Runner) backend.Runner {
 	}
 }
 
-// TestAdaptiveLimiterShedsTyped503: with the adaptive limiter on and
-// capacity saturated, excess requests are shed after the CoDel queue
-// timeout with the typed overloaded error and a Retry-After header —
-// not queued behind the stuck work.
+// TestAdaptiveLimiterShedsTyped503: with the gate shedding (a queue
+// timeout set) and capacity saturated, excess requests are shed after
+// the CoDel queue timeout with the typed overloaded error and a
+// Retry-After header — not queued behind the stuck work.
 func TestAdaptiveLimiterShedsTyped503(t *testing.T) {
 	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
 	entered := blocker.entered
 	cfg := Config{
 		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
-		AutoInflight: true, QueueTimeout: 5 * time.Millisecond,
+		QueueTimeout: 5 * time.Millisecond,
 	}
 	cfg.wrapRun = blocker.wrap
 	s := New(cfg)
@@ -182,6 +182,146 @@ func TestAdaptiveLimiterShedsTyped503(t *testing.T) {
 
 	release()
 	<-done
+}
+
+// TestAdmissionGateWaitsHighestClassFirst pins the default admission
+// path: with no queue timeout a request that finds every slot taken
+// waits instead of being shed, however long the slot-holder runs, and
+// freed slots go to the highest class first (characterize, then
+// mitigate, then async jobs) rather than in arrival order.
+func TestAdmissionGateWaitsHighestClassFirst(t *testing.T) {
+	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
+	entered := blocker.entered
+	var (
+		mu    sync.Mutex
+		order []overload.Class // class of each admitted request, in run order
+	)
+	cfg := Config{Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour}
+	cfg.wrapRun = func(run backend.Runner) backend.Runner {
+		parked := blocker.wrap(run)
+		return func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
+			// MaxJobs 1 runs one request at a time, so consecutive runs
+			// of one class belong to one admitted request.
+			mu.Lock()
+			if cl := overload.ClassFromContext(ctx); len(order) == 0 || order[len(order)-1] != cl {
+				order = append(order, cl)
+			}
+			mu.Unlock()
+			return parked(ctx, c, dev, opt)
+		}
+	}
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(blocker.release) }) }
+	t.Cleanup(release)
+
+	baseline := func(seed int64) MitigateRequest {
+		return MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: seed}
+	}
+	// post runs off the test goroutine, so it reports with t.Error.
+	post := func(path string, body any) int {
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Errorf("POST %s: %v", path, err)
+			return 0
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		post("/v1/mitigate", baseline(1))
+	}()
+	select {
+	case <-entered: // the slot-holder is inside the backend, parked
+	case <-time.After(10 * time.Second):
+		t.Fatal("slot-holder never reached the backend")
+	}
+
+	// Queue one request per class, lowest class first.
+	r := baseline(2)
+	resp, data := postJSON(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{Type: api.JobTypeMitigate, Mitigate: &r})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit status %d: %s", resp.StatusCode, data)
+	}
+	var jr api.JobResponse
+	if err := json.Unmarshal(data, &jr); err != nil {
+		t.Fatal(err)
+	}
+	waitGateQueued(t, s, 1)
+	type result struct {
+		status int
+		waited time.Duration
+	}
+	mitigated := make(chan result, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		start := time.Now()
+		status := post("/v1/mitigate", baseline(3))
+		mitigated <- result{status, time.Since(start)}
+	}()
+	waitGateQueued(t, s, 2)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		post("/v1/characterize", CharacterizeRequest{Machine: "ibmqx4", Method: "brute"})
+	}()
+	waitGateQueued(t, s, 3)
+
+	time.Sleep(200 * time.Millisecond) // far past any shedding queue timeout
+	release()
+	var got result
+	select {
+	case got = <-mitigated:
+	case <-time.After(10 * time.Second):
+		t.Fatal("queued mitigate never returned after the slot freed")
+	}
+	if got.status != http.StatusOK || got.waited < 150*time.Millisecond {
+		t.Fatalf("queued mitigate: status %d after %v, want 200 after waiting over 150ms", got.status, got.waited)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		j, ok := s.jobq.Get(jr.Job.ID)
+		if ok && j.State == jobs.StateDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued job never finished: %+v", j)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []overload.Class{overload.ClassMitigate, overload.ClassCharacterize, overload.ClassMitigate, overload.ClassJobs}
+	if len(order) != len(want) {
+		t.Fatalf("admission order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("admission order %v, want %v (holder, then highest class first)", order, want)
+		}
+	}
+}
+
+// waitGateQueued polls until the admission gate holds n waiters.
+func waitGateQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.limiter.Stats().Queued != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission queue never reached %d waiters (stats %+v)", n, s.limiter.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestDeadlineHeaderShedsExpiredBudget: a request whose propagated
@@ -266,7 +406,8 @@ func TestHealthzQueueHighWater(t *testing.T) {
 }
 
 // TestMetricsExposeOverload: the overload subsystem is visible on
-// /metrics even when fully disabled (gauges read 0/off).
+// /metrics with every optional mechanism off (gauges read 0/off, and
+// the gate reports that it waits rather than sheds).
 func TestMetricsExposeOverload(t *testing.T) {
 	_, ts := testServer(t)
 	resp, data := getBody(t, ts.URL+"/metrics")

@@ -15,7 +15,7 @@
 // Requests carry explicit budgets and deadlines: shot counts are
 // validated with backend.CheckShots plus a server-level cap, every job
 // runs under a context deadline, and heavy work is admitted through a
-// bounded job gate so a burst cannot oversubscribe the orchestrate
+// bounded priority gate so a burst cannot oversubscribe the orchestrate
 // worker pools underneath. Failures use one stable JSON error shape
 // (APIError) with machine-readable codes.
 package server
@@ -57,15 +57,12 @@ import (
 // Config tunes a Server. The zero value of every field selects a
 // sensible default.
 type Config struct {
-	// Machines resolves a machine name to its device model; defaults to
-	// device.ByName (the paper's three machines).
-	Machines func(name string) (*device.Device, bool)
 	// Workers bounds each job's internal parallelism (core.Machine
 	// Workers; zero selects all CPUs).
 	Workers int
-	// MaxJobs bounds how many mitigation/characterization jobs run
-	// concurrently; further requests queue until a slot frees or their
-	// deadline ends. Default 2.
+	// MaxJobs bounds how many mitigation/characterization requests run
+	// concurrently; further requests queue for the admission gate,
+	// highest priority class first (see QueueTimeout). Default 2.
 	MaxJobs int
 	// DefaultTimeout is the per-request deadline when the request does
 	// not set one (default 60s); MaxTimeout caps what a request may ask
@@ -118,20 +115,18 @@ type Config struct {
 	// submissions past it are rejected with 429 quota_exceeded. Zero
 	// means unbounded.
 	JobQuota int
-	// AutoInflight replaces the static MaxJobs admission gate with the
-	// adaptive concurrency limiter (internal/overload): the in-flight
-	// ceiling tracks observed latency against the min-latency baseline,
-	// and excess load is shed with a typed 503 instead of queueing
-	// unboundedly. MaxJobs seeds the limiter's initial limit.
-	AutoInflight bool
-	// QueueTimeout bounds how long an admission-queued request may wait
-	// before being shed, CoDel style (default 100ms). Only meaningful
-	// with AutoInflight.
+	// QueueTimeout selects what the admission gate does with a request
+	// that finds every MaxJobs slot taken. Zero (the default) queues it
+	// until a slot frees or its deadline ends. Positive sheds it with a
+	// typed 503 overloaded + Retry-After once it has queued this long,
+	// CoDel style, or at once when the queue already holds
+	// maxAdmissionQueue requests and none of them ranks below it.
 	QueueTimeout time.Duration
 	// Brownout enables policy degradation under sustained admission
 	// pressure: AIM requests serve SIM, then baseline, stepping back up
 	// as pressure clears. The served tier is stamped on every mitigate
-	// response.
+	// response. Only sheds count as pressure, so it acts only with a
+	// QueueTimeout.
 	Brownout bool
 	// BrownoutDwellDown/Up are how long pressure (calm) must persist
 	// before stepping a tier down (up); defaults 2s / 5s.
@@ -180,10 +175,12 @@ var machineNames = func() []string {
 	return names
 }()
 
+// maxAdmissionQueue bounds the admission queue when the gate sheds
+// (Config.QueueTimeout > 0); an arrival past it evicts a lower-class
+// waiter or is shed itself.
+const maxAdmissionQueue = 64
+
 func (c Config) withDefaults() Config {
-	if c.Machines == nil {
-		c.Machines = device.ByName
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 2
 	}
@@ -220,7 +217,6 @@ type Server struct {
 	cfg   Config
 	store *profilestore.Store
 	reg   *metricsRegistry
-	jobs  chan struct{} // admission gate for heavy endpoints
 	mux   *http.ServeMux
 	start time.Time
 
@@ -248,11 +244,11 @@ type Server struct {
 	// in-flight ones, profile-generation invalidation.
 	rescache *rescache.Cache
 
-	// Overload control (all optional; nil disables each):
-	// limiter replaces the static admission gate with adaptive
-	// concurrency + priority shedding, budget caps retry traffic,
-	// brown steps AIM down to SIM/baseline under sustained pressure,
-	// watchdog cancels-and-requeues wedged async jobs.
+	// Overload control: limiter is the admission gate for heavy
+	// endpoints (MaxJobs slots, priority queues). The rest are optional
+	// (nil disables each): budget caps retry traffic, brown steps AIM
+	// down to SIM/baseline under sustained shedding, watchdog
+	// cancels-and-requeues wedged async jobs.
 	limiter  *overload.Limiter
 	budget   *overload.Budget
 	brown    *overload.Brownout
@@ -271,7 +267,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		reg:        newMetricsRegistry(),
-		jobs:       make(chan struct{}, cfg.MaxJobs),
 		mux:        http.NewServeMux(),
 		start:      cfg.Now(),
 		runMetrics: &resilient.Metrics{},
@@ -281,13 +276,12 @@ func New(cfg Config) *Server {
 	if cfg.ResultCache {
 		s.rescache = rescache.New(rescache.Options{}) // 1024 entries
 	}
-	if cfg.AutoInflight {
-		s.limiter = overload.NewLimiter(overload.LimiterConfig{
-			Initial:      float64(cfg.MaxJobs),
-			QueueTimeout: cfg.QueueTimeout,
-			Now:          cfg.Now,
-		})
+	gate := overload.LimiterConfig{Limit: cfg.MaxJobs}
+	if cfg.QueueTimeout > 0 {
+		gate.QueueTimeout = cfg.QueueTimeout
+		gate.MaxQueue = maxAdmissionQueue
 	}
+	s.limiter = overload.NewLimiter(gate)
 	if cfg.RetryBudget > 0 {
 		s.budget = overload.NewBudget(cfg.RetryBudget, 0)
 	}
@@ -315,18 +309,12 @@ func New(cfg Config) *Server {
 		// across the restart — an old profile on disk is still old).
 		s.store.Load(profilestore.RecoveredProfiles(cfg.Persist))
 	}
-	q, err := jobs.NewQueue(jobs.Options{
+	s.jobq = jobs.NewQueue(jobs.Options{
 		Log:          cfg.JobsLog,
 		Now:          cfg.Now,
 		MaxPerTenant: cfg.JobQuota,
 	})
-	if err != nil {
-		// Recovery absorbs journal faults into its error counters, so this
-		// path is defensive: serve memory-only rather than boot dark.
-		q, _ = jobs.NewQueue(jobs.Options{Now: cfg.Now, MaxPerTenant: cfg.JobQuota})
-	}
-	s.jobq = q
-	s.jobsched = jobs.NewScheduler(q, jobs.SchedulerOptions{
+	s.jobsched = jobs.NewScheduler(s.jobq, jobs.SchedulerOptions{
 		Exec:     s.execJob,
 		Workers:  cfg.JobWorkers,
 		Watchdog: s.watchdog,
@@ -526,40 +514,29 @@ func (s *Server) deadline(ctx context.Context, timeoutMS int) (context.Context, 
 	return context.WithTimeout(ctx, d)
 }
 
-// admit reserves an execution slot for heavy work. With AutoInflight
-// the adaptive limiter decides: requests past the latency-derived
-// ceiling queue briefly (CoDel-bounded) and then shed, lowest priority
-// class first, with a typed overload error. Otherwise the static
-// bounded gate waits until a slot frees or ctx ends. Every admission
-// outcome feeds the brownout controller, and every fresh admission
-// funds the shared retry budget.
+// admit reserves an execution slot for heavy work through the priority
+// gate: a request past the MaxJobs running ones queues, and freed slots
+// go to the highest class first. Without a QueueTimeout it waits until
+// a slot frees or ctx ends; with one it is shed, lowest class first,
+// with a typed overload error. Every shed feeds the brownout
+// controller, and every fresh admission funds the shared retry budget.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
-	if s.limiter != nil {
-		release, err = s.limiter.Acquire(ctx, overload.ClassFromContext(ctx))
-		if err != nil {
-			var oe *overload.Error
-			if errors.As(err, &oe) {
-				s.brown.Observe(true)
-			}
-			return nil, err
+	release, err = s.limiter.Acquire(ctx, overload.ClassFromContext(ctx))
+	if err != nil {
+		var oe *overload.Error
+		if errors.As(err, &oe) {
+			s.brown.Observe(true)
 		}
-		// A success only reads as calm when nobody is left waiting:
-		// during a storm the limiter still admits at capacity, and that
-		// goodput must not reset the brownout's pressure clock.
-		if s.limiter.Stats().Queued == 0 {
-			s.brown.Observe(false)
-		}
-		s.budget.OnRequest()
-		return release, nil
+		return nil, err
 	}
-	select {
-	case s.jobs <- struct{}{}:
+	// A success only reads as calm when nobody is left waiting:
+	// during a storm the gate still admits at capacity, and that
+	// goodput must not reset the brownout's pressure clock.
+	if s.limiter.Stats().Queued == 0 {
 		s.brown.Observe(false)
-		s.budget.OnRequest()
-		return func() { <-s.jobs }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	s.budget.OnRequest()
+	return release, nil
 }
 
 // propagatedDeadline narrows ctx to the X-Request-Deadline header, the
@@ -683,7 +660,7 @@ func keyStream(key profilestore.Key) int {
 func (s *Server) characterizeKey(ctx context.Context, key profilestore.Key) (*profilestore.Profile, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxTimeout)
 	defer cancel()
-	dev, ok := s.cfg.Machines(key.Machine)
+	dev, ok := device.ByName(key.Machine)
 	if !ok {
 		return nil, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", key.Machine)
 	}
@@ -811,7 +788,7 @@ func (s *Server) mitigate(ctx context.Context, req *MitigateRequest) (*MitigateR
 // runs the same checks at submission, so a job the synchronous endpoint
 // would reject never enters the queue.
 func (s *Server) validateMitigate(req *MitigateRequest) (*device.Device, kernels.Benchmark, error) {
-	dev, ok := s.cfg.Machines(req.Machine)
+	dev, ok := device.ByName(req.Machine)
 	if !ok {
 		return nil, kernels.Benchmark{}, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
 	}
@@ -1217,7 +1194,7 @@ func (s *Server) characterizeRequest(ctx context.Context, req *CharacterizeReque
 // the profile it names. POST /v1/jobs runs the same checks at
 // submission.
 func (s *Server) validateCharacterize(req *CharacterizeRequest) (profilestore.Key, error) {
-	dev, ok := s.cfg.Machines(req.Machine)
+	dev, ok := device.ByName(req.Machine)
 	if !ok {
 		return profilestore.Key{}, apiErrorf(http.StatusNotFound, CodeUnknownMachine, "unknown machine %q", req.Machine)
 	}

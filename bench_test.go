@@ -249,7 +249,7 @@ func BenchmarkAblationAIMCanary(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rbms, err := job.Profiler().BruteForce(500, 9)
+	rbms, err := job.Profiler().BruteForceContext(context.Background(), 500, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkAblationAIMK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rbms, err := job.Profiler().BruteForce(500, 10)
+	rbms, err := job.Profiler().BruteForceContext(context.Background(), 500, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func BenchmarkAblationAWCTWindow(b *testing.B) {
 	dev := device.IBMQX4()
 	m := core.NewMachine(dev)
 	prof := &core.Profiler{Machine: m, Layout: []int{0, 1, 2, 3, 4}}
-	direct, err := prof.BruteForce(2000, 11)
+	direct, err := prof.BruteForceContext(context.Background(), 2000, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func BenchmarkAblationAWCTWindow(b *testing.B) {
 		b.Run(name("window", win), func(b *testing.B) {
 			var mse float64
 			for i := 0; i < b.N; i++ {
-				awct, err := prof.AWCT(win, overlap, 4000, int64(i))
+				awct, err := prof.AWCTContext(context.Background(), win, overlap, 4000, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}

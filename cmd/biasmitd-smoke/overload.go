@@ -54,10 +54,9 @@ func (st *stormStats) record(resp *api.MitigateResponse, err error, waited time.
 // overloadScenario is the overload-control round-trip of the CI chaos
 // job. It owns the daemon lifecycle:
 //
-//  1. boot biasmitd with its admission gate in shedding mode
-//     (-max-inflight-auto: 2 slots, 50ms queue timeout), brownout, and
-//     a retry budget, plus a gray-slow chaos backend (every run
-//     succeeds slowly) so a modest client fleet saturates it;
+//  1. boot biasmitd with its admission gate in shedding mode (2 slots,
+//     -queue-timeout 50ms) and brownout, plus a gray-slow chaos backend
+//     (every run succeeds slowly) so a modest client fleet saturates it;
 //  2. pre-warm the AIM profile, then storm the mitigate endpoint at
 //     several times capacity for a few seconds while async jobs are
 //     queued mid-storm. Require: excess requests shed with the typed
@@ -87,12 +86,10 @@ func overloadScenario(ctx context.Context, bin, dir string) error {
 		"-max-jobs", "2",
 		"-job-workers", "1",
 		"-profile-shots", "128",
-		"-max-inflight-auto",
 		"-queue-timeout", "50ms",
 		"-brownout",
 		"-brownout-dwell-down", "400ms",
 		"-brownout-dwell-up", "400ms",
-		"-retry-budget", "0.2",
 		"-chaos-gray-slow-rate", "1",
 		"-chaos-gray-slow", "150ms",
 	)

@@ -83,12 +83,10 @@ func main() {
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
-	shed := flag.Bool("max-inflight-auto", false, "shed requests that wait past -queue-timeout for one of the -max-jobs slots (or find 64 already waiting) with typed 503s + Retry-After, lowest priority class first, instead of queueing them until their deadline")
-	queueTimeout := flag.Duration("queue-timeout", 100*time.Millisecond, "with -max-inflight-auto, how long a request may wait for an admission slot before it is shed")
-	brownout := flag.Bool("brownout", false, "with -max-inflight-auto, degrade AIM to SIM to baseline while admissions keep being shed, stepping back up when it clears")
+	queueTimeout := flag.Duration("queue-timeout", 0, "how long a request may wait for one of the -max-jobs slots before it is shed with a typed 503 + Retry-After, lowest priority class first; past 64 waiters it is shed at once (0 = wait until the request's deadline). Set it above the slowest request's service time, or healthy requests are shed")
+	brownout := flag.Bool("brownout", false, "degrade AIM to SIM to baseline while admissions keep being shed, stepping back up when it clears (acts only with a positive -queue-timeout)")
 	brownoutDwellDown := flag.Duration("brownout-dwell-down", 2*time.Second, "sustained pressure required before stepping a brownout tier down")
 	brownoutDwellUp := flag.Duration("brownout-dwell-up", 5*time.Second, "sustained calm required before stepping a brownout tier back up")
-	retryBudget := flag.Float64("retry-budget", 0.1, "retry traffic allowed as a fraction of fresh admitted work (0 disables the budget)")
 	queueHighWater := flag.Int("queue-high-water", 0, "queued async jobs past which /healthz reports 503 unavailable (0 = never)")
 	resultCache := flag.Bool("result-cache", true, "serve repeated identical mitigation requests from a content-addressed result cache, coalescing concurrent duplicates onto one execution")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
@@ -110,6 +108,9 @@ func main() {
 	}
 	if err := chaosPlan.Validate(); err != nil {
 		die(err)
+	}
+	if *queueTimeout < 0 {
+		die(errors.New("-queue-timeout must not be negative"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -141,14 +142,6 @@ func main() {
 		opened("jobs", *jobsDir, jlog, err)
 	}
 
-	// The admission gate waits for a slot unless it is told to shed.
-	var gateTimeout time.Duration
-	if *shed {
-		if *queueTimeout <= 0 {
-			die(errors.New("-max-inflight-auto needs a positive -queue-timeout"))
-		}
-		gateTimeout = *queueTimeout
-	}
 	srv := server.New(server.Config{
 		Workers:           *workers,
 		MaxJobs:           *maxJobs,
@@ -167,11 +160,10 @@ func main() {
 		JobsLog:           jlog,
 		JobWorkers:        *jobWorkers,
 		JobQuota:          *tenantQuota,
-		QueueTimeout:      gateTimeout,
+		QueueTimeout:      *queueTimeout,
 		Brownout:          *brownout,
 		BrownoutDwellDown: *brownoutDwellDown,
 		BrownoutDwellUp:   *brownoutDwellUp,
-		RetryBudget:       *retryBudget,
 		QueueHighWater:    *queueHighWater,
 		ResultCache:       *resultCache,
 		Logger:            lg,

@@ -55,10 +55,9 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
-	if chaosPlan.Enabled() || retry.SliceShots > 0 {
-		// Only replace the default execution path when the flags ask for
-		// it, so the BIASMIT_CHAOS_* environment keeps working and the
-		// fault-free flag defaults stay byte-identical to older builds.
+	if chaosPlan.Enabled() {
+		// Only replace the default execution path when the flags inject
+		// faults, so the BIASMIT_CHAOS_* environment keeps working.
 		cfg.Runner = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
 	}
 	selected := map[string]bool{}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 	machine := core.NewMachine(dev)
 	prof := &core.Profiler{Machine: machine, Layout: []int{0, 1, 2, 3, 4}}
 
-	rbms, err := prof.ESCT(64000, 200)
+	rbms, err := prof.ESCTContext(context.Background(), 64000, 200)
 	if err != nil {
 		log.Fatal(err)
 	}

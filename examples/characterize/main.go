@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	dev := device.IBMQX4()
 	prof := &core.Profiler{
@@ -33,15 +35,15 @@ func main() {
 		Layout:  []int{0, 1, 2, 3, 4},
 	}
 
-	brute, err := prof.BruteForce(8000, 1)
+	brute, err := prof.BruteForceContext(ctx, 8000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	esct, err := prof.ESCT(8000*32, 2)
+	esct, err := prof.ESCTContext(ctx, 8000*32, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	awct, err := prof.AWCT(4, 2, 8000*8, 3)
+	awct, err := prof.AWCTContext(ctx, 4, 2, 8000*8, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

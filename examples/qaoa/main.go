@@ -54,7 +54,7 @@ func main() {
 	// Profile the output register's measurement strength with the
 	// windowed technique (brute force would need 2^6 preparations; AWCT
 	// needs O(2^4)).
-	rbms, err := job.Profiler().AWCT(4, 2, 16000, 2)
+	rbms, err := job.Profiler().AWCTContext(context.Background(), 4, 2, 16000, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

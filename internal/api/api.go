@@ -51,7 +51,8 @@ const (
 	// response carries a Retry-After header with the cooldown remainder.
 	CodeBreakerOpen = "breaker_open"
 	// CodeUpstreamTransient marks a run that kept failing transiently
-	// even after the server's retry budget; the request is safe to retry.
+	// through all of the server's per-run attempts; the request is safe
+	// to retry.
 	CodeUpstreamTransient = "upstream_transient"
 	// CodeOverloaded marks a request shed by admission control: the
 	// shedding admission gate's queue was full or timed out, or the
@@ -120,11 +121,6 @@ type Error struct {
 	// cooldown. The client restores it from the header, so the field
 	// round-trips even though it is not part of the JSON body.
 	RetryAfter time.Duration `json:"-"`
-	// RetryAfterSet records that the server sent an explicit
-	// Retry-After header — including `Retry-After: 0`, which means
-	// "retry immediately" and is distinct from no header at all (the
-	// client then falls back to its own default cooldown).
-	RetryAfterSet bool `json:"-"`
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
@@ -345,10 +341,10 @@ type JobSubmitRequest struct {
 	// tenant's share. Zero is the normal class.
 	Priority int `json:"priority,omitempty"`
 	// MaxAttempts bounds execution attempts when the run fails
-	// transiently (upstream_transient, breaker_open): the scheduler
-	// requeues and retries up to this many attempts total. Zero or one
-	// disables job-level retries (the per-run retry budget inside the
-	// executor still applies).
+	// transiently (upstream_transient, breaker_open, overloaded): the
+	// scheduler requeues and retries up to this many attempts total.
+	// Zero or one disables job-level retries (the executor's per-run
+	// attempts still apply).
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 

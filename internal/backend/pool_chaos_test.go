@@ -16,8 +16,8 @@ import (
 // TestPoolIntegrityUnderChaosAndCancel is the regression test for the
 // sync.Pool audit: the trial loop's pooled state/sampler buffers must
 // survive every abnormal exit — injected transient and partial faults,
-// contexts cancelled mid-run, salvage retries replaying failed slices
-// — without a buffer being double-Put or a torn one re-entering the
+// contexts cancelled mid-run, retries replaying failed runs — without
+// a buffer being double-Put or a torn one re-entering the
 // pool. A corrupted free list shows up as cross-talk between
 // unrelated runs, so the proof is end-state determinism: after a
 // concurrent storm of faulted and cancelled runs, a clean run is
@@ -55,8 +55,8 @@ func TestPoolIntegrityUnderChaosAndCancel(t *testing.T) {
 				o.Seed = int64(w*1000 + i + 1)
 				switch i % 3 {
 				case 0:
-					// Faulted but completing run: retries and salvage
-					// replay failed slices through the pooled buffers.
+					// Faulted but completing run: retries replay the
+					// failed run through the pooled buffers.
 					if _, err := exec.Run(context.Background(), c, dev, o); err != nil {
 						t.Errorf("worker %d iter %d: %v", w, i, err)
 						return

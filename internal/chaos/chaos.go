@@ -10,9 +10,10 @@
 // seeding discipline internal/orchestrate uses for job seeds — so a
 // sequential run replays the identical fault sequence at the same seed.
 // Under concurrency the attempt indices interleave nondeterministically,
-// which is fine by construction: the resilience layer's salvage
-// mechanism guarantees results are independent of where faults land, and
-// the chaos CI job exists to enforce exactly that property.
+// which is fine by construction: the resilience layer retries a failed
+// run whole under its own seed, so results are independent of where
+// faults land, and the chaos CI job exists to enforce exactly that
+// property.
 //
 // Faults never corrupt results: an injected failure either returns a
 // typed *backend.TransientError (optionally after completing m < shots
@@ -281,9 +282,7 @@ func (in *Injector) ramp(ctx context.Context, attempt int64) error {
 // partial completes m < shots trials for real — consuming the same
 // per-trial RNG stream prefix the full run would — and then reports a
 // transient failure, so the caller observes a job evicted mid-run. The
-// completed trials are genuinely lost (the resilience layer salvages at
-// slice granularity, never inside a failed call), which is exactly the
-// waste the salvage mechanism bounds.
+// completed trials are genuinely lost: a retry replays the whole run.
 func (in *Injector) partial(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options, rng *rand.Rand, attempt int64) error {
 	m := 0
 	if opt.Shots > 1 {

@@ -12,10 +12,8 @@
 //	var ae *api.Error
 //	if errors.As(err, &ae) && ae.Code == api.CodeBreakerOpen { ... }
 //
-// The client optionally retries breaker_open rejections itself
-// (WithBreakerRetries), sleeping out the server's advertised cooldown
-// under the caller's context deadline — the polite way to ride out a
-// machine's dark window.
+// Every call is one round trip: the client never retries, and
+// ae.RetryAfter carries the cooldown the daemon advertised.
 package client
 
 import (
@@ -48,11 +46,9 @@ func WithTraceID(ctx context.Context, id string) (context.Context, string) {
 // Client talks to one biasmitd instance. Construct with New; safe for
 // concurrent use (it shares one underlying http.Client).
 type Client struct {
-	base           string
-	http           *http.Client
-	apiKey         string
-	breakerRetries int
-	retryCap       time.Duration
+	base   string
+	http   *http.Client
+	apiKey string
 }
 
 // Option configures a Client.
@@ -72,15 +68,6 @@ func WithAPIKey(key string) Option {
 	return func(c *Client) { c.apiKey = key }
 }
 
-// WithBreakerRetries makes the client retry a request up to n times when
-// the daemon rejects it with breaker_open, sleeping the Retry-After
-// cooldown (capped at 30s, and always bounded by the call's context)
-// between attempts. Zero — the default — surfaces the rejection
-// immediately.
-func WithBreakerRetries(n int) Option {
-	return func(c *Client) { c.breakerRetries = n }
-}
-
 // New returns a client for the daemon at base, e.g.
 // "http://127.0.0.1:8080". A scheme-less base is assumed http.
 func New(base string, opts ...Option) *Client {
@@ -88,9 +75,8 @@ func New(base string, opts ...Option) *Client {
 		base = "http://" + base
 	}
 	c := &Client{
-		base:     strings.TrimRight(base, "/"),
-		http:     &http.Client{},
-		retryCap: 30 * time.Second,
+		base: strings.TrimRight(base, "/"),
+		http: &http.Client{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -241,38 +227,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // request-body cap.
 const maxResponseBytes = 8 << 20
 
-// call performs one JSON round-trip, retrying breaker_open rejections
-// when configured.
+// call performs one JSON round-trip.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, path, in, out)
-		if err == nil {
-			return nil
-		}
-		ae, ok := err.(*api.Error)
-		if !ok || ae.Code != api.CodeBreakerOpen || attempt >= c.breakerRetries {
-			return err
-		}
-		cooldown := ae.RetryAfter
-		if cooldown <= 0 && !ae.RetryAfterSet {
-			// No explicit header: fall back to a default pause. An
-			// explicit Retry-After: 0 means retry immediately.
-			cooldown = time.Second
-		}
-		if cooldown > c.retryCap {
-			cooldown = c.retryCap
-		}
-		timer := time.NewTimer(cooldown)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		case <-timer.C:
-		}
-	}
-}
-
-func (c *Client) once(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -340,7 +296,6 @@ func decodeError(resp *http.Response, data []byte) error {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if d, ok := parseRetryAfter(ra, time.Now()); ok {
 			ae.RetryAfter = d
-			ae.RetryAfterSet = true
 		}
 	}
 	return ae
@@ -348,10 +303,9 @@ func decodeError(resp *http.Response, data []byte) error {
 
 // parseRetryAfter decodes a Retry-After header value: either
 // delta-seconds or an HTTP-date (RFC 9110 §10.2.3). A zero return
-// with ok=true means "retry immediately" — callers must not confuse
-// it with an absent header. Negative values (a delta the server
-// should not send, or a date already past) clamp to 0: the wait is
-// over. Malformed values report ok=false and are ignored.
+// with ok=true means "retry immediately". Negative values (a delta the
+// server should not send, or a date already past) clamp to 0: the wait
+// is over. Malformed values report ok=false and are ignored.
 func parseRetryAfter(value string, now time.Time) (time.Duration, bool) {
 	value = strings.TrimSpace(value)
 	if secs, err := strconv.ParseInt(value, 10, 64); err == nil {

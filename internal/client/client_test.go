@@ -91,63 +91,6 @@ func TestTypedErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBreakerRetryHonorsRetryAfter fakes a breaker_open rejection
-// followed by success and asserts the configured retry waits the
-// advertised cooldown before the second attempt.
-func TestBreakerRetryHonorsRetryAfter(t *testing.T) {
-	var calls int
-	var gap time.Duration
-	var first time.Time
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls == 1 {
-			first = time.Now()
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"api_version":"v1","error":{"code":"breaker_open","message":"machine dark"}}`))
-			return
-		}
-		gap = time.Since(first)
-		w.Write([]byte(`{"api_version":"v1","status":"ok","uptime_ms":1,"profiles_cached":0,"profiles_stale":0,"machines":null,"profiles":[]}`))
-	}))
-	defer ts.Close()
-
-	cl := New(ts.URL, WithBreakerRetries(2))
-	if _, err := cl.Profiles(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("%d calls, want 2", calls)
-	}
-	if gap < 900*time.Millisecond {
-		t.Fatalf("retried after %v, want ≥ ~1s (Retry-After)", gap)
-	}
-}
-
-// TestBreakerRetryBoundedByContext: the cooldown sleep must end when the
-// caller's context does.
-func TestBreakerRetryBoundedByContext(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"api_version":"v1","error":{"code":"breaker_open","message":"machine dark"}}`))
-	}))
-	defer ts.Close()
-
-	cl := New(ts.URL, WithBreakerRetries(3))
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := cl.Profiles(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v, want context.DeadlineExceeded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("retry loop ignored the context deadline")
-	}
-}
-
 // TestVersionMismatchRejected: a server speaking a different protocol
 // version is an error, not a silent misparse.
 func TestVersionMismatchRejected(t *testing.T) {

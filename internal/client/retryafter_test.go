@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,43 +46,6 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRetryAfterZeroRetriesImmediately is the end-to-end regression
-// for the dropped `Retry-After: 0`: a breaker_open rejection carrying
-// an explicit zero must mark the error RetryAfterSet (so the caller's
-// default one-second cooldown does not apply) and the retry loop must
-// proceed without the fallback pause.
-func TestRetryAfterZeroRetriesImmediately(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set(api.TraceHeader, "01J4QK3F8ZV9Q6WZJ4M2R7XT5C")
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(map[string]any{
-				"api_version": api.Version,
-				"error":       map[string]any{"code": api.CodeBreakerOpen, "message": "open"},
-			})
-			return
-		}
-		_, _ = w.Write([]byte(`{"api_version":"v1","profiles":[]}`))
-	}))
-	defer srv.Close()
-
-	cl := New(srv.URL, WithBreakerRetries(1))
-	start := time.Now()
-	if _, err := cl.Profiles(context.Background()); err != nil {
-		t.Fatalf("health after breaker retry: %v", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d calls, want 2 (reject then retry)", got)
-	}
-	// The old behavior slept the 1s fallback; an explicit zero must
-	// not. Allow generous scheduler slack, but far below one second.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("retry after explicit Retry-After: 0 took %v; the fallback cooldown leaked in", elapsed)
-	}
-}
-
 // TestRetryAfterHTTPDateDecodes covers the previously ignored
 // HTTP-date form arriving on a typed error.
 func TestRetryAfterHTTPDateDecodes(t *testing.T) {
@@ -102,9 +64,6 @@ func TestRetryAfterHTTPDateDecodes(t *testing.T) {
 	ae, ok := err.(*api.Error)
 	if !ok {
 		t.Fatalf("want *api.Error, got %v", err)
-	}
-	if !ae.RetryAfterSet {
-		t.Fatal("HTTP-date Retry-After not marked RetryAfterSet")
 	}
 	// The date round-trips through formatting, so allow a couple of
 	// seconds of truncation and clock skew.

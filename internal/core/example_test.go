@@ -73,7 +73,7 @@ func ExampleAIMContext() {
 		fmt.Println(err)
 		return
 	}
-	rbms, _ := job.Profiler().BruteForce(2000, 5)
+	rbms, _ := job.Profiler().BruteForceContext(context.Background(), 2000, 5)
 	res, _ := core.AIMContext(context.Background(), job, rbms, core.AIMConfig{}, 20000, 6)
 
 	fmt.Printf("trial budget preserved: %v\n", res.Merged.Total() == 20000)

@@ -42,7 +42,7 @@ func TestBruteForceParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rbms, err := j.Profiler().BruteForce(shots, seed)
+		rbms, err := j.Profiler().BruteForceContext(context.Background(), shots, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestAWCTParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rbms, err := j.Profiler().AWCT(3, 1, shots, seed)
+		rbms, err := j.Profiler().AWCTContext(context.Background(), 3, 1, shots, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,13 +177,13 @@ func TestBruteForceBudgetGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var be *backend.BudgetError
-	if _, err := j.Profiler().BruteForce(backend.MaxShots, 1); !errors.As(err, &be) {
+	if _, err := j.Profiler().BruteForceContext(context.Background(), backend.MaxShots, 1); !errors.As(err, &be) {
 		t.Fatalf("overflowing brute-force budget err = %v, want *backend.BudgetError", err)
 	}
-	if _, err := j.Profiler().BruteForce(0, 1); !errors.As(err, &be) {
+	if _, err := j.Profiler().BruteForceContext(context.Background(), 0, 1); !errors.As(err, &be) {
 		t.Fatalf("zero brute-force budget err = %v, want *backend.BudgetError", err)
 	}
-	if _, err := j.Profiler().AWCT(3, 1, backend.MaxShots, 1); !errors.As(err, &be) {
+	if _, err := j.Profiler().AWCTContext(context.Background(), 3, 1, backend.MaxShots, 1); !errors.As(err, &be) {
 		t.Fatalf("overflowing AWCT budget err = %v, want *backend.BudgetError", err)
 	}
 }

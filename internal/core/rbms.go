@@ -108,17 +108,12 @@ func (j *Job) Profiler() *Profiler {
 
 func (p *Profiler) width() int { return len(p.Layout) }
 
-// BruteForce measures every basis state directly (paper §3.1, Fig 11a):
-// prepare b, measure, and count exact matches. Cost grows as O(2^n)
-// preparations, which is why the paper reserves it for 5-qubit machines.
-func (p *Profiler) BruteForce(shotsPerState int, seed int64) (RBMS, error) {
-	return p.BruteForceContext(context.Background(), shotsPerState, seed)
-}
-
-// BruteForceContext is BruteForce with cancellation. The 2^n basis-state
-// preparations are independent jobs and run on Machine.Workers
-// goroutines; each state's seed is derived from (seed, state), so the
-// profile is bit-identical at every worker count.
+// BruteForceContext measures every basis state directly (paper §3.1,
+// Fig 11a): prepare b, measure, and count exact matches. Cost grows as
+// O(2^n) preparations, which is why the paper reserves it for 5-qubit
+// machines. The 2^n basis-state preparations are independent jobs and
+// run on Machine.Workers goroutines; each state's seed is derived from
+// (seed, state), so the profile is bit-identical at every worker count.
 func (p *Profiler) BruteForceContext(ctx context.Context, shotsPerState int, seed int64) (RBMS, error) {
 	n := p.width()
 	if n > 16 {
@@ -145,16 +140,11 @@ func (p *Profiler) BruteForceContext(ctx context.Context, shotsPerState int, see
 	return NewRBMS(n, strength)
 }
 
-// ESCT is the Equal-Superposition Characterization Technique (Appendix
-// A): prepare H^⊗n once, measure many times, and use each basis state's
-// relative frequency as its relative strength. One circuit probes all 2^n
-// states, at the cost of a small cross-talk floor from misreads of
-// neighbouring states.
-func (p *Profiler) ESCT(totalShots int, seed int64) (RBMS, error) {
-	return p.ESCTContext(context.Background(), totalShots, seed)
-}
-
-// ESCTContext is ESCT with cancellation.
+// ESCTContext is the Equal-Superposition Characterization Technique
+// (Appendix A): prepare H^⊗n once, measure many times, and use each basis
+// state's relative frequency as its relative strength. One circuit probes
+// all 2^n states, at the cost of a small cross-talk floor from misreads
+// of neighbouring states.
 func (p *Profiler) ESCTContext(ctx context.Context, totalShots int, seed int64) (RBMS, error) {
 	n := p.width()
 	if err := backend.CheckShots(totalShots); err != nil {
@@ -175,23 +165,18 @@ func (p *Profiler) ESCTContext(ctx context.Context, totalShots int, seed int64) 
 	return NewRBMS(n, strength)
 }
 
-// AWCT is the Approximate Windowed Characterization Technique (Appendix
-// A): ESCT is run over sliding windows of windowSize qubits with the
-// given overlap, and the window estimates are stitched into a full
-// profile, so trials scale as O(2^m) instead of O(2^N).
+// AWCTContext is the Approximate Windowed Characterization Technique
+// (Appendix A): ESCT is run over sliding windows of windowSize qubits
+// with the given overlap, and the window estimates are stitched into a
+// full profile, so trials scale as O(2^m) instead of O(2^N).
 //
 // Stitching uses the standard overlapping-marginal (junction-tree)
 // composition: in log space the full strength is the sum of window
 // strengths minus the overlap marginals, which double-counted the shared
-// qubits.
-func (p *Profiler) AWCT(windowSize, overlap, shotsPerWindow int, seed int64) (RBMS, error) {
-	return p.AWCTContext(context.Background(), windowSize, overlap, shotsPerWindow, seed)
-}
-
-// AWCTContext is AWCT with cancellation. The sliding windows are
-// independent jobs and run on Machine.Workers goroutines; each window's
-// seed is derived from (seed, window start), so the stitched profile is
-// bit-identical at every worker count.
+// qubits. The sliding windows are independent jobs and run on
+// Machine.Workers goroutines; each window's seed is derived from (seed,
+// window start), so the stitched profile is bit-identical at every
+// worker count.
 func (p *Profiler) AWCTContext(ctx context.Context, windowSize, overlap, shotsPerWindow int, seed int64) (RBMS, error) {
 	n := p.width()
 	if windowSize < 2 || windowSize > n {

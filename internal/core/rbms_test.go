@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestBruteForceMatchesExactBMS(t *testing.T) {
 	m := readoutOnlyMachine(dev)
 	layout := []int{0, 1, 2, 3, 4}
 	prof := &Profiler{Machine: m, Layout: layout}
-	got, err := prof.BruteForce(4000, 201)
+	got, err := prof.BruteForceContext(context.Background(), 4000, 201)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestESCTMatchesBruteForceShape(t *testing.T) {
 	dev := device.IBMQX4()
 	m := readoutOnlyMachine(dev)
 	prof := &Profiler{Machine: m, Layout: []int{0, 1, 2, 3, 4}}
-	esct, err := prof.ESCT(120000, 202)
+	esct, err := prof.ESCTContext(context.Background(), 120000, 202)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestAWCTApproximatesESCT(t *testing.T) {
 	dev := device.IBMQX4()
 	m := readoutOnlyMachine(dev)
 	prof := &Profiler{Machine: m, Layout: []int{0, 1, 2, 3, 4}}
-	awct, err := prof.AWCT(4, 2, 60000, 203)
+	awct, err := prof.AWCTContext(context.Background(), 4, 2, 60000, 203)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestAWCTScalesToMelbourne(t *testing.T) {
 	m := readoutOnlyMachine(dev)
 	layout := []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10}
 	prof := &Profiler{Machine: m, Layout: layout}
-	awct, err := prof.AWCT(4, 2, 30000, 204)
+	awct, err := prof.AWCTContext(context.Background(), 4, 2, 30000, 204)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestAWCTValidation(t *testing.T) {
 		{4, 2, 0},    // no shots
 	}
 	for i, c := range cases {
-		if _, err := prof.AWCT(c.win, c.ov, c.shots, 1); err == nil {
+		if _, err := prof.AWCTContext(context.Background(), c.win, c.ov, c.shots, 1); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -212,12 +213,12 @@ func TestAWCTValidation(t *testing.T) {
 func TestBruteForceValidation(t *testing.T) {
 	m := readoutOnlyMachine(device.IBMQX2())
 	prof := &Profiler{Machine: m, Layout: []int{0, 1, 2}}
-	if _, err := prof.BruteForce(0, 1); err == nil {
+	if _, err := prof.BruteForceContext(context.Background(), 0, 1); err == nil {
 		t.Error("zero shots accepted")
 	}
 	bigLayout := make([]int, 17)
 	bigProf := &Profiler{Machine: m, Layout: bigLayout}
-	if _, err := bigProf.BruteForce(10, 1); err == nil {
+	if _, err := bigProf.BruteForceContext(context.Background(), 10, 1); err == nil {
 		t.Error("17-qubit brute force accepted")
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"biasmit/internal/bitstring"
 )
 
-// The resilience layer's partial-shot salvage merges per-slice logs
-// where some slices may be empty (a faulted slice retried into a fresh
-// one) and slice totals are unequal (the tail slice is short). These
-// tests pin the merge/normalize semantics that salvage depends on.
+// SIM and AIM merge per-group logs where some groups may be empty and
+// group totals are unequal (AIM's canary and adaptive groups split the
+// budget unevenly). These tests pin the merge/normalize semantics those
+// merges depend on.
 
 func TestMergeEmptyCounts(t *testing.T) {
 	b01 := bitstring.MustParse("01")
@@ -109,8 +109,8 @@ func TestMixReweightsUnequalShotCounts(t *testing.T) {
 	// Two measurement groups with unequal surviving shot counts: 300
 	// trials all-|0⟩ and 100 trials all-|1⟩. Mixing their normalized
 	// distributions weighted by trial count must equal the distribution
-	// of the merged raw logs — the identity partial-shot salvage relies
-	// on when a faulted group comes back short.
+	// of the merged raw logs — the identity that lets unequal groups be
+	// merged as raw counts.
 	b0 := bitstring.MustParse("0")
 	b1 := bitstring.MustParse("1")
 	g1 := NewCounts(1)

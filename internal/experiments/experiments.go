@@ -64,10 +64,9 @@ var envRunner = sync.OnceValue(func() backend.Runner {
 	}
 	// Generous retries and token backoff: the chaos CI job injects high
 	// fault rates and only cares that results survive unchanged, not
-	// about realistic pacing. SliceShots stays 0: slicing repartitions
-	// the per-trial random streams, and every experiment assertion is
-	// calibrated against the unsliced stream at the canonical seed —
-	// retries must replay the identical call, not a resampled one.
+	// about realistic pacing. A retry replays the identical call, so
+	// every experiment assertion, calibrated against the fault-free
+	// stream at the canonical seed, still holds.
 	exec := resilient.New(plan.Wrap(backend.RunContext), resilient.Policy{
 		MaxAttempts: 40,
 		BaseDelay:   50 * time.Microsecond,

@@ -103,8 +103,8 @@ func (t *Trace) SetTag(key, value string) {
 	t.tags[key] = value
 }
 
-// Annotate appends a free-form event to the trace — retries, salvages,
-// budget denials. Bounded; past the cap new annotations are dropped
+// Annotate appends a free-form event to the trace — retries, breaker
+// rejections, brownout. Bounded; past the cap new annotations are dropped
 // and a single "... (truncated)" marker records the loss.
 func (t *Trace) Annotate(format string, args ...any) {
 	if t == nil {

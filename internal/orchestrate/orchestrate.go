@@ -10,7 +10,7 @@
 // workers is therefore bit-identical to a sequential run at the same
 // seed — only wall-clock changes. Cancellation flows through a
 // context.Context: the first job error (or a parent cancellation) stops
-// new work, and Wait/Map report that first error. Panics inside jobs are
+// new work, and Map reports that first error. Panics inside jobs are
 // captured and surfaced as *PanicError instead of killing the process.
 package orchestrate
 
@@ -55,86 +55,6 @@ func DeriveSeed(seed int64, stream int) int64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return int64(x & (1<<63 - 1))
-}
-
-// Pool runs heterogeneous jobs on at most Workers(workers) goroutines.
-// The zero value is not usable; construct with NewPool.
-type Pool struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    chan struct{}
-	wg     sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewPool returns a pool bounded to workers concurrent jobs (see
-// Workers for the zero default). The pool's jobs observe a context that
-// is cancelled as soon as any job fails, so in-flight work can stop
-// early.
-func NewPool(ctx context.Context, workers int) *Pool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	return &Pool{ctx: pctx, cancel: cancel, sem: make(chan struct{}, Workers(workers))}
-}
-
-// Go submits a job. If the pool is already cancelled (a previous job
-// failed or the parent context ended) the job is dropped and its slot's
-// error reflects the cancellation. Go must not be called after Wait.
-func (p *Pool) Go(f func(ctx context.Context) error) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		select {
-		case p.sem <- struct{}{}:
-			defer func() { <-p.sem }()
-		case <-p.ctx.Done():
-			p.report(p.ctx.Err())
-			return
-		}
-		if err := p.ctx.Err(); err != nil {
-			p.report(err)
-			return
-		}
-		p.report(protect(p.ctx, f))
-	}()
-}
-
-// Wait blocks until every submitted job has finished or been skipped and
-// returns the first error (in completion order) that any job produced,
-// or the parent context's error if it ended first.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.cancel()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// report records the first failure and cancels the remaining jobs.
-func (p *Pool) report(err error) {
-	if err == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err == nil {
-		p.err = err
-		p.cancel()
-	}
-}
-
-// protect runs f, converting a panic into a *PanicError.
-func protect(ctx context.Context, f func(ctx context.Context) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return f(ctx)
 }
 
 // Map applies f to every item on at most Workers(workers) goroutines and

@@ -153,69 +153,6 @@ func TestMapEmptyAndSingleItem(t *testing.T) {
 	}
 }
 
-func TestPoolGoWait(t *testing.T) {
-	p := NewPool(context.Background(), 4)
-	var sum atomic.Int64
-	for i := 1; i <= 10; i++ {
-		p.Go(func(context.Context) error {
-			sum.Add(int64(i))
-			return nil
-		})
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 55 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
-func TestPoolFirstErrorCancelsRest(t *testing.T) {
-	p := NewPool(context.Background(), 2)
-	boom := errors.New("boom")
-	var after atomic.Bool
-	p.Go(func(context.Context) error { return boom })
-	p.Go(func(ctx context.Context) error {
-		select {
-		case <-ctx.Done(): // fires once the first job's error is reported
-			return ctx.Err()
-		case <-time.After(2 * time.Second):
-			after.Store(true)
-			return nil
-		}
-	})
-	if err := p.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if after.Load() {
-		t.Fatal("job after the failure observed a live context")
-	}
-}
-
-func TestPoolPanicSurfacesAsError(t *testing.T) {
-	p := NewPool(context.Background(), 2)
-	p.Go(func(context.Context) error { panic(42) })
-	var pe *PanicError
-	if err := p.Wait(); !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if fmt.Sprint(pe.Value) != "42" {
-		t.Fatalf("panic value = %v", pe.Value)
-	}
-}
-
-func TestPoolParentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := NewPool(ctx, 2)
-	p.Go(func(ctx context.Context) error {
-		return errors.New("should not run")
-	})
-	if err := p.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestDeriveSeed(t *testing.T) {
 	seen := map[int64]bool{}
 	for stream := 0; stream < 1000; stream++ {

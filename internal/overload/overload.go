@@ -1,16 +1,15 @@
 // Package overload is the admission-control and self-healing layer for
 // biasmitd: a fixed-limit priority admission gate (per-class FIFO
 // queues admitted highest class first, with an optional CoDel-style
-// queue timeout and a bounded queue that shed lowest class first), a
-// token-bucket retry budget for the server's backend re-runs, deadline
-// propagation over the wire, a brownout controller that steps
+// queue timeout and a bounded queue that shed lowest class first),
+// deadline propagation over the wire, a brownout controller that steps
 // mitigation quality down under sustained shedding, and a watchdog that
 // detects stalled job executions.
 //
 // The package depends only on the standard library so that server, jobs,
-// client, and resilient can all import it without cycles. Every
-// component is safe for concurrent use; the time-driven ones (gate
-// timeouts, brownout, watchdog) take an injectable clock or timer.
+// and client can all import it without cycles. Every component is safe
+// for concurrent use; the time-driven ones (gate timeouts, brownout,
+// watchdog) take an injectable clock or timer.
 package overload
 
 import (
@@ -71,8 +70,8 @@ func ClassFromContext(ctx context.Context) Class {
 }
 
 // Error is the typed shed decision. It maps to HTTP 503 with the stable
-// code "overloaded" and a Retry-After hint; callers must not retry
-// before RetryAfter without spending retry-budget tokens.
+// code "overloaded" and a Retry-After hint; callers should not retry
+// before RetryAfter.
 type Error struct {
 	// Reason is a stable machine-readable cause: "queue_full",
 	// "queue_timeout", or "deadline_budget".

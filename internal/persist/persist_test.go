@@ -53,7 +53,7 @@ func TestLoadedRBMSDrivesAIM(t *testing.T) {
 	m := core.NewMachine(dev)
 	m.Opt = backend.Options{NoGateNoise: true, NoDecay: true}
 	prof := &core.Profiler{Machine: m, Layout: []int{0, 1, 2, 3, 4}}
-	rbms, err := prof.BruteForce(1000, 1)
+	rbms, err := prof.BruteForceContext(context.Background(), 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,12 @@ import (
 	"biasmit/internal/resilient"
 )
 
-// newMachine builds a machine whose execution path is a sliced retrying
-// executor, optionally under fault injection. Both sides of the
-// determinism comparison share the slice size, because slicing (not
-// fault placement) defines the random streams.
+// newMachine builds a machine whose execution path is a retrying
+// executor, optionally under fault injection.
 func newMachine(t *testing.T, plan chaos.Plan, workers int) *core.Machine {
 	t.Helper()
 	ex := resilient.New(plan.Wrap(backend.RunContext), resilient.Policy{
 		MaxAttempts: 60,
-		SliceShots:  64,
 		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	})
 	m := core.NewMachine(device.IBMQX2())

@@ -1,40 +1,24 @@
 // Package resilient executes backend runs on unreliable machines: it
 // retries transient failures with exponential backoff and full jitter,
-// fails fast on permanent errors (see IsTransient), sheds load through a
-// per-machine circuit breaker, and salvages completed work across
-// retries so a fault late in a large run does not discard the trials
-// that already finished.
+// fails fast on permanent errors (see IsTransient), and sheds load
+// through a per-machine circuit breaker.
 //
-// # Salvage and determinism
+// # Retries and determinism
 //
-// A run's trial budget is partitioned into fixed slices of
-// Policy.SliceShots trials; slice i executes as an independent backend
-// run with seed orchestrate.DeriveSeed(seed, i), exactly the discipline
-// SIM groups and parallel workers already follow. Slices are atomic:
-// one either completes and its histogram is kept, or it failed and is
-// re-dispatched whole. The merged result is therefore the slice-order
-// merge of per-slice histograms — a pure function of (circuit, device,
-// options, slice size) that does not depend on how many attempts were
-// needed or where faults landed. That is the determinism argument: with
-// fault injection at any rate and a fixed seed, the merged dist.Counts
-// are byte-identical to the fault-free run, because retries re-execute
-// identical seeded slices and never perturb a completed slice's RNG
-// stream. (Within a failed slice nothing is salvaged — resuming a
-// half-consumed RNG stream across process boundaries is exactly what
-// would break reproducibility — so SliceShots bounds the work a single
-// fault can waste.)
-//
-// With SliceShots ≤ 0 the run stays a single slice under its original
-// seed, byte-compatible with calling the backend directly; retries then
-// replay the whole run, which is still deterministic, just with nothing
-// to salvage.
+// A retry replays the whole run under the caller's seed. A failed call
+// returns no counts (a partial job's completed trials are discarded with
+// it), so the counts a run returns are always those of one complete
+// backend call with the caller's options — a pure function of (circuit,
+// device, options) that does not depend on how many attempts were needed
+// or where faults landed. With fault injection at any rate and a fixed
+// seed, the returned dist.Counts are byte-identical to the fault-free
+// run, and byte-compatible with calling the backend directly.
 package resilient
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -45,14 +29,12 @@ import (
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/obs"
-	"biasmit/internal/orchestrate"
 )
 
 // Policy tunes an Executor. Zero values select the defaults.
 type Policy struct {
-	// MaxAttempts bounds how many times a run's pending slices are
-	// dispatched before the last transient error is surfaced (default 4;
-	// 1 disables retries).
+	// MaxAttempts bounds how many times a run is executed before the
+	// last transient error is surfaced (default 4; 1 disables retries).
 	MaxAttempts int
 	// BaseDelay seeds the exponential backoff: the delay before attempt
 	// k (k ≥ 2) is uniform in (0, min(MaxDelay, BaseDelay·2^(k-2))] —
@@ -60,27 +42,15 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 2s).
 	MaxDelay time.Duration
-	// SliceShots is the salvage granularity: runs larger than this are
-	// partitioned into independent seeded slices of at most this many
-	// trials (see the package comment). Zero disables slicing.
-	SliceShots int
 	// Seed drives the backoff jitter. Jitter affects only timing, never
 	// results; a zero seed uses 1.
 	Seed int64
 	// Breaker, when set, gates every run: open → immediate
-	// *BreakerOpenError; run outcomes feed back into it.
+	// *BreakerOpenError naming the run's device; run outcomes feed back
+	// into it.
 	Breaker *Breaker
-	// Machine names the protected machine in BreakerOpenError messages.
-	Machine string
 	// Sleep overrides the backoff sleep, for tests. It must honour ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// RetryAllow, when set, is consulted before every retry (attempts
-	// after the first). Returning false surfaces the last transient
-	// error instead of retrying — the hook the shared token-bucket
-	// retry budget (internal/overload.Budget) plugs in so that under a
-	// sick backend the fleet's retries stay a bounded fraction of fresh
-	// traffic instead of amplifying the outage.
-	RetryAllow func() bool
 	// Metrics, when set, receives the executor's counters; several
 	// executors may share one Metrics.
 	Metrics *Metrics
@@ -90,25 +60,17 @@ type Policy struct {
 // across executors and safe for concurrent scraping.
 type Metrics struct {
 	Runs              atomic.Uint64 // runs started (past the breaker)
-	Attempts          atomic.Uint64 // dispatch passes over pending slices
-	Retries           atomic.Uint64 // attempts after the first
+	Retries           atomic.Uint64 // attempts after a run's first
 	Failures          atomic.Uint64 // runs that ultimately failed
-	SalvagedSlices    atomic.Uint64 // completed slices carried across a retry
-	SalvagedShots     atomic.Uint64 // trials those slices contained
 	BreakerRejections atomic.Uint64 // runs refused by an open breaker
-	BudgetDenials     atomic.Uint64 // retries suppressed by the retry budget
 }
 
 // MetricsSnapshot is a plain-value copy of Metrics for rendering.
 type MetricsSnapshot struct {
 	Runs              uint64
-	Attempts          uint64
 	Retries           uint64
 	Failures          uint64
-	SalvagedSlices    uint64
-	SalvagedShots     uint64
 	BreakerRejections uint64
-	BudgetDenials     uint64
 }
 
 // Snapshot copies the counters.
@@ -118,32 +80,20 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	return MetricsSnapshot{
 		Runs:              m.Runs.Load(),
-		Attempts:          m.Attempts.Load(),
 		Retries:           m.Retries.Load(),
 		Failures:          m.Failures.Load(),
-		SalvagedSlices:    m.SalvagedSlices.Load(),
-		SalvagedShots:     m.SalvagedShots.Load(),
 		BreakerRejections: m.BreakerRejections.Load(),
-		BudgetDenials:     m.BudgetDenials.Load(),
 	}
 }
 
-// Flags registers the CLI retry-tuning flags on fs and returns the
-// policy they fill in; pair with chaos.Flags to build the full -chaos-*
-// execution path. The defaults keep results byte-identical to an
-// unretried backend: no slicing, and retries only fire on failures.
+// Flags registers the CLI retry flag on fs and returns the policy it
+// fills in; pair with chaos.Flags to build the full -chaos-* execution
+// path. Retries only fire on failures and replay the run whole, so the
+// defaults keep results byte-identical to an unretried backend.
 func Flags(fs *flag.FlagSet) *Policy {
 	p := &Policy{}
 	fs.IntVar(&p.MaxAttempts, "retry-attempts", 4,
 		"execution attempts per backend run before the transient error surfaces (1 disables retries)")
-	fs.DurationVar(&p.BaseDelay, "retry-base-delay", 50*time.Millisecond,
-		"base delay for the full-jitter exponential retry backoff")
-	fs.DurationVar(&p.MaxDelay, "retry-max-delay", 2*time.Second,
-		"upper bound on the retry backoff")
-	fs.IntVar(&p.SliceShots, "slice-shots", 0,
-		"partial-shot salvage granularity: split each run into independently "+
-			"seeded slices of this many trials so a fault only re-runs unfinished "+
-			"work (0 = no slicing; changes the sampled random streams)")
 	return p
 }
 
@@ -158,7 +108,7 @@ type Executor struct {
 	rng *rand.Rand // backoff jitter
 }
 
-// New wraps run with the retry/salvage/breaker policy.
+// New wraps run with the retry/breaker policy.
 func New(run backend.Runner, p Policy) *Executor {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -192,32 +142,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// slice is one independently seeded unit of a run's trial budget.
-type slice struct {
-	shots int
-	seed  int64
-}
-
-// slices partitions a run. A single slice keeps the caller's seed so an
-// unsliced executor is byte-compatible with the raw backend.
-func (e *Executor) slices(opt backend.Options) []slice {
-	if e.policy.SliceShots <= 0 || opt.Shots <= e.policy.SliceShots {
-		return []slice{{shots: opt.Shots, seed: opt.Seed}}
-	}
-	n := (opt.Shots + e.policy.SliceShots - 1) / e.policy.SliceShots
-	out := make([]slice, 0, n)
-	remaining := opt.Shots
-	for i := 0; remaining > 0; i++ {
-		s := e.policy.SliceShots
-		if s > remaining {
-			s = remaining
-		}
-		out = append(out, slice{shots: s, seed: orchestrate.DeriveSeed(opt.Seed, i)})
-		remaining -= s
-	}
-	return out
-}
-
 // backoff returns the full-jitter delay before the given retry (attempt
 // numbering starts at 1; the first retry is attempt 2).
 func (e *Executor) backoff(attempt int) time.Duration {
@@ -246,75 +170,34 @@ func (e *Executor) Run(ctx context.Context, c *circuit.Circuit, dev *device.Devi
 			if m != nil {
 				m.BreakerRejections.Add(1)
 			}
-			machine := e.policy.Machine
-			if machine == "" {
-				machine = dev.Name
-			}
-			obs.Annotate(ctx, "breaker open: %s rejected the run (retry after %s)", machine, retryAfter)
-			return nil, &BreakerOpenError{Machine: machine, RetryAfter: retryAfter}
+			obs.Annotate(ctx, "breaker open: %s rejected the run (retry after %s)", dev.Name, retryAfter)
+			return nil, &BreakerOpenError{Machine: dev.Name, RetryAfter: retryAfter}
 		}
 	}
 	if m != nil {
 		m.Runs.Add(1)
 	}
 
-	slices := e.slices(opt)
-	done := make([]*dist.Counts, len(slices))
-	// Salvage already credited to the counters, so each retry only adds
-	// the newly surviving slices.
-	creditedSlices, creditedShots := 0, 0
 	var lastErr error
 	for attempt := 1; attempt <= e.policy.MaxAttempts; attempt++ {
-		if m != nil {
-			m.Attempts.Add(1)
-			if attempt > 1 {
-				m.Retries.Add(1)
-			}
+		if attempt > 1 && m != nil {
+			m.Retries.Add(1)
 		}
-		lastErr = e.dispatch(ctx, c, dev, opt, slices, done)
-		if lastErr == nil {
+		if lastErr = ctx.Err(); lastErr != nil {
+			break
+		}
+		counts, err := e.run(ctx, c, dev, opt)
+		if err == nil {
 			if br != nil {
 				br.Success()
 			}
-			merged := dist.NewCounts(dev.NumQubits)
-			for _, counts := range done {
-				merged.Merge(counts)
-			}
-			return merged, nil
+			return counts, nil
 		}
-		if !IsTransient(lastErr) || attempt == e.policy.MaxAttempts {
+		lastErr = err
+		if !IsTransient(err) || attempt == e.policy.MaxAttempts {
 			break
 		}
-		// The retry budget has the last word: no tokens, no retry. The
-		// transient error surfaces to the caller (still typed retryable),
-		// shifting the retry decision to whoever holds budget.
-		if e.policy.RetryAllow != nil && !e.policy.RetryAllow() {
-			if m != nil {
-				m.BudgetDenials.Add(1)
-			}
-			obs.Annotate(ctx, "retry budget exhausted after attempt %d: %v", attempt, lastErr)
-			break
-		}
-		// Credit the trials that survived this failed attempt: they are
-		// kept, and only the pending remainder is re-dispatched.
-		kept, shots := 0, 0
-		for _, counts := range done {
-			if counts != nil {
-				kept++
-				shots += counts.Total()
-			}
-		}
-		if m != nil && kept > creditedSlices {
-			m.SalvagedSlices.Add(uint64(kept - creditedSlices))
-			m.SalvagedShots.Add(uint64(shots - creditedShots))
-			creditedSlices, creditedShots = kept, shots
-		}
-		if kept > 0 {
-			obs.Annotate(ctx, "retry %d/%d after transient (%d/%d slices salvaged, %d shots): %v",
-				attempt+1, e.policy.MaxAttempts, kept, len(slices), shots, lastErr)
-		} else {
-			obs.Annotate(ctx, "retry %d/%d after transient: %v", attempt+1, e.policy.MaxAttempts, lastErr)
-		}
+		obs.Annotate(ctx, "retry %d/%d after transient: %v", attempt+1, e.policy.MaxAttempts, err)
 		if err := e.policy.Sleep(ctx, e.backoff(attempt+1)); err != nil {
 			lastErr = err
 			break
@@ -333,30 +216,4 @@ func (e *Executor) Run(ctx context.Context, c *circuit.Circuit, dev *device.Devi
 		m.Failures.Add(1)
 	}
 	return nil, lastErr
-}
-
-// dispatch runs every pending slice in order, recording completions in
-// done. It returns the first error, leaving completed slices in place
-// for the next attempt to skip.
-func (e *Executor) dispatch(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options, slices []slice, done []*dist.Counts) error {
-	for i, s := range slices {
-		if done[i] != nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sliceOpt := opt
-		sliceOpt.Shots = s.shots
-		sliceOpt.Seed = s.seed
-		counts, err := e.run(ctx, c, dev, sliceOpt)
-		if err != nil {
-			if len(slices) > 1 {
-				return fmt.Errorf("resilient: slice %d/%d (%d shots): %w", i+1, len(slices), s.shots, err)
-			}
-			return err
-		}
-		done[i] = counts
-	}
-	return nil
 }

@@ -20,8 +20,8 @@ func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
 // scriptRunner fails according to a per-call script: calls whose index
 // (0-based) is in fail return a transient error; entries in perm return
-// a permanent error instead. Successful calls return a histogram whose
-// single outcome is keyed by the slice seed, so merges are checkable.
+// a permanent error instead. Successful calls return every shot on the
+// all-zeros outcome, and every call's seed is recorded.
 type scriptRunner struct {
 	mu    sync.Mutex
 	calls int
@@ -78,6 +78,11 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	if s := m.Snapshot(); s.Retries != 2 || s.Failures != 0 {
 		t.Fatalf("metrics = %+v", s)
 	}
+	for i, seed := range r.seeds {
+		if seed != 11 {
+			t.Fatalf("attempt %d ran with seed %d, want the caller's seed 11", i+1, seed)
+		}
+	}
 }
 
 func TestPermanentErrorFailsFast(t *testing.T) {
@@ -126,53 +131,6 @@ func TestBadBudgetNeverDispatches(t *testing.T) {
 	}
 }
 
-func TestSalvageSkipsCompletedSlices(t *testing.T) {
-	// 1000 shots at 300/slice: slices of 300, 300, 300, 100. The third
-	// slice fails once (call index 2), ending the first dispatch pass
-	// before slice 4 runs; attempt 2 runs only slices 3 and 4 — 5 calls
-	// in total, and the merged histogram holds every trial exactly once.
-	r := &scriptRunner{fail: map[int]bool{2: true}}
-	m := &Metrics{}
-	ex := New(r.run, Policy{MaxAttempts: 3, SliceShots: 300, Sleep: noSleep, Metrics: m})
-	counts, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Total() != 1000 {
-		t.Fatalf("total = %d, want 1000", counts.Total())
-	}
-	if r.callCount() != 5 {
-		t.Fatalf("calls = %d, want 5 (3 + the 2 pending slices)", r.callCount())
-	}
-	s := m.Snapshot()
-	if s.SalvagedSlices != 2 || s.SalvagedShots != 600 {
-		t.Fatalf("salvage = %d slices / %d shots, want 2 / 600", s.SalvagedSlices, s.SalvagedShots)
-	}
-}
-
-func TestMergedResultIndependentOfFaultPlacement(t *testing.T) {
-	run := func(fail map[int]bool) *dist.Counts {
-		t.Helper()
-		r := &scriptRunner{fail: fail}
-		ex := New(r.run, Policy{MaxAttempts: 10, SliceShots: 64, Sleep: noSleep})
-		counts, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(500))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return counts
-	}
-	clean := run(nil)
-	faulty := run(map[int]bool{0: true, 3: true, 5: true, 9: true})
-	if clean.Total() != faulty.Total() {
-		t.Fatalf("totals differ: %d vs %d", clean.Total(), faulty.Total())
-	}
-	for _, b := range clean.Outcomes() {
-		if clean.Get(b) != faulty.Get(b) {
-			t.Fatalf("outcome %v: %d vs %d", b, clean.Get(b), faulty.Get(b))
-		}
-	}
-}
-
 func TestSingleSliceKeepsCallerSeed(t *testing.T) {
 	r := &scriptRunner{}
 	ex := New(r.run, Policy{Sleep: noSleep})
@@ -181,29 +139,6 @@ func TestSingleSliceKeepsCallerSeed(t *testing.T) {
 	}
 	if len(r.seeds) != 1 || r.seeds[0] != 11 {
 		t.Fatalf("seeds = %v, want the caller's seed 11 untouched", r.seeds)
-	}
-}
-
-func TestSlicedSeedsAreDerivedAndStable(t *testing.T) {
-	seeds := func() []int64 {
-		r := &scriptRunner{}
-		ex := New(r.run, Policy{SliceShots: 100, Sleep: noSleep})
-		if _, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(250)); err != nil {
-			t.Fatal(err)
-		}
-		return r.seeds
-	}
-	a, b := seeds(), seeds()
-	if len(a) != 3 {
-		t.Fatalf("slices = %d, want 3", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("slice %d seed not stable: %d vs %d", i, a[i], b[i])
-		}
-	}
-	if a[0] == 11 || a[1] == 11 {
-		t.Fatal("sliced runs must use derived seeds, not the caller's")
 	}
 }
 
@@ -229,7 +164,7 @@ func TestBreakerOpenRejectsRun(t *testing.T) {
 	r := &scriptRunner{fail: map[int]bool{0: true, 1: true}}
 	br := NewBreaker(BreakerOptions{Threshold: 2, Cooldown: time.Hour})
 	m := &Metrics{}
-	ex := New(r.run, Policy{MaxAttempts: 1, Sleep: noSleep, Breaker: br, Machine: "ibmqx2", Metrics: m})
+	ex := New(r.run, Policy{MaxAttempts: 1, Sleep: noSleep, Breaker: br, Metrics: m})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if _, err := ex.Run(ctx, probeCircuit(), device.IBMQX2(), runOpts(10)); err == nil {
@@ -267,43 +202,5 @@ func TestContextCancellationDoesNotChargeBreaker(t *testing.T) {
 	}
 	if br.State() != StateClosed {
 		t.Fatalf("breaker state %q: a caller cancellation is not machine failure", br.State())
-	}
-}
-
-func TestRetryAllowDeniedSurfacesTransient(t *testing.T) {
-	r := &scriptRunner{fail: map[int]bool{0: true}}
-	m := &Metrics{}
-	denied := 0
-	ex := New(r.run, Policy{
-		MaxAttempts: 4, Sleep: noSleep, Metrics: m,
-		RetryAllow: func() bool { denied++; return false },
-	})
-	_, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(100))
-	if !IsTransient(err) {
-		t.Fatalf("error = %v, want the transient error surfaced un-retried", err)
-	}
-	if r.callCount() != 1 {
-		t.Fatalf("calls = %d, want 1 (budget denied the retry)", r.callCount())
-	}
-	if denied != 1 {
-		t.Fatalf("RetryAllow consulted %d times, want 1", denied)
-	}
-	if s := m.Snapshot(); s.BudgetDenials != 1 || s.Retries != 0 {
-		t.Fatalf("metrics = %+v, want one budget denial and zero retries", s)
-	}
-}
-
-func TestRetryAllowGrantedRetries(t *testing.T) {
-	r := &scriptRunner{fail: map[int]bool{0: true}}
-	ex := New(r.run, Policy{
-		MaxAttempts: 4, Sleep: noSleep,
-		RetryAllow: func() bool { return true },
-	})
-	counts, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts.Total() != 100 || r.callCount() != 2 {
-		t.Fatalf("total = %d calls = %d, want 100 over 2 calls", counts.Total(), r.callCount())
 	}
 }

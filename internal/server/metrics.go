@@ -234,11 +234,8 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	journal("biasmitd_jobs_", "job", jobsJournal)
 
 	counter("biasmitd_backend_runs_total", "Backend runs started (past the breaker).", runs.Runs)
-	counter("biasmitd_backend_attempts_total", "Dispatch passes over a run's pending slices.", runs.Attempts)
 	counter("biasmitd_backend_retries_total", "Attempts after a run's first, i.e. transient-failure retries.", runs.Retries)
 	counter("biasmitd_backend_run_failures_total", "Backend runs that failed after exhausting retries.", runs.Failures)
-	counter("biasmitd_salvaged_slices_total", "Completed shot slices carried across a retry instead of re-run.", runs.SalvagedSlices)
-	counter("biasmitd_salvaged_shots_total", "Trials inside salvaged slices.", runs.SalvagedShots)
 	counter("biasmitd_breaker_rejections_total", "Runs refused outright by an open circuit breaker.", runs.BreakerRejections)
 
 	fmt.Fprintln(w, "# HELP biasmitd_breaker_state Circuit-breaker state per machine (0 closed, 1 half-open, 2 open).")
@@ -253,13 +250,12 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 		fmt.Fprintf(w, "biasmitd_breaker_transitions_total{machine=%q,to=\"half-open\"} %d\n", b.machine, b.stats.HalfOpened)
 		fmt.Fprintf(w, "biasmitd_breaker_transitions_total{machine=%q,to=\"closed\"} %d\n", b.machine, b.stats.Closed)
 	}
-	counter("biasmitd_retry_budget_denials_total", "Backend retries blocked by the shared retry budget.", runs.BudgetDenials)
 }
 
 // writeOverloadMetrics renders the overload-control subsystem: the
-// admission gate's occupancy and per-class admission counters, the
-// retry budget's token level, brownout tier transitions, and watchdog
-// stall recoveries. Written after the registry block by /metrics.
+// admission gate's occupancy and per-class admission counters,
+// brownout tier transitions, and watchdog stall recoveries. Written
+// after the registry block by /metrics.
 func (s *Server) writeOverloadMetrics(w io.Writer) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
@@ -285,14 +281,6 @@ func (s *Server) writeOverloadMetrics(w io.Writer) {
 	perClass("biasmitd_overload_sheds_total", "Requests shed by admission control, by priority class.", &ls.Shed)
 	perClass("biasmitd_overload_queue_timeouts_total", "Queued requests shed at the CoDel queue timeout, by priority class.", &ls.Timeouts)
 	counter("biasmitd_overload_evictions_total", "Queued low-class waiters displaced by higher-class arrivals.", ls.Evictions)
-	if s.budget != nil {
-		bs := s.budget.Stats()
-		fmt.Fprintln(w, "# HELP biasmitd_retry_budget_tokens Retry tokens currently available.")
-		fmt.Fprintln(w, "# TYPE biasmitd_retry_budget_tokens gauge")
-		fmt.Fprintf(w, "biasmitd_retry_budget_tokens %g\n", bs.Tokens)
-		counter("biasmitd_retry_budget_allowed_total", "Retries the budget admitted.", bs.Allowed)
-		counter("biasmitd_retry_budget_denied_total", "Retries the budget refused.", bs.Denied)
-	}
 	br := s.brown.Stats()
 	gauge("biasmitd_brownout_tier", "Current brownout tier (0 full, 1 sim, 2 baseline).", int64(br.Tier))
 	counter("biasmitd_brownout_steps_down_total", "Brownout tier degradations under admission pressure.", br.StepsDown)

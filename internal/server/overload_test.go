@@ -418,7 +418,6 @@ func TestMetricsExposeOverload(t *testing.T) {
 		"biasmitd_overload_limiter_enabled 0",
 		"biasmitd_brownout_tier 0",
 		"biasmitd_watchdog_tasks",
-		"biasmitd_retry_budget_denials_total 0",
 	} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Fatalf("/metrics missing %q", want)

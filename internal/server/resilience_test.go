@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -43,13 +44,16 @@ func (c *fakeClock) advance(d time.Duration) {
 // faultySwitch makes every backend run fail transiently while on. The
 // failShots filter, when non-zero, restricts failures to runs with that
 // exact shot budget (used to break characterization but not mitigation).
+// calls counts every backend call, retries included.
 type faultySwitch struct {
 	on        atomic.Bool
 	failShots int
+	calls     atomic.Int64
 }
 
 func (f *faultySwitch) wrap(run backend.Runner) backend.Runner {
 	return func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
+		f.calls.Add(1)
 		if f.on.Load() && (f.failShots == 0 || opt.Shots == f.failShots) {
 			return nil, &backend.TransientError{Op: "test", Err: fmt.Errorf("injected outage")}
 		}
@@ -88,8 +92,7 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 	})
 	req := MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00", Shots: 64, Seed: 1}
 
-	// Two failing runs exhaust the (single-attempt) retry budget twice
-	// and open the breaker.
+	// Two failing runs, one attempt each, open the breaker.
 	f.on.Store(true)
 	for i := 0; i < 2; i++ {
 		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
@@ -154,12 +157,10 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 		t.Fatalf("health after recovery: status %d %q", hresp.StatusCode, h.Status)
 	}
 
-	// /metrics exposes the retry, salvage, and breaker-transition
-	// counters.
+	// /metrics exposes the retry and breaker-transition counters.
 	_, mdata := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"biasmitd_backend_retries_total",
-		"biasmitd_salvaged_shots_total",
 		"biasmitd_breaker_rejections_total 1",
 		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="open"} 1`,
 		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="half-open"} 1`,
@@ -169,6 +170,78 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 		if !strings.Contains(string(mdata), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, mdata)
 		}
+	}
+}
+
+// TestRetriesBoundedByAttemptsAndBreaker pins what bounds backend work
+// against a machine whose every run fails: the executor's attempt cap
+// per run, and the breaker, which opens after Threshold failed runs.
+// Runs execute only inside an admission slot, so when the breaker opens
+// at most MaxJobs-1 other runs are already past it. With 8 concurrent
+// clients that leaves at most Threshold+MaxJobs-1 runs reaching the
+// backend, each attempted at most RetryAttempts times; every later
+// request is refused as breaker_open.
+func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
+	const (
+		maxJobs   = 2
+		attempts  = 4 // the default
+		threshold = 5 // the default
+		clients   = 8
+		perClient = 5
+	)
+	f := &faultySwitch{}
+	f.on.Store(true)
+	_, ts, _ := resilientServer(t, f, Config{MaxJobs: maxJobs})
+
+	codes := make(chan string, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				req := MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00",
+					Shots: 64, Seed: int64(c*perClient + i + 1)}
+				raw, _ := json.Marshal(req)
+				resp, err := http.Post(ts.URL+"/v1/mitigate", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var env errorEnvelope
+				err = json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				if err != nil || env.Error == nil || resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("status %d, want a typed 503 (decode error %v)", resp.StatusCode, err)
+					return
+				}
+				codes <- env.Error.Code
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(codes)
+
+	transient, open := 0, 0
+	for code := range codes {
+		switch code {
+		case CodeUpstreamTransient:
+			transient++
+		case CodeBreakerOpen:
+			open++
+		default:
+			t.Errorf("code %q, want %s or %s", code, CodeUpstreamTransient, CodeBreakerOpen)
+		}
+	}
+	const maxRuns = threshold + maxJobs - 1
+	if calls := f.calls.Load(); calls > maxRuns*attempts {
+		t.Fatalf("%d backend calls, want at most (%d+%d-1)×%d = %d", calls, threshold, maxJobs, attempts, maxRuns*attempts)
+	}
+	if transient < threshold || transient > maxRuns {
+		t.Fatalf("%d upstream_transient replies, want %d to %d", transient, threshold, maxRuns)
+	}
+	if transient+open != clients*perClient {
+		t.Fatalf("%d transient + %d breaker_open replies, want %d in all", transient, open, clients*perClient)
 	}
 }
 

@@ -132,11 +132,6 @@ type Config struct {
 	// before stepping a tier down (up); defaults 2s / 5s.
 	BrownoutDwellDown time.Duration
 	BrownoutDwellUp   time.Duration
-	// RetryBudget, when positive, caps retry traffic (backend re-runs)
-	// to this fraction of fresh admitted work via a shared token bucket
-	// — the standard defence against retry storms. 0.1 means retries may
-	// add at most ~10% load. Zero disables the budget.
-	RetryBudget float64
 	// QueueHighWater, when positive, flips /healthz to 503 unavailable
 	// once more than this many async jobs sit queued — the backpressure
 	// signal load balancers act on.
@@ -245,12 +240,10 @@ type Server struct {
 	rescache *rescache.Cache
 
 	// Overload control: limiter is the admission gate for heavy
-	// endpoints (MaxJobs slots, priority queues). The rest are optional
-	// (nil disables each): budget caps retry traffic, brown steps AIM
-	// down to SIM/baseline under sustained shedding, watchdog
+	// endpoints (MaxJobs slots, priority queues); brown (nil when off)
+	// steps AIM down to SIM/baseline under sustained shedding; watchdog
 	// cancels-and-requeues wedged async jobs.
 	limiter  *overload.Limiter
-	budget   *overload.Budget
 	brown    *overload.Brownout
 	watchdog *overload.Watchdog
 }
@@ -282,9 +275,6 @@ func New(cfg Config) *Server {
 		gate.MaxQueue = maxAdmissionQueue
 	}
 	s.limiter = overload.NewLimiter(gate)
-	if cfg.RetryBudget > 0 {
-		s.budget = overload.NewBudget(cfg.RetryBudget, 0)
-	}
 	if cfg.Brownout {
 		s.brown = overload.NewBrownout(cfg.BrownoutDwellDown, cfg.BrownoutDwellUp, cfg.Now)
 	}
@@ -467,24 +457,18 @@ func (s *Server) exec(dev *device.Device) *machineExec {
 	if s.cfg.wrapRun != nil {
 		run = s.cfg.wrapRun(run)
 	}
-	// Backoff starts at resilient's 50ms default, and runs are never
-	// sliced, so served counts match the raw backend's byte for byte.
-	pol := resilient.Policy{
+	// Backoff starts at resilient's 50ms default. This executor is the
+	// only retry limit on a run: every request-path run holds one of the
+	// MaxJobs admission slots while it retries, so retries lengthen a
+	// request but add no concurrency, and the breaker stops a machine
+	// whose runs keep failing.
+	ex := resilient.New(s.cfg.Chaos.Wrap(run), resilient.Policy{
 		MaxAttempts: s.cfg.RetryAttempts,
 		Seed:        s.cfg.Seed,
 		Breaker:     br,
-		Machine:     dev.Name,
 		Sleep:       s.cfg.sleep,
 		Metrics:     s.runMetrics,
-	}
-	if s.budget != nil {
-		// The shared retry budget has the last word before every backend
-		// retry: when retries would exceed their fraction of fresh
-		// traffic, the transient error surfaces instead of amplifying an
-		// outage.
-		pol.RetryAllow = s.budget.Allow
-	}
-	ex := resilient.New(s.cfg.Chaos.Wrap(run), pol)
+	})
 	e := &machineExec{breaker: br, run: ex.Run}
 	s.execs[dev.Name] = e
 	return e
@@ -519,7 +503,7 @@ func (s *Server) deadline(ctx context.Context, timeoutMS int) (context.Context, 
 // go to the highest class first. Without a QueueTimeout it waits until
 // a slot frees or ctx ends; with one it is shed, lowest class first,
 // with a typed overload error. Every shed feeds the brownout
-// controller, and every fresh admission funds the shared retry budget.
+// controller.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	release, err = s.limiter.Acquire(ctx, overload.ClassFromContext(ctx))
 	if err != nil {
@@ -535,7 +519,6 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	if s.limiter.Stats().Queued == 0 {
 		s.brown.Observe(false)
 	}
-	s.budget.OnRequest()
 	return release, nil
 }
 

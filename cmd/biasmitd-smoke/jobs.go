@@ -109,10 +109,11 @@ func jobsScenario(ctx context.Context, bin, jobsDir string) error {
 	// Park a slow job on the single worker, then stack two behind it.
 	// The slow job is submitted under a client-minted trace ID: the crash
 	// below must not orphan it — the recovered job carries the same ID.
-	// Trajectories on the 14-qubit machine keep it running for about a
-	// second; on a 5-qubit machine the exact engine would finish in
-	// milliseconds.
-	slowReq := &api.MitigateRequest{Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A", Shots: 8192, Seed: 21}
+	// Trajectories on all 14 qubits of the machine keep it running for
+	// about 1.4s on 2 vCPUs: ghz-14 touches every qubit, so the backend
+	// cannot compact its register. A circuit touching fewer qubits, or a
+	// run the exact engine takes, finishes in milliseconds.
+	slowReq := &api.MitigateRequest{Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "ghz-14", Shots: 8192, Seed: 21}
 	traceCtx, slowTrace := client.WithTraceID(ctx, "")
 	slowID, err := submitBaseline(traceCtx, d1.cl, slowReq)
 	if err != nil {

@@ -132,9 +132,9 @@ func canonicalMitigate(out *api.MitigateResponse) (string, error) {
 //
 //  1. boot biasmitd with -data-dir, learn two profiles explicitly, and
 //     record a canonical AIM run against one of them;
-//  2. SIGKILL the daemon while a third (slow) characterization is in
-//     flight, then append a torn half-frame to the WAL the way a crash
-//     mid-append would;
+//  2. SIGKILL the daemon while a third characterization (an ESCT over
+//     all 14 melbourne qubits) is in flight, then append a torn
+//     half-frame to the WAL the way a crash mid-append would;
 //  3. restart from the same -data-dir and require: health ok, both
 //     committed profiles warm with their original learned_at, the torn
 //     tail reported dropped, zero re-characterizations, and the AIM run
@@ -189,14 +189,22 @@ func recoverScenario(ctx context.Context, bin, dataDir string) error {
 		return err
 	}
 
-	// Fire a slow 14-qubit characterization and kill the daemon while it
-	// is (most likely) still running — the crash lands mid-work, not at
-	// a quiet point. Whether or not it commits before the SIGKILL, the
-	// two profiles above are already durable.
+	// Fire a 14-qubit characterization and kill the daemon as soon as
+	// /metrics shows it in flight, so the crash lands mid-work, not at a
+	// quiet point. It is an ESCT over all 14 qubits, one run the backend
+	// cannot compact (tens of milliseconds on 2 vCPUs); AWCT's 4-qubit
+	// windows finish in a few milliseconds each. Whether or not it
+	// commits before the SIGKILL, the two profiles above are already
+	// durable.
 	go func() {
-		_, _ = d1.cl.Characterize(ctx, &api.CharacterizeRequest{Machine: "ibmq-melbourne", Method: "awct"})
+		_, _ = d1.cl.Characterize(ctx, &api.CharacterizeRequest{Machine: "ibmq-melbourne", Method: "esct", Qubits: 14})
 	}()
-	time.Sleep(150 * time.Millisecond)
+	inFlight := `biasmitd_in_flight_requests{route="/v1/characterize"}`
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if v, err := cacheMetric(ctx, d1, inFlight); err == nil && v > 0 {
+			break
+		}
+	}
 	d1.kill()
 
 	// Torn write: a frame header claiming 64 payload bytes followed by

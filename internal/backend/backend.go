@@ -21,6 +21,25 @@
 // than a trajectory per shot (see Options.ShotsPerTrajectory); both
 // engines sample the same output distribution, but through different
 // random streams.
+//
+// The trajectory engine simulates only the qubits the placement touches
+// (plan.compact). A placed circuit often occupies a few of the device's
+// qubits — the paper's melbourne benchmarks touch 6 to 8 of 14 — and the
+// rest get no gate and no noise step, so they stay exactly |0⟩. Each
+// trajectory then evolves 2^k amplitudes for the k touched qubits
+// instead of 2^n, and each sampled index is scattered back to device
+// width before the device-width readout channel. The counts are
+// byte-identical to evolving the whole register, not merely close.
+// Every device amplitude with an untouched qubit's bit set stays exactly
+// zero, and every kernel pairs amplitudes that differ only in touched
+// qubits, so each remaining amplitude is computed from the same
+// operands. The touched qubits keep their device order, so the
+// compact→device index map is monotone, and every norm and sampler
+// running sum adds the same non-zero terms in the same order (the zeros
+// add exactly 0.0). Each draw thus compares the same u against the same
+// IEEE-754 partial sums, and a sampler round-off fallthrough still
+// reports the device's all-ones state. The engine choice, the default
+// ShotsPerTrajectory and the NoFastPath oracle stay at device width.
 package backend
 
 import (
@@ -159,9 +178,10 @@ type Options struct {
 	// gates pay their own gate-error and duration cost.
 	IdleInversion bool
 	// NoFastPath is a debug/verification knob: it disables the exact
-	// engine, the CDF batch sampler, the pooled trajectory state, and
-	// the compiled readout channel, running the original
-	// allocate-per-trajectory, linear-scan-per-shot trial loop instead.
+	// engine, register compaction, the CDF batch sampler, the pooled
+	// trajectory state, and the compiled readout channel, running the
+	// original full-width, allocate-per-trajectory,
+	// linear-scan-per-shot trial loop instead.
 	// Against trajectories with the same ShotsPerTrajectory the results
 	// are byte-identical — the fast path is stream-identical by
 	// construction and the equality tests assert it — so the only
@@ -221,6 +241,9 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 		return runExact(ctx, p, opt, readout)
 	}
 	opt = opt.withDefaults(dev.NumQubits)
+	if !opt.NoFastPath {
+		p = p.compact()
+	}
 	if opt.Workers > 1 {
 		return runParallel(ctx, p, opt, readout)
 	}
@@ -237,14 +260,16 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 //
 // This is the hot path of every run the exact engine does not take:
 // wide registers, small shot budgets, and explicit ShotsPerTrajectory.
-// The fast path (default) holds one pooled state vector for the whole
-// loop, re-preparing it in place per trajectory, and samples each
-// trajectory batch through a CDF built once per trajectory (O(2^n) once
-// + O(n) binary search per shot) instead of linear-scanning 2^n
-// amplitudes on every shot. Both the CDF sampler and the compiled
-// readout channel are stream-identical to the naive operations — same
-// rng draws, same comparisons, same tie semantics — so the recorded
-// counts are byte-identical to Options.NoFastPath (asserted by
+// The fast path (default) evolves the compacted register of p (see
+// plan.compact) in one pooled state vector for the whole loop,
+// re-preparing it in place per trajectory, samples each trajectory
+// batch through a CDF built once per trajectory (O(2^n) once + O(n)
+// binary search per shot) instead of linear-scanning 2^n amplitudes on
+// every shot, and maps each sampled index to its device outcome
+// (plan.outcome). Compaction, the CDF sampler and the compiled readout
+// channel are all stream-identical to the naive operations — same rng
+// draws, same comparisons, same tie semantics — so the recorded counts
+// are byte-identical to Options.NoFastPath (asserted by
 // TestFastPathMatchesNaive and the fuzz suite in internal/quantum).
 func runShots(ctx context.Context, p *plan, opt Options,
 	readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
@@ -281,7 +306,7 @@ func runShots(ctx context.Context, p *plan, opt Options,
 			// One draw amortizes nothing: the linear scan inspects half
 			// the amplitudes on average, building the CDF touches all of
 			// them. Same stream either way; keep the cheaper scan.
-			out := state.Sample(rng)
+			out := p.outcome(state.SampleIndex(rng))
 			if !opt.NoReadoutError {
 				out = readout.Apply(out, rng)
 			}
@@ -295,7 +320,7 @@ func runShots(ctx context.Context, p *plan, opt Options,
 			sampler.Reset(state)
 		}
 		for i := 0; i < batch; i++ {
-			out := sampler.Sample(rng)
+			out := p.outcome(sampler.SampleIndex(rng))
 			if !opt.NoReadoutError {
 				out = readout.Apply(out, rng)
 			}
@@ -355,7 +380,7 @@ func runParallel(ctx context.Context, p *plan, opt Options, readout *noise.Compi
 	}
 	partial, err := orchestrate.Map(ctx, workers, shotsFor,
 		func(ctx context.Context, w, shots int) (*dist.Counts, error) {
-			local := dist.NewCounts(p.c.NumQubits)
+			local := dist.NewCounts(p.width)
 			rng := rand.New(rand.NewSource(orchestrate.DeriveSeed(opt.Seed, w)))
 			if err := runShots(ctx, p, opt, readout, shots, rng, local); err != nil {
 				return nil, err
@@ -365,7 +390,7 @@ func runParallel(ctx context.Context, p *plan, opt Options, readout *noise.Compi
 	if err != nil {
 		return nil, err
 	}
-	counts := dist.NewCounts(p.c.NumQubits)
+	counts := dist.NewCounts(p.width)
 	for _, part := range partial {
 		counts.Merge(part)
 	}

@@ -93,9 +93,16 @@ func assertSameCounts(t *testing.T, label string, want, got *dist.Counts) {
 }
 
 // TestFastPathMatchesNaive is the tentpole equality sweep: every (device,
-// ablation, seed, batch size) cell, sequential.
+// ablation, seed, batch size) cell, sequential. Besides the shared cases
+// it runs a basis preparation of ibmqx4's qubits 1 and 2: the fast path
+// simulates only those two, while the readout channel still sees all
+// five, with crosstalk triggered by qubit 1 and triggers 0, 3 and 4 left
+// untouched.
 func TestFastPathMatchesNaive(t *testing.T) {
-	for _, fc := range fastPathCases() {
+	cases := append(fastPathCases(), fastPathCase{
+		name: "ibmqx4-prep12", dev: device.IBMQX4(), c: circuit.New(5, "prep12").X(1).X(2),
+	})
+	for _, fc := range cases {
 		// The naive oracle's per-shot linear scan makes wide registers
 		// expensive; fewer shots there keep the sweep inside tier-1 time.
 		shots := 400

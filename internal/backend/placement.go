@@ -3,8 +3,10 @@ package backend
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
+	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
 	"biasmit/internal/density"
 	"biasmit/internal/device"
@@ -46,6 +48,13 @@ type step struct {
 type plan struct {
 	c     *circuit.Circuit
 	steps []step
+	// width is the device register width, the width of every outcome.
+	width int
+	// active is set only on a compacted plan (see compact): c and steps
+	// then act on len(active) qubits, and qubit j of that register is
+	// device qubit active[j]. It is nil when the plan acts on the whole
+	// device register.
+	active []int
 }
 
 // channel appends a noise step. A channel with zero probability is the
@@ -69,7 +78,7 @@ func placeNoise(c *circuit.Circuit, dev *device.Device, opt Options) (*plan, err
 			return nil, err
 		}
 	}
-	p := &plan{c: c, steps: make([]step, 0, 4*len(c.Ops))}
+	p := &plan{c: c, steps: make([]step, 0, 4*len(c.Ops)), width: dev.NumQubits}
 	for i, op := range c.Ops {
 		if before != nil {
 			for _, gap := range before[i] {
@@ -142,6 +151,84 @@ func (p *plan) gateNoise(dev *device.Device, op circuit.Op, opt Options) error {
 		}
 	}
 	return nil
+}
+
+// compact returns the plan restricted to the qubits its steps touch —
+// gate operands, gate-noise and idle-gap channels, idle-inversion X —
+// renumbered in ascending device order, or p itself when every qubit is
+// touched. Trajectories on the compacted register are stream-identical
+// to full-width ones (see the package comment); the ascending order
+// keeps the compact→device index map monotone, which that argument
+// needs. A plan with no steps keeps device qubit 0, since a register
+// needs at least one qubit.
+func (p *plan) compact() *plan {
+	var used uint64
+	for _, s := range p.steps {
+		switch s.kind {
+		case stepGate:
+			for _, q := range p.c.Ops[s.op].Qubits {
+				used |= 1 << uint(q)
+			}
+		case stepDepol2:
+			used |= 1<<uint(s.q0) | 1<<uint(s.q1)
+		default:
+			used |= 1 << uint(s.q0)
+		}
+	}
+	if used == 0 {
+		used = 1
+	}
+	if bits.OnesCount64(used) == p.width {
+		return p
+	}
+	var compactOf [bitstring.MaxWidth]int
+	active := make([]int, 0, bits.OnesCount64(used))
+	for q := 0; q < p.width; q++ {
+		if used&(1<<uint(q)) != 0 {
+			compactOf[q] = len(active)
+			active = append(active, q)
+		}
+	}
+	c := &circuit.Circuit{NumQubits: len(active), Name: p.c.Name, Ops: make([]circuit.Op, 0, len(p.c.Ops))}
+	steps := make([]step, len(p.steps))
+	for i, s := range p.steps {
+		switch s.kind {
+		case stepGate:
+			op := p.c.Ops[s.op]
+			qubits := make([]int, len(op.Qubits))
+			for j, q := range op.Qubits {
+				qubits[j] = compactOf[q]
+			}
+			op.Qubits = qubits
+			s.op = len(c.Ops)
+			c.Ops = append(c.Ops, op)
+		case stepDepol2:
+			s.q0, s.q1 = compactOf[s.q0], compactOf[s.q1]
+		default:
+			s.q0 = compactOf[s.q0]
+		}
+		steps[i] = s
+	}
+	return &plan{c: c, steps: steps, width: p.width, active: active}
+}
+
+// outcome maps a basis index sampled from the plan's register to the
+// device outcome, scattering bit j to device qubit active[j]. A sampler
+// round-off fallthrough (ok false) becomes the device's last basis state,
+// the all-ones string a full-width sampler returns, not the compacted
+// register's.
+func (p *plan) outcome(i uint64, ok bool) bitstring.Bits {
+	if !ok {
+		return bitstring.Ones(p.width)
+	}
+	if p.active != nil {
+		var d uint64
+		for ; i != 0; i &= i - 1 {
+			d |= 1 << uint(p.active[bits.TrailingZeros64(i)])
+		}
+		i = d
+	}
+	return bitstring.New(i, p.width)
 }
 
 // runTrajectory simulates one noisy execution of the plan into state,

@@ -168,29 +168,41 @@ func ReadoutApply(b *testing.B, compiled bool) {
 // can never hide a correctness break behind a performance win. Both runs
 // are pinned to one shot per trajectory: at small widths the default
 // would put the fast run on the exact engine, whose stream differs.
+//
+// Besides the suite's own circuit, which touches every qubit, it checks
+// a sparse one: Circuit(width/2) placed on the middle of the line, which
+// the fast path simulates on a compacted width/2-qubit register while
+// the naive path evolves all width qubits, and whose outcomes both read
+// through the device's correlated readout channel. No benchmark row runs
+// it.
 func Verify(width int) error {
 	dev := Device(width)
-	c := Circuit(width)
-	run := func(naive bool) (*dist.Counts, error) {
-		return backend.RunContext(context.Background(), c, dev, backend.Options{
-			Shots: 512, Seed: 3, ShotsPerTrajectory: 1, NoFastPath: naive,
-		})
+	layout := make([]int, width/2)
+	for q := range layout {
+		layout[q] = q + width/4
 	}
-	naive, err := run(true)
-	if err != nil {
-		return err
-	}
-	fast, err := run(false)
-	if err != nil {
-		return err
-	}
-	if naive.Total() != fast.Total() {
-		return fmt.Errorf("width %d: totals differ: naive %d, fast %d", width, naive.Total(), fast.Total())
-	}
-	for _, o := range naive.Outcomes() {
-		if naive.Get(o) != fast.Get(o) {
-			return fmt.Errorf("width %d: counts differ at %s: naive %d, fast %d",
-				width, o, naive.Get(o), fast.Get(o))
+	for _, c := range []*circuit.Circuit{Circuit(width), Circuit(width/2).Remap(layout, width)} {
+		run := func(naive bool) (*dist.Counts, error) {
+			return backend.RunContext(context.Background(), c, dev, backend.Options{
+				Shots: 512, Seed: 3, ShotsPerTrajectory: 1, NoFastPath: naive,
+			})
+		}
+		naive, err := run(true)
+		if err != nil {
+			return err
+		}
+		fast, err := run(false)
+		if err != nil {
+			return err
+		}
+		if naive.Total() != fast.Total() {
+			return fmt.Errorf("%s on %d qubits: totals differ: naive %d, fast %d", c.Name, width, naive.Total(), fast.Total())
+		}
+		for _, o := range naive.Outcomes() {
+			if naive.Get(o) != fast.Get(o) {
+				return fmt.Errorf("%s on %d qubits: counts differ at %s: naive %d, fast %d",
+					c.Name, width, o, naive.Get(o), fast.Get(o))
+			}
 		}
 	}
 	return nil

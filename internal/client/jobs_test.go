@@ -93,9 +93,10 @@ func TestJobCancelAndTypedErrors(t *testing.T) {
 	sub, err := cl.SubmitJob(ctx, &api.JobSubmitRequest{
 		Type: api.JobTypeMitigate,
 		Mitigate: &api.MitigateRequest{
-			// Trajectories on the 14-qubit machine: the job is still
-			// queued or running when the cancel arrives.
-			Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A", Shots: 4096, Seed: 5,
+			// Trajectories on all 14 qubits of the machine (ghz-14
+			// touches every one, so the backend cannot compact it): the
+			// job is still queued or running when the cancel arrives.
+			Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "ghz-14", Shots: 4096, Seed: 5,
 		},
 	})
 	if err != nil {

@@ -167,9 +167,6 @@ func weakestState(r RBMS) bitstring.Bits {
 func TestAWCTScalesToMelbourne(t *testing.T) {
 	// Appendix A's point: windowed characterization works where brute
 	// force cannot (2^10 = 1024 states probed with 4-qubit windows).
-	if testing.Short() {
-		t.Skip("melbourne characterization is slow")
-	}
 	dev := device.IBMQMelbourne()
 	m := readoutOnlyMachine(dev)
 	layout := []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10}

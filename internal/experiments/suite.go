@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"biasmit/internal/bitstring"
 	"biasmit/internal/core"
@@ -64,9 +65,40 @@ func suitePlan() map[string][]string {
 	}
 }
 
-// BenchmarkByName builds one of the paper's suite benchmarks by its
-// Table 3 identifier (bv-4A … qaoa-7). Shared with cmd/mitigate.
+// suiteBenchmarks builds each suite benchmark once, on first use: the
+// QAOA angle search takes up to tens of milliseconds, and the daemon
+// resolves a benchmark on every request, result-cache hits included.
+var suiteBenchmarks = func() map[string]func() (kernels.Benchmark, error) {
+	m := make(map[string]func() (kernels.Benchmark, error))
+	for _, names := range suitePlan() {
+		for _, name := range names {
+			m[name] = sync.OnceValues(func() (kernels.Benchmark, error) { return buildBenchmark(name) })
+		}
+	}
+	return m
+}()
+
+// BenchmarkByName returns one of the paper's suite benchmarks by its
+// Table 3 identifier (bv-4A … qaoa-7). Shared with cmd/mitigate and the
+// daemon. Each call gets its own copy of the circuit and the correct
+// outputs, so no caller can alter the memoized instance.
 func BenchmarkByName(name string) (kernels.Benchmark, error) {
+	build, ok := suiteBenchmarks[name]
+	if !ok {
+		return kernels.Benchmark{}, fmt.Errorf("experiments: unknown benchmark %q", name)
+	}
+	b, err := build()
+	if err != nil {
+		return kernels.Benchmark{}, err
+	}
+	b.Circuit = b.Circuit.Clone()
+	b.Correct = append([]bitstring.Bits(nil), b.Correct...)
+	return b, nil
+}
+
+// buildBenchmark builds a suite benchmark; for QAOA that runs the angle
+// search.
+func buildBenchmark(name string) (kernels.Benchmark, error) {
 	switch name {
 	case "bv-4A":
 		return kernels.BV(name, bitstring.MustParse("0111")), nil

@@ -67,6 +67,14 @@ func (sp *Sampler) NumQubits() int { return sp.n }
 // Sample draws one measurement outcome. See the type comment for the
 // stream-identity contract with State.Sample.
 func (sp *Sampler) Sample(rng *rand.Rand) bitstring.Bits {
+	i, _ := sp.SampleIndex(rng)
+	return bitstring.New(i, sp.n)
+}
+
+// SampleIndex is Sample returning the packed basis index, with the same
+// round-off report as State.SampleIndex: ok is false when u lands at or
+// beyond the total mass and the last basis index is returned.
+func (sp *Sampler) SampleIndex(rng *rand.Rand) (i uint64, ok bool) {
 	if sp.prefix == nil {
 		panic("quantum: Sample on zero Sampler")
 	}
@@ -74,13 +82,13 @@ func (sp *Sampler) Sample(rng *rand.Rand) bitstring.Bits {
 	// First index with u < prefix[i] — strict, matching State.Sample's
 	// `u < acc`. The prefix is non-decreasing, so the predicate is
 	// monotone and Search lands on the same index the linear scan would.
-	i := sort.Search(len(sp.prefix), func(j int) bool { return u < sp.prefix[j] })
-	if i >= len(sp.prefix) {
+	j := sort.Search(len(sp.prefix), func(j int) bool { return u < sp.prefix[j] })
+	if j >= len(sp.prefix) {
 		// Floating-point round-off: u ≥ total mass ⇒ last basis state,
-		// matching State.Sample's fallthrough.
-		i = len(sp.prefix) - 1
+		// matching State.SampleIndex's fallthrough.
+		return uint64(len(sp.prefix) - 1), false
 	}
-	return bitstring.New(uint64(i), sp.n)
+	return uint64(j), true
 }
 
 // ProbabilitiesInto writes the full measurement distribution over all

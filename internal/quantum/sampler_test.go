@@ -71,6 +71,36 @@ func TestSamplerRoundOffTail(t *testing.T) {
 	}
 }
 
+// TestSampleIndexReportsRoundOff: both index samplers flag a draw past
+// the total mass (ok false, last index) and only such a draw, so a
+// caller sampling a sub-register can tell the fallthrough apart from a
+// genuine draw of the last basis state.
+func TestSampleIndexReportsRoundOff(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := randomMassState(3, rng, 0.25)
+	sp := NewSampler(s)
+	last := uint64(len(s.amps) - 1)
+	for _, tc := range []struct {
+		u      float64
+		wantOK bool
+	}{
+		{0, true},
+		{sp.prefix[len(sp.prefix)-1], false}, // u == total mass is not strictly below it
+		{0.9, false},
+	} {
+		for name, sample := range map[string]func(*rand.Rand) (uint64, bool){
+			"State":   s.SampleIndex,
+			"Sampler": sp.SampleIndex,
+		} {
+			i, ok := sample(rand.New(&fixedUniform{u: tc.u}))
+			if ok != tc.wantOK || (!ok && i != last) {
+				t.Errorf("%s.SampleIndex at u=%v: (%d, %v), want ok %v (last index %d on fallthrough)",
+					name, tc.u, i, ok, tc.wantOK, last)
+			}
+		}
+	}
+}
+
 func TestSamplerZeroAmplitudeRuns(t *testing.T) {
 	// A state with long runs of zero amplitude produces repeated prefix
 	// values; the strict `u < prefix[i]` rule must skip them exactly as

@@ -232,16 +232,26 @@ func (s *State) Probabilities() []float64 {
 // re-prepares the state, so sampling repeatedly from the final state of
 // one (noisy) trajectory is equivalent to measuring fresh copies.
 func (s *State) Sample(rng *rand.Rand) bitstring.Bits {
+	i, _ := s.SampleIndex(rng)
+	return bitstring.New(i, s.n)
+}
+
+// SampleIndex is Sample returning the packed basis index of the outcome.
+// It draws one rng.Float64 u and returns the first index whose running
+// probability sum exceeds u. When floating-point round-off leaves u at
+// or beyond the total mass, it returns the last basis index with ok
+// false, so a caller that simulates a sub-register of a wider device can
+// report the device's own last basis state instead.
+func (s *State) SampleIndex(rng *rand.Rand) (i uint64, ok bool) {
 	u := rng.Float64()
 	var acc float64
-	for i, a := range s.amps {
+	for j, a := range s.amps {
 		acc += real(a)*real(a) + imag(a)*imag(a)
 		if u < acc {
-			return bitstring.New(uint64(i), s.n)
+			return uint64(j), true
 		}
 	}
-	// Floating-point round-off: return the last basis state.
-	return bitstring.New(uint64(len(s.amps)-1), s.n)
+	return uint64(len(s.amps) - 1), false
 }
 
 // MeasureAll performs a projective measurement of every qubit, collapsing

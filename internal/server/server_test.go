@@ -232,10 +232,11 @@ func TestMitigateValidationErrors(t *testing.T) {
 
 func TestMitigateDeadlineExceeded(t *testing.T) {
 	_, ts := testServer(t)
-	// Trajectories on the 14-qubit machine: the run takes far longer
-	// than its 1ms deadline.
+	// Trajectories on all 14 qubits of the machine (ghz-14 touches every
+	// one, so the backend cannot compact its register): the run takes
+	// far longer than its 1ms deadline.
 	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
-		Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "bv-4A",
+		Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "ghz-14",
 		Shots: 4096, TimeoutMS: 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {

@@ -66,8 +66,9 @@ func TestErrorEnvelopeFullyStamped(t *testing.T) {
 	ts := newTestHTTP(t, s)
 
 	// Occupy the single-job tenant quota so a second submission 429s.
-	// Trajectories on the 14-qubit machine keep the filler busy.
-	slowJob := `{"type":"mitigate","mitigate":{"machine":"ibmq-melbourne","policy":"baseline","benchmark":"bv-4A","shots":4096}}`
+	// Trajectories on all 14 qubits of the machine keep the filler busy:
+	// ghz-14 touches every qubit, so the backend cannot compact it.
+	slowJob := `{"type":"mitigate","mitigate":{"machine":"ibmq-melbourne","policy":"baseline","benchmark":"ghz-14","shots":4096}}`
 	if resp, data := doRequest(t, "POST", ts+"/v1/jobs", slowJob, nil); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("quota-filling job: status %d: %s", resp.StatusCode, data)
 	}
@@ -82,7 +83,7 @@ func TestErrorEnvelopeFullyStamped(t *testing.T) {
 		wantCode   string
 	}{
 		// First, while the filler above is still occupying the quota —
-		// it takes ~300ms, far longer than this case needs.
+		// it takes ~0.7s, far longer than this case needs.
 		{"quota 429", "POST", "/v1/jobs", slowJob, 429, api.CodeQuotaExceeded},
 		{"mitigate 405", "GET", "/v1/mitigate", "", 405, CodeMethodNotAllowed},
 		{"characterize 405", "GET", "/v1/characterize", "", 405, CodeMethodNotAllowed},
@@ -101,7 +102,7 @@ func TestErrorEnvelopeFullyStamped(t *testing.T) {
 		{"job not found 404", "GET", "/v1/jobs/01AAAAAAAAAAAAAAAAAAAAAAAA", "", 404, api.CodeJobNotFound},
 		{"malformed job id 400", "GET", "/v1/jobs/xyz", "", 400, CodeBadRequest},
 		{"deadline 504", "POST", "/v1/mitigate",
-			`{"machine":"ibmq-melbourne","policy":"baseline","benchmark":"bv-4A","shots":4096,"timeout_ms":1}`,
+			`{"machine":"ibmq-melbourne","policy":"baseline","benchmark":"ghz-14","shots":4096,"timeout_ms":1}`,
 			504, CodeDeadlineExceeded},
 	}
 	for _, tc := range cases {

@@ -24,13 +24,11 @@ import (
 	"os/signal"
 
 	"biasmit/internal/backend"
-	"biasmit/internal/bitstring"
 	"biasmit/internal/chaos"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/experiments"
-	"biasmit/internal/kernels"
 	"biasmit/internal/metrics"
 	"biasmit/internal/persist"
 	"biasmit/internal/report"
@@ -42,7 +40,7 @@ func main() {
 	log.SetPrefix("mitigate: ")
 
 	machineName := flag.String("machine", "ibmqx4", "machine model: ibmqx2, ibmqx4, ibmq-melbourne")
-	benchName := flag.String("bench", "bv-4A", "benchmark: bv-4A, bv-4B, bv-6, bv-7, qaoa-4A, qaoa-4B, qaoa-6, qaoa-7, or bv:<key>")
+	benchName := flag.String("bench", "bv-4A", "benchmark: bv-4A, bv-4B, bv-6, bv-7, qaoa-4A, qaoa-4B, qaoa-6, qaoa-7, bv:<key>, prep:<bits>, or ghz-<n>")
 	shots := flag.Int("shots", 32000, "trials per policy")
 	seed := flag.Int64("seed", 1, "random seed")
 	modes := flag.Int("modes", 4, "SIM inversion-string count (1, 2, 4, or 8)")
@@ -88,7 +86,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown machine %q", *machineName)
 	}
-	bench, err := lookupBenchmark(*benchName)
+	bench, err := experiments.BenchmarkByName(*benchName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,15 +173,4 @@ func main() {
 	for _, c := range aim.Candidates {
 		fmt.Printf("  output %v  likelihood %.3f  inversion %v\n", c.Output, c.Likelihood, c.Inversion)
 	}
-}
-
-func lookupBenchmark(name string) (kernels.Benchmark, error) {
-	if len(name) > 3 && name[:3] == "bv:" {
-		key, err := bitstring.Parse(name[3:])
-		if err != nil {
-			return kernels.Benchmark{}, fmt.Errorf("bad bv key: %w", err)
-		}
-		return kernels.BV(name, key), nil
-	}
-	return experiments.BenchmarkByName(name)
 }

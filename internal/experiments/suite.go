@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"biasmit/internal/bitstring"
@@ -13,6 +15,7 @@ import (
 	"biasmit/internal/maxcut"
 	"biasmit/internal/metrics"
 	"biasmit/internal/orchestrate"
+	"biasmit/internal/quantum"
 	"biasmit/internal/report"
 )
 
@@ -78,11 +81,34 @@ var suiteBenchmarks = func() map[string]func() (kernels.Benchmark, error) {
 	return m
 }()
 
-// BenchmarkByName returns one of the paper's suite benchmarks by its
-// Table 3 identifier (bv-4A … qaoa-7). Shared with cmd/mitigate and the
-// daemon. Each call gets its own copy of the circuit and the correct
-// outputs, so no caller can alter the memoized instance.
+// BenchmarkByName returns a benchmark by name: one of the paper's suite
+// benchmarks by its Table 3 identifier (bv-4A … qaoa-7), or one of the
+// shorthands bv:<key> (Bernstein-Vazirani with that key), prep:<bits>
+// (a basis-state preparation) and ghz-<n>. Shared with cmd/mitigate and
+// the daemon. Each call gets its own copy of the circuit and the correct
+// outputs, so no caller can alter the memoized suite instances.
 func BenchmarkByName(name string) (kernels.Benchmark, error) {
+	switch {
+	case strings.HasPrefix(name, "bv:"):
+		key, err := shorthandBits(name[len("bv:"):], 1) // plus the ancilla
+		if err != nil {
+			return kernels.Benchmark{}, fmt.Errorf("bad bv key: %w", err)
+		}
+		return kernels.BV(name, key), nil
+	case strings.HasPrefix(name, "prep:"):
+		b, err := shorthandBits(name[len("prep:"):], 0)
+		if err != nil {
+			return kernels.Benchmark{}, fmt.Errorf("bad prep state: %w", err)
+		}
+		return kernels.Benchmark{Name: name, Circuit: kernels.BasisPrep(b), Correct: []bitstring.Bits{b}}, nil
+	case strings.HasPrefix(name, "ghz-"):
+		n, err := strconv.Atoi(name[len("ghz-"):])
+		if err != nil || n < 1 || n > quantum.MaxQubits {
+			return kernels.Benchmark{}, fmt.Errorf("bad ghz size in %q", name)
+		}
+		return kernels.Benchmark{Name: name, Circuit: kernels.GHZ(n),
+			Correct: []bitstring.Bits{bitstring.Zeros(n), bitstring.Ones(n)}}, nil
+	}
 	build, ok := suiteBenchmarks[name]
 	if !ok {
 		return kernels.Benchmark{}, fmt.Errorf("experiments: unknown benchmark %q", name)
@@ -94,6 +120,17 @@ func BenchmarkByName(name string) (kernels.Benchmark, error) {
 	b.Circuit = b.Circuit.Clone()
 	b.Correct = append([]bitstring.Bits(nil), b.Correct...)
 	return b, nil
+}
+
+// shorthandBits parses the bit string of a bv: or prep: shorthand,
+// whose circuit has extra qubits beside those bits and must fit the
+// simulator.
+func shorthandBits(s string, extra int) (bitstring.Bits, error) {
+	b, err := bitstring.Parse(s)
+	if err == nil && b.Width()+extra > quantum.MaxQubits {
+		err = fmt.Errorf("%d bits need %d qubits, above the simulator's %d", b.Width(), b.Width()+extra, quantum.MaxQubits)
+	}
+	return b, err
 }
 
 // buildBenchmark builds a suite benchmark; for QAOA that runs the angle

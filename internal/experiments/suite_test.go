@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,8 +41,54 @@ func TestBenchmarkByNameMemoized(t *testing.T) {
 	if len(suiteBenchmarks) != 8 {
 		t.Errorf("%d memoized suite benchmarks, want 8", len(suiteBenchmarks))
 	}
-	if _, err := BenchmarkByName("ghz-14"); err == nil {
+	if _, err := BenchmarkByName("qaoa-5"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestBenchmarkByNameShorthands: bv:<key>, prep:<bits> and ghz-<n>
+// resolve to their kernels under the name asked for, with their correct
+// outputs, and a malformed shorthand fails with its own message.
+func TestBenchmarkByNameShorthands(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		width   int
+		correct []string
+	}{
+		{"bv:0111", 5, []string{"10111"}},
+		{"prep:101", 3, []string{"101"}},
+		{"ghz-3", 3, []string{"000", "111"}},
+	} {
+		b, err := BenchmarkByName(tc.name)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var correct []string
+		for _, c := range b.Correct {
+			correct = append(correct, c.String())
+		}
+		if b.Name != tc.name || b.Width() != tc.width || !reflect.DeepEqual(correct, tc.correct) {
+			t.Fatalf("%s: got %s, %d qubits, correct %v; want %d qubits, correct %v",
+				tc.name, b.Name, b.Width(), correct, tc.width, tc.correct)
+		}
+	}
+	// Shorthands too wide for the simulator fail here rather than panic
+	// in circuit construction.
+	wide := strings.Repeat("1", quantum.MaxQubits)
+	tooMany := strconv.Itoa(quantum.MaxQubits + 1)
+	for name, want := range map[string]string{
+		"bv:01x":         "bad bv key: ",
+		"bv:" + wide:     "bad bv key: ",
+		"prep:2":         "bad prep state: ",
+		"prep:1" + wide:  "bad prep state: ",
+		"ghz-0":          `bad ghz size in "ghz-0"`,
+		"ghz-two":        `bad ghz size in "ghz-two"`,
+		"ghz-" + tooMany: `bad ghz size in "ghz-` + tooMany + `"`,
+		"bv-5":           `experiments: unknown benchmark "bv-5"`,
+	} {
+		if _, err := BenchmarkByName(name); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %v, want one starting %q", name, err, want)
+		}
 	}
 }
 

@@ -73,25 +73,26 @@ func (l *Logger) Enabled(lv Level) bool {
 }
 
 // Debug logs at debug level. kv alternates string keys and values.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv...) }
+func (l *Logger) Debug(msg string, kv ...any) { l.Log(LevelDebug, msg, kv...) }
 
 // Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv...) }
+func (l *Logger) Info(msg string, kv ...any) { l.Log(LevelInfo, msg, kv...) }
 
 // Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv...) }
+func (l *Logger) Warn(msg string, kv ...any) { l.Log(LevelWarn, msg, kv...) }
 
 // Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv...) }
+func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
 // Logf is the printf bridge for components that take a plain
 // `func(format string, args ...any)` sink (the watchdog). Records at
 // info level with the formatted text as msg.
 func (l *Logger) Logf(format string, args ...any) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...))
+	l.Log(LevelInfo, fmt.Sprintf(format, args...))
 }
 
-func (l *Logger) log(lv Level, msg string, kv ...any) {
+// Log logs at level lv; Debug, Info, Warn and Error are its shorthands.
+func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	if !l.Enabled(lv) {
 		return
 	}

@@ -6,16 +6,28 @@ import (
 	"time"
 )
 
-// StageBuckets are the per-stage latency histogram bounds in seconds,
-// matching the server's request-latency buckets so stage and
-// end-to-end distributions line up on the same dashboard axis.
+// StageBuckets are the latency histogram bounds in seconds, from
+// millisecond health checks to multi-second characterizations. The
+// per-stage and the server's per-route histograms share them, so stage
+// and end-to-end distributions line up on the same dashboard axis.
 var StageBuckets = []float64{0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
-// StageHist is one stage's aggregated latency distribution.
+// StageHist is one aggregated latency distribution over StageBuckets.
+// The zero value is empty and ready to use.
 type StageHist struct {
 	Counts []uint64 // per-bucket (non-cumulative), one extra for +Inf
 	Sum    float64  // seconds
 	Count  uint64
+}
+
+// Observe adds one sample, in seconds.
+func (h *StageHist) Observe(sec float64) {
+	if h.Counts == nil {
+		h.Counts = make([]uint64, len(StageBuckets)+1)
+	}
+	h.Counts[sort.SearchFloat64s(StageBuckets, sec)]++
+	h.Sum += sec
+	h.Count++
 }
 
 // slowExemplars is how many over-threshold traces the exemplar ring
@@ -82,13 +94,10 @@ func (r *Recorder) Record(td TraceData) {
 	for _, sp := range td.Spans {
 		h := r.stages[sp.Name]
 		if h == nil {
-			h = &StageHist{Counts: make([]uint64, len(StageBuckets)+1)}
+			h = new(StageHist)
 			r.stages[sp.Name] = h
 		}
-		sec := sp.DurationMS / 1e3
-		h.Counts[sort.SearchFloat64s(StageBuckets, sec)]++
-		h.Sum += sec
-		h.Count++
+		h.Observe(sp.DurationMS / 1e3)
 	}
 }
 

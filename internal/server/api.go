@@ -17,63 +17,23 @@ import (
 	"biasmit/internal/resilient"
 )
 
-// The wire contract — request/response bodies, error codes, the version
-// string — lives in internal/api, shared with the typed client. The
-// aliases below keep the server's historical names working; new code
-// can use either spelling.
-const (
-	CodeBadRequest        = api.CodeBadRequest
-	CodeBadBudget         = api.CodeBadBudget
-	CodeUnknownMachine    = api.CodeUnknownMachine
-	CodeUnknownBenchmark  = api.CodeUnknownBenchmark
-	CodeProfileStale      = api.CodeProfileStale
-	CodeDeadlineExceeded  = api.CodeDeadlineExceeded
-	CodeBreakerOpen       = api.CodeBreakerOpen
-	CodeOverloaded        = api.CodeOverloaded
-	CodeUpstreamTransient = api.CodeUpstreamTransient
-	CodeCanceled          = api.CodeCanceled
-	CodeMethodNotAllowed  = api.CodeMethodNotAllowed
-	CodeNotFound          = api.CodeNotFound
-	CodeInternal          = api.CodeInternal
-)
-
-// APIError is the typed failure envelope (see api.Error).
-type APIError = api.Error
-
-// Aliases for the shared request/response bodies (see internal/api).
-type (
-	MitigateRequest      = api.MitigateRequest
-	MitigateResponse     = api.MitigateResponse
-	MitigateProfile      = api.MitigateProfile
-	OutcomeCount         = api.OutcomeCount
-	PolicyMetrics        = api.PolicyMetrics
-	AIMCandidate         = api.AIMCandidate
-	ProfileInfo          = api.ProfileInfo
-	CharacterizeRequest  = api.CharacterizeRequest
-	CharacterizeResponse = api.CharacterizeResponse
-	ProfilesResponse     = api.ProfilesResponse
-	HealthMachine        = api.HealthMachine
-	HealthResponse       = api.HealthResponse
-	errorEnvelope        = api.ErrorEnvelope
-)
-
-// apiErrorf builds an APIError with a formatted message.
-func apiErrorf(status int, code, format string, args ...any) *APIError {
-	return &APIError{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
+// apiErrorf builds an api.Error with a formatted message.
+func apiErrorf(status int, code, format string, args ...any) *api.Error {
+	return &api.Error{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
 }
 
 // toAPIError maps an arbitrary pipeline error onto the typed wire shape:
-// APIErrors pass through, budget violations become bad_budget (a client
+// api.Errors pass through, budget violations become bad_budget (a client
 // mistake, not a server fault), and context endings become
 // deadline_exceeded/canceled. Anything else is an internal error.
-func toAPIError(err error) *APIError {
-	var ae *APIError
+func toAPIError(err error) *api.Error {
+	var ae *api.Error
 	if errors.As(err, &ae) {
 		return ae
 	}
 	var boe *resilient.BreakerOpenError
 	if errors.As(err, &boe) {
-		out := apiErrorf(http.StatusServiceUnavailable, CodeBreakerOpen, "%v", boe)
+		out := apiErrorf(http.StatusServiceUnavailable, api.CodeBreakerOpen, "%v", boe)
 		out.RetryAfter = boe.RetryAfter
 		return out
 	}
@@ -87,36 +47,31 @@ func toAPIError(err error) *APIError {
 	}
 	var be *backend.BudgetError
 	if errors.As(err, &be) {
-		return apiErrorf(http.StatusBadRequest, CodeBadBudget, "%v", be)
+		return apiErrorf(http.StatusBadRequest, api.CodeBadBudget, "%v", be)
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		return apiErrorf(http.StatusGatewayTimeout, CodeDeadlineExceeded, "request deadline exceeded")
+		return apiErrorf(http.StatusGatewayTimeout, api.CodeDeadlineExceeded, "request deadline exceeded")
 	}
 	if errors.Is(err, context.Canceled) {
-		return apiErrorf(http.StatusServiceUnavailable, CodeCanceled, "request canceled")
+		return apiErrorf(http.StatusServiceUnavailable, api.CodeCanceled, "request canceled")
 	}
 	var te *backend.TransientError
 	if errors.As(err, &te) {
-		return apiErrorf(http.StatusServiceUnavailable, CodeUpstreamTransient,
+		return apiErrorf(http.StatusServiceUnavailable, api.CodeUpstreamTransient,
 			"run kept failing transiently after retries: %v", err)
 	}
-	return apiErrorf(http.StatusInternalServerError, CodeInternal, "%v", err)
+	return apiErrorf(http.StatusInternalServerError, api.CodeInternal, "%v", err)
 }
 
 // asBadRequest is toAPIError with a different default: pipeline stages
 // whose failures are driven by request parameters (benchmark
 // construction, transpilation, policy configuration) surface their plain
 // errors as bad_request instead of internal.
-func asBadRequest(err error) *APIError {
-	var ae *APIError
-	var be *backend.BudgetError
-	var te *backend.TransientError
-	var boe *resilient.BreakerOpenError
-	if errors.As(err, &ae) || errors.As(err, &be) || errors.As(err, &te) || errors.As(err, &boe) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return toAPIError(err)
+func asBadRequest(err error) *api.Error {
+	if ae := toAPIError(err); ae.Code != api.CodeInternal || errors.As(err, new(*api.Error)) {
+		return ae
 	}
-	return apiErrorf(http.StatusBadRequest, CodeBadRequest, "%v", err)
+	return apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 }
 
 // writeJSON writes v with the given status, stamping the protocol
@@ -126,12 +81,7 @@ func asBadRequest(err error) *APIError {
 // trace_id). Serialization runs under its own span so slow encodes show
 // up in the stage breakdown.
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	if ve, ok := v.(interface{ SetAPIVersion(string) }); ok {
-		ve.SetAPIVersion(api.Version)
-	}
-	if te, ok := v.(interface{ SetTraceID(string) }); ok {
-		te.SetTraceID(obs.TraceID(r.Context()))
-	}
+	stampEnvelope(v, obs.TraceID(r.Context()))
 	sp := obs.StartSpan(r.Context(), "serialize")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -139,6 +89,18 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 	sp.End()
+}
+
+// stampEnvelope sets the protocol version and the trace ID on a body
+// that embeds api.Envelope.
+func stampEnvelope(v any, traceID string) {
+	if e, ok := v.(interface {
+		SetAPIVersion(string)
+		SetTraceID(string)
+	}); ok {
+		e.SetAPIVersion(api.Version)
+		e.SetTraceID(traceID)
+	}
 }
 
 // writeError maps err onto the typed wire shape and writes it, with a
@@ -153,7 +115,7 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 		secs := int64((ae.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, r, ae.Status, &errorEnvelope{Error: &ae})
+	writeJSON(w, r, ae.Status, &api.ErrorEnvelope{Error: &ae})
 }
 
 // defaultPageLimit caps one page of a list response (GET /v1/profiles,
@@ -167,7 +129,7 @@ const defaultPageLimit = 1000
 // pages start strictly after them, which keeps iteration stable under
 // concurrent inserts — new ULIDs sort after every ID already handed
 // out.
-func parsePage(q url.Values) (limit int, cursor string, aerr *APIError) {
+func parsePage(q url.Values) (limit int, cursor string, aerr *api.Error) {
 	limit = defaultPageLimit
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -176,7 +138,7 @@ func parsePage(q url.Values) (limit int, cursor string, aerr *APIError) {
 		// page. Values past the cap merely clamp — asking for "a lot"
 		// is well-formed, the server just bounds its own work.
 		if err != nil || n < 1 {
-			return 0, "", apiErrorf(http.StatusBadRequest, CodeBadRequest,
+			return 0, "", apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
 				"bad limit %q (want a positive integer; pages cap at %d)", v, defaultPageLimit)
 		}
 		if n > defaultPageLimit {
@@ -191,19 +153,23 @@ func parsePage(q url.Values) (limit int, cursor string, aerr *APIError) {
 // serving-path use case.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON strictly decodes a request body into v. Oversized bodies
-// get their own status and stable code (413 body_too_large) so clients
-// can tell "shrink the circuit" apart from "fix the JSON".
+// decodeJSON strictly decodes a request body into v, under the decode
+// span. Oversized bodies get their own status and stable code (413
+// body_too_large) so clients can tell "shrink the circuit" apart from
+// "fix the JSON".
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	sp := obs.StartSpan(r.Context(), "decode")
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	sp.End()
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return apiErrorf(http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
 				"request body exceeds %d bytes", mbe.Limit)
 		}
-		return apiErrorf(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
+		return apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "decoding request body: %v", err)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func tenantKey(r *http.Request) string {
 }
 
 // jobError maps queue errors onto the typed wire shape.
-func jobError(err error) *APIError {
+func jobError(err error) *api.Error {
 	var qe *jobs.QuotaError
 	switch {
 	case errors.As(err, &qe):
@@ -97,7 +97,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.handleJobList(w, r)
 	default:
-		writeError(w, r, apiErrorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, r, apiErrorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
 			"%s requires POST or GET", r.URL.Path))
 	}
 }
@@ -107,9 +107,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // queue — and durably enqueues it.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobSubmitRequest
-	sp := obs.StartSpan(r.Context(), "decode")
 	err := decodeJSON(w, r, &req)
-	sp.End()
 	if err != nil {
 		writeError(w, r, err)
 		return
@@ -128,44 +126,23 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// persisted spec, so the scheduler sheds the job the moment its
 	// budget lapses — even across a crash and recovery — instead of
 	// burning a worker on an answer nobody is waiting for.
-	if h := r.Header.Get(overload.DeadlineHeader); h != "" {
-		dl, err := overload.ParseDeadline(h)
-		if err != nil {
-			writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-				"bad %s header %q: %v", overload.DeadlineHeader, h, err))
-			return
-		}
-		spec.Deadline = &dl
+	if spec.Deadline, err = requestDeadline(r); err != nil {
+		writeError(w, r, err)
+		return
 	}
-	var body any
-	switch req.Type {
-	case api.JobTypeMitigate:
-		if req.Mitigate == nil || req.Characterize != nil {
-			writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-				"a %q job carries exactly the mitigate body", req.Type))
-			return
-		}
-		_, _, err = s.validateMitigate(req.Mitigate)
-		body = req.Mitigate
-	case api.JobTypeCharacterize:
-		if req.Characterize == nil || req.Mitigate != nil {
-			writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
-				"a %q job carries exactly the characterize body", req.Type))
-			return
-		}
-		_, err = s.validateCharacterize(req.Characterize)
-		body = req.Characterize
-	default:
-		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
+	jt, ok := s.jobTypes[req.Type]
+	if !ok {
+		writeError(w, r, apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
 			"unknown job type %q (want %s or %s)", req.Type, api.JobTypeMitigate, api.JobTypeCharacterize))
 		return
 	}
+	body, err := jt.check(&req)
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
 	if spec.Payload, err = json.Marshal(body); err != nil {
-		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest, "encoding job payload: %v", err))
+		writeError(w, r, apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "encoding job payload: %v", err))
 		return
 	}
 	j, err := s.jobq.Submit(spec)
@@ -212,50 +189,58 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, *job
 	return result, fail
 }
 
-// runJob decodes the payload and runs it through the exact synchronous
-// path. Deterministic per spec — the seeds are in the payload — which
-// is what makes crash-recovery re-runs byte-identical.
-func (s *Server) runJob(ctx context.Context, j jobs.Job) (json.RawMessage, *jobs.Failure) {
-	var (
-		result any
-		err    error
-	)
-	switch j.Spec.Type {
-	case api.JobTypeMitigate:
-		var req MitigateRequest
-		if derr := json.Unmarshal(j.Spec.Payload, &req); derr != nil {
-			return nil, &jobs.Failure{Code: CodeInternal, Status: http.StatusInternalServerError,
-				Message: fmt.Sprintf("decoding job payload: %v", derr)}
-		}
-		result, err = s.mitigate(ctx, &req)
-	case api.JobTypeCharacterize:
-		var req CharacterizeRequest
-		if derr := json.Unmarshal(j.Spec.Payload, &req); derr != nil {
-			return nil, &jobs.Failure{Code: CodeInternal, Status: http.StatusInternalServerError,
-				Message: fmt.Sprintf("decoding job payload: %v", derr)}
-		}
-		result, err = s.characterizeRequest(ctx, &req)
-	default:
-		return nil, &jobs.Failure{Code: CodeBadRequest, Status: http.StatusBadRequest,
-			Message: fmt.Sprintf("unknown job type %q", j.Spec.Type)}
+// jobType is one async job type: check picks the type's body out of a
+// submission and runs the synchronous route's validation on it (a job
+// the sync call would reject never enters the queue), and run decodes a
+// stored payload and runs it through the synchronous path.
+type jobType struct {
+	check func(*api.JobSubmitRequest) (body any, err error)
+	run   func(ctx context.Context, payload json.RawMessage) (any, error)
+}
+
+// newJobType builds a job type from the submission field holding its
+// body and the sync route's validation and run.
+func newJobType[Req, Plan, Resp any](body func(*api.JobSubmitRequest) *Req,
+	validate func(*Req) (Plan, error), run func(context.Context, *Req) (Resp, error)) jobType {
+	return jobType{
+		check: func(r *api.JobSubmitRequest) (any, error) {
+			b := body(r)
+			if b == nil || (r.Mitigate != nil && r.Characterize != nil) {
+				return nil, apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
+					"a %q job carries exactly the %s body", r.Type, r.Type)
+			}
+			_, err := validate(b)
+			return b, err
+		},
+		run: func(ctx context.Context, payload json.RawMessage) (any, error) {
+			req := new(Req)
+			if err := json.Unmarshal(payload, req); err != nil {
+				return nil, apiErrorf(http.StatusInternalServerError, api.CodeInternal, "decoding job payload: %v", err)
+			}
+			return run(ctx, req)
+		},
 	}
+}
+
+// runJob runs the payload through the exact synchronous path.
+// Deterministic per spec — the seeds are in the payload — which is what
+// makes crash-recovery re-runs byte-identical.
+func (s *Server) runJob(ctx context.Context, j jobs.Job) (json.RawMessage, *jobs.Failure) {
+	jt, ok := s.jobTypes[j.Spec.Type]
+	if !ok {
+		return nil, jobFailure(apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "unknown job type %q", j.Spec.Type))
+	}
+	result, err := jt.run(ctx, j.Spec.Payload)
 	if err != nil {
 		return nil, jobFailure(err)
 	}
-	// Stamp the protocol version and trace ID exactly like writeJSON
-	// would have: a job's stored result carries the same envelope fields
-	// the synchronous call's body would, trace ID included — which is
-	// how a recovered job's result still names its original trace.
-	if ve, ok := result.(interface{ SetAPIVersion(string) }); ok {
-		ve.SetAPIVersion(api.Version)
-	}
-	if te, ok := result.(interface{ SetTraceID(string) }); ok {
-		te.SetTraceID(obs.TraceID(ctx))
-	}
-	raw, merr := json.Marshal(result)
-	if merr != nil {
-		return nil, &jobs.Failure{Code: CodeInternal, Status: http.StatusInternalServerError,
-			Message: fmt.Sprintf("encoding job result: %v", merr)}
+	// A job's stored result carries the envelope the synchronous call's
+	// body would, trace ID included, which is how a recovered job's
+	// result still names its original trace.
+	stampEnvelope(result, obs.TraceID(ctx))
+	raw, err := json.Marshal(result)
+	if err != nil {
+		return nil, jobFailure(apiErrorf(http.StatusInternalServerError, api.CodeInternal, "encoding job result: %v", err))
 	}
 	return raw, nil
 }
@@ -268,7 +253,7 @@ func jobFailure(err error) *jobs.Failure {
 	ae := toAPIError(err)
 	f := &jobs.Failure{Code: ae.Code, Message: ae.Message, Status: ae.Status}
 	switch ae.Code {
-	case CodeUpstreamTransient, CodeBreakerOpen, CodeOverloaded:
+	case api.CodeUpstreamTransient, api.CodeBreakerOpen, api.CodeOverloaded:
 		f.Retryable = true
 		f.RetryAfterMS = ae.RetryAfter.Milliseconds()
 	}
@@ -284,7 +269,7 @@ func jobFailure(err error) *jobs.Failure {
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	state, err := jobs.ParseState(r.URL.Query().Get("state"))
 	if err != nil {
-		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest,
+		writeError(w, r, apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
 			"unknown state filter %q", r.URL.Query().Get("state")))
 		return
 	}
@@ -304,11 +289,11 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, r, apiErrorf(http.StatusNotFound, CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
+		writeError(w, r, apiErrorf(http.StatusNotFound, api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
 		return
 	}
 	if err := obs.ValidID(id); err != nil {
-		writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest, "malformed job ID %q", id))
+		writeError(w, r, apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "malformed job ID %q", id))
 		return
 	}
 	switch r.Method {
@@ -317,7 +302,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		s.handleJobCancel(w, r, id)
 	default:
-		writeError(w, r, apiErrorf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, r, apiErrorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
 			"%s requires GET or DELETE", r.URL.Path))
 	}
 }
@@ -335,7 +320,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, id string)
 	if wait := r.URL.Query().Get("wait"); wait != "" && !j.State.Terminal() {
 		d, err := parseWait(wait, s.cfg.MaxTimeout)
 		if err != nil {
-			writeError(w, r, apiErrorf(http.StatusBadRequest, CodeBadRequest, "bad wait %q: %v", wait, err))
+			writeError(w, r, apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "bad wait %q: %v", wait, err))
 			return
 		}
 		if ch, ok := s.jobq.Await(id); ok && d > 0 {

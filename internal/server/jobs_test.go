@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -123,9 +124,9 @@ func TestJobLifecycleResultMatchesSync(t *testing.T) {
 	_, ts := jobsTestServer(t, 0)
 
 	// The synchronous answer for this exact request is the reference.
-	req := MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 7}
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 7}
 	_, syncData := postJSON(t, ts.URL+"/v1/mitigate", req)
-	var syncOut MitigateResponse
+	var syncOut api.MitigateResponse
 	if err := json.Unmarshal(syncData, &syncOut); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestJobLifecycleResultMatchesSync(t *testing.T) {
 		t.Fatalf("done job missing lifecycle timestamps: %+v", final.Job)
 	}
 
-	var asyncOut MitigateResponse
+	var asyncOut api.MitigateResponse
 	if err := json.Unmarshal(final.Result, &asyncOut); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestJobCharacterizeAndList(t *testing.T) {
 	if final.Job.State != api.JobStateDone {
 		t.Fatalf("characterize job ended %s: %+v", final.Job.State, final.Job.Error)
 	}
-	var ch CharacterizeResponse
+	var ch api.CharacterizeResponse
 	if err := json.Unmarshal(final.Result, &ch); err != nil {
 		t.Fatal(err)
 	}
@@ -264,26 +265,32 @@ func TestJobSubmitValidation(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"unknown type", &api.JobSubmitRequest{Type: "psychic"}, http.StatusBadRequest, CodeBadRequest},
-		{"missing body", &api.JobSubmitRequest{Type: api.JobTypeMitigate}, http.StatusBadRequest, CodeBadRequest},
+		{"unknown type", &api.JobSubmitRequest{Type: "psychic"}, http.StatusBadRequest, api.CodeBadRequest},
+		{"missing body", &api.JobSubmitRequest{Type: api.JobTypeMitigate}, http.StatusBadRequest, api.CodeBadRequest},
 		{"both bodies", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate:     &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 100},
-			Characterize: &api.CharacterizeRequest{Machine: "ibmqx4"}}, http.StatusBadRequest, CodeBadRequest},
+			Characterize: &api.CharacterizeRequest{Machine: "ibmqx4"}}, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown machine", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx9", Policy: "baseline", Benchmark: "bv-4A", Shots: 100}},
-			http.StatusNotFound, CodeUnknownMachine},
+			http.StatusNotFound, api.CodeUnknownMachine},
 		{"unknown policy", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "psychic", Benchmark: "bv-4A", Shots: 100}},
-			http.StatusBadRequest, CodeBadRequest},
+			http.StatusBadRequest, api.CodeBadRequest},
 		{"bad budget", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: -1}},
-			http.StatusBadRequest, CodeBadBudget},
+			http.StatusBadRequest, api.CodeBadBudget},
 		{"canary fraction out of range", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 100, CanaryFraction: 1.5}},
-			http.StatusBadRequest, CodeBadRequest},
+			http.StatusBadRequest, api.CodeBadRequest},
 		{"negative k", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
 			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 100, K: -1}},
-			http.StatusBadRequest, CodeBadRequest},
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"unsupported sim modes", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
+			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "sim", Benchmark: "bv-4A", Shots: 100, Modes: 3}},
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"circuit wider than the machine", &api.JobSubmitRequest{Type: api.JobTypeMitigate,
+			Mitigate: &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-7", Shots: 100}},
+			http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, data := postJob(t, ts.URL, "", tc.req)
@@ -302,8 +309,8 @@ func TestJobIDValidationAndNotFound(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed ID: status %d, want 400: %s", resp.StatusCode, data)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeBadRequest {
-		t.Fatalf("malformed ID code %q, want %q", ae.Code, CodeBadRequest)
+	if ae := decodeError(t, data); ae.Code != api.CodeBadRequest {
+		t.Fatalf("malformed ID code %q, want %q", ae.Code, api.CodeBadRequest)
 	}
 	resp, data = getBody(t, ts.URL+"/v1/jobs/"+strings.Repeat("0", 26))
 	if resp.StatusCode != http.StatusNotFound {
@@ -390,5 +397,36 @@ func TestWatchdogSparesLongJobInsideDeadline(t *testing.T) {
 	}
 	if st := s.watchdog.Stats(); st.Stalls != 0 {
 		t.Fatalf("watchdog stats = %+v, want no stall", st)
+	}
+}
+
+// TestMitigateTopAboveOutcomesListsThemAll: a top far above the number
+// of distinct outcomes lists every outcome, on the sync route and as a
+// job alike; the rows are sized by the outcomes, not by the request.
+func TestMitigateTopAboveOutcomesListsThemAll(t *testing.T) {
+	_, ts := jobsTestServer(t, 0)
+	check := func(what string, data []byte) {
+		t.Helper()
+		var out api.MitigateResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatalf("%s: %v\n%s", what, err, data)
+		}
+		if out.DistinctOutcomes == 0 || len(out.Outcomes) != out.DistinctOutcomes {
+			t.Fatalf("%s: %d rows for %d distinct outcomes", what, len(out.Outcomes), out.DistinctOutcomes)
+		}
+	}
+	for _, top := range []int{1 << 40, math.MaxInt64} {
+		req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 256, Top: top}
+		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("top %d: status %d: %s", top, resp.StatusCode, data)
+		}
+		check("sync", data)
+		sub := submitJob(t, ts.URL, "", &api.JobSubmitRequest{Type: api.JobTypeMitigate, Mitigate: req})
+		done := waitJob(t, ts.URL, sub.Job.ID)
+		if done.Job.State != api.JobStateDone {
+			t.Fatalf("top %d: job %s: %+v", top, done.Job.State, done.Job.Error)
+		}
+		check("job", done.Result)
 	}
 }

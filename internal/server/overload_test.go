@@ -52,13 +52,13 @@ func postJSONHeaders(t *testing.T, url string, body any, headers map[string]stri
 // tier 0.
 func TestServedPolicyEchoesWithoutBrownout(t *testing.T) {
 	_, ts := testServer(t)
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestBrownoutServesSIMForAIM(t *testing.T) {
 		t.Fatalf("tier = %d after sustained pressure, want %d", tier, overload.TierSIM)
 	}
 
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 128, Seed: 3,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAdaptiveLimiterShedsTyped503(t *testing.T) {
 	release := func() { once.Do(func() { close(blocker.release) }) }
 	t.Cleanup(release)
 
-	req := MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3}
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -217,8 +217,8 @@ func TestAdmissionGateWaitsHighestClassFirst(t *testing.T) {
 	release := func() { once.Do(func() { close(blocker.release) }) }
 	t.Cleanup(release)
 
-	baseline := func(seed int64) MitigateRequest {
-		return MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: seed}
+	baseline := func(seed int64) api.MitigateRequest {
+		return api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: seed}
 	}
 	// post runs off the test goroutine, so it reports with t.Error.
 	post := func(path string, body any) int {
@@ -271,7 +271,7 @@ func TestAdmissionGateWaitsHighestClassFirst(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		post("/v1/characterize", CharacterizeRequest{Machine: "ibmqx4", Method: "brute"})
+		post("/v1/characterize", api.CharacterizeRequest{Machine: "ibmqx4", Method: "brute"})
 	}()
 	waitGateQueued(t, s, 3)
 
@@ -329,7 +329,7 @@ func waitGateQueued(t *testing.T, s *Server, n int) {
 // error; a malformed header is the caller's mistake.
 func TestDeadlineHeaderShedsExpiredBudget(t *testing.T) {
 	_, ts := testServer(t)
-	req := MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3}
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3}
 
 	past := overload.FormatDeadline(time.Now().Add(-time.Second))
 	resp, data := postJSONHeaders(t, ts.URL+"/v1/mitigate", req, map[string]string{overload.DeadlineHeader: past})
@@ -356,7 +356,7 @@ func TestJobSubmitPersistsDeadline(t *testing.T) {
 	dl := time.Now().Add(time.Hour).UTC().Truncate(time.Millisecond)
 	resp, data := postJSONHeaders(t, ts.URL+"/v1/jobs", api.JobSubmitRequest{
 		Type: api.JobTypeMitigate,
-		Mitigate: &MitigateRequest{
+		Mitigate: &api.MitigateRequest{
 			Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3,
 		},
 	}, map[string]string{overload.DeadlineHeader: overload.FormatDeadline(dl)})
@@ -396,7 +396,7 @@ func TestHealthzQueueHighWater(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with backlog over high water, want 503: %s", resp.StatusCode, data)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.Unmarshal(data, &h); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"biasmit/internal/api"
 	"biasmit/internal/profilestore"
 )
 
@@ -33,7 +34,7 @@ func durableServer(t *testing.T, dir string) (*Server, *httptest.Server, *profil
 // canonicalAIM strips the fields that legitimately differ between runs
 // (elapsed time, profile age) and returns the deterministic rest as
 // JSON for byte comparison.
-func canonicalAIM(t *testing.T, out *MitigateResponse) string {
+func canonicalAIM(t *testing.T, out *api.MitigateResponse) string {
 	t.Helper()
 	canon := struct {
 		Machine    string
@@ -42,11 +43,11 @@ func canonicalAIM(t *testing.T, out *MitigateResponse) string {
 		Seed       int64
 		Layout     []int
 		Swaps      int
-		Outcomes   []OutcomeCount
+		Outcomes   []api.OutcomeCount
 		Distinct   int
-		Metrics    *PolicyMetrics
+		Metrics    *api.PolicyMetrics
 		Strongest  string
-		Candidates []AIMCandidate
+		Candidates []api.AIMCandidate
 	}{
 		out.Machine, out.Benchmark, out.Shots, out.Seed, out.Layout, out.Swaps,
 		out.Outcomes, out.DistinctOutcomes, out.Metrics, out.Strongest, out.Candidates,
@@ -64,10 +65,10 @@ func canonicalAIM(t *testing.T, out *MitigateResponse) string {
 // with zero re-characterization and byte-identical AIM output.
 func TestWarmRestartServesIdenticalMitigation(t *testing.T) {
 	dir := t.TempDir()
-	req := MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 600, Seed: 3}
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 600, Seed: 3}
 
 	_, ts1, _ := durableServer(t, dir)
-	var before MitigateResponse
+	var before api.MitigateResponse
 	_, data := postJSON(t, ts1.URL+"/v1/mitigate", req)
 	if err := json.Unmarshal(data, &before); err != nil {
 		t.Fatalf("pre-crash AIM run: %v\n%s", err, data)
@@ -87,7 +88,7 @@ func TestWarmRestartServesIdenticalMitigation(t *testing.T) {
 	// than a fallback — "warm" is asserted, not hoped for.
 	warmReq := req
 	warmReq.RequireCachedProfile = true
-	var after MitigateResponse
+	var after api.MitigateResponse
 	_, data = postJSON(t, ts2.URL+"/v1/mitigate", warmReq)
 	if err := json.Unmarshal(data, &after); err != nil {
 		t.Fatalf("post-restart AIM run: %v\n%s", err, data)

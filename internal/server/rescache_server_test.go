@@ -17,6 +17,7 @@ import (
 	"biasmit/internal/circuit"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
+	"biasmit/internal/obs"
 )
 
 // countingRuns counts backend executions, optionally holding each one
@@ -83,7 +84,7 @@ func TestResultCacheHitIsByteIdentical(t *testing.T) {
 	counting := &countingRuns{}
 	_, ts := cachedServer(t, counting)
 
-	req := &MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 512, Seed: 7}
+	req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 512, Seed: 7}
 	resp1, raw1 := postJSON(t, ts.URL+"/v1/mitigate", req)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d %s", resp1.StatusCode, raw1)
@@ -97,7 +98,7 @@ func TestResultCacheHitIsByteIdentical(t *testing.T) {
 		t.Fatalf("cache hit re-ran the backend: %d runs, want %d", got, runsAfterFirst)
 	}
 
-	var m1, m2 MitigateResponse
+	var m1, m2 api.MitigateResponse
 	if err := json.Unmarshal(raw1, &m1); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestResultCacheCoalescing(t *testing.T) {
 	counting := &countingRuns{hold: make(chan struct{}), entered: make(chan struct{}, 16)}
 	s, ts := cachedServer(t, counting)
 
-	req := &MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 11}
+	req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 11}
 	type result struct {
 		status int
 		body   []byte
@@ -161,7 +162,7 @@ func TestResultCacheCoalescing(t *testing.T) {
 		if r.status != http.StatusOK {
 			t.Fatalf("request failed: %d %s", r.status, r.body)
 		}
-		var m MitigateResponse
+		var m api.MitigateResponse
 		if err := json.Unmarshal(r.body, &m); err != nil {
 			t.Fatal(err)
 		}
@@ -194,14 +195,14 @@ func TestResultCacheCoalescing(t *testing.T) {
 func TestResultCacheInvalidatedByCharacterize(t *testing.T) {
 	s, ts := cachedServer(t, nil)
 
-	req := &MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 512, Seed: 7}
+	req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 512, Seed: 7}
 	if resp, raw := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d %s", resp.StatusCode, raw)
 	}
 	if resp, raw := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second request: %d %s", resp.StatusCode, raw)
 	} else {
-		var m MitigateResponse
+		var m api.MitigateResponse
 		_ = json.Unmarshal(raw, &m)
 		if !m.CacheHit {
 			t.Fatalf("second request not a cache hit: %s", raw)
@@ -219,7 +220,7 @@ func TestResultCacheInvalidatedByCharacterize(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-characterize request: %d %s", resp3.StatusCode, raw3)
 	}
-	var m3 MitigateResponse
+	var m3 api.MitigateResponse
 	if err := json.Unmarshal(raw3, &m3); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestResultCacheInvalidatedByCharacterize(t *testing.T) {
 	if resp, raw := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fourth request: %d %s", resp.StatusCode, raw)
 	} else {
-		var m MitigateResponse
+		var m api.MitigateResponse
 		_ = json.Unmarshal(raw, &m)
 		if !m.CacheHit {
 			t.Fatal("result under the new profile generation was not cached")
@@ -249,7 +250,7 @@ func TestResultCacheInvalidatedByCharacterize(t *testing.T) {
 // result-cache counters, and a disabled cache reports enabled 0.
 func TestResultCacheMetricsExposed(t *testing.T) {
 	_, ts := cachedServer(t, nil)
-	req := &MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 256, Seed: 3}
+	req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 256, Seed: 3}
 	postJSON(t, ts.URL+"/v1/mitigate", req)
 	postJSON(t, ts.URL+"/v1/mitigate", req)
 
@@ -286,7 +287,7 @@ func TestResultCacheAsyncJobsShareCache(t *testing.T) {
 	s, ts := cachedServer(t, counting)
 	t.Cleanup(func() { s.DrainJobs(context.Background()) })
 
-	mreq := &MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 21}
+	mreq := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 21}
 	_, syncRaw := postJSON(t, ts.URL+"/v1/mitigate", mreq)
 	runsAfterSync := counting.runs.Load()
 
@@ -310,7 +311,7 @@ func TestResultCacheAsyncJobsShareCache(t *testing.T) {
 	if counting.runs.Load() != runsAfterSync {
 		t.Fatalf("async job re-ran the backend despite an identical cached sync result")
 	}
-	var jm MitigateResponse
+	var jm api.MitigateResponse
 	if err := json.Unmarshal(jr.Result, &jm); err != nil {
 		t.Fatalf("job result: %v", err)
 	}
@@ -331,5 +332,61 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestResultCacheKeyEquivalences pins which mitigate requests share a
+// result-cache entry. Spellings of one run (seed 0 or 1, SIM modes 0 or
+// 4, top 0 or 10, an omitted, "auto" or "brute" profile method on ≤ 5
+// qubits, a baseline's ignored modes) and fields that cannot change the
+// bytes (timeout_ms, X-Trace-Id, X-API-Key) hit the entry the first
+// spelling stored; a different shots, seed, policy, benchmark or machine
+// misses.
+func TestResultCacheKeyEquivalences(t *testing.T) {
+	_, ts := cachedServer(t, nil)
+	sim := api.MitigateRequest{Machine: "ibmqx4", Policy: "sim", Benchmark: "bv-4A", Shots: 256}
+	with := func(edit func(*api.MitigateRequest)) api.MitigateRequest {
+		req := sim
+		edit(&req)
+		return req
+	}
+	cases := []struct {
+		name    string
+		req     api.MitigateRequest
+		headers map[string]string
+		hit     bool
+	}{
+		{"first spelling", sim, nil, false},
+		{"seed 1, modes 4, top 10", with(func(r *api.MitigateRequest) { r.Seed, r.Modes, r.Top = 1, 4, 10 }), nil, true},
+		{"timeout_ms", with(func(r *api.MitigateRequest) { r.TimeoutMS = 30000 }), nil, true},
+		{"X-Trace-Id", sim, map[string]string{api.TraceHeader: obs.NewTraceID()}, true},
+		{"X-API-Key", sim, map[string]string{"X-API-Key": "tenant-b"}, true},
+		{"shots", with(func(r *api.MitigateRequest) { r.Shots = 512 }), nil, false},
+		{"seed", with(func(r *api.MitigateRequest) { r.Seed = 2 }), nil, false},
+		{"modes", with(func(r *api.MitigateRequest) { r.Modes = 2 }), nil, false},
+		{"benchmark", with(func(r *api.MitigateRequest) { r.Benchmark = "bv-4B" }), nil, false},
+		{"machine", with(func(r *api.MitigateRequest) { r.Machine = "ibmqx2" }), nil, false},
+		{"policy baseline", with(func(r *api.MitigateRequest) { r.Policy = "baseline" }), nil, false},
+		{"baseline ignores modes", with(func(r *api.MitigateRequest) { r.Policy, r.Modes = "baseline", 2 }), nil, true},
+		{"policy aim", with(func(r *api.MitigateRequest) { r.Policy = "aim" }), nil, false},
+		{"aim method auto", with(func(r *api.MitigateRequest) { r.Policy, r.ProfileMethod = "aim", "auto" }), nil, true},
+		{"aim method brute", with(func(r *api.MitigateRequest) { r.Policy, r.ProfileMethod = "aim", "brute" }), nil, true},
+	}
+	for _, tc := range cases {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := doRequest(t, http.MethodPost, ts.URL+"/v1/mitigate", string(body), tc.headers)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, data)
+		}
+		var out api.MitigateResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.CacheHit != tc.hit || out.Coalesced {
+			t.Fatalf("%s: cache_hit %v coalesced %v, want cache_hit %v", tc.name, out.CacheHit, out.Coalesced, tc.hit)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"biasmit/internal/api"
 	"biasmit/internal/backend"
 	"biasmit/internal/circuit"
 	"biasmit/internal/device"
@@ -90,7 +91,7 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 		ProfileShots:     64,
 	})
-	req := MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00", Shots: 64, Seed: 1}
+	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00", Shots: 64, Seed: 1}
 
 	// Two failing runs, one attempt each, open the breaker.
 	f.on.Store(true)
@@ -99,8 +100,8 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status %d, want 503: %s", i+1, resp.StatusCode, data)
 		}
-		if ae := decodeError(t, data); ae.Code != CodeUpstreamTransient {
-			t.Fatalf("request %d: code %q, want %q", i+1, ae.Code, CodeUpstreamTransient)
+		if ae := decodeError(t, data); ae.Code != api.CodeUpstreamTransient {
+			t.Fatalf("request %d: code %q, want %q", i+1, ae.Code, api.CodeUpstreamTransient)
 		}
 	}
 
@@ -110,8 +111,8 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeBreakerOpen {
-		t.Fatalf("code %q, want %q", ae.Code, CodeBreakerOpen)
+	if ae := decodeError(t, data); ae.Code != api.CodeBreakerOpen {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeBreakerOpen)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "5" {
 		t.Fatalf("Retry-After %q, want %q", ra, "5")
@@ -122,7 +123,7 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d (only one machine is dark)", hresp.StatusCode)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.Unmarshal(hdata, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				req := MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00",
+				req := api.MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00",
 					Shots: 64, Seed: int64(c*perClient + i + 1)}
 				raw, _ := json.Marshal(req)
 				resp, err := http.Post(ts.URL+"/v1/mitigate", "application/json", bytes.NewReader(raw))
@@ -208,7 +209,7 @@ func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				var env errorEnvelope
+				var env api.ErrorEnvelope
 				err = json.NewDecoder(resp.Body).Decode(&env)
 				resp.Body.Close()
 				if err != nil || env.Error == nil || resp.StatusCode != http.StatusServiceUnavailable {
@@ -225,12 +226,12 @@ func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
 	transient, open := 0, 0
 	for code := range codes {
 		switch code {
-		case CodeUpstreamTransient:
+		case api.CodeUpstreamTransient:
 			transient++
-		case CodeBreakerOpen:
+		case api.CodeBreakerOpen:
 			open++
 		default:
-			t.Errorf("code %q, want %s or %s", code, CodeUpstreamTransient, CodeBreakerOpen)
+			t.Errorf("code %q, want %s or %s", code, api.CodeUpstreamTransient, api.CodeBreakerOpen)
 		}
 	}
 	const maxRuns = threshold + maxJobs - 1
@@ -259,7 +260,7 @@ func TestHealthzUnavailableWhenEveryBreakerOpen(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 with every breaker open: %s", resp.StatusCode, data)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.Unmarshal(data, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +277,13 @@ func TestCharacterizeServesStaleProfileDegraded(t *testing.T) {
 		ProfileShots:     64,
 		ProfileTTL:       time.Minute,
 	})
-	req := CharacterizeRequest{Machine: "ibmqx2", Method: "brute", Qubits: 2}
+	req := api.CharacterizeRequest{Machine: "ibmqx2", Method: "brute", Qubits: 2}
 
 	resp, data := postJSON(t, ts.URL+"/v1/characterize", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out CharacterizeResponse
+	var out api.CharacterizeResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestCharacterizeServesStaleProfileDegraded(t *testing.T) {
 
 	// /healthz reports the stale cache entry.
 	_, hdata := getBody(t, ts.URL+"/healthz")
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.Unmarshal(hdata, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +335,13 @@ func TestMitigateAIMDegradedProfile(t *testing.T) {
 		ProfileShots:     257,
 		ProfileTTL:       time.Minute,
 	})
-	req := MitigateRequest{Machine: "ibmqx2", Policy: "aim", Benchmark: "bv:01", Shots: 400, Seed: 5}
+	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "aim", Benchmark: "bv:01", Shots: 400, Seed: 5}
 
 	resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"biasmit/internal/api"
 )
 
 // testServer spins up the API over httptest with a budget small enough
@@ -61,10 +63,10 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // decodeError asserts the response is the typed error envelope and
-// returns the APIError.
-func decodeError(t *testing.T, data []byte) *APIError {
+// returns the api.Error.
+func decodeError(t *testing.T, data []byte) *api.Error {
 	t.Helper()
-	var env errorEnvelope
+	var env api.ErrorEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatalf("response is not the typed error envelope: %v\n%s", err, data)
 	}
@@ -80,7 +82,7 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-	var h HealthResponse
+	var h api.HealthResponse
 	if err := json.Unmarshal(data, &h); err != nil || h.Status != "ok" {
 		t.Fatalf("healthz body %s (err %v)", data, err)
 	}
@@ -88,13 +90,13 @@ func TestHealthz(t *testing.T) {
 
 func TestMitigateBaseline(t *testing.T) {
 	_, ts := testServer(t)
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 7,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +114,10 @@ func TestMitigateBaseline(t *testing.T) {
 
 func TestMitigateDeterministicForFixedSeed(t *testing.T) {
 	_, ts := testServer(t)
-	req := MitigateRequest{Machine: "ibmqx2", Policy: "sim", Benchmark: "bv-4B", Shots: 400, Seed: 11}
+	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "sim", Benchmark: "bv-4B", Shots: 400, Seed: 11}
 	_, first := postJSON(t, ts.URL+"/v1/mitigate", req)
 	_, second := postJSON(t, ts.URL+"/v1/mitigate", req)
-	var a, b MitigateResponse
+	var a, b api.MitigateResponse
 	if err := json.Unmarshal(first, &a); err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +133,9 @@ func TestMitigateDeterministicForFixedSeed(t *testing.T) {
 
 func TestMitigateAIMProfileCacheMissThenHit(t *testing.T) {
 	s, ts := testServer(t)
-	req := MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 600, Seed: 3}
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 600, Seed: 3}
 
-	var out MitigateResponse
+	var out api.MitigateResponse
 	_, data := postJSON(t, ts.URL+"/v1/mitigate", req)
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("first AIM run: %v\n%s", err, data)
@@ -147,7 +149,7 @@ func TestMitigateAIMProfileCacheMissThenHit(t *testing.T) {
 	}
 
 	_, data = postJSON(t, ts.URL+"/v1/mitigate", req)
-	out = MitigateResponse{}
+	out = api.MitigateResponse{}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestMitigateAIMProfileCacheMissThenHit(t *testing.T) {
 
 	// And /v1/profiles lists the one learned profile.
 	_, profBody := getBody(t, ts.URL+"/v1/profiles")
-	var profs ProfilesResponse
+	var profs api.ProfilesResponse
 	if err := json.Unmarshal(profBody, &profs); err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +190,14 @@ func TestMitigateAIMProfileCacheMissThenHit(t *testing.T) {
 func TestMitigateBudgetErrorsAreTyped(t *testing.T) {
 	_, ts := testServer(t)
 	for _, shots := range []int{0, -5, 1 << 17} { // zero, negative, above server cap
-		resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+		resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 			Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: shots,
 		})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("shots=%d: status %d, want 400: %s", shots, resp.StatusCode, data)
 		}
-		if ae := decodeError(t, data); ae.Code != CodeBadBudget {
-			t.Fatalf("shots=%d: code %q, want %q", shots, ae.Code, CodeBadBudget)
+		if ae := decodeError(t, data); ae.Code != api.CodeBadBudget {
+			t.Fatalf("shots=%d: code %q, want %q", shots, ae.Code, api.CodeBadBudget)
 		}
 	}
 }
@@ -204,20 +206,20 @@ func TestMitigateValidationErrors(t *testing.T) {
 	_, ts := testServer(t)
 	cases := []struct {
 		name   string
-		req    MitigateRequest
+		req    api.MitigateRequest
 		status int
 		code   string
 	}{
-		{"unknown machine", MitigateRequest{Machine: "ibmqx9", Policy: "baseline", Benchmark: "bv-4A", Shots: 100},
-			http.StatusNotFound, CodeUnknownMachine},
-		{"unknown benchmark", MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "nope-7", Shots: 100},
-			http.StatusBadRequest, CodeUnknownBenchmark},
-		{"unknown policy", MitigateRequest{Machine: "ibmqx4", Policy: "psychic", Benchmark: "bv-4A", Shots: 100},
-			http.StatusBadRequest, CodeBadRequest},
-		{"bad qasm", MitigateRequest{Machine: "ibmqx4", Policy: "baseline", QASM: "garbage;", Shots: 100},
-			http.StatusBadRequest, CodeBadRequest},
-		{"stale-only AIM without profile", MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A",
-			Shots: 600, RequireCachedProfile: true}, http.StatusConflict, CodeProfileStale},
+		{"unknown machine", api.MitigateRequest{Machine: "ibmqx9", Policy: "baseline", Benchmark: "bv-4A", Shots: 100},
+			http.StatusNotFound, api.CodeUnknownMachine},
+		{"unknown benchmark", api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "nope-7", Shots: 100},
+			http.StatusBadRequest, api.CodeUnknownBenchmark},
+		{"unknown policy", api.MitigateRequest{Machine: "ibmqx4", Policy: "psychic", Benchmark: "bv-4A", Shots: 100},
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"bad qasm", api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", QASM: "garbage;", Shots: 100},
+			http.StatusBadRequest, api.CodeBadRequest},
+		{"stale-only AIM without profile", api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A",
+			Shots: 600, RequireCachedProfile: true}, http.StatusConflict, api.CodeProfileStale},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/v1/mitigate", tc.req)
@@ -230,20 +232,54 @@ func TestMitigateValidationErrors(t *testing.T) {
 	}
 }
 
+// TestMitigateRejectsUnrunnableBeforeAdmission: a SIM mode count SIM
+// does not support and a circuit wider than its machine fail validation
+// with 400 bad_request, before the request takes an admission slot.
+func TestMitigateRejectsUnrunnableBeforeAdmission(t *testing.T) {
+	_, ts := testServer(t)
+	admissions := func() string {
+		t.Helper()
+		_, data := getBody(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, `biasmitd_overload_admissions_total{class="mitigate"} `) {
+				return line
+			}
+		}
+		t.Fatalf("no mitigate admissions series:\n%s", data)
+		return ""
+	}
+	before := admissions()
+	for _, req := range []api.MitigateRequest{
+		{Machine: "ibmqx4", Policy: "sim", Benchmark: "bv-4A", Shots: 100, Modes: 3},
+		{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-7", Shots: 100},
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d, want 400: %s", req, resp.StatusCode, data)
+		}
+		if ae := decodeError(t, data); ae.Code != api.CodeBadRequest {
+			t.Fatalf("%+v: code %q, want %q", req, ae.Code, api.CodeBadRequest)
+		}
+	}
+	if after := admissions(); after != before {
+		t.Fatalf("rejected requests were admitted: %q, then %q", before, after)
+	}
+}
+
 func TestMitigateDeadlineExceeded(t *testing.T) {
 	_, ts := testServer(t)
 	// Trajectories on all 14 qubits of the machine (ghz-14 touches every
 	// one, so the backend cannot compact its register): the run takes
 	// far longer than its 1ms deadline.
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmq-melbourne", Policy: "baseline", Benchmark: "ghz-14",
 		Shots: 4096, TimeoutMS: 1,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeDeadlineExceeded {
-		t.Fatalf("code %q, want %q", ae.Code, CodeDeadlineExceeded)
+	if ae := decodeError(t, data); ae.Code != api.CodeDeadlineExceeded {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeDeadlineExceeded)
 	}
 }
 
@@ -257,13 +293,13 @@ h q[0];
 cx q[0],q[1];
 measure q -> c;
 `
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx2", Policy: "baseline", QASM: src, Shots: 256,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +310,13 @@ measure q -> c;
 
 func TestCharacterizeEndpointSharesStoreWithAIM(t *testing.T) {
 	_, ts := testServer(t)
-	resp, data := postJSON(t, ts.URL+"/v1/characterize", CharacterizeRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/characterize", api.CharacterizeRequest{
 		Machine: "ibmqx4", Method: "brute", Qubits: 5,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var ch CharacterizeResponse
+	var ch api.CharacterizeResponse
 	if err := json.Unmarshal(data, &ch); err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +325,10 @@ func TestCharacterizeEndpointSharesStoreWithAIM(t *testing.T) {
 	}
 
 	// An AIM request for the same (machine, width, method) now hits.
-	_, data = postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	_, data = postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 600, RequireCachedProfile: true,
 	})
-	var out MitigateResponse
+	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +337,10 @@ func TestCharacterizeEndpointSharesStoreWithAIM(t *testing.T) {
 	}
 
 	// Force re-learns even though a fresh profile exists.
-	_, data = postJSON(t, ts.URL+"/v1/characterize", CharacterizeRequest{
+	_, data = postJSON(t, ts.URL+"/v1/characterize", api.CharacterizeRequest{
 		Machine: "ibmqx4", Method: "brute", Qubits: 5, Force: true,
 	})
-	ch = CharacterizeResponse{}
+	ch = api.CharacterizeResponse{}
 	if err := json.Unmarshal(data, &ch); err != nil {
 		t.Fatal(err)
 	}
@@ -319,15 +355,15 @@ func TestMethodNotAllowedAndNotFound(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET mitigate: status %d, want 405", resp.StatusCode)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeMethodNotAllowed {
-		t.Fatalf("code %q, want %q", ae.Code, CodeMethodNotAllowed)
+	if ae := decodeError(t, data); ae.Code != api.CodeMethodNotAllowed {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeMethodNotAllowed)
 	}
 	resp, data = getBody(t, ts.URL+"/v1/unknown")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown route: status %d, want 404", resp.StatusCode)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeNotFound {
-		t.Fatalf("code %q, want %q", ae.Code, CodeNotFound)
+	if ae := decodeError(t, data); ae.Code != api.CodeNotFound {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeNotFound)
 	}
 }
 
@@ -343,7 +379,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
 	}
-	if ae := decodeError(t, data); ae.Code != CodeBadRequest {
-		t.Fatalf("code %q, want %q", ae.Code, CodeBadRequest)
+	if ae := decodeError(t, data); ae.Code != api.CodeBadRequest {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeBadRequest)
 	}
 }

@@ -43,9 +43,9 @@ func doRequest(t *testing.T, method, url, body string, headers map[string]string
 
 // envelopeProbe is the part of every response body under test here.
 type envelopeProbe struct {
-	APIVersion string    `json:"api_version"`
-	TraceID    string    `json:"trace_id"`
-	Error      *APIError `json:"error"`
+	APIVersion string     `json:"api_version"`
+	TraceID    string     `json:"trace_id"`
+	Error      *api.Error `json:"error"`
 }
 
 // TestErrorEnvelopeFullyStamped drives every route into representative
@@ -85,25 +85,25 @@ func TestErrorEnvelopeFullyStamped(t *testing.T) {
 		// First, while the filler above is still occupying the quota —
 		// it takes ~0.7s, far longer than this case needs.
 		{"quota 429", "POST", "/v1/jobs", slowJob, 429, api.CodeQuotaExceeded},
-		{"mitigate 405", "GET", "/v1/mitigate", "", 405, CodeMethodNotAllowed},
-		{"characterize 405", "GET", "/v1/characterize", "", 405, CodeMethodNotAllowed},
-		{"profiles 405", "POST", "/v1/profiles", "{}", 405, CodeMethodNotAllowed},
-		{"jobs 405", "PUT", "/v1/jobs", "{}", 405, CodeMethodNotAllowed},
-		{"job by id 405", "PUT", "/v1/jobs/01AAAAAAAAAAAAAAAAAAAAAAAA", "{}", 405, CodeMethodNotAllowed},
-		{"healthz 405", "POST", "/healthz", "", 405, CodeMethodNotAllowed},
-		{"metrics 405", "POST", "/metrics", "", 405, CodeMethodNotAllowed},
-		{"debug traces 405", "POST", "/debug/traces", "", 405, CodeMethodNotAllowed},
-		{"unknown route 404", "GET", "/v1/nope", "", 404, CodeNotFound},
-		{"bad json 400", "POST", "/v1/mitigate", "{not json", 400, CodeBadRequest},
-		{"bad limit 400", "GET", "/v1/jobs?limit=0", "", 400, CodeBadRequest},
+		{"mitigate 405", "GET", "/v1/mitigate", "", 405, api.CodeMethodNotAllowed},
+		{"characterize 405", "GET", "/v1/characterize", "", 405, api.CodeMethodNotAllowed},
+		{"profiles 405", "POST", "/v1/profiles", "{}", 405, api.CodeMethodNotAllowed},
+		{"jobs 405", "PUT", "/v1/jobs", "{}", 405, api.CodeMethodNotAllowed},
+		{"job by id 405", "PUT", "/v1/jobs/01AAAAAAAAAAAAAAAAAAAAAAAA", "{}", 405, api.CodeMethodNotAllowed},
+		{"healthz 405", "POST", "/healthz", "", 405, api.CodeMethodNotAllowed},
+		{"metrics 405", "POST", "/metrics", "", 405, api.CodeMethodNotAllowed},
+		{"debug traces 405", "POST", "/debug/traces", "", 405, api.CodeMethodNotAllowed},
+		{"unknown route 404", "GET", "/v1/nope", "", 404, api.CodeNotFound},
+		{"bad json 400", "POST", "/v1/mitigate", "{not json", 400, api.CodeBadRequest},
+		{"bad limit 400", "GET", "/v1/jobs?limit=0", "", 400, api.CodeBadRequest},
 		{"unknown machine 404", "POST", "/v1/mitigate",
-			`{"machine":"nope","policy":"baseline","benchmark":"bv-4A","shots":100}`, 404, CodeUnknownMachine},
+			`{"machine":"nope","policy":"baseline","benchmark":"bv-4A","shots":100}`, 404, api.CodeUnknownMachine},
 		{"oversized body 413", "POST", "/v1/mitigate", big, 413, api.CodeBodyTooLarge},
 		{"job not found 404", "GET", "/v1/jobs/01AAAAAAAAAAAAAAAAAAAAAAAA", "", 404, api.CodeJobNotFound},
-		{"malformed job id 400", "GET", "/v1/jobs/xyz", "", 400, CodeBadRequest},
+		{"malformed job id 400", "GET", "/v1/jobs/xyz", "", 400, api.CodeBadRequest},
 		{"deadline 504", "POST", "/v1/mitigate",
 			`{"machine":"ibmq-melbourne","policy":"baseline","benchmark":"ghz-14","shots":4096,"timeout_ms":1}`,
-			504, CodeDeadlineExceeded},
+			504, api.CodeDeadlineExceeded},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,7 +243,7 @@ func TestProfilesPagination(t *testing.T) {
 			t.Fatalf("characterize %s: %d %s", body, resp.StatusCode, data)
 		}
 	}
-	var got []ProfileInfo
+	var got []api.ProfileInfo
 	cursor := ""
 	for page := 0; ; page++ {
 		url := ts.URL + "/v1/profiles?limit=2"
@@ -251,7 +251,7 @@ func TestProfilesPagination(t *testing.T) {
 			url += "&cursor=" + cursor
 		}
 		_, data := getBody(t, url)
-		var pr ProfilesResponse
+		var pr api.ProfilesResponse
 		if err := json.Unmarshal(data, &pr); err != nil {
 			t.Fatal(err)
 		}

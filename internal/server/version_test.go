@@ -33,21 +33,21 @@ func TestEveryResponseCarriesAPIVersion(t *testing.T) {
 	assertVersion("healthz", data)
 	_, data = getBody(t, ts.URL+"/v1/profiles")
 	assertVersion("profiles", data)
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 1,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mitigate status %d: %s", resp.StatusCode, data)
 	}
 	assertVersion("mitigate", data)
-	resp, data = postJSON(t, ts.URL+"/v1/characterize", CharacterizeRequest{Machine: "ibmqx4"})
+	resp, data = postJSON(t, ts.URL+"/v1/characterize", api.CharacterizeRequest{Machine: "ibmqx4"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("characterize status %d: %s", resp.StatusCode, data)
 	}
 	assertVersion("characterize", data)
 
 	// Error paths: unknown machine, bad method, unknown route.
-	_, data = postJSON(t, ts.URL+"/v1/mitigate", MitigateRequest{
+	_, data = postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
 		Machine: "no-such-machine", Policy: "baseline", Benchmark: "bv-4A", Shots: 128,
 	})
 	assertVersion("mitigate-error", data)

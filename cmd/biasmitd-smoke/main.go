@@ -33,13 +33,12 @@
 //	         output — before stopping the second daemon gracefully.
 //	overload admission-control round-trip. Owns the daemon (-daemon,
 //	         -data-dir as scratch): boots it with the shedding admission
-//	         gate, brownout, and a gray-slow chaos backend, storms the
-//	         mitigate endpoint at several times capacity, and asserts
-//	         excess load sheds with typed overloaded 503s + Retry-After
-//	         within the queue timeout, AIM requests degrade to cheaper
-//	         policies (ServedPolicy/BrownoutTier visible) instead of
-//	         failing, mid-storm async jobs all complete once the storm
-//	         passes, and full quality returns after sustained calm.
+//	         gate and a gray-slow chaos backend, storms the mitigate
+//	         endpoint at several times capacity, and asserts excess load
+//	         sheds with typed overloaded 503s + Retry-After within the
+//	         queue timeout, every answer is the AIM policy it asked for,
+//	         mid-storm async jobs all complete once the storm passes,
+//	         and a post-storm AIM request is served as AIM.
 //	trace    observability round-trip. Owns the daemon (-daemon,
 //	         -data-dir as scratch): boots it with a gray-slow chaos
 //	         backend, runs one slow request under a client-minted trace

@@ -84,9 +84,6 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "how long a request may wait for one of the -max-jobs slots before it is shed with a typed 503 + Retry-After, lowest priority class first; past 64 waiters it is shed at once (0 = wait until the request's deadline). Set it above the slowest request's service time, or healthy requests are shed")
-	brownout := flag.Bool("brownout", false, "degrade AIM to SIM to baseline while admissions keep being shed, stepping back up when it clears (acts only with a positive -queue-timeout)")
-	brownoutDwellDown := flag.Duration("brownout-dwell-down", 2*time.Second, "sustained pressure required before stepping a brownout tier down")
-	brownoutDwellUp := flag.Duration("brownout-dwell-up", 5*time.Second, "sustained calm required before stepping a brownout tier back up")
 	queueHighWater := flag.Int("queue-high-water", 0, "queued async jobs past which /healthz reports 503 unavailable (0 = never)")
 	resultCache := flag.Bool("result-cache", true, "serve repeated identical mitigation requests from a content-addressed result cache, coalescing concurrent duplicates onto one execution")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")
@@ -143,31 +140,28 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Workers:           *workers,
-		MaxJobs:           *maxJobs,
-		DefaultTimeout:    *defaultTimeout,
-		MaxTimeout:        *maxTimeout,
-		MaxShots:          *maxShots,
-		ProfileShots:      *profileShots,
-		ProfileTTL:        *profileTTL,
-		Seed:              *seed,
-		Chaos:             *chaosPlan,
-		RetryAttempts:     *retryAttempts,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerCooldown:   *breakerCooldown,
-		Persist:           dlog,
-		MaxProfiles:       *maxProfiles,
-		JobsLog:           jlog,
-		JobWorkers:        *jobWorkers,
-		JobQuota:          *tenantQuota,
-		QueueTimeout:      *queueTimeout,
-		Brownout:          *brownout,
-		BrownoutDwellDown: *brownoutDwellDown,
-		BrownoutDwellUp:   *brownoutDwellUp,
-		QueueHighWater:    *queueHighWater,
-		ResultCache:       *resultCache,
-		Logger:            lg,
-		SlowRequest:       *slowRequest,
+		Workers:          *workers,
+		MaxJobs:          *maxJobs,
+		DefaultTimeout:   *defaultTimeout,
+		MaxTimeout:       *maxTimeout,
+		MaxShots:         *maxShots,
+		ProfileShots:     *profileShots,
+		ProfileTTL:       *profileTTL,
+		Seed:             *seed,
+		Chaos:            *chaosPlan,
+		RetryAttempts:    *retryAttempts,
+		BreakerThreshold: *breakerThreshold,
+		BreakerCooldown:  *breakerCooldown,
+		Persist:          dlog,
+		MaxProfiles:      *maxProfiles,
+		JobsLog:          jlog,
+		JobWorkers:       *jobWorkers,
+		JobQuota:         *tenantQuota,
+		QueueTimeout:     *queueTimeout,
+		QueueHighWater:   *queueHighWater,
+		ResultCache:      *resultCache,
+		Logger:           lg,
+		SlowRequest:      *slowRequest,
 	})
 	if st := srv.JobStats(); st.RecoveredJobs > 0 {
 		lg.Info("requeued recovered jobs interrupted mid-run",

@@ -234,13 +234,12 @@ type MitigateResponse struct {
 	// MitigateProfile.Degraded): the result is usable but the caller
 	// should know the machine view behind it is old.
 	Degraded bool `json:"degraded,omitempty"`
-	// ServedPolicy is the policy actually executed. It equals Policy
-	// except under brownout, when the server steps mitigation quality
-	// down (aim → sim → baseline) instead of shedding: Policy echoes
-	// what was asked, ServedPolicy is what the counts really are.
+	// ServedPolicy is the policy that produced the counts. The server
+	// runs the requested policy or fails, so it always equals Policy.
 	ServedPolicy string `json:"served_policy"`
-	// BrownoutTier is the server's degradation tier at serving time
-	// (0 = full quality, 1 = sim, 2 = baseline). Omitted when zero.
+	// BrownoutTier is always 0, so it is never sent. It stays in the
+	// struct only because the end-to-end benchmark's answer check still
+	// reads it.
 	BrownoutTier int `json:"brownout_tier,omitempty"`
 	// CacheHit is true when this response was served from the result
 	// cache: the body (ElapsedMS included) is byte-identical to the
@@ -419,9 +418,6 @@ type HealthResponse struct {
 	// honest backlog signal (a deep queue of fresh jobs is busy; a
 	// shallow queue of old jobs is stuck).
 	OldestQueuedMS int64 `json:"oldest_queued_ms,omitempty"`
-	// BrownoutTier is the current quality-degradation tier
-	// (0 full, 1 sim, 2 baseline). Omitted when zero.
-	BrownoutTier int `json:"brownout_tier,omitempty"`
 }
 
 // TraceSpan is one completed stage of a trace: its offset from the

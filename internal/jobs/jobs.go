@@ -17,10 +17,11 @@
 //
 //   - Scheduler: drains the queue into a bounded worker set with
 //     per-tenant round-robin fairness, priority classes within a
-//     tenant, per-tenant admission quotas, and a per-job watchdog. Each
-//     job runs alone in its worker slot; jobs that need the same RBMS
-//     profile share it through the profile store. A panicking executor
-//     fails its job instead of taking the worker set down.
+//     tenant, and per-tenant admission quotas. Each job runs alone in
+//     its worker slot until its executor returns, which its deadline
+//     bounds; jobs that need the same RBMS profile share it through the
+//     profile store. A panicking executor fails its job instead of
+//     taking the worker set down.
 //
 // The queue never executes anything itself; the executor is injected
 // (ExecFunc), which keeps this package free of simulator imports and
@@ -130,7 +131,6 @@ type Job struct {
 	notBefore time.Time          // earliest dispatch time (retry backoff)
 	cancel    context.CancelFunc // cancels the running execution
 	done      chan struct{}      // closed on terminal
-	stalled   bool               // watchdog cancelled the run; settle requeues
 }
 
 // clone returns a persistence/wire-safe copy (shared immutable slices,
@@ -188,13 +188,11 @@ type Stats struct {
 	// requeues).
 	Transitions map[State]uint64
 	// Retries counts retryable-failure requeues; DrainRequeues counts
-	// jobs pushed back to queued by a drain deadline; StallRequeues
-	// counts jobs the watchdog cancelled and requeued; Expired counts
+	// jobs pushed back to queued by a drain deadline; Expired counts
 	// jobs failed because their propagated deadline passed before they
 	// started.
 	Retries       uint64
 	DrainRequeues uint64
-	StallRequeues uint64
 	Expired       uint64
 	// OldestQueued is the age of the oldest still-queued job — the
 	// backlog-staleness signal /healthz reports. Zero when nothing is
@@ -230,7 +228,6 @@ type Queue struct {
 	transitions map[State]uint64
 	retries     uint64
 	drainReqs   uint64
-	stallReqs   uint64
 	expired     uint64
 	recovered   int
 	recoveredRq int
@@ -485,7 +482,6 @@ func (q *Queue) terminalLocked(j *Job, st State, result json.RawMessage, fail *F
 	j.Result = result
 	j.Failure = fail
 	j.cancel = nil
-	j.stalled = false
 	q.transitions[st]++
 	q.journalLocked(j)
 	close(j.done)
@@ -499,7 +495,6 @@ func (q *Queue) requeueLocked(j *Job, delay time.Duration) {
 	j.StartedAt = time.Time{}
 	j.Requeues++
 	j.cancel = nil
-	j.stalled = false
 	if delay > 0 {
 		j.notBefore = q.now().Add(delay)
 	} else {
@@ -547,7 +542,6 @@ func (q *Queue) Stats() Stats {
 		Transitions:       make(map[State]uint64, len(q.transitions)),
 		Retries:           q.retries,
 		DrainRequeues:     q.drainReqs,
-		StallRequeues:     q.stallReqs,
 		Expired:           q.expired,
 		RecoveredJobs:     q.recovered,
 		RecoveredRequeued: q.recoveredRq,

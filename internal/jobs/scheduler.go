@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"biasmit/internal/overload"
 )
 
 // ExecFunc executes one job and returns its result or failure. It must
@@ -22,12 +20,6 @@ type SchedulerOptions struct {
 	Exec ExecFunc
 	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
-	// Watchdog, when set, watches every executing job. A job still
-	// running past the watchdog's stall threshold gets a goroutine dump
-	// logged and its context cancelled, and is requeued once the
-	// executor returns — the self-healing path for runs wedged on a gray
-	// backend. Nil disables watching.
-	Watchdog *overload.Watchdog
 	// Now and After override the clock, for tests.
 	Now   func() time.Time
 	After func(d time.Duration) <-chan time.Time
@@ -243,24 +235,13 @@ func turnBefore(a, b, last string) bool {
 	return a < b
 }
 
-// run executes one started job and settles its outcome. Every run is
-// bounded by its context, so the watchdog task covering the whole
-// execution only fires on a wedged one: it marks the job stalled and
-// cuts its context, and settle requeues it.
+// run executes one started job and settles its outcome when the
+// executor returns. Every run is bounded by its context's deadline, and
+// the executor must honour it.
 func (s *Scheduler) run(e *execution) {
 	// Release the deadline timer (terminalLocked/requeueLocked only drop
 	// the reference).
 	defer e.cancel()
-	task := s.opts.Watchdog.Register("job "+e.snap.ID, func() {
-		s.q.mu.Lock()
-		// A later attempt of the same job is not this task's to stall.
-		if e.j.State == StateRunning && e.j.Attempts == e.snap.Attempts {
-			e.j.stalled = true
-		}
-		s.q.mu.Unlock()
-		e.cancel()
-	})
-	defer task.Done()
 	result, fail := s.exec(e)
 	s.settle(e.j, result, fail)
 }
@@ -294,12 +275,6 @@ func (s *Scheduler) settle(j *Job, result json.RawMessage, fail *Failure) {
 		q.terminalLocked(j, StateDone, result, nil)
 	case j.CancelRequested:
 		q.terminalLocked(j, StateCancelled, nil, nil)
-	case j.stalled:
-		// The watchdog cancelled a wedged run: the job did nothing
-		// wrong, so it goes back to the queue for a fresh attempt (the
-		// deterministic executor makes the re-run byte-identical).
-		q.stallReqs++
-		q.requeueLocked(j, 0)
 	case draining:
 		// The drain deadline cancelled the run; the work is not failed,
 		// just unfinished — back to queued, checkpointed for next boot.

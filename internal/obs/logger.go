@@ -84,13 +84,6 @@ func (l *Logger) Warn(msg string, kv ...any) { l.Log(LevelWarn, msg, kv...) }
 // Error logs at error level.
 func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
-// Logf is the printf bridge for components that take a plain
-// `func(format string, args ...any)` sink (the watchdog). Records at
-// info level with the formatted text as msg.
-func (l *Logger) Logf(format string, args ...any) {
-	l.Log(LevelInfo, fmt.Sprintf(format, args...))
-}
-
 // Log logs at level lv; Debug, Info, Warn and Error are its shorthands.
 func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	if !l.Enabled(lv) {

@@ -164,7 +164,6 @@ func TestNilSafety(t *testing.T) {
 
 	var lg *Logger
 	lg.Info("dropped")
-	lg.Logf("dropped %d", 1)
 	if lg.Enabled(LevelError) {
 		t.Fatal("nil logger claims to be enabled")
 	}
@@ -230,22 +229,10 @@ func TestLoggerLevelsAndLogf(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger(&buf, LevelWarn)
 	lg.Info("nope")
-	lg.Logf("nope %d", 2) // Logf is info-level
 	lg.Warn("yes")
 	lg.Error("also")
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Fatalf("min=warn wrote %d lines, want 2:\n%s", got, buf.String())
-	}
-
-	buf.Reset()
-	lg = NewLogger(&buf, LevelInfo)
-	lg.Logf("watchdog: task %q stalled for %v", "batch", time.Second)
-	var rec map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatalf("Logf line not JSON: %v", err)
-	}
-	if rec["msg"] != `watchdog: task "batch" stalled for 1s` {
-		t.Fatalf("Logf msg = %q", rec["msg"])
 	}
 
 	for in, want := range map[string]Level{

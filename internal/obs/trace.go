@@ -104,8 +104,9 @@ func (t *Trace) SetTag(key, value string) {
 }
 
 // Annotate appends a free-form event to the trace — retries, breaker
-// rejections, brownout. Bounded; past the cap new annotations are dropped
-// and a single "... (truncated)" marker records the loss.
+// rejections, result-cache outcomes. Bounded; past the cap new
+// annotations are dropped and a single "... (truncated)" marker records
+// the loss.
 func (t *Trace) Annotate(format string, args ...any) {
 	if t == nil {
 		return

@@ -1,15 +1,12 @@
-// Package overload is the admission-control and self-healing layer for
-// biasmitd: a fixed-limit priority admission gate (per-class FIFO
-// queues admitted highest class first, with an optional CoDel-style
-// queue timeout and a bounded queue that shed lowest class first),
-// deadline propagation over the wire, a brownout controller that steps
-// mitigation quality down under sustained shedding, and a watchdog that
-// detects stalled job executions.
+// Package overload is the admission-control layer for biasmitd: a
+// fixed-limit priority admission gate (per-class FIFO queues admitted
+// highest class first, with an optional CoDel-style queue timeout and a
+// bounded queue that shed lowest class first) and deadline propagation
+// over the wire.
 //
-// The package depends only on the standard library so that server, jobs,
-// and client can all import it without cycles. Every component is safe
-// for concurrent use; the time-driven ones (gate timeouts, brownout,
-// watchdog) take an injectable clock or timer.
+// The package depends only on the standard library so that server and
+// client can both import it without cycles. The gate is safe for
+// concurrent use, and its queue timeouts take an injectable timer.
 package overload
 
 import (

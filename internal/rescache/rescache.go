@@ -96,8 +96,8 @@ type Computed struct {
 	// valid instead of stillborn.
 	Gen uint64
 	// Store is false for results that are not pure functions of the
-	// request (brownout-degraded policy, stale-profile serving): the
-	// bytes fan out to every waiter but nothing is cached.
+	// request (stale-profile serving): the bytes fan out to every waiter
+	// but nothing is cached.
 	Store bool
 }
 

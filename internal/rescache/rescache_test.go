@@ -261,7 +261,7 @@ func TestComputePanicBecomesError(t *testing.T) {
 }
 
 // TestStoreFalseFansOutWithoutCaching: responses flagged store=false
-// (e.g. brownout-degraded) reach every waiter but are never cached.
+// (e.g. stale-profile serving) reach every waiter but are never cached.
 func TestStoreFalseFansOutWithoutCaching(t *testing.T) {
 	c := New(Options{})
 	ctx := context.Background()

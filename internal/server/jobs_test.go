@@ -9,11 +9,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"biasmit/internal/api"
+	"biasmit/internal/chaos"
 )
 
 // jobsTestServer spins up a server whose async queue runs one batch at a
@@ -363,40 +363,54 @@ func TestJobMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestWatchdogSparesLongJobInsideDeadline: a job whose run takes longer
-// than 30 s but stays inside its deadline is slow, not wedged — it
-// finishes on its first attempt. Every execution is bounded by
-// MaxTimeout, so the watchdog only fires on a run far past that. The
-// server's fake clock drives the watchdog, so no real waiting.
-func TestWatchdogSparesLongJobInsideDeadline(t *testing.T) {
-	clk := newFakeClock()
-	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
-	entered := blocker.entered
-	cfg := Config{
-		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
-		JobWorkers: 1, Now: clk.now,
-	}
-	cfg.wrapRun = blocker.wrap
-	s := New(cfg)
+// TestStalledJobsEndAtDeadline: with every backend call stalled until
+// its context ends, each job type fails deadline_exceeded on its first
+// attempt once MaxTimeout has passed, and well before twice that. A
+// run is bounded by its own deadline; nothing else has to cut it short.
+func TestStalledJobsEndAtDeadline(t *testing.T) {
+	const maxTimeout = 300 * time.Millisecond
+	// Dispatch, unwinding and settling after the deadline, with room
+	// for the race detector on 2 vCPUs.
+	const slack = 250 * time.Millisecond
+	s := New(Config{
+		Workers: 2, MaxJobs: 2, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		JobWorkers: 2, MaxTimeout: maxTimeout, Chaos: chaos.Plan{StallRate: 1},
+	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	var once sync.Once
-	release := func() { once.Do(func() { close(blocker.release) }) }
-	t.Cleanup(release)
 
-	sub := submitJob(t, ts.URL, "", baselineJob(128, 5))
-	<-entered // the job's backend run is parked
-	clk.advance(31 * time.Second)
-	s.watchdog.Sweep()
-	release()
-
-	got := waitJob(t, ts.URL, sub.Job.ID)
-	if got.Job.State != api.JobStateDone || got.Job.Attempts != 1 || got.Job.Requeues != 0 {
-		t.Fatalf("job = %s after %d attempts / %d requeues, want done on attempt 1",
-			got.Job.State, got.Job.Attempts, got.Job.Requeues)
+	mitigate := func(policy string) *api.JobSubmitRequest {
+		return &api.JobSubmitRequest{Type: api.JobTypeMitigate, MaxAttempts: 1, Mitigate: &api.MitigateRequest{
+			Machine: "ibmqx4", Policy: policy, Benchmark: "bv-4A", Shots: 512, Seed: 3,
+		}}
 	}
-	if st := s.watchdog.Stats(); st.Stalls != 0 {
-		t.Fatalf("watchdog stats = %+v, want no stall", st)
+	characterize := func(method string) *api.JobSubmitRequest {
+		return &api.JobSubmitRequest{Type: api.JobTypeCharacterize, MaxAttempts: 1, Characterize: &api.CharacterizeRequest{
+			Machine: "ibmqx2", Method: method, Force: true,
+		}}
+	}
+	ids := map[string]string{}
+	for name, spec := range map[string]*api.JobSubmitRequest{
+		"mitigate baseline":  mitigate("baseline"),
+		"mitigate sim":       mitigate("sim"),
+		"mitigate aim":       mitigate("aim"),
+		"characterize brute": characterize("brute"),
+		"characterize awct":  characterize("awct"),
+		"characterize esct":  characterize("esct"),
+	} {
+		ids[name] = submitJob(t, ts.URL, "", spec).Job.ID
+	}
+	for name, id := range ids {
+		job := waitJob(t, ts.URL, id).Job
+		if job.State != api.JobStateFailed || job.Attempts != 1 || job.Error == nil ||
+			job.Error.Code != api.CodeDeadlineExceeded {
+			t.Fatalf("%s: %s after %d attempts (error %+v), want failed deadline_exceeded on attempt 1",
+				name, job.State, job.Attempts, job.Error)
+		}
+		ran := job.FinishedAt.Sub(*job.StartedAt)
+		if ran < maxTimeout || ran > maxTimeout+slack {
+			t.Fatalf("%s ran %v, want between MaxTimeout %v and %v", name, ran, maxTimeout, maxTimeout+slack)
+		}
 	}
 }
 

@@ -231,10 +231,9 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	}
 }
 
-// writeOverloadMetrics renders the overload-control subsystem: the
-// admission gate's occupancy and per-class admission counters,
-// brownout tier transitions, and watchdog stall recoveries. Written
-// after the registry block by /metrics.
+// writeOverloadMetrics renders the admission gate: its occupancy and
+// per-class admission counters. Written after the registry block by
+// /metrics.
 func (s *Server) writeOverloadMetrics(w io.Writer) {
 	perClass := func(name, help string, v *[3]uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
@@ -254,13 +253,6 @@ func (s *Server) writeOverloadMetrics(w io.Writer) {
 	perClass("biasmitd_overload_sheds_total", "Requests shed by admission control, by priority class.", &ls.Shed)
 	perClass("biasmitd_overload_queue_timeouts_total", "Queued requests shed at the CoDel queue timeout, by priority class.", &ls.Timeouts)
 	counter(w, "biasmitd_overload_evictions_total", "Queued low-class waiters displaced by higher-class arrivals.", ls.Evictions)
-	br := s.brown.Stats()
-	gauge(w, "biasmitd_brownout_tier", "Current brownout tier (0 full, 1 sim, 2 baseline).", int64(br.Tier))
-	counter(w, "biasmitd_brownout_steps_down_total", "Brownout tier degradations under admission pressure.", br.StepsDown)
-	counter(w, "biasmitd_brownout_steps_up_total", "Brownout tier recoveries after sustained calm.", br.StepsUp)
-	ws := s.watchdog.Stats()
-	gauge(w, "biasmitd_watchdog_tasks", "Executing async jobs the watchdog is watching.", int64(ws.Tasks))
-	counter(w, "biasmitd_watchdog_stalls_total", "Stalled jobs the watchdog cancelled and requeued.", ws.Stalls)
 }
 
 // writeTraceMetrics renders the tracing layer: per-stage latency

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"hash/fnv"
 	"net/http"
 	"strconv"
@@ -192,8 +191,8 @@ func (s *Server) mitigate(ctx context.Context, req *api.MitigateRequest) (*api.M
 // mitigateCached fronts mitigateExec with the result cache: the plan's
 // hash plus the AIM profile's generation addresses the stored bytes,
 // identical in-flight requests coalesce onto one execution, and
-// responses that are not pure functions of the request (brownout
-// degraded policy, stale-profile serving) fan out without being stored.
+// responses that are not pure functions of the request (stale-profile
+// serving) fan out without being stored.
 // Cached bytes are the marshaled response exactly as first computed,
 // ElapsedMS included, so a hit is byte-identical to the original; only
 // the per-request envelope and the cache_hit/coalesced metadata differ.
@@ -216,9 +215,9 @@ func (s *Server) mitigateCached(ctx context.Context, p *mitigatePlan) (*api.Miti
 			return rescache.Computed{}, rerr
 		}
 		// Only pure-function-of-the-request responses are stored:
-		// brownout degradation and stale-profile serving depend on
-		// server state at execution time.
-		store := resp.ServedPolicy == resp.Policy && !resp.Degraded && resp.BrownoutTier == 0
+		// stale-profile serving depends on server state at execution
+		// time.
+		store := !resp.Degraded
 		storeGen := gen
 		if store && p.Policy == "aim" {
 			switch cur := s.store.Generation(p.profileKey()); {
@@ -272,8 +271,7 @@ func (s *Server) mitigateCached(ctx context.Context, p *mitigatePlan) (*api.Miti
 // the MaxJobs running ones queues, and freed slots go to the highest
 // class first. Without a QueueTimeout it waits until a slot frees or
 // its deadline ends; with one it is shed, lowest class first, with a
-// typed overload error. Every shed feeds the brownout controller. done
-// releases the slot and the deadline.
+// typed overload error. done releases the slot and the deadline.
 func (s *Server) admit(ctx context.Context, timeoutMS int) (_ context.Context, done func(), err error) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
@@ -284,18 +282,8 @@ func (s *Server) admit(ctx context.Context, timeoutMS int) (_ context.Context, d
 	release, err := s.limiter.Acquire(ctx, overload.ClassFromContext(ctx))
 	sp.End()
 	if err != nil {
-		var oe *overload.Error
-		if errors.As(err, &oe) {
-			s.brown.Observe(true)
-		}
 		cancel()
 		return nil, nil, err
-	}
-	// A success only reads as calm when nobody is left waiting: during a
-	// storm the gate still admits at capacity, and that goodput must not
-	// reset the brownout's pressure clock.
-	if s.limiter.Stats().Queued == 0 {
-		s.brown.Observe(false)
 	}
 	return ctx, func() { release(); cancel() }, nil
 }
@@ -351,12 +339,11 @@ func (s *Server) machine(dev *device.Device) *core.Machine {
 	return m
 }
 
-// mitigateExec runs one plan through the pipeline: admission, brownout
-// policy resolution, placement, sample, correct. It is the compute
-// function behind the result cache: everything nondeterministic about
-// a response (brownout tier, degraded profile serving) is visible on
-// the returned struct, which mitigateCached inspects to decide
-// cacheability.
+// mitigateExec runs one plan through the pipeline: admission,
+// placement, sample, correct. It is the compute function behind the
+// result cache: the one nondeterministic thing about a response,
+// degraded profile serving, is visible on the returned struct, which
+// mitigateCached inspects to decide cacheability.
 func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.MitigateResponse, error) {
 	ctx, done, err := s.admit(ctx, p.timeoutMS)
 	if err != nil {
@@ -369,49 +356,32 @@ func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.Mitiga
 		return nil, asBadRequest(err)
 	}
 
-	// Under brownout pressure an AIM request is served with a cheaper
-	// policy (AIM → SIM → baseline) rather than shed outright: degraded
-	// mitigation beats a 503. The response carries both the requested
-	// policy and what actually ran, so clients can tell.
-	tier := s.brown.Tier() // TierFull when brownout is disabled
-	served := overload.Degrade(p.Policy, tier)
-	if served != p.Policy {
-		obs.Annotate(ctx, "brownout: serving %s for requested %s", served, p.Policy)
-	}
-
 	started := time.Now()
 	resp := &api.MitigateResponse{
 		Machine:      p.Machine,
 		Benchmark:    p.bench.Name,
 		Policy:       p.Policy,
-		ServedPolicy: served,
-		BrownoutTier: tier,
+		ServedPolicy: p.Policy,
 		Shots:        p.Shots,
 		Seed:         p.Seed,
 		Layout:       job.Plan.InitialLayout,
 		Swaps:        job.Plan.SwapCount,
 	}
 	var counts *dist.Counts
-	switch served {
+	switch p.Policy {
 	case "baseline":
-		ssp := obs.StartSpan(ctx, "sample").Tag("policy", served)
+		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		counts, err = job.BaselineContext(ctx, p.Shots, p.Seed)
 		ssp.End()
 		if err != nil {
 			return nil, toAPIError(err)
 		}
 	case "sim":
-		modes := p.Modes
-		if p.Policy != "sim" {
-			// An AIM request under brownout runs standard SIM: modes is
-			// a SIM field, which an AIM plan does not carry.
-			modes = defaultSIMModes
-		}
-		invs, serr := core.StandardInversionStrings(job.Width(), modes)
+		invs, serr := core.StandardInversionStrings(job.Width(), p.Modes)
 		if serr != nil {
 			return nil, asBadRequest(serr)
 		}
-		ssp := obs.StartSpan(ctx, "sample").Tag("policy", served)
+		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		res, serr := core.SIMContext(ctx, job, invs, p.Shots, p.Seed)
 		ssp.End()
 		if serr != nil {
@@ -424,7 +394,7 @@ func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.Mitiga
 			return nil, aerr
 		}
 		cfg := core.AIMConfig{CanaryFraction: p.Canary, K: p.K}
-		ssp := obs.StartSpan(ctx, "sample").Tag("policy", served)
+		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		res, serr := core.AIMContext(ctx, job, prof.RBMS, cfg, p.Shots, p.Seed)
 		ssp.End()
 		if serr != nil {

@@ -22,8 +22,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,16 +112,6 @@ type Config struct {
 	// CoDel style, or at once when the queue already holds
 	// maxAdmissionQueue requests and none of them ranks below it.
 	QueueTimeout time.Duration
-	// Brownout enables policy degradation under sustained admission
-	// pressure: AIM requests serve SIM, then baseline, stepping back up
-	// as pressure clears. The served tier is stamped on every mitigate
-	// response. Only sheds count as pressure, so it acts only with a
-	// QueueTimeout.
-	Brownout bool
-	// BrownoutDwellDown/Up are how long pressure (calm) must persist
-	// before stepping a tier down (up); defaults 2s / 5s.
-	BrownoutDwellDown time.Duration
-	BrownoutDwellUp   time.Duration
 	// QueueHighWater, when positive, flips /healthz to 503 unavailable
 	// once more than this many async jobs sit queued — the backpressure
 	// signal load balancers act on.
@@ -229,13 +221,9 @@ type Server struct {
 	// in-flight ones, profile-generation invalidation.
 	rescache *rescache.Cache
 
-	// Overload control: limiter is the admission gate for heavy
-	// endpoints (MaxJobs slots, priority queues); brown (nil when off)
-	// steps AIM down to SIM/baseline under sustained shedding; watchdog
-	// cancels-and-requeues wedged async jobs.
-	limiter  *overload.Limiter
-	brown    *overload.Brownout
-	watchdog *overload.Watchdog
+	// limiter is the admission gate for heavy endpoints (MaxJobs
+	// slots, priority queues).
+	limiter *overload.Limiter
 }
 
 // New builds a server and its profile store.
@@ -259,16 +247,6 @@ func New(cfg Config) *Server {
 		gate.MaxQueue = maxAdmissionQueue
 	}
 	s.limiter = overload.NewLimiter(gate)
-	if cfg.Brownout {
-		s.brown = overload.NewBrownout(cfg.BrownoutDwellDown, cfg.BrownoutDwellUp, cfg.Now)
-	}
-	// The watchdog sweeps every second. Its stall threshold is derived,
-	// not set: every execution is bounded by MaxTimeout, so an async job
-	// still running at twice that ignores its context, and gets a
-	// goroutine dump logged, its context cancelled, and a requeue.
-	s.watchdog = overload.NewWatchdog(0, 2*cfg.MaxTimeout, cfg.Logger.Logf)
-	s.watchdog.SetNow(cfg.Now)
-	s.watchdog.Start()
 	opts := profilestore.Options{
 		TTL:            cfg.ProfileTTL,
 		RefreshWorkers: 1, // one characterization at a time in the background
@@ -295,10 +273,9 @@ func New(cfg Config) *Server {
 			s.validateCharacterize, s.characterize),
 	}
 	s.jobsched = jobs.NewScheduler(s.jobq, jobs.SchedulerOptions{
-		Exec:     s.execJob,
-		Workers:  cfg.JobWorkers,
-		Watchdog: s.watchdog,
-		Now:      cfg.Now,
+		Exec:    s.execJob,
+		Workers: cfg.JobWorkers,
+		Now:     cfg.Now,
 	})
 	s.jobsched.Start()
 	for _, rt := range s.routes() {
@@ -346,27 +323,32 @@ func (s *Server) Store() *profilestore.Store { return s.store }
 // DrainJobs gracefully stops the async job scheduler: dispatch halts,
 // running jobs get until ctx ends to finish, stragglers are cancelled
 // and journaled back to queued, and the job journal is checkpointed.
-// Call before closing the jobs log. The watchdog stops with the
-// scheduler it was watching.
+// Call before closing the jobs log.
 func (s *Server) DrainJobs(ctx context.Context) jobs.DrainResult {
-	res := s.jobsched.Drain(ctx)
-	s.watchdog.Stop()
-	return res
+	return s.jobsched.Drain(ctx)
 }
 
 // JobStats snapshots the async job queue's gauges and counters (the
 // daemon logs recovery from it at boot).
 func (s *Server) JobStats() jobs.Stats { return s.jobq.Stats() }
 
-// statusRecorder captures the status code a handler wrote.
+// statusRecorder captures the status code a handler wrote, and
+// whether it wrote anything.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
+	r.wrote = true
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	r.wrote = true
+	return r.ResponseWriter.Write(b)
 }
 
 // instrument wraps a route's handler with the route's method check and
@@ -376,6 +358,12 @@ func (r *statusRecorder) WriteHeader(code int) {
 // the ID as a response header, thread the trace through the request
 // context, and on completion fold it into the trace ring and emit the
 // structured request log line.
+//
+// A panicking handler still ends its request: it is answered 500
+// internal when nothing was written yet, and counted, traced and
+// logged with its stack. A response the panic cut short, or one the
+// handler aborted with http.ErrAbortHandler, is aborted after the
+// bookkeeping, so the client cannot take it for a whole one.
 func (s *Server) instrument(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -384,16 +372,33 @@ func (s *Server) instrument(rt route) http.HandlerFunc {
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 		s.reg.begin(rt.pattern)
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		defer func() {
+			p := recover()
+			abort := p == http.ErrAbortHandler || (p != nil && rec.wrote)
+			switch {
+			case abort:
+				rec.code = http.StatusInternalServerError
+			case p != nil:
+				writeError(rec, r, apiErrorf(http.StatusInternalServerError, api.CodeInternal, "handler panicked: %v", p))
+			}
+			if p != nil && p != http.ErrAbortHandler {
+				s.cfg.Logger.Error("handler panicked", "trace_id", tr.ID(), "route", rt.pattern,
+					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			}
+			s.reg.end(rt.pattern, rec.code, time.Since(start).Seconds())
+			td := tr.Finish(rt.pattern, rec.code)
+			s.traces.Record(td)
+			s.logTrace("request", td)
+			if abort {
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		if rt.method != "" && r.Method != rt.method {
 			writeError(rec, r, apiErrorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
 				"%s requires %s", r.URL.Path, rt.method))
 		} else {
 			rt.handler(rec, r)
 		}
-		s.reg.end(rt.pattern, rec.code, time.Since(start).Seconds())
-		td := tr.Finish(rt.pattern, rec.code)
-		s.traces.Record(td)
-		s.logTrace("request", td)
 	}
 }
 
@@ -573,9 +578,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.JobsQueued = jst.Queued
 	resp.JobsRunning = jst.Running
 	resp.OldestQueuedMS = jst.OldestQueued.Milliseconds()
-	if resp.BrownoutTier = s.brown.Tier(); resp.BrownoutTier > overload.TierFull {
-		resp.Status = "degraded"
-	}
 	status := http.StatusOK
 	if len(resp.Machines) > 0 && open == len(resp.Machines) {
 		resp.Status = "unavailable"

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,11 @@ import (
 	"time"
 
 	"biasmit/internal/api"
+	"biasmit/internal/backend"
+	"biasmit/internal/circuit"
+	"biasmit/internal/device"
+	"biasmit/internal/dist"
+	"biasmit/internal/obs"
 )
 
 // testServer spins up the API over httptest with a budget small enough
@@ -280,6 +286,83 @@ func TestMitigateDeadlineExceeded(t *testing.T) {
 	}
 	if ae := decodeError(t, data); ae.Code != api.CodeDeadlineExceeded {
 		t.Fatalf("code %q, want %q", ae.Code, api.CodeDeadlineExceeded)
+	}
+}
+
+// TestPanickingHandlerEndsRequest: a panic on a request path is
+// answered 500 internal with the trace ID, and the request still ends:
+// the in-flight gauge drops back to 0, the request is counted, and its
+// trace is in /debug/traces.
+func TestPanickingHandlerEndsRequest(t *testing.T) {
+	cfg := Config{
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Logger: obs.NewLogger(io.Discard, obs.LevelInfo),
+	}
+	cfg.wrapRun = func(backend.Runner) backend.Runner {
+		return func(context.Context, *circuit.Circuit, *device.Device, backend.Options) (*dist.Counts, error) {
+			panic("injected runner panic")
+		}
+	}
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", api.MitigateRequest{
+		Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3,
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, data)
+	}
+	ae := decodeError(t, data)
+	if ae.Code != api.CodeInternal || ae.TraceID == "" {
+		t.Fatalf("error %+v, want code internal with a trace ID", ae)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`biasmitd_in_flight_requests{route="/v1/mitigate"} 0`,
+		`biasmitd_requests_total{route="/v1/mitigate",code="500"} 1`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+	if _, traces := getBody(t, ts.URL+"/debug/traces"); !bytes.Contains(traces, []byte(ae.TraceID)) {
+		t.Fatalf("trace %s not in /debug/traces", ae.TraceID)
+	}
+}
+
+// TestPanicAfterWriteAbortsResponse: a handler that panics after it
+// started its response has its connection aborted, so the client cannot
+// take the cut-short body for a whole one, and the request is still
+// counted as a 500 with its in-flight gauge back at 0.
+func TestPanicAfterWriteAbortsResponse(t *testing.T) {
+	s := New(Config{Logger: obs.NewLogger(io.Discard, obs.LevelInfo)})
+	mux := http.NewServeMux()
+	mux.Handle("/boom", s.instrument(route{pattern: "/boom", handler: func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, `{"partial":`)
+		panic("injected panic mid-response")
+	}}))
+	mux.Handle("/", s.Handler())
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/boom")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("a response cut short by a panic read as complete")
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`biasmitd_in_flight_requests{route="/boom"} 0`,
+		`biasmitd_requests_total{route="/boom",code="500"} 1`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("/metrics missing %q", want)
+		}
 	}
 }
 

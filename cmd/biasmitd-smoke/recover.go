@@ -148,7 +148,6 @@ func recoverScenario(ctx context.Context, bin, dataDir string) error {
 		"-data-dir", dataDir,
 		"-profile-shots", "256",
 		"-workers", "2",
-		"-max-profiles", "8",
 		// Keep compaction out of the way: this round-trip must recover
 		// from the WAL alone.
 		"-snapshot-interval", "1h",

@@ -1,13 +1,15 @@
 // Command biasmitd serves readout-error mitigation as a long-lived
 // daemon: characterize a machine's RBMS once per calibration cycle,
 // cache the profile, and serve baseline/SIM/AIM runs against it over an
-// HTTP/JSON API (see internal/server for the surface).
+// HTTP/JSON API (see internal/server for the surface). A profile older
+// than -profile-ttl is learned again in-line by the next request that
+// needs it.
 //
 // Usage:
 //
 //	biasmitd -addr 127.0.0.1:8642
-//	biasmitd -addr :0 -workers 4 -profile-ttl 30m -refresh-interval 5m
-//	biasmitd -data-dir /var/lib/biasmitd -snapshot-interval 5m -max-profiles 64
+//	biasmitd -addr :0 -workers 4 -profile-ttl 30m
+//	biasmitd -data-dir /var/lib/biasmitd -snapshot-interval 5m
 //
 //	curl -s localhost:8642/healthz
 //	curl -s -X POST localhost:8642/v1/mitigate \
@@ -70,10 +72,8 @@ func main() {
 	maxShots := flag.Int("max-shots", 1<<20, "per-request shot-budget cap")
 	profileShots := flag.Int("profile-shots", 2048, "characterization trials per basis state (brute) / window (awct) / total (esct)")
 	profileTTL := flag.Duration("profile-ttl", 30*time.Minute, "how long cached RBMS profiles stay fresh")
-	refreshInterval := flag.Duration("refresh-interval", 0, "background profile refresh period (0 = disabled)")
 	dataDir := flag.String("data-dir", "", "durable profile store directory (WAL + snapshots; empty = memory-only)")
 	snapshotInterval := flag.Duration("snapshot-interval", 5*time.Minute, "how often the -data-dir and -jobs-dir WALs are compacted into snapshots")
-	maxProfiles := flag.Int("max-profiles", 0, "profile cache bound; past it the LRU profile is evicted (0 = unbounded)")
 	preload := flag.String("preload", "", "comma-separated profile files (characterize -out format) imported at boot")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	seed := flag.Int64("seed", 1, "base seed for characterization runs")
@@ -153,7 +153,6 @@ func main() {
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		Persist:          dlog,
-		MaxProfiles:      *maxProfiles,
 		JobsLog:          jlog,
 		JobWorkers:       *jobWorkers,
 		JobQuota:         *tenantQuota,
@@ -178,9 +177,6 @@ func main() {
 			}
 			lg.Info("preloaded profile", "path", path)
 		}
-	}
-	if *refreshInterval > 0 {
-		go srv.Store().RefreshLoop(ctx, *refreshInterval)
 	}
 	if *snapshotInterval > 0 {
 		for _, j := range journals {

@@ -1,8 +1,8 @@
 // Package chaos injects faults into the backend execution path so the
 // resilience layer (internal/resilient) and everything above it can be
 // tested against the failure modes real NISQ services exhibit: transient
-// queue errors, latency spikes, runs that blow their deadline, and jobs
-// that return only part of the requested trials.
+// queue errors, runs that blow their deadline or succeed slowly, and
+// jobs that return only part of the requested trials.
 //
 // The injector wraps a backend.Runner. Its fault schedule is
 // deterministic and seed-derived: every intercepted call draws one
@@ -17,7 +17,7 @@
 //
 // Faults never corrupt results: an injected failure either returns a
 // typed *backend.TransientError (optionally after completing m < shots
-// trials, simulating a partial job), delays the run (latency spike), or
+// trials, simulating a partial job), delays the run (gray-slow), or
 // parks the run until the context deadline (stall). A successful call is
 // byte-identical to an uninjected one.
 package chaos
@@ -42,7 +42,7 @@ import (
 
 // Plan configures the fault schedule. The zero value injects nothing;
 // rates are probabilities in [0,1] and are evaluated in the order
-// transient, partial, latency, stall from a single uniform draw, so
+// transient, partial, stall, gray-slow from a single uniform draw, so
 // their sum must stay ≤ 1.
 type Plan struct {
 	// Seed drives the fault schedule. Equal seeds replay equal schedules
@@ -55,12 +55,6 @@ type Plan struct {
 	// trials (m drawn uniformly) and then fails transiently — the work
 	// is really performed and then lost, like a job evicted mid-run.
 	PartialRate float64
-	// LatencyRate is the probability a call is delayed by a uniform
-	// fraction of Latency before executing normally.
-	LatencyRate float64
-	// Latency is the maximum injected delay (default 50ms when a latency
-	// fault fires with a zero Latency).
-	Latency time.Duration
 	// StallRate is the probability a call blocks until its context
 	// deadline and returns the context error — the fault that exercises
 	// deadline handling end to end. Calls without a deadline degrade to a
@@ -76,14 +70,6 @@ type Plan struct {
 	// GraySlow is the maximum gray-failure delay (default 100ms when a
 	// gray-slow fault fires with a zero GraySlow).
 	GraySlow time.Duration
-	// RampStep, when positive, adds an unconditional creeping delay of
-	// min(callIndex×RampStep, RampMax) to every intercepted call: a
-	// backend whose latency degrades gradually, the ramp that deadlines
-	// and queue timeouts must absorb before anything ever "fails".
-	RampStep time.Duration
-	// RampMax caps the creeping ramp (default 1s when RampStep is set
-	// with a zero RampMax).
-	RampMax time.Duration
 	// FailFirst deterministically fails the first N intercepted calls
 	// with a transient error before the probabilistic schedule applies.
 	// This is the knob breaker tests use: N failures open the breaker,
@@ -93,8 +79,8 @@ type Plan struct {
 
 // Enabled reports whether the plan injects any fault at all.
 func (p Plan) Enabled() bool {
-	return p.TransientRate > 0 || p.PartialRate > 0 || p.LatencyRate > 0 ||
-		p.StallRate > 0 || p.GraySlowRate > 0 || p.RampStep > 0 || p.FailFirst > 0
+	return p.TransientRate > 0 || p.PartialRate > 0 || p.StallRate > 0 ||
+		p.GraySlowRate > 0 || p.FailFirst > 0
 }
 
 // Validate rejects malformed rates.
@@ -105,7 +91,6 @@ func (p Plan) Validate() error {
 	}{
 		{"transient", p.TransientRate},
 		{"partial", p.PartialRate},
-		{"latency", p.LatencyRate},
 		{"stall", p.StallRate},
 		{"gray-slow", p.GraySlowRate},
 	} {
@@ -113,14 +98,11 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("chaos: %s rate %v out of [0,1]", r.name, r.v)
 		}
 	}
-	if sum := p.TransientRate + p.PartialRate + p.LatencyRate + p.StallRate + p.GraySlowRate; sum > 1 {
+	if sum := p.TransientRate + p.PartialRate + p.StallRate + p.GraySlowRate; sum > 1 {
 		return fmt.Errorf("chaos: fault rates sum to %v > 1", sum)
 	}
 	if p.FailFirst < 0 {
 		return fmt.Errorf("chaos: fail-first %d is negative", p.FailFirst)
-	}
-	if p.RampStep < 0 || p.RampMax < 0 {
-		return fmt.Errorf("chaos: negative ramp (step %v, max %v)", p.RampStep, p.RampMax)
 	}
 	return nil
 }
@@ -130,10 +112,8 @@ type Stats struct {
 	Calls      uint64
 	Transients uint64
 	Partials   uint64
-	Latencies  uint64
 	Stalls     uint64
 	GraySlows  uint64
-	Ramped     uint64
 }
 
 // Injector intercepts backend runs according to a Plan. Construct with
@@ -146,10 +126,8 @@ type Injector struct {
 	calls      atomic.Uint64
 	transients atomic.Uint64
 	partials   atomic.Uint64
-	latencies  atomic.Uint64
 	stalls     atomic.Uint64
 	graySlows  atomic.Uint64
-	ramped     atomic.Uint64
 }
 
 // New wraps run with fault injection under plan.
@@ -173,10 +151,8 @@ func (in *Injector) Stats() Stats {
 		Calls:      in.calls.Load(),
 		Transients: in.transients.Load(),
 		Partials:   in.partials.Load(),
-		Latencies:  in.latencies.Load(),
 		Stalls:     in.stalls.Load(),
 		GraySlows:  in.graySlows.Load(),
-		Ramped:     in.ramped.Load(),
 	}
 }
 
@@ -192,11 +168,6 @@ func transientf(format string, args ...any) error {
 func (in *Injector) Run(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
 	attempt := in.attempt.Add(1) - 1
 	in.calls.Add(1)
-	if in.plan.RampStep > 0 {
-		if err := in.ramp(ctx, attempt); err != nil {
-			return nil, err
-		}
-	}
 	if attempt < int64(in.plan.FailFirst) {
 		in.transients.Add(1)
 		return nil, transientf("injected fail-first failure %d/%d", attempt+1, in.plan.FailFirst)
@@ -210,12 +181,7 @@ func (in *Injector) Run(ctx context.Context, c *circuit.Circuit, dev *device.Dev
 	case u < in.plan.TransientRate+in.plan.PartialRate:
 		in.partials.Add(1)
 		return nil, in.partial(ctx, c, dev, opt, rng, attempt)
-	case u < in.plan.TransientRate+in.plan.PartialRate+in.plan.LatencyRate:
-		in.latencies.Add(1)
-		if err := in.spike(ctx, rng); err != nil {
-			return nil, err
-		}
-	case u < in.plan.TransientRate+in.plan.PartialRate+in.plan.LatencyRate+in.plan.StallRate:
+	case u < in.plan.TransientRate+in.plan.PartialRate+in.plan.StallRate:
 		in.stalls.Add(1)
 		if _, ok := ctx.Deadline(); !ok {
 			// No deadline to blow: degrade to a transient failure rather
@@ -224,7 +190,7 @@ func (in *Injector) Run(ctx context.Context, c *circuit.Circuit, dev *device.Dev
 		}
 		<-ctx.Done()
 		return nil, fmt.Errorf("chaos: injected stall exhausted the deadline (attempt %d): %w", attempt, ctx.Err())
-	case u < in.plan.TransientRate+in.plan.PartialRate+in.plan.LatencyRate+in.plan.StallRate+in.plan.GraySlowRate:
+	case u < in.plan.TransientRate+in.plan.PartialRate+in.plan.StallRate+in.plan.GraySlowRate:
 		in.graySlows.Add(1)
 		if err := in.graySlow(ctx, rng); err != nil {
 			return nil, err
@@ -243,32 +209,6 @@ func (in *Injector) graySlow(ctx context.Context, rng *rand.Rand) error {
 		max = 100 * time.Millisecond
 	}
 	d := max/2 + time.Duration(rng.Int63n(int64(max/2)+1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// ramp delays the call by min(attempt×RampStep, RampMax): latency that
-// creeps upward with every call, the degradation pattern of a backend
-// slowly running out of some resource.
-func (in *Injector) ramp(ctx context.Context, attempt int64) error {
-	max := in.plan.RampMax
-	if max <= 0 {
-		max = time.Second
-	}
-	d := time.Duration(attempt) * in.plan.RampStep
-	if d > max || d/in.plan.RampStep != time.Duration(attempt) { // cap, overflow-safe
-		d = max
-	}
-	if d <= 0 {
-		return nil
-	}
-	in.ramped.Add(1)
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -303,23 +243,6 @@ func (in *Injector) partial(ctx context.Context, c *circuit.Circuit, dev *device
 	return transientf("injected partial result: %d of %d trials completed (attempt %d)", m, opt.Shots, attempt)
 }
 
-// spike sleeps a uniform fraction of Plan.Latency, honouring ctx.
-func (in *Injector) spike(ctx context.Context, rng *rand.Rand) error {
-	max := in.plan.Latency
-	if max <= 0 {
-		max = 50 * time.Millisecond
-	}
-	d := time.Duration(rng.Int63n(int64(max) + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Flags registers the -chaos-* flag family on fs (flag.CommandLine when
 // nil) and returns the Plan they populate. All CLIs share this helper so
 // the fault-injection surface is uniform across binaries.
@@ -331,13 +254,9 @@ func Flags(fs *flag.FlagSet) *Plan {
 	fs.Int64Var(&p.Seed, "chaos-seed", 1, "seed for the deterministic fault schedule")
 	fs.Float64Var(&p.TransientRate, "chaos-transient", 0, "probability a backend call fails with a transient error")
 	fs.Float64Var(&p.PartialRate, "chaos-partial", 0, "probability a backend call completes only part of its trials, then fails")
-	fs.Float64Var(&p.LatencyRate, "chaos-latency-rate", 0, "probability a backend call is delayed before executing")
-	fs.DurationVar(&p.Latency, "chaos-latency", 50*time.Millisecond, "maximum injected delay for latency faults")
 	fs.Float64Var(&p.StallRate, "chaos-stall", 0, "probability a backend call blocks until its deadline")
 	fs.Float64Var(&p.GraySlowRate, "chaos-gray-slow-rate", 0, "probability a backend call succeeds slowly (gray failure)")
 	fs.DurationVar(&p.GraySlow, "chaos-gray-slow", 100*time.Millisecond, "maximum gray-failure delay (calls sleep 50-100% of this)")
-	fs.DurationVar(&p.RampStep, "chaos-ramp-step", 0, "per-call creeping latency increment (0 disables the ramp)")
-	fs.DurationVar(&p.RampMax, "chaos-ramp-max", time.Second, "cap on the creeping latency ramp")
 	fs.IntVar(&p.FailFirst, "chaos-fail-first", 0, "deterministically fail this many calls before the probabilistic schedule applies")
 	return p
 }

@@ -143,7 +143,7 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{Plan{}, true},
-		{Plan{TransientRate: 0.3, PartialRate: 0.3, LatencyRate: 0.3}, true},
+		{Plan{TransientRate: 0.3, PartialRate: 0.3, GraySlowRate: 0.3}, true},
 		{Plan{TransientRate: 1.2}, false},
 		{Plan{PartialRate: -0.1}, false},
 		{Plan{TransientRate: 0.6, StallRate: 0.6}, false},
@@ -207,49 +207,6 @@ func TestGraySlowHonoursContext(t *testing.T) {
 	}
 }
 
-func TestLatencyRampCreeps(t *testing.T) {
-	under := &okRunner{}
-	in := New(Plan{RampStep: 5 * time.Millisecond, RampMax: 12 * time.Millisecond}, under.run)
-	ctx := context.Background()
-	opt := backend.Options{Shots: 10, Seed: 1}
-
-	// Call 0: no delay yet.
-	start := time.Now()
-	if _, err := in.Run(ctx, testCircuit(), device.IBMQX2(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 4*time.Millisecond {
-		t.Logf("call 0 took %v (expected ~0); slow runner, not failing", elapsed)
-	}
-
-	// Call 1: one step.
-	start = time.Now()
-	if _, err := in.Run(ctx, testCircuit(), device.IBMQX2(), opt); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("call 1 took %v, want >= one 5ms ramp step", elapsed)
-	}
-
-	// Call 5 would be 25ms unclamped; the cap holds it at 12ms.
-	for i := 2; i < 5; i++ {
-		if _, err := in.Run(ctx, testCircuit(), device.IBMQX2(), opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	start = time.Now()
-	if _, err := in.Run(ctx, testCircuit(), device.IBMQX2(), opt); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed < 12*time.Millisecond {
-		t.Fatalf("capped call took %v, want >= RampMax 12ms", elapsed)
-	}
-	if s := in.Stats(); s.Ramped != 5 {
-		t.Fatalf("stats = %+v, want 5 ramped calls (call 0 free)", s)
-	}
-}
-
 func TestGrayModesValidate(t *testing.T) {
 	if err := (Plan{GraySlowRate: 1.5}).Validate(); err == nil {
 		t.Fatal("gray-slow rate > 1 accepted")
@@ -257,10 +214,10 @@ func TestGrayModesValidate(t *testing.T) {
 	if err := (Plan{TransientRate: 0.6, GraySlowRate: 0.6}).Validate(); err == nil {
 		t.Fatal("rate sum > 1 accepted")
 	}
-	if err := (Plan{RampStep: -time.Second}).Validate(); err == nil {
-		t.Fatal("negative ramp accepted")
+	if err := (Plan{GraySlowRate: -0.1}).Validate(); err == nil {
+		t.Fatal("negative gray-slow rate accepted")
 	}
-	if !(Plan{GraySlowRate: 0.1}).Enabled() || !(Plan{RampStep: time.Millisecond}).Enabled() {
-		t.Fatal("gray modes must enable the injector")
+	if !(Plan{GraySlowRate: 0.1}).Enabled() {
+		t.Fatal("gray-slow must enable the injector")
 	}
 }

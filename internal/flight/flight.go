@@ -49,14 +49,6 @@ type Group[K comparable, V any] struct {
 	calls map[K]*Call[V]
 }
 
-// Busy reports whether key has a computation in flight.
-func (g *Group[K, V]) Busy(key K) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.calls[key]
-	return ok
-}
-
 // Do joins key's in-flight computation, or starts fn as a new one, and
 // returns the call to wait on; joined reports which. When fn returns,
 // settle receives its result and returns what every caller sees; the

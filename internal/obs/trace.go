@@ -60,17 +60,27 @@ type Trace struct {
 	capped bool
 }
 
-// NewTrace starts a trace. An empty or malformed id mints a fresh one,
-// so callers can pass an inbound X-Trace-Id header unvalidated. A nil
-// clock selects time.Now.
+// NewTrace starts a trace now. An empty or malformed id mints a fresh
+// one, so callers can pass an inbound X-Trace-Id header unvalidated. A
+// nil clock selects time.Now.
 func NewTrace(id string, now func() time.Time) *Trace {
+	if now == nil {
+		now = time.Now
+	}
+	return NewTraceAt(id, now(), now)
+}
+
+// NewTraceAt is NewTrace for a trace that began at start, before its
+// first span can be recorded: an async job's trace begins at its
+// submission, so its queue wait falls inside the trace.
+func NewTraceAt(id string, start time.Time, now func() time.Time) *Trace {
 	if now == nil {
 		now = time.Now
 	}
 	if ValidID(id) != nil {
 		id = NewTraceID()
 	}
-	return &Trace{id: id, start: now(), now: now}
+	return &Trace{id: id, start: start, now: now}
 }
 
 // ID returns the trace ID, or "" on a nil trace.

@@ -31,12 +31,12 @@ func testKey(machine string, width int) Key {
 
 // durableStore builds a journaled store whose characterizations are
 // instant uniform profiles with a call counter.
-func durableStore(t *testing.T, d *DiskLog, clock *fakeClock, maxProfiles int, calls *atomic.Int64) *Store {
+func durableStore(t *testing.T, d *DiskLog, clock *fakeClock, calls *atomic.Int64) *Store {
 	t.Helper()
 	return New(func(ctx context.Context, k Key) (*Profile, error) {
 		n := calls.Add(1)
 		return uniformProfile(k, float64(n)), nil
-	}, Options{TTL: time.Hour, Now: clock.now, Journal: d, MaxProfiles: maxProfiles})
+	}, Options{TTL: time.Hour, Now: clock.now, Journal: d})
 }
 
 // TestDiskLogCrashRecovery is the core round trip: journaled puts and
@@ -48,15 +48,22 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 	var calls atomic.Int64
 
 	d1 := openLog(t, dir)
-	s1 := durableStore(t, d1, clock, 0, &calls)
+	s1 := durableStore(t, d1, clock, &calls)
 	keyA, keyB, keyC := testKey("qa", 3), testKey("qb", 2), testKey("qc", 1)
 	for _, k := range []Key{keyA, keyB, keyC} {
 		if _, _, err := s1.GetOrCharacterize(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1.Invalidate(keyC)
-	want := s1.Profiles()
+	if err := d1.Delete(keyC); err != nil {
+		t.Fatal(err)
+	}
+	var want []*Profile
+	for _, p := range s1.Profiles() {
+		if p.Key != keyC {
+			want = append(want, p)
+		}
+	}
 	// No Close, no Compact: the process "dies" here.
 
 	d2 := openLog(t, dir)
@@ -78,7 +85,7 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 	}
 
 	// A store warm-loaded from the recovery serves without characterizing.
-	s2 := durableStore(t, d2, clock, 0, &calls)
+	s2 := durableStore(t, d2, clock, &calls)
 	if n := s2.Load(RecoveredProfiles(d2)); n != 2 {
 		t.Fatalf("Load = %d, want 2", n)
 	}
@@ -243,61 +250,6 @@ func TestDiskLogSnapshotNewerThanWAL(t *testing.T) {
 	}
 }
 
-// TestStoreLRUEvictionIsJournaled: the MaxProfiles bound evicts the
-// least-recently-used profile, and the eviction is durable.
-func TestStoreLRUEvictionIsJournaled(t *testing.T) {
-	dir := t.TempDir()
-	clock := newFakeClock()
-	var calls atomic.Int64
-	d1 := openLog(t, dir)
-	s := durableStore(t, d1, clock, 2, &calls)
-
-	keyA, keyB, keyC := testKey("qa", 2), testKey("qb", 2), testKey("qc", 2)
-	ctx := context.Background()
-	for _, k := range []Key{keyA, keyB} {
-		if _, _, err := s.GetOrCharacterize(ctx, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch A so B becomes the LRU victim.
-	if _, ok := s.Get(keyA); !ok {
-		t.Fatal("keyA should be cached")
-	}
-	if _, _, err := s.GetOrCharacterize(ctx, keyC); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, ok := s.Get(keyB); ok {
-		t.Fatal("keyB should have been evicted as LRU")
-	}
-	for _, k := range []Key{keyA, keyC} {
-		if _, ok := s.Get(k); !ok {
-			t.Fatalf("%s should have survived eviction", k)
-		}
-	}
-	if st := s.StatsSnapshot(); st.Evictions != 1 || st.Entries != 2 || st.JournalErrors != 0 {
-		t.Fatalf("stats %+v, want 1 eviction, 2 entries, clean journal", st)
-	}
-
-	// Durability of the eviction: a recovered store has exactly A and C.
-	d2 := openLog(t, dir)
-	got := RecoveredProfiles(d2)
-	if len(got) != 2 || got[0].Key != keyA || got[1].Key != keyC {
-		t.Fatalf("recovered %v, want [qa qc]", got)
-	}
-
-	// And a bounded store recovering an over-budget set trims on Load.
-	s2 := New(func(ctx context.Context, k Key) (*Profile, error) {
-		return uniformProfile(k, 1), nil
-	}, Options{TTL: time.Hour, Now: clock.now, Journal: d2, MaxProfiles: 1})
-	if n := s2.Load(RecoveredProfiles(d2)); n != 2 {
-		t.Fatalf("Load = %d, want 2 before trimming", n)
-	}
-	if st := s2.StatsSnapshot(); st.Entries != 1 {
-		t.Fatalf("bounded store kept %d entries, want 1", st.Entries)
-	}
-}
-
 // uniformProfileWithKey is uniformProfile with the key and a learned
 // time filled in, for direct DiskLog puts.
 func uniformProfileWithKey(key Key, v float64) *Profile {
@@ -314,7 +266,7 @@ func TestStoreImportJournals(t *testing.T) {
 	clock := newFakeClock()
 	var calls atomic.Int64
 	d := openLog(t, dir)
-	s := durableStore(t, d, clock, 0, &calls)
+	s := durableStore(t, d, clock, &calls)
 
 	key := testKey("imported", 3)
 	if err := s.Import(uniformProfileWithKey(key, 5)); err != nil {
@@ -330,25 +282,6 @@ func TestStoreImportJournals(t *testing.T) {
 	d2 := openLog(t, dir)
 	if got := RecoveredProfiles(d2); len(got) != 1 || got[0].Key != key {
 		t.Fatalf("recovered %v, want the imported profile", got)
-	}
-}
-
-// TestStoreInvalidateIsDurable: Invalidate journals the deletion.
-func TestStoreInvalidateIsDurable(t *testing.T) {
-	dir := t.TempDir()
-	clock := newFakeClock()
-	var calls atomic.Int64
-	d := openLog(t, dir)
-	s := durableStore(t, d, clock, 0, &calls)
-	key := testKey("qa", 2)
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
-		t.Fatal(err)
-	}
-	s.Invalidate(key)
-
-	d2 := openLog(t, dir)
-	if got := RecoveredProfiles(d2); len(got) != 0 {
-		t.Fatalf("recovered %v, want none after invalidate", got)
 	}
 }
 

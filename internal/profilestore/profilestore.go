@@ -11,14 +11,14 @@
 // internal/flight flight runs the characterization circuits, every
 // caller waits for its result on its own context — so a burst of AIM
 // requests after a restart triggers exactly one characterization per
-// key, and no caller's hang-up fails the others. A background refresh pass
-// (built on internal/orchestrate) re-learns aging profiles before they
-// expire, so steady-state traffic keeps hitting fresh cache entries and
-// never pays the characterization latency in-line.
+// key, and no caller's hang-up fails the others. A profile that outlives
+// its TTL is re-learned in-line by the next request for it.
 //
-// Profiles are immutable once published: a refresh builds the new
-// profile off to the side and swaps the pointer under the store lock,
-// so a reader can never observe a half-written profile.
+// Profiles are immutable once published: a re-characterization builds
+// the new profile off to the side and swaps the pointer under the store
+// lock, so a reader can never observe a half-written profile. The key
+// space is finite (machine × register width × method), so the store
+// needs no bound.
 package profilestore
 
 import (
@@ -30,7 +30,6 @@ import (
 
 	"biasmit/internal/core"
 	"biasmit/internal/flight"
-	"biasmit/internal/orchestrate"
 	"biasmit/internal/persist"
 )
 
@@ -104,22 +103,10 @@ type Options struct {
 	// TTL is how long a learned profile is served before it is
 	// considered stale (zero selects DefaultTTL).
 	TTL time.Duration
-	// RefreshAfter is the age at which Refresh proactively re-learns a
-	// profile. Zero selects 2/3 of the TTL, so refreshes land before
-	// entries expire and requests keep hitting fresh cache.
-	RefreshAfter time.Duration
-	// RefreshWorkers bounds how many keys one Refresh pass re-learns
-	// concurrently (orchestrate.Map semantics; zero selects all CPUs).
-	RefreshWorkers int
-	// MaxProfiles bounds how many profiles the store keeps; inserting
-	// past the bound evicts the least-recently-used entry. Zero means
-	// unbounded.
-	MaxProfiles int
-	// Journal, when non-nil, records every profile mutation durably:
-	// the store puts a profile before it becomes visible to readers
-	// (write-ahead) and deletes it after an eviction or invalidation. A
-	// journal error never fails the serving path — the in-memory store
-	// stays correct and the error is counted in Stats.JournalErrors —
+	// Journal, when non-nil, records every published profile durably,
+	// before it becomes visible to readers (write-ahead). A journal
+	// error never fails the serving path — the in-memory store stays
+	// correct and the error is counted in Stats.JournalErrors —
 	// because losing durability is strictly better than losing
 	// availability for a cache that can re-learn its contents.
 	Journal *DiskLog
@@ -137,33 +124,24 @@ type Stats struct {
 	Joined             uint64
 	Characterizations  uint64
 	CharacterizeErrors uint64
-	Refreshes          uint64
-	RefreshErrors      uint64
 	DegradedServes     uint64
-	// Evictions counts profiles dropped by the MaxProfiles LRU bound;
 	// JournalErrors counts journal writes that failed (the in-memory
 	// store kept serving).
-	Evictions     uint64
 	JournalErrors uint64
 	Entries       int
 }
 
 // Store is a concurrency-safe profile cache. Construct with New.
 type Store struct {
-	characterize   CharacterizeFunc
-	ttl            time.Duration
-	refreshAfter   time.Duration
-	refreshWorkers int
-	maxProfiles    int
-	journal        *DiskLog
-	now            func() time.Time
-	flights        flight.Group[Key, *Profile]
+	characterize CharacterizeFunc
+	ttl          time.Duration
+	journal      *DiskLog
+	now          func() time.Time
+	flights      flight.Group[Key, *Profile]
 
 	mu       sync.Mutex
 	profiles map[Key]*Profile
-	useSeq   uint64         // monotonic LRU clock
-	lastUse  map[Key]uint64 // useSeq at last hit/publication
-	gens     map[Key]uint64 // bumped whenever the profile under a key changes
+	gens     map[Key]uint64 // bumped whenever a profile is published under a key
 	stats    Stats
 }
 
@@ -172,28 +150,18 @@ func New(characterize CharacterizeFunc, opt Options) *Store {
 	if opt.TTL <= 0 {
 		opt.TTL = DefaultTTL
 	}
-	if opt.RefreshAfter <= 0 {
-		opt.RefreshAfter = opt.TTL * 2 / 3
-	}
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
 	return &Store{
-		characterize:   characterize,
-		ttl:            opt.TTL,
-		refreshAfter:   opt.RefreshAfter,
-		refreshWorkers: opt.RefreshWorkers,
-		maxProfiles:    opt.MaxProfiles,
-		journal:        opt.Journal,
-		now:            opt.Now,
-		profiles:       make(map[Key]*Profile),
-		lastUse:        make(map[Key]uint64),
-		gens:           make(map[Key]uint64),
+		characterize: characterize,
+		ttl:          opt.TTL,
+		journal:      opt.Journal,
+		now:          opt.Now,
+		profiles:     make(map[Key]*Profile),
+		gens:         make(map[Key]uint64),
 	}
 }
-
-// TTL returns the staleness threshold.
-func (s *Store) TTL() time.Duration { return s.ttl }
 
 // Age returns how old the profile is on the store's clock.
 func (s *Store) Age(p *Profile) time.Duration { return s.now().Sub(p.LearnedAt) }
@@ -216,7 +184,6 @@ func (s *Store) Get(key Key) (*Profile, bool) {
 		return nil, false
 	}
 	s.stats.Hits++
-	s.touchLocked(key)
 	return p, true
 }
 
@@ -231,7 +198,6 @@ func (s *Store) GetOrCharacterize(ctx context.Context, key Key) (*Profile, bool,
 	s.mu.Lock()
 	if p := s.profiles[key]; p != nil && s.now().Sub(p.LearnedAt) < s.ttl {
 		s.stats.Hits++
-		s.touchLocked(key)
 		s.mu.Unlock()
 		return p, true, nil
 	} else if p == nil {
@@ -256,9 +222,9 @@ type ServeResult struct {
 
 // Serve is GetOrCharacterize with graceful degradation: when the
 // profile is missing-or-stale and re-learning it fails, a stale cached
-// profile (kept through both TTL expiry and failed background
-// refreshes) is served flagged Degraded instead of erroring. Only a key
-// with no profile at all surfaces the characterization error.
+// profile (a failed re-learn keeps it) is served flagged Degraded
+// instead of erroring. Only a key with no profile at all surfaces the
+// characterization error.
 func (s *Store) Serve(ctx context.Context, key Key) (*Profile, ServeResult, error) {
 	p, cached, err := s.GetOrCharacterize(ctx, key)
 	if err == nil {
@@ -268,7 +234,6 @@ func (s *Store) Serve(ctx context.Context, key Key) (*Profile, ServeResult, erro
 	stale := s.profiles[key]
 	if stale != nil {
 		s.stats.DegradedServes++
-		s.touchLocked(key)
 	}
 	s.mu.Unlock()
 	if stale != nil {
@@ -290,7 +255,7 @@ func (s *Store) Characterize(ctx context.Context, key Key) (*Profile, error) {
 // flight publishes under s.mu before it retires, so a caller that
 // missed the cache finds the flight.
 func (s *Store) characterizeLocked(ctx context.Context, key Key) (*Profile, error) {
-	c, joined := s.flights.Do(ctx, key, s.learn(key), s.settle(key, false))
+	c, joined := s.flights.Do(ctx, key, s.learn(key), s.settle)
 	if joined {
 		s.stats.Joined++
 	}
@@ -326,126 +291,40 @@ func (s *Store) learn(key Key) func(context.Context) (*Profile, error) {
 	}
 }
 
-// settle publishes a finished characterization of key, swapping it into
-// the cache under the lock — readers only ever see the old pointer or
-// the complete new one — or counts its failure, leaving any previously
+// settle publishes a finished characterization, swapping it into the
+// cache under the lock — readers only ever see the old pointer or the
+// complete new one — or counts its failure, leaving any previously
 // cached profile untouched.
-func (s *Store) settle(key Key, refresh bool) func(*Profile, error) (*Profile, error) {
-	return func(p *Profile, err error) (*Profile, error) {
-		var evicted []Key
-		s.mu.Lock()
-		switch {
-		case err == nil:
-			evicted = s.publishLocked(p)
-			if refresh {
-				s.stats.Refreshes++
-			} else {
-				s.stats.Characterizations++
-			}
-		case refresh:
-			s.stats.RefreshErrors++
-		default:
-			s.stats.CharacterizeErrors++
-		}
-		s.mu.Unlock()
-		s.journalDeletes(evicted)
+func (s *Store) settle(p *Profile, err error) (*Profile, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.stats.CharacterizeErrors++
 		return p, err
 	}
+	s.publishLocked(p)
+	s.stats.Characterizations++
+	return p, nil
 }
 
-// touchLocked stamps key as most recently used. Caller holds s.mu.
-func (s *Store) touchLocked(key Key) {
-	s.useSeq++
-	s.lastUse[key] = s.useSeq
-}
-
-// publishLocked installs p under its key, stamps recency, and enforces
-// the MaxProfiles bound, returning the keys it evicted. The caller
-// journals the deletions after releasing s.mu; a crash in between
-// merely leaves extra profiles in the journal, which the bound trims
-// again on the next boot.
-func (s *Store) publishLocked(p *Profile) []Key {
+// publishLocked installs p under its key and bumps the key's
+// generation: the one path every profile takes into the cache. Caller
+// holds s.mu.
+func (s *Store) publishLocked(p *Profile) {
 	s.profiles[p.Key] = p
 	s.gens[p.Key]++
-	s.touchLocked(p.Key)
-	var evicted []Key
-	for s.maxProfiles > 0 && len(s.profiles) > s.maxProfiles {
-		victim, ok := s.lruVictimLocked(p.Key)
-		if !ok {
-			break
-		}
-		delete(s.profiles, victim)
-		delete(s.lastUse, victim)
-		s.gens[victim]++
-		s.stats.Evictions++
-		evicted = append(evicted, victim)
-	}
-	return evicted
-}
-
-// lruVictimLocked picks the least-recently-used cached key other than
-// keep (the entry that just came in is never its own victim).
-func (s *Store) lruVictimLocked(keep Key) (Key, bool) {
-	var victim Key
-	found := false
-	var oldest uint64
-	for key := range s.profiles {
-		if key == keep {
-			continue
-		}
-		use := s.lastUse[key] // absent ⇒ 0 ⇒ oldest possible
-		if !found || use < oldest {
-			victim, oldest, found = key, use, true
-		}
-	}
-	return victim, found
-}
-
-// journalDeletes records evicted/invalidated keys in the journal,
-// counting (not surfacing) failures.
-func (s *Store) journalDeletes(keys []Key) {
-	if s.journal == nil || len(keys) == 0 {
-		return
-	}
-	failed := 0
-	for _, key := range keys {
-		if s.journal.Delete(key) != nil {
-			failed++
-		}
-	}
-	if failed > 0 {
-		s.mu.Lock()
-		s.stats.JournalErrors += uint64(failed)
-		s.mu.Unlock()
-	}
 }
 
 // Load seeds the store with already-durable profiles (crash recovery)
-// without journaling them again. Profiles are installed oldest first so
-// LRU recency mirrors learning order; if they exceed MaxProfiles the
-// excess is evicted (and those deletions are journaled). Returns how
-// many profiles were installed before eviction.
+// without journaling them again; a later profile for a key replaces an
+// earlier one. Returns how many profiles were installed.
 func (s *Store) Load(profiles []*Profile) int {
-	sorted := make([]*Profile, 0, len(profiles))
-	for _, p := range profiles {
-		if p != nil {
-			sorted = append(sorted, p)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if !sorted[i].LearnedAt.Equal(sorted[j].LearnedAt) {
-			return sorted[i].LearnedAt.Before(sorted[j].LearnedAt)
-		}
-		return sorted[i].Key.String() < sorted[j].Key.String()
-	})
-	var evicted []Key
 	s.mu.Lock()
-	for _, p := range sorted {
-		evicted = append(evicted, s.publishLocked(p)...)
+	defer s.mu.Unlock()
+	for _, p := range profiles {
+		s.publishLocked(p)
 	}
-	s.mu.Unlock()
-	s.journalDeletes(evicted)
-	return len(sorted)
+	return len(profiles)
 }
 
 // Import journals and publishes an externally learned profile — e.g. a
@@ -471,94 +350,22 @@ func (s *Store) Import(p *Profile) error {
 	if s.journal != nil {
 		jerr = s.journal.Put(RecordOf(&q))
 	}
-	var evicted []Key
 	s.mu.Lock()
-	evicted = s.publishLocked(&q)
+	s.publishLocked(&q)
 	if jerr != nil {
 		s.stats.JournalErrors++
 	}
 	s.mu.Unlock()
-	s.journalDeletes(evicted)
 	return jerr
 }
 
-// Refresh re-learns every cached profile older than RefreshAfter, at
-// most RefreshWorkers at a time (orchestrate.Map). Requests arriving
-// while a refresh runs keep being served the previous profile — stale
-// while revalidating — and a failed refresh keeps the old profile and is
-// only counted in Stats. Refresh returns the first re-learning error.
-func (s *Store) Refresh(ctx context.Context) error {
-	now := s.now()
-	s.mu.Lock()
-	due := make([]Key, 0, len(s.profiles))
-	for key, p := range s.profiles {
-		if s.flights.Busy(key) {
-			continue
-		}
-		if now.Sub(p.LearnedAt) >= s.refreshAfter {
-			due = append(due, key)
-		}
-	}
-	s.mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].String() < due[j].String() })
-	_, err := orchestrate.Map(ctx, s.refreshWorkers, due,
-		func(ctx context.Context, _ int, key Key) (struct{}, error) {
-			c, joined := s.flights.Do(ctx, key, s.learn(key), s.settle(key, true))
-			if joined {
-				// A request-path characterization started since the scan;
-				// it will publish a fresh profile, so skip this key.
-				return struct{}{}, nil
-			}
-			_, err := c.Wait(ctx)
-			return struct{}{}, err
-		})
-	return err
-}
-
-// RefreshLoop calls Refresh every interval until ctx ends. Errors are
-// absorbed (and counted in Stats): a failed pass leaves the old profiles
-// serving and the next tick retries.
-func (s *Store) RefreshLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_ = s.Refresh(ctx)
-		}
-	}
-}
-
-// Invalidate drops the cached profile for key, if any, journaling the
-// deletion. An in-flight characterization is unaffected and will
-// re-publish when it completes.
-func (s *Store) Invalidate(key Key) {
-	s.mu.Lock()
-	_, had := s.profiles[key]
-	delete(s.profiles, key)
-	delete(s.lastUse, key)
-	// Bump even when nothing was cached: an in-flight characterization
-	// may still publish under this key, and downstream caches keyed to
-	// the pre-invalidate generation must not survive it.
-	s.gens[key]++
-	s.mu.Unlock()
-	if had {
-		s.journalDeletes([]Key{key})
-	}
-}
-
 // Generation returns the profile generation of key: a monotonic
-// counter bumped every time the profile under that key changes
-// (characterize, refresh, import, warm-restart load, eviction,
-// invalidation). Downstream result caches record the generation a
-// computation used and discard entries the moment it moves — a
-// re-characterized profile can never be paired with results computed
-// against its predecessor. Keys never published report 0.
+// counter bumped every time a profile is published under that key
+// (characterize, import, warm-restart load). Downstream result caches
+// record the generation a computation used and discard entries the
+// moment it moves — a re-characterized profile can never be paired
+// with results computed against its predecessor. Keys never published
+// report 0.
 func (s *Store) Generation(key Key) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

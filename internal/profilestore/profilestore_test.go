@@ -197,9 +197,11 @@ func TestLeaderErrorPropagatesAndCachesNothing(t *testing.T) {
 }
 
 // TestBackgroundRefreshServesOnlyCompleteProfiles hammers the store with
-// readers while refreshes repeatedly swap the profile. Run under -race
-// this checks the swap is synchronized; the uniformity check ensures no
-// reader ever observes a half-written profile.
+// readers while forced re-characterizations, each run on its own flight
+// goroutine, repeatedly swap the profile. Run under -race this checks
+// the swap is synchronized; readers keep hitting the old profile until
+// the new one is published, and the uniformity check ensures no reader
+// ever observes a half-written profile.
 func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 	var version atomic.Int64
 	key := Key{Machine: "ibmqx4", Width: 5, Method: "brute"}
@@ -212,7 +214,7 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 			p.RBMS.Strength[i] = v
 		}
 		return p, nil
-	}, Options{TTL: time.Hour, RefreshAfter: time.Nanosecond, RefreshWorkers: 2})
+	}, Options{TTL: time.Hour})
 
 	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
 		t.Fatal(err)
@@ -238,7 +240,7 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 					return
 				}
 				if !cached {
-					readErrs <- errors.New("reader missed during refresh: stale-while-revalidate broken")
+					readErrs <- errors.New("reader missed during a re-characterization: the old profile must serve until the new one is published")
 					return
 				}
 				for i, v := range p.RBMS.Strength {
@@ -252,8 +254,8 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 	}
 
 	for i := 0; i < 25; i++ {
-		if err := s.Refresh(context.Background()); err != nil {
-			t.Fatalf("refresh %d: %v", i, err)
+		if _, err := s.Characterize(context.Background(), key); err != nil {
+			t.Fatalf("re-characterization %d: %v", i, err)
 		}
 	}
 	close(stop)
@@ -263,78 +265,17 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if st := s.StatsSnapshot(); st.Refreshes < 25 {
-		t.Fatalf("refreshes = %d, want >= 25", st.Refreshes)
-	}
-}
-
-func TestRefreshOnlyRelearnsDueProfiles(t *testing.T) {
-	clock := newFakeClock()
-	var calls atomic.Int64
-	key := Key{Machine: "ibmqx2", Width: 3, Method: "awct"}
-	s := New(func(ctx context.Context, k Key) (*Profile, error) {
-		return uniformProfile(k, float64(calls.Add(1))), nil
-	}, Options{TTL: 30 * time.Minute, RefreshAfter: 20 * time.Minute, Now: clock.now})
-
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fresh profile was refreshed (%d characterizations)", got)
-	}
-
-	clock.advance(21 * time.Minute)
-	if err := s.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("due profile was not refreshed (%d characterizations)", got)
-	}
-	// The refreshed profile restarted its TTL clock: still fresh later.
-	clock.advance(25 * time.Minute)
-	if _, cached, _ := s.GetOrCharacterize(context.Background(), key); !cached {
-		t.Fatal("refresh did not reset the profile's age")
-	}
-}
-
-func TestRefreshFailureKeepsServingOldProfile(t *testing.T) {
-	clock := newFakeClock()
-	fail := atomic.Bool{}
-	key := Key{Machine: "ibmqx4", Width: 3, Method: "brute"}
-	s := New(func(ctx context.Context, k Key) (*Profile, error) {
-		if fail.Load() {
-			return nil, errors.New("device offline")
-		}
-		return uniformProfile(k, 1), nil
-	}, Options{TTL: time.Hour, RefreshAfter: time.Minute, Now: clock.now})
-
-	p0, _, err := s.GetOrCharacterize(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(2 * time.Minute)
-	fail.Store(true)
-	if err := s.Refresh(context.Background()); err == nil {
-		t.Fatal("refresh of a failing characterization reported success")
-	}
-	p1, cached, err := s.GetOrCharacterize(context.Background(), key)
-	if err != nil || !cached || p1 != p0 {
-		t.Fatalf("old profile not served after failed refresh: cached=%v err=%v", cached, err)
-	}
-	if st := s.StatsSnapshot(); st.RefreshErrors != 1 {
-		t.Fatalf("stats = %+v, want 1 refresh error", st)
+	if st := s.StatsSnapshot(); st.Characterizations != 26 {
+		t.Fatalf("characterizations = %d, want 26 (one cold, 25 forced)", st.Characterizations)
 	}
 }
 
 // TestGenerationTracksProfileChanges pins the contract downstream
 // result caches rely on: Generation(key) is 0 before any publication
-// and bumps on every event that changes the profile under the key —
-// characterize, TTL re-characterize, import, invalidation — so a
-// result computed against generation G can be recognized as stale the
-// moment the profile moves.
+// and bumps on every event that publishes a profile under the key —
+// characterize, TTL re-characterize, import — so a result computed
+// against generation G can be recognized as stale the moment the
+// profile moves.
 func TestGenerationTracksProfileChanges(t *testing.T) {
 	clock := newFakeClock()
 	var calls atomic.Int64
@@ -373,13 +314,6 @@ func TestGenerationTracksProfileChanges(t *testing.T) {
 		t.Fatalf("re-characterization generation %d, want > %d", g2, g1)
 	}
 
-	// Invalidation bumps even though nothing is republished yet.
-	s.Invalidate(key)
-	g3 := s.Generation(key)
-	if g3 <= g2 {
-		t.Fatalf("invalidation generation %d, want > %d", g3, g2)
-	}
-
 	// Import is a publication too.
 	imp := uniformProfile(key, 0.5)
 	imp.Key = key
@@ -387,8 +321,8 @@ func TestGenerationTracksProfileChanges(t *testing.T) {
 	if err := s.Import(imp); err != nil {
 		t.Fatal(err)
 	}
-	if g := s.Generation(key); g <= g3 {
-		t.Fatalf("import generation %d, want > %d", g, g3)
+	if g := s.Generation(key); g <= g2 {
+		t.Fatalf("import generation %d, want > %d", g, g2)
 	}
 
 	// Other keys are untouched by all of the above.
@@ -486,48 +420,5 @@ func TestCharacterizePanicBecomesError(t *testing.T) {
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("characterize ran %d times, want 2", n)
-	}
-}
-
-// TestRefreshSkipsKeysInFlight: a refresh pass leaves a key alone while
-// a request-path characterization of it runs — that run publishes the
-// fresh profile.
-func TestRefreshSkipsKeysInFlight(t *testing.T) {
-	clock := newFakeClock()
-	var calls atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	key := Key{Machine: "ibmqx4", Width: 3, Method: "brute"}
-	s := New(func(ctx context.Context, k Key) (*Profile, error) {
-		n := calls.Add(1)
-		if n == 2 {
-			close(entered)
-			<-release
-		}
-		return uniformProfile(k, float64(n)), nil
-	}, Options{TTL: 10 * time.Minute, RefreshAfter: time.Minute, Now: clock.now})
-
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(11 * time.Minute) // expired, and due for refresh
-	relearned := make(chan error, 1)
-	go func() {
-		_, _, err := s.GetOrCharacterize(context.Background(), key)
-		relearned <- err
-	}()
-	<-entered
-	if err := s.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("characterize ran %d times, want 2 (refresh must skip the key in flight)", n)
-	}
-	close(release)
-	if err := <-relearned; err != nil {
-		t.Fatal(err)
-	}
-	if st := s.StatsSnapshot(); st.Refreshes != 0 || st.Characterizations != 2 {
-		t.Fatalf("stats = %+v, want 2 characterizations and no refresh", st)
 	}
 }

@@ -10,7 +10,7 @@
 //
 //   - Staleness: an AIM/SIM result computed against profile generation
 //     G must never be served after the profile store publishes
-//     generation G+1 (re-characterization, refresh, import, eviction).
+//     generation G+1 (a new profile for the key).
 //     Every entry therefore records the profile generation it was
 //     computed under, and lookups compare it against the caller's
 //     current generation — a mismatch deletes the entry and counts an
@@ -25,8 +25,7 @@
 //
 // The cache stores opaque byte slices (in biasmitd: the marshaled
 // response body before the per-request envelope is stamped), bounded
-// by an entry-count LRU. Callers must treat returned bytes as
-// immutable.
+// by a 1024-entry LRU. Callers must treat returned bytes as immutable.
 package rescache
 
 import (
@@ -101,19 +100,15 @@ type Computed struct {
 	Store bool
 }
 
-// Options configures a Cache.
-type Options struct {
-	// MaxEntries bounds the number of stored results; the least
-	// recently used entry is evicted past it. Zero or negative
-	// selects 1024.
-	MaxEntries int
-}
+// maxEntries bounds the number of stored results; the least recently
+// used entry is evicted past it.
+const maxEntries = 1024
 
 // Cache is a bounded, generation-checked LRU of computed results with
 // singleflight coalescing. All methods are safe for concurrent use.
 type Cache struct {
-	maxEntries int
-	flights    flight.Group[flightKey, Computed]
+	limit   int // entry bound: maxEntries, or smaller in tests
+	flights flight.Group[flightKey, Computed]
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -143,14 +138,11 @@ type flightKey struct {
 	gen uint64
 }
 
-// New builds a Cache.
-func New(opts Options) *Cache {
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = 1024
-	}
+// New builds an empty Cache.
+func New() *Cache {
 	return &Cache{
-		maxEntries: opts.MaxEntries,
-		entries:    make(map[string]*entry),
+		limit:   maxEntries,
+		entries: make(map[string]*entry),
 	}
 }
 
@@ -222,7 +214,7 @@ func (c *Cache) storeLocked(key string, gen uint64, value []byte) {
 	c.useSeq++
 	c.entries[key] = &entry{gen: gen, value: value, lastUse: c.useSeq}
 	c.bytes += int64(len(value))
-	for len(c.entries) > c.maxEntries {
+	for len(c.entries) > c.limit {
 		var victimKey string
 		var victim *entry
 		for k, e := range c.entries {
@@ -238,18 +230,6 @@ func (c *Cache) storeLocked(key string, gen uint64, value []byte) {
 func (c *Cache) removeLocked(key string, e *entry) {
 	delete(c.entries, key)
 	c.bytes -= int64(len(e.value))
-}
-
-// Invalidate drops the entry for key, if present, counting an
-// invalidation. The generation check in Do makes this unnecessary for
-// profile bumps; it exists for explicit operator-driven flushes.
-func (c *Cache) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.invalidated++
-		c.removeLocked(key, e)
-	}
 }
 
 // Stats snapshots the counters.

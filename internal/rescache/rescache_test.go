@@ -13,7 +13,7 @@ import (
 // TestHitMiss is the basic contract: first call computes, second call
 // with the same key+generation returns the stored bytes untouched.
 func TestHitMiss(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	var runs atomic.Int64
@@ -42,7 +42,7 @@ func TestHitMiss(t *testing.T) {
 // TestGenerationInvalidation: bumping the profile generation must
 // invalidate the dependent entry — the stale bytes are never served.
 func TestGenerationInvalidation(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	mk := func(tag string, g uint64) func(context.Context) (Computed, error) {
@@ -76,7 +76,7 @@ func TestGenerationInvalidation(t *testing.T) {
 // TestCoalescing: N concurrent identical requests run the computation
 // exactly once and every waiter receives the identical bytes.
 func TestCoalescing(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	const n = 16
@@ -158,7 +158,7 @@ func TestCoalescing(t *testing.T) {
 // wait gets its own ctx error; the shared computation runs to
 // completion on the detached context and its result is still cached.
 func TestWaiterCancelDoesNotCancelComputation(t *testing.T) {
-	c := New(Options{})
+	c := New()
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -223,7 +223,7 @@ func TestWaiterCancelDoesNotCancelComputation(t *testing.T) {
 // TestErrorsNotCached: a failed computation fans its error out and
 // leaves nothing behind; the next call retries.
 func TestErrorsNotCached(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	boom := errors.New("boom")
@@ -248,7 +248,7 @@ func TestErrorsNotCached(t *testing.T) {
 // TestComputePanicBecomesError: a panicking computation must not crash
 // the process (it runs on a bare goroutine) — waiters get an error.
 func TestComputePanicBecomesError(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	_, out, err := c.Do(context.Background(), "k", 1, func(context.Context) (Computed, error) {
 		panic("kaboom")
 	})
@@ -263,7 +263,7 @@ func TestComputePanicBecomesError(t *testing.T) {
 // TestStoreFalseFansOutWithoutCaching: responses flagged store=false
 // (e.g. stale-profile serving) reach every waiter but are never cached.
 func TestStoreFalseFansOutWithoutCaching(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	v, out, err := c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
@@ -287,7 +287,7 @@ func TestStoreFalseFansOutWithoutCaching(t *testing.T) {
 // TestLRUEviction: the entry bound holds, victims are least recently
 // used, and the byte gauge tracks exactly the stored payloads.
 func TestLRUEviction(t *testing.T) {
-	c := New(Options{MaxEntries: 3})
+	c := newWithLimit(3)
 	ctx := context.Background()
 
 	put := func(key, val string) {
@@ -332,7 +332,7 @@ func TestLRUEviction(t *testing.T) {
 // newer generation so the next lookup — which reads the bumped
 // generation — hits instead of finding a stillborn gen-0 entry.
 func TestStoreUnderNewerGeneration(t *testing.T) {
-	c := New(Options{})
+	c := New()
 	ctx := context.Background()
 
 	var runs atomic.Int64
@@ -366,29 +366,13 @@ func TestStoreUnderNewerGeneration(t *testing.T) {
 	}
 }
 
-// TestInvalidate: the explicit flush drops the entry and counts it.
-func TestInvalidate(t *testing.T) {
-	c := New(Options{})
-	ctx := context.Background()
-	if _, _, err := c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("v"), Gen: 1, Store: true}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate("k")
-	c.Invalidate("k") // absent: no double count
-	st := c.Stats()
-	if st.Invalidated != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stats %+v; want 1 invalidation, empty cache", st)
-	}
-}
-
 // TestConcurrentHitMissInvalidate hammers one cache from many
-// goroutines mixing hits, misses across generations, and explicit
-// invalidations. Run under -race; correctness assertion: a caller at
-// generation g only ever observes bytes computed for generation g.
+// goroutines mixing hits, misses, and invalidations by a bumped
+// generation — the way a profile republish reaches the cache. Run
+// under -race; correctness assertion: a caller at generation g only
+// ever observes bytes computed for generation g.
 func TestConcurrentHitMissInvalidate(t *testing.T) {
-	c := New(Options{MaxEntries: 8})
+	c := newWithLimit(8)
 	ctx := context.Background()
 
 	var gen atomic.Uint64
@@ -403,28 +387,26 @@ func TestConcurrentHitMissInvalidate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("k%d", i%12)
-				switch i % 7 {
-				case 5:
-					gen.Add(1)
-				case 6:
-					c.Invalidate(key)
-				default:
-					g := gen.Load()
-					want := fmt.Sprintf("%s@%d", key, g)
-					v, _, err := c.Do(ctx, key, g, func(context.Context) (Computed, error) {
-						return Computed{Value: []byte(want), Gen: g, Store: true}, nil
-					})
-					if err != nil {
-						t.Errorf("Do(%s, %d): %v", key, g, err)
-						return
-					}
-					// The generation check is the staleness contract:
-					// bytes from another generation must never leak
-					// through, no matter the interleaving.
-					if string(v) != want {
-						t.Errorf("Do(%s, %d) = %q, want %q", key, g, v, want)
-						return
-					}
+				g := gen.Load()
+				if i%7 == 5 {
+					// Invalidate: every entry stored under an older
+					// generation is dropped by its next lookup.
+					g = gen.Add(1)
+				}
+				want := fmt.Sprintf("%s@%d", key, g)
+				v, _, err := c.Do(ctx, key, g, func(context.Context) (Computed, error) {
+					return Computed{Value: []byte(want), Gen: g, Store: true}, nil
+				})
+				if err != nil {
+					t.Errorf("Do(%s, %d): %v", key, g, err)
+					return
+				}
+				// The generation check is the staleness contract: bytes
+				// from another generation must never leak through, no
+				// matter the interleaving.
+				if string(v) != want {
+					t.Errorf("Do(%s, %d) = %q, want %q", key, g, v, want)
+					return
 				}
 			}
 		}(w)
@@ -438,18 +420,28 @@ func TestConcurrentHitMissInvalidate(t *testing.T) {
 	if st.Misses == 0 {
 		t.Fatalf("degenerate run: %+v (the storm never missed)", st)
 	}
-	// Whether the storm itself produced hits is timing-dependent (gen
-	// churn plus eviction pressure can starve them), so prove the hit
-	// path deterministically now that the storm is over.
+	// Whether the storm itself produced hits and invalidations is
+	// timing-dependent (gen churn plus eviction pressure can starve
+	// them), so prove both paths deterministically now that the storm
+	// is over.
 	g := gen.Load()
-	probe := func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("probe"), Gen: g, Store: true}, nil
+	probe := func(g uint64) func(context.Context) (Computed, error) {
+		return func(context.Context) (Computed, error) {
+			return Computed{Value: []byte("probe"), Gen: g, Store: true}, nil
+		}
 	}
-	if _, out, _ := c.Do(ctx, "post-storm", g, probe); out != Miss {
+	if _, out, _ := c.Do(ctx, "post-storm", g, probe(g)); out != Miss {
 		t.Fatalf("post-storm first Do outcome %v, want miss", out)
 	}
-	if _, out, _ := c.Do(ctx, "post-storm", g, probe); out != Hit {
+	if _, out, _ := c.Do(ctx, "post-storm", g, probe(g)); out != Hit {
 		t.Fatalf("post-storm second Do outcome %v, want hit", out)
+	}
+	before := c.Stats().Invalidated
+	if _, out, _ := c.Do(ctx, "post-storm", g+1, probe(g+1)); out != Miss {
+		t.Fatalf("post-storm Do at a bumped generation: outcome %v, want miss", out)
+	}
+	if n := c.Stats().Invalidated - before; n != 1 {
+		t.Fatalf("bumped generation invalidated %d entries, want 1", n)
 	}
 }
 

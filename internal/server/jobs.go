@@ -158,19 +158,25 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // detached from the submitting request, and a SIGKILL-recovered job
 // has no live request at all, so the spec's trace ID is the thread
 // that survives — then runs the payload through the exact synchronous
-// path and records the finished trace like any HTTP request.
+// path and records the finished trace like any HTTP request. The trace
+// starts at submission: its queue_wait span runs from 0 to dispatch,
+// and its elapsed time covers the job's wait as well as its run.
 func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, *jobs.Failure) {
 	// Async work is the first class shed under overload: its callers
 	// already chose to wait, so an admission retry later beats competing
 	// with interactive requests now.
 	ctx = overload.WithClass(ctx, overload.ClassJobs)
-	tr := obs.NewTrace(j.Spec.TraceID, s.cfg.Now)
+	start, dispatched := j.SubmittedAt, s.cfg.Now()
+	if start.After(dispatched) {
+		start = dispatched // the clock stepped back: no queue time to account for
+	}
+	tr := obs.NewTraceAt(j.Spec.TraceID, start, s.cfg.Now)
 	tr.SetTag("job_id", j.ID)
 	tr.SetTag("tenant", j.Spec.Tenant)
 	if j.Requeues > 0 {
 		tr.SetTag("requeues", strconv.Itoa(j.Requeues))
 	}
-	if qw := s.cfg.Now().Sub(j.SubmittedAt); qw > 0 {
+	if qw := dispatched.Sub(start); qw > 0 {
 		tr.AddSpan("queue_wait", qw)
 	}
 	ctx = obs.WithTrace(ctx, tr)

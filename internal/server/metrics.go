@@ -145,10 +145,7 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	counter(w, "biasmitd_profile_cache_joined_total", "Profile lookups deduplicated onto an in-flight characterization.", cache.Joined)
 	counter(w, "biasmitd_profile_characterizations_total", "Request-path characterizations completed.", cache.Characterizations)
 	counter(w, "biasmitd_profile_characterize_errors_total", "Request-path characterizations failed.", cache.CharacterizeErrors)
-	counter(w, "biasmitd_profile_refreshes_total", "Background profile refreshes completed.", cache.Refreshes)
-	counter(w, "biasmitd_profile_refresh_errors_total", "Background profile refreshes failed.", cache.RefreshErrors)
 	counter(w, "biasmitd_profile_degraded_serves_total", "Stale profiles served because re-characterization failed.", cache.DegradedServes)
-	counter(w, "biasmitd_profile_evictions_total", "Profiles dropped by the max-profiles LRU bound.", cache.Evictions)
 	counter(w, "biasmitd_profile_journal_errors_total", "Journal writes that failed (the in-memory cache kept serving).", cache.JournalErrors)
 	fmt.Fprintln(w, "# HELP biasmitd_profile_cache_entries Profiles currently cached.")
 	fmt.Fprintln(w, "# TYPE biasmitd_profile_cache_entries gauge")

@@ -69,15 +69,11 @@ type Config struct {
 	// profilestore.DefaultTTL).
 	ProfileTTL time.Duration
 	// Persist, when non-nil, makes the profile store durable: every
-	// insert/refresh/eviction is journaled through it (WAL + snapshots)
-	// and its recovered profiles are loaded into the store at
-	// construction, so a restarted daemon serves warm. The caller owns
-	// the log's lifecycle (compaction loop, Close).
+	// published profile is journaled through it (WAL + snapshots) and
+	// its recovered profiles are loaded into the store at construction,
+	// so a restarted daemon serves warm. The caller owns the log's
+	// lifecycle (compaction loop, Close).
 	Persist *profilestore.DiskLog
-	// MaxProfiles bounds the profile cache; past it the least recently
-	// used profile is evicted (and the eviction journaled). Zero means
-	// unbounded.
-	MaxProfiles int
 	// Seed is the base seed for characterization runs (default 1); the
 	// per-key seed is derived from it so profiles are reproducible.
 	Seed int64
@@ -239,7 +235,7 @@ func New(cfg Config) *Server {
 	}
 	s.execs = newMachineExecs(cfg, s.runMetrics)
 	if cfg.ResultCache {
-		s.rescache = rescache.New(rescache.Options{}) // 1024 entries
+		s.rescache = rescache.New()
 	}
 	gate := overload.LimiterConfig{Limit: cfg.MaxJobs}
 	if cfg.QueueTimeout > 0 {
@@ -247,14 +243,11 @@ func New(cfg Config) *Server {
 		gate.MaxQueue = maxAdmissionQueue
 	}
 	s.limiter = overload.NewLimiter(gate)
-	opts := profilestore.Options{
-		TTL:            cfg.ProfileTTL,
-		RefreshWorkers: 1, // one characterization at a time in the background
-		MaxProfiles:    cfg.MaxProfiles,
-		Journal:        cfg.Persist,
-		Now:            cfg.Now,
-	}
-	s.store = profilestore.New(s.characterizeKey, opts)
+	s.store = profilestore.New(s.characterizeKey, profilestore.Options{
+		TTL:     cfg.ProfileTTL,
+		Journal: cfg.Persist,
+		Now:     cfg.Now,
+	})
 	if cfg.Persist != nil {
 		// Warm restart: profiles recovered from snapshot+WAL serve
 		// immediately, with their original LearnedAt (staleness carries
@@ -316,8 +309,8 @@ func (s *Server) routes() []route {
 // Handler returns the HTTP handler serving the full API surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Store exposes the profile store so the daemon can run its background
-// refresh loop (Store().RefreshLoop).
+// Store exposes the profile store, into which the daemon imports
+// -preload profiles at boot.
 func (s *Server) Store() *profilestore.Store { return s.store }
 
 // DrainJobs gracefully stops the async job scheduler: dispatch halts,

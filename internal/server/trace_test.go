@@ -229,6 +229,50 @@ func TestDebugTracesSpansAccountForElapsed(t *testing.T) {
 	}
 }
 
+// TestJobTraceSpansWithinElapsed is TestDebugTracesSpansAccountForElapsed
+// for an async job: a job that queues behind a slow one for far longer
+// than it runs must still have every span of its execution trace,
+// queue_wait included, inside [0, elapsed_ms].
+func TestJobTraceSpansWithinElapsed(t *testing.T) {
+	_, ts := jobsTestServer(t, 0) // one job worker
+	slow := submitJob(t, ts.URL, "", slowJob(1))
+	fast := submitJob(t, ts.URL, "", baselineJob(256, 2))
+	for _, id := range []string{slow.Job.ID, fast.Job.ID} {
+		if job := waitJob(t, ts.URL, id).Job; job.State != api.JobStateDone {
+			t.Fatalf("job %s: %s (%+v)", id, job.State, job.Error)
+		}
+	}
+
+	_, data := getBody(t, ts.URL+"/debug/traces")
+	var tr api.TracesResponse
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatal(err)
+	}
+	var entry *api.TraceEntry
+	for i := range tr.Traces {
+		if tr.Traces[i].TraceID == fast.Job.TraceID && tr.Traces[i].Route == "job:mitigate" {
+			entry = &tr.Traces[i]
+		}
+	}
+	if entry == nil {
+		t.Fatalf("execution trace of job %s not retained: %s", fast.Job.ID, data)
+	}
+	var queued float64
+	for _, sp := range entry.Spans {
+		// Millisecond floats carry rounding error; allow 10µs of it.
+		if sp.StartMS < 0 || sp.DurationMS < 0 || sp.StartMS+sp.DurationMS > entry.ElapsedMS+0.01 {
+			t.Fatalf("span %+v lies outside [0, %.3f] ms: %+v", sp, entry.ElapsedMS, entry.Spans)
+		}
+		if sp.Name == "queue_wait" {
+			queued += sp.DurationMS
+		}
+	}
+	if queued < entry.ElapsedMS/2 {
+		t.Fatalf("queue_wait %.3f ms of %.3f ms elapsed: the job should have queued behind the slow one for most of its life",
+			queued, entry.ElapsedMS)
+	}
+}
+
 // TestProfilesPagination learns three profiles and walks them in pages
 // of two, requiring the cursor to hand out each profile exactly once in
 // key order.

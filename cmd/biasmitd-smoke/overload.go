@@ -65,7 +65,8 @@ func (st *stormStats) record(resp *api.MitigateResponse, err error, waited time.
 //     is the AIM policy it asked for (ServedPolicy equals Policy);
 //  3. stop the load and require recovery: a post-storm AIM request
 //     served as AIM, /healthz ok, every mid-storm job reaching done —
-//     shed attempts retried within the job's budget, zero jobs lost;
+//     job executions wait out the storm at the gate, never shed, zero
+//     jobs lost;
 //  4. check the gate counters on /metrics, then SIGTERM and require a
 //     clean drain.
 func overloadScenario(ctx context.Context, bin, dir string) error {
@@ -127,8 +128,8 @@ func overloadScenario(ctx context.Context, bin, dir string) error {
 	}
 
 	// Mid-storm, queue async jobs. Their executions are the lowest
-	// admission class, so they shed first — and must survive anyway by
-	// retrying within their attempt budget once the storm passes.
+	// admission class, so they are admitted last — and are never shed,
+	// so they must survive the storm without any retry.
 	time.Sleep(500 * time.Millisecond)
 	jobReq := &api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 512, Seed: 99}
 	var jobIDs []string
@@ -136,7 +137,7 @@ func overloadScenario(ctx context.Context, bin, dir string) error {
 		r := *jobReq
 		r.Seed += int64(i)
 		resp, err := d.cl.SubmitJob(ctx, &api.JobSubmitRequest{
-			Type: api.JobTypeMitigate, Mitigate: &r, MaxAttempts: 20,
+			Type: api.JobTypeMitigate, Mitigate: &r,
 		})
 		if err != nil {
 			return fmt.Errorf("submitting mid-storm job %d: %w", i, err)
@@ -182,8 +183,7 @@ func overloadScenario(ctx context.Context, bin, dir string) error {
 		return fmt.Errorf("post-storm aim run served %q, want aim", resp.ServedPolicy)
 	}
 
-	// Zero lost jobs: every mid-storm job reaches done, its shed
-	// attempts retried away.
+	// Zero lost jobs: every mid-storm job reaches done.
 	for _, id := range jobIDs {
 		final, err := d.cl.WaitJob(ctx, id)
 		if err != nil {

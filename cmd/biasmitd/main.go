@@ -83,7 +83,7 @@ func main() {
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "how long a request may wait for one of the -max-jobs slots before it is shed with a typed 503 + Retry-After, lowest priority class first; past 64 waiters it is shed at once (0 = wait until the request's deadline). Set it above the slowest request's service time, or healthy requests are shed")
+	queueTimeout := flag.Duration("queue-timeout", 0, "how long a mitigate or characterize request may wait for one of the -max-jobs slots before it is shed with a typed 503 + Retry-After, lowest priority class first; past 64 such waiters it is shed at once (0 = wait until the request's deadline). Async job executions always wait, are admitted last and are never shed. Set it above the slowest request's service time, or healthy requests are shed")
 	queueHighWater := flag.Int("queue-high-water", 0, "queued async jobs past which /healthz reports 503 unavailable (0 = never)")
 	resultCache := flag.Bool("result-cache", true, "serve repeated identical mitigation requests from a content-addressed result cache, coalescing concurrent duplicates onto one execution")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, or error")

@@ -20,14 +20,11 @@ import (
 	"strings"
 	"time"
 
-	"biasmit/internal/backend"
 	"biasmit/internal/bitstring"
-	"biasmit/internal/chaos"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
 	"biasmit/internal/persist"
 	"biasmit/internal/report"
-	"biasmit/internal/resilient"
 )
 
 func main() {
@@ -46,12 +43,7 @@ func main() {
 	crosstalk := flag.Bool("crosstalk", false, "also measure the readout-crosstalk matrix")
 	workers := flag.Int("workers", 0, "independent circuit executions run concurrently (0 = all CPUs, 1 = sequential; results are identical either way)")
 	timeout := flag.Duration("timeout", time.Duration(0), "abort after this duration (0 = no limit)")
-	chaosPlan := chaos.Flags(flag.CommandLine)
-	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := chaosPlan.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -94,7 +86,6 @@ func main() {
 
 	m := core.NewMachine(dev)
 	m.Workers = *workers
-	m.Run = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
 	prof := &core.Profiler{Machine: m, Layout: layout}
 	var (
 		rbms core.RBMS

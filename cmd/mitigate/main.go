@@ -23,8 +23,6 @@ import (
 	"os"
 	"os/signal"
 
-	"biasmit/internal/backend"
-	"biasmit/internal/chaos"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
@@ -32,7 +30,6 @@ import (
 	"biasmit/internal/metrics"
 	"biasmit/internal/persist"
 	"biasmit/internal/report"
-	"biasmit/internal/resilient"
 )
 
 func main() {
@@ -53,12 +50,7 @@ func main() {
 	async := flag.Bool("async", false, "run through a biasmitd daemon's async job queue instead of locally (needs -server)")
 	serverAddr := flag.String("server", "", "biasmitd address for -async, e.g. 127.0.0.1:8642")
 	apiKey := flag.String("api-key", "", "X-API-Key tenant identity for -async submissions")
-	chaosPlan := chaos.Flags(flag.CommandLine)
-	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := chaosPlan.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -93,7 +85,6 @@ func main() {
 
 	m := core.NewMachine(dev)
 	m.Workers = *workers
-	m.Run = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
 	job, err := core.NewJob(bench.Circuit, m)
 	if err != nil {
 		log.Fatal(err)
@@ -120,19 +111,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var meta persist.RBMSMeta
-		rbms, meta, err = persist.LoadRBMS(f)
+		rec, err := persist.LoadProfile(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if meta.Machine != "" && meta.Machine != dev.Name {
-			log.Fatalf("profile was learned on %s, not %s", meta.Machine, dev.Name)
+		if rec.Machine != "" && rec.Machine != dev.Name {
+			log.Fatalf("profile was learned on %s, not %s", rec.Machine, dev.Name)
+		}
+		if rbms, err = rec.RBMS(); err != nil {
+			log.Fatal(err)
 		}
 		if rbms.Width != bench.Width() {
 			log.Fatalf("profile covers %d qubits but %s outputs %d bits", rbms.Width, bench.Name, bench.Width())
 		}
-		fmt.Printf("loaded %s RBMS profile from %s\n", meta.Method, *profileFile)
+		fmt.Printf("loaded %s RBMS profile from %s\n", rec.Method, *profileFile)
 	} else {
 		prof := job.Profiler()
 		if bench.Width() <= 5 {

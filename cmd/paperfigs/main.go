@@ -22,11 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"biasmit/internal/backend"
-	"biasmit/internal/chaos"
 	"biasmit/internal/experiments"
 	"biasmit/internal/persist"
-	"biasmit/internal/resilient"
 )
 
 func main() {
@@ -39,12 +36,7 @@ func main() {
 	workers := flag.Int("workers", 0, "independent circuit executions run concurrently (0 = all CPUs, 1 = sequential; results are identical either way)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	outFile := flag.String("out", "", "also save the full report to this file (written atomically on success)")
-	chaosPlan := chaos.Flags(flag.CommandLine)
-	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := chaosPlan.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -55,11 +47,6 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
-	if chaosPlan.Enabled() {
-		// Only replace the default execution path when the flags inject
-		// faults, so the BIASMIT_CHAOS_* environment keeps working.
-		cfg.Runner = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
-	}
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, name := range strings.Split(*only, ",") {

@@ -20,15 +20,12 @@ import (
 	"os/signal"
 	"syscall"
 
-	"biasmit/internal/backend"
-	"biasmit/internal/chaos"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/persist"
 	"biasmit/internal/qasm"
 	"biasmit/internal/report"
-	"biasmit/internal/resilient"
 )
 
 func main() {
@@ -45,12 +42,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 	workers := flag.Int("workers", 0, "goroutines for SIM inversion groups / baseline trial "+
 		"partitions (0 = sequential)")
-	chaosPlan := chaos.Flags(flag.CommandLine)
-	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := chaosPlan.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -81,7 +73,6 @@ func main() {
 	}
 	m := core.NewMachine(dev)
 	m.Workers = *workers // SIM runs its inversion groups as parallel jobs
-	m.Run = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
 	job, err := core.NewJob(c, m)
 	if err != nil {
 		log.Fatal(err)

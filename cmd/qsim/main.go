@@ -22,7 +22,6 @@ import (
 
 	"biasmit/internal/backend"
 	"biasmit/internal/bitstring"
-	"biasmit/internal/chaos"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
 	"biasmit/internal/kernels"
@@ -31,7 +30,6 @@ import (
 	"biasmit/internal/persist"
 	"biasmit/internal/qasm"
 	"biasmit/internal/report"
-	"biasmit/internal/resilient"
 )
 
 func main() {
@@ -53,12 +51,7 @@ func main() {
 	workers := flag.Int("workers", 0, "partition the trajectory trial loop across this many goroutines; "+
 		"results are deterministic per (seed, workers) pair (0 = single stream; "+
 		"runs on the exact engine, ≤8 qubits with shots ≥ 2^n, ignore it)")
-	chaosPlan := chaos.Flags(flag.CommandLine)
-	retry := resilient.Flags(flag.CommandLine)
 	flag.Parse()
-	if err := chaosPlan.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -112,7 +105,6 @@ func main() {
 		m.Opt = backend.Options{NoGateNoise: true, NoDecay: true, NoReadoutError: true}
 	}
 	m.Opt.Workers = *workers
-	m.Run = resilient.New(chaosPlan.Wrap(backend.RunContext), *retry).Run
 	job, err := core.NewJob(bench.Circuit, m)
 	if err != nil {
 		log.Fatal(err)

@@ -74,8 +74,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	meta := persist.RBMSMeta{Machine: dev.Name, Layout: prof.Layout, Method: "esct"}
-	if err := persist.SaveRBMS(f, rbms, meta); err != nil {
+	rec := persist.ProfileRecord{Machine: dev.Name, Layout: prof.Layout, Method: "esct", Width: rbms.Width, Strength: rbms.Strength}
+	if err := persist.SaveProfile(f, rec); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprofile saved to %s (load it for future AIM runs)\n", path)

@@ -339,12 +339,6 @@ type JobSubmitRequest struct {
 	// Priority is the scheduling class: higher runs first within the
 	// tenant's share. Zero is the normal class.
 	Priority int `json:"priority,omitempty"`
-	// MaxAttempts bounds execution attempts when the run fails
-	// transiently (upstream_transient, breaker_open, overloaded): the
-	// scheduler requeues and retries up to this many attempts total.
-	// Zero or one disables job-level retries (the executor's per-run
-	// attempts still apply).
-	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
 // JobInfo is the wire view of one queued/running/finished job.

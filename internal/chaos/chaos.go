@@ -12,8 +12,11 @@
 // Under concurrency the attempt indices interleave nondeterministically,
 // which is fine by construction: the resilience layer retries a failed
 // run whole under its own seed, so results are independent of where
-// faults land, and the chaos CI job exists to enforce exactly that
-// property.
+// faults land.
+//
+// biasmitd is the only process that injects faults (its -chaos-* flags
+// set the Plan under its retrying executors); tests wrap a runner with
+// a Plan explicitly. No environment variable turns it on.
 //
 // Faults never corrupt results: an injected failure either returns a
 // typed *backend.TransientError (optionally after completing m < shots
@@ -24,12 +27,9 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -243,13 +243,9 @@ func (in *Injector) partial(ctx context.Context, c *circuit.Circuit, dev *device
 	return transientf("injected partial result: %d of %d trials completed (attempt %d)", m, opt.Shots, attempt)
 }
 
-// Flags registers the -chaos-* flag family on fs (flag.CommandLine when
-// nil) and returns the Plan they populate. All CLIs share this helper so
-// the fault-injection surface is uniform across binaries.
+// Flags registers biasmitd's -chaos-* flag family on fs and returns the
+// Plan they populate.
 func Flags(fs *flag.FlagSet) *Plan {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
 	p := &Plan{}
 	fs.Int64Var(&p.Seed, "chaos-seed", 1, "seed for the deterministic fault schedule")
 	fs.Float64Var(&p.TransientRate, "chaos-transient", 0, "probability a backend call fails with a transient error")
@@ -259,50 +255,4 @@ func Flags(fs *flag.FlagSet) *Plan {
 	fs.DurationVar(&p.GraySlow, "chaos-gray-slow", 100*time.Millisecond, "maximum gray-failure delay (calls sleep 50-100% of this)")
 	fs.IntVar(&p.FailFirst, "chaos-fail-first", 0, "deterministically fail this many calls before the probabilistic schedule applies")
 	return p
-}
-
-// Environment variables read by FromEnv. The chaos CI job sets these so
-// the entire test suite runs with fault injection enabled without any
-// test knowing about it.
-const (
-	EnvTransient = "BIASMIT_CHAOS_TRANSIENT"
-	EnvPartial   = "BIASMIT_CHAOS_PARTIAL"
-	EnvSeed      = "BIASMIT_CHAOS_SEED"
-)
-
-// FromEnv builds a Plan from the BIASMIT_CHAOS_* environment variables.
-// It returns a zero (disabled) plan when none are set and an error when
-// one is set but unparsable.
-func FromEnv() (Plan, error) {
-	var p Plan
-	parse := func(name string, dst *float64) error {
-		v := os.Getenv(name)
-		if v == "" {
-			return nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("chaos: parsing %s=%q: %w", name, v, err)
-		}
-		*dst = f
-		return nil
-	}
-	if err := errors.Join(
-		parse(EnvTransient, &p.TransientRate),
-		parse(EnvPartial, &p.PartialRate),
-	); err != nil {
-		return Plan{}, err
-	}
-	p.Seed = 1
-	if v := os.Getenv(EnvSeed); v != "" {
-		s, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("chaos: parsing %s=%q: %w", EnvSeed, v, err)
-		}
-		p.Seed = s
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
 }

@@ -156,27 +156,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvTransient, "0.25")
-	t.Setenv(EnvPartial, "0.1")
-	t.Setenv(EnvSeed, "99")
-	plan, err := FromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.TransientRate != 0.25 || plan.PartialRate != 0.1 || plan.Seed != 99 {
-		t.Fatalf("plan = %+v", plan)
-	}
-	if !plan.Enabled() {
-		t.Fatal("plan should be enabled")
-	}
-
-	t.Setenv(EnvTransient, "not-a-rate")
-	if _, err := FromEnv(); err == nil {
-		t.Fatal("malformed rate should error")
-	}
-}
-
 func TestGraySlowSucceedsSlowly(t *testing.T) {
 	under := &okRunner{}
 	in := New(Plan{Seed: 3, GraySlowRate: 1, GraySlow: 20 * time.Millisecond}, under.run)

@@ -21,7 +21,10 @@
 //     its worker slot until its executor returns, which its deadline
 //     bounds; jobs that need the same RBMS profile share it through the
 //     profile store. A panicking executor fails its job instead of
-//     taking the worker set down.
+//     taking the worker set down. A failed execution is final: the
+//     executor retries each backend run itself, so the queue never
+//     re-runs a job. Only crash recovery and a drain move a job from
+//     running back to queued.
 //
 // The queue never executes anything itself; the executor is injected
 // (ExecFunc), which keeps this package free of simulator imports and
@@ -78,9 +81,6 @@ type Spec struct {
 	// Priority is the scheduling class: higher dispatches first within
 	// the tenant's share.
 	Priority int `json:"priority,omitempty"`
-	// MaxAttempts bounds executions when runs fail retryably; zero or
-	// one means a single attempt.
-	MaxAttempts int `json:"max_attempts,omitempty"`
 	// Deadline is the propagated absolute deadline (X-Request-Deadline):
 	// the scheduler fails the job with deadline_exceeded instead of
 	// starting it once the deadline has passed — executing work whose
@@ -98,17 +98,12 @@ type Spec struct {
 }
 
 // Failure is the terminal error of a failed job — the same stable code
-// and message the synchronous endpoint would have returned.
+// and message the synchronous endpoint would have returned. A failed
+// job is final: the executor has already retried each backend run.
 type Failure struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	Status  int    `json:"status,omitempty"`
-	// Retryable marks failures worth re-running (transient upstream
-	// faults, open breakers); the scheduler honours it against
-	// Spec.MaxAttempts.
-	Retryable bool `json:"retryable,omitempty"`
-	// RetryAfterMS delays the retry (an open breaker's cooldown).
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
 // Job is one queued unit of work and its full lifecycle trace. The
@@ -127,10 +122,9 @@ type Job struct {
 	Failure         *Failure        `json:"failure,omitempty"`
 
 	// Runtime-only state, never persisted.
-	seq       uint64             // in-memory FIFO order (recovery preserves ID order)
-	notBefore time.Time          // earliest dispatch time (retry backoff)
-	cancel    context.CancelFunc // cancels the running execution
-	done      chan struct{}      // closed on terminal
+	seq    uint64             // in-memory FIFO order (recovery preserves ID order)
+	cancel context.CancelFunc // cancels the running execution
+	done   chan struct{}      // closed on terminal
 }
 
 // clone returns a persistence/wire-safe copy (shared immutable slices,
@@ -187,11 +181,9 @@ type Stats struct {
 	// Transitions counts entries into each state (queued includes
 	// requeues).
 	Transitions map[State]uint64
-	// Retries counts retryable-failure requeues; DrainRequeues counts
-	// jobs pushed back to queued by a drain deadline; Expired counts
-	// jobs failed because their propagated deadline passed before they
-	// started.
-	Retries       uint64
+	// DrainRequeues counts jobs pushed back to queued by a drain
+	// deadline; Expired counts jobs failed because their propagated
+	// deadline passed before they started.
 	DrainRequeues uint64
 	Expired       uint64
 	// OldestQueued is the age of the oldest still-queued job — the
@@ -226,7 +218,6 @@ type Queue struct {
 	submitted   uint64
 	throttled   uint64
 	transitions map[State]uint64
-	retries     uint64
 	drainReqs   uint64
 	expired     uint64
 	recovered   int
@@ -489,17 +480,13 @@ func (q *Queue) terminalLocked(j *Job, st State, result json.RawMessage, fail *F
 	q.enforceRetentionLocked()
 }
 
-// requeueLocked sends a running job back to pending.
-func (q *Queue) requeueLocked(j *Job, delay time.Duration) {
+// requeueLocked sends a running job back to pending (a drain
+// interrupted it).
+func (q *Queue) requeueLocked(j *Job) {
 	j.State = StateQueued
 	j.StartedAt = time.Time{}
 	j.Requeues++
 	j.cancel = nil
-	if delay > 0 {
-		j.notBefore = q.now().Add(delay)
-	} else {
-		j.notBefore = time.Time{}
-	}
 	q.transitions[StateQueued]++
 	q.journalLocked(j)
 	q.pending[j.Spec.Tenant] = append(q.pending[j.Spec.Tenant], j)
@@ -540,7 +527,6 @@ func (q *Queue) Stats() Stats {
 		Submitted:         q.submitted,
 		Throttled:         q.throttled,
 		Transitions:       make(map[State]uint64, len(q.transitions)),
-		Retries:           q.retries,
 		DrainRequeues:     q.drainReqs,
 		Expired:           q.expired,
 		RecoveredJobs:     q.recovered,

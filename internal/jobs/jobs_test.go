@@ -165,7 +165,7 @@ func TestPanickingExecutorFailsOnlyItsJob(t *testing.T) {
 		switch {
 		case j.State == StateDone:
 		case j.State == StateFailed && j.Failure != nil && j.Failure.Code == "internal" &&
-			j.Failure.Status == 500 && !j.Failure.Retryable:
+			j.Failure.Status == 500:
 			failed++
 		default:
 			t.Fatalf("job %s ended %s with failure %+v", id, j.State, j.Failure)
@@ -332,52 +332,6 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("execution order %v, want %v", order, want)
-	}
-}
-
-func TestRetryableFailureRequeues(t *testing.T) {
-	q := NewQueue(Options{})
-	var mu sync.Mutex
-	attempts := 0
-	s := NewScheduler(q, SchedulerOptions{
-		Workers: 1,
-		Exec: func(_ context.Context, j Job) (json.RawMessage, *Failure) {
-			mu.Lock()
-			attempts++
-			n := attempts
-			mu.Unlock()
-			if n == 1 {
-				return nil, &Failure{Code: "upstream_transient", Retryable: true}
-			}
-			return json.RawMessage(`{"ok":true}`), nil
-		},
-	})
-	s.Start()
-	defer s.Drain(context.Background())
-	j, _ := q.Submit(Spec{Type: "mitigate", MaxAttempts: 3})
-	got := waitState(t, q, j.ID, StateDone)
-	if got.Attempts != 2 || got.Requeues != 1 {
-		t.Fatalf("attempts=%d requeues=%d, want 2/1", got.Attempts, got.Requeues)
-	}
-	if st := q.Stats(); st.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", st.Retries)
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	q := NewQueue(Options{})
-	s := NewScheduler(q, SchedulerOptions{
-		Workers: 1,
-		Exec: func(context.Context, Job) (json.RawMessage, *Failure) {
-			return nil, &Failure{Code: "upstream_transient", Retryable: true}
-		},
-	})
-	s.Start()
-	defer s.Drain(context.Background())
-	j, _ := q.Submit(Spec{Type: "mitigate", MaxAttempts: 2})
-	got := waitState(t, q, j.ID, StateFailed)
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", got.Attempts)
 	}
 }
 

@@ -20,9 +20,8 @@ type SchedulerOptions struct {
 	Exec ExecFunc
 	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
-	// Now and After override the clock, for tests.
-	Now   func() time.Time
-	After func(d time.Duration) <-chan time.Time
+	// Now overrides the clock, for tests.
+	Now func() time.Time
 }
 
 func (o SchedulerOptions) withDefaults() SchedulerOptions {
@@ -31,9 +30,6 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.After == nil {
-		o.After = time.After
 	}
 	return o
 }
@@ -111,18 +107,13 @@ func (s *Scheduler) dispatch() {
 			return
 		case s.slots <- struct{}{}:
 		}
-		e, wait := s.startNext()
+		e := s.startNext()
 		if e == nil {
 			<-s.slots
-			var timer <-chan time.Time
-			if wait > 0 {
-				timer = s.opts.After(wait)
-			}
 			select {
 			case <-s.dispatchCtx.Done():
 				return
 			case <-s.q.notifyCh:
-			case <-timer:
 			}
 			continue
 		}
@@ -148,18 +139,17 @@ type execution struct {
 // startNext picks the next job and moves it to running in one q.mu
 // critical section, so a job is always either pending or running and
 // Cancel never meets one in between. Jobs whose propagated deadline
-// passed while they sat queued are shed on the way. Returns (nil, wait)
-// when nothing is dispatchable: wait > 0 means a retry-delayed job
-// becomes ready then.
-func (s *Scheduler) startNext() (*execution, time.Duration) {
+// passed while they sat queued are shed on the way. Returns nil when
+// nothing is queued.
+func (s *Scheduler) startNext() *execution {
 	q := s.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := s.opts.Now()
 	for {
-		j, wait := q.nextLocked(now)
+		j := q.nextLocked()
 		if j == nil {
-			return nil, wait
+			return nil
 		}
 		q.removePendingLocked(j)
 		if j.Spec.Deadline != nil && now.After(*j.Spec.Deadline) {
@@ -186,30 +176,22 @@ func (s *Scheduler) startNext() (*execution, time.Duration) {
 		}
 		q.transitions[StateRunning]++
 		q.journalLocked(j)
-		return &execution{j: j, snap: j.clone(), ctx: ctx, cancel: j.cancel}, 0
+		return &execution{j: j, snap: j.clone(), ctx: ctx, cancel: j.cancel}
 	}
 }
 
-// nextLocked picks the next dispatchable job. Tenants take turns: the
+// nextLocked picks the next job to dispatch. Tenants take turns: the
 // first tenant after the one served last, in name order and wrapping
-// around, that has a ready job. Within the tenant the highest priority
-// class goes first, then FIFO. Returns (nil, wait) when no job is
-// ready; wait > 0 is when the soonest retry-delayed job becomes ready.
-func (q *Queue) nextLocked(now time.Time) (*Job, time.Duration) {
+// around, that has a queued job. Within the tenant the highest priority
+// class goes first, then FIFO. Returns nil when nothing is queued.
+func (q *Queue) nextLocked() *Job {
 	var (
-		pick    string
-		lead    *Job
-		soonest time.Duration
+		pick string
+		lead *Job
 	)
 	for tenant, list := range q.pending {
 		var best *Job
 		for _, j := range list {
-			if !j.notBefore.IsZero() && j.notBefore.After(now) {
-				if d := j.notBefore.Sub(now); soonest == 0 || d < soonest {
-					soonest = d
-				}
-				continue
-			}
 			if best == nil || j.Spec.Priority > best.Spec.Priority {
 				best = j
 			}
@@ -218,11 +200,10 @@ func (q *Queue) nextLocked(now time.Time) (*Job, time.Duration) {
 			pick, lead = tenant, best
 		}
 	}
-	if lead == nil {
-		return nil, soonest
+	if lead != nil {
+		q.lastTenant = pick
 	}
-	q.lastTenant = pick
-	return lead, 0
+	return lead
 }
 
 // turnBefore reports whether tenant a's turn comes before tenant b's
@@ -247,8 +228,7 @@ func (s *Scheduler) run(e *execution) {
 }
 
 // exec runs the executor, turning a panic into an internal failure so
-// the job settles and its worker slot frees. A deterministic executor
-// would panic again, so the failure is not retryable.
+// the job settles and its worker slot frees.
 func (s *Scheduler) exec(e *execution) (result json.RawMessage, fail *Failure) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -263,8 +243,8 @@ func (s *Scheduler) exec(e *execution) (result json.RawMessage, fail *Failure) {
 }
 
 // settle routes an execution outcome into the job's next state:
-// done, cancelled (user asked), requeued (drain interrupted it, or the
-// failure is retryable with attempts left), or failed.
+// done, cancelled (user asked), requeued (a drain interrupted it), or
+// failed.
 func (s *Scheduler) settle(j *Job, result json.RawMessage, fail *Failure) {
 	draining := s.isDraining()
 	q := s.q
@@ -279,10 +259,7 @@ func (s *Scheduler) settle(j *Job, result json.RawMessage, fail *Failure) {
 		// The drain deadline cancelled the run; the work is not failed,
 		// just unfinished — back to queued, checkpointed for next boot.
 		q.drainReqs++
-		q.requeueLocked(j, 0)
-	case fail.Retryable && j.Attempts < j.Spec.MaxAttempts:
-		q.retries++
-		q.requeueLocked(j, time.Duration(fail.RetryAfterMS)*time.Millisecond)
+		q.requeueLocked(j)
 	default:
 		q.terminalLocked(j, StateFailed, nil, fail)
 	}

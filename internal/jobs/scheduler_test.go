@@ -135,11 +135,6 @@ func TestDrainDeadlineCheckpointsAndRequeues(t *testing.T) {
 	s1 := NewScheduler(q1, SchedulerOptions{
 		Workers: 2,
 		Now:     func() time.Time { return fixed },
-		After: func(d time.Duration) <-chan time.Time {
-			// The drain path must not depend on wall-clock timers at all; a
-			// never-firing clock proves it.
-			return make(chan time.Time)
-		},
 		Exec: func(ctx context.Context, j Job) (json.RawMessage, *Failure) {
 			started <- struct{}{}
 			<-ctx.Done() // only the drain's cancellation ends the run

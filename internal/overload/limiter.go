@@ -16,12 +16,13 @@ type LimiterConfig struct {
 	// QueueTimeout, when positive, is the CoDel-style sojourn bound: a
 	// request queued longer than this is shed with a typed 503 instead
 	// of serving stale work. Zero waits for a slot until the caller's
-	// context ends.
+	// context ends. ClassJobs waiters always wait.
 	QueueTimeout time.Duration
-	// MaxQueue, when positive, bounds the number of waiting requests
-	// across all classes; arrivals beyond it are shed immediately,
-	// evicting a lower-class waiter first when the arrival outranks one.
-	// Zero leaves the queue unbounded.
+	// MaxQueue, when positive, bounds the number of waiting interactive
+	// requests (every class above ClassJobs); arrivals beyond it are
+	// shed immediately, evicting a lower-class interactive waiter first
+	// when the arrival outranks one. Zero leaves the queue unbounded.
+	// ClassJobs waiters neither count toward it nor are refused by it.
 	MaxQueue int
 
 	// After is the injectable timer used for queue timeouts
@@ -41,7 +42,10 @@ func (c *LimiterConfig) defaults() {
 // Limiter is a fixed-limit priority admission gate. At most Limit
 // requests hold a slot; the rest wait in per-class FIFO queues, and a
 // freed slot goes to the oldest waiter of the highest class. With a
-// QueueTimeout or a MaxQueue the gate also sheds, lowest class first.
+// QueueTimeout or a MaxQueue the gate also sheds interactive requests,
+// lowest class first. It never sheds ClassJobs: a job execution waits
+// until a slot frees or its own context ends, and its caller (the job
+// scheduler, one worker slot per execution) bounds how many wait.
 type Limiter struct {
 	cfg LimiterConfig
 
@@ -94,7 +98,7 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) (func(), error) {
 		return l.releaseFunc(), nil
 	}
 	// Over the limit: queue, evicting a lower-class waiter if full.
-	if l.cfg.MaxQueue > 0 && l.queuedLocked() >= l.cfg.MaxQueue {
+	if class != ClassJobs && l.cfg.MaxQueue > 0 && l.queuedLocked(ClassJobs+1) >= l.cfg.MaxQueue {
 		if !l.evictLowerLocked(class) {
 			l.stats.Shed[class]++
 			l.mu.Unlock()
@@ -104,7 +108,7 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) (func(), error) {
 	w := &waiter{class: class, ch: make(chan func(), 1)}
 	w.elem = l.queues[class].PushBack(w)
 	var timeoutC <-chan time.Time // nil: wait until ctx ends
-	if l.cfg.QueueTimeout > 0 {
+	if class != ClassJobs && l.cfg.QueueTimeout > 0 {
 		timeoutC = l.cfg.After(l.cfg.QueueTimeout)
 	}
 	l.mu.Unlock()
@@ -170,20 +174,21 @@ func (l *Limiter) releaseFunc() func() {
 	}
 }
 
-func (l *Limiter) queuedLocked() int {
+// queuedLocked counts the waiters of class from and above.
+func (l *Limiter) queuedLocked(from Class) int {
 	n := 0
-	for _, q := range l.queues {
+	for _, q := range l.queues[from:] {
 		n += q.Len()
 	}
 	return n
 }
 
-// evictLowerLocked displaces the newest waiter of the lowest class
-// strictly below the arriving class, making room in the bounded queue.
-// Returns false when every queued waiter already outranks-or-equals the
-// arrival (the arrival is shed instead).
+// evictLowerLocked displaces the newest waiter of the lowest
+// interactive class strictly below the arriving class, making room in
+// the bounded queue. Returns false when every queued interactive waiter
+// already outranks-or-equals the arrival (the arrival is shed instead).
 func (l *Limiter) evictLowerLocked(arriving Class) bool {
-	for c := Class(0); c < arriving; c++ {
+	for c := ClassJobs + 1; c < arriving; c++ {
 		q := l.queues[c]
 		if q.Len() == 0 {
 			continue
@@ -225,6 +230,6 @@ func (l *Limiter) Stats() LimiterStats {
 	defer l.mu.Unlock()
 	s := l.stats
 	s.Inflight = l.inflight
-	s.Queued = l.queuedLocked()
+	s.Queued = l.queuedLocked(ClassJobs)
 	return s
 }

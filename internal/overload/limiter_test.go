@@ -106,14 +106,15 @@ func TestLimiterEvictsLowerClassWhenFull(t *testing.T) {
 		t.Fatalf("holder acquire: %v", err)
 	}
 
-	jobsErr := make(chan error, 1)
+	mitigateErr := make(chan error, 1)
 	go func() {
-		_, err := l.Acquire(context.Background(), ClassJobs)
-		jobsErr <- err
+		_, err := l.Acquire(context.Background(), ClassMitigate)
+		mitigateErr <- err
 	}()
 	waitQueued(t, l, 1)
 
-	// Queue is full; a characterize arrival must displace the queued job.
+	// Queue is full; a characterize arrival must displace the queued
+	// mitigate request.
 	charDone := make(chan error, 1)
 	go func() {
 		release, err := l.Acquire(context.Background(), ClassCharacterize)
@@ -123,31 +124,31 @@ func TestLimiterEvictsLowerClassWhenFull(t *testing.T) {
 		charDone <- err
 	}()
 
-	err = <-jobsErr
+	err = <-mitigateErr
 	var oe *Error
 	if !errors.As(err, &oe) || oe.Reason != "queue_full" {
-		t.Fatalf("evicted job: got %v, want overloaded queue_full", err)
+		t.Fatalf("evicted mitigate: got %v, want overloaded queue_full", err)
 	}
 
 	hold()
 	if err := <-charDone; err != nil {
 		t.Fatalf("characterize after eviction: %v", err)
 	}
-	if s := l.Stats(); s.Evictions != 1 || s.Shed[ClassJobs] != 1 {
-		t.Fatalf("stats = %+v, want one eviction charged to jobs", s)
+	if s := l.Stats(); s.Evictions != 1 || s.Shed[ClassMitigate] != 1 {
+		t.Fatalf("stats = %+v, want one eviction charged to mitigate", s)
 	}
 
 }
 
 func TestLimiterShedsSameClassWhenFull(t *testing.T) {
 	l := NewLimiter(LimiterConfig{Limit: 1, MaxQueue: 1})
-	hold, err := l.Acquire(context.Background(), ClassJobs)
+	hold, err := l.Acquire(context.Background(), ClassCharacterize)
 	if err != nil {
 		t.Fatalf("holder acquire: %v", err)
 	}
 	queued := make(chan error, 1)
 	go func() {
-		release, err := l.Acquire(context.Background(), ClassJobs)
+		release, err := l.Acquire(context.Background(), ClassCharacterize)
 		if err == nil {
 			release()
 		}
@@ -156,14 +157,85 @@ func TestLimiterShedsSameClassWhenFull(t *testing.T) {
 	waitQueued(t, l, 1)
 
 	// Same class cannot evict an equal: shed outright, synchronously.
-	_, err = l.Acquire(context.Background(), ClassJobs)
+	_, err = l.Acquire(context.Background(), ClassCharacterize)
 	var oe *Error
 	if !errors.As(err, &oe) || oe.Reason != "queue_full" {
 		t.Fatalf("full-queue acquire: got %v, want overloaded queue_full", err)
 	}
 	hold()
 	if err := <-queued; err != nil {
-		t.Fatalf("queued job after release: %v", err)
+		t.Fatalf("queued characterize after release: %v", err)
+	}
+}
+
+// TestLimiterNeverShedsJobs: a ClassJobs waiter outlives the queue
+// timeout and a full queue, is never evicted by a higher class, and is
+// admitted once the slot frees, while the interactive waiters around it
+// are still shed.
+func TestLimiterNeverShedsJobs(t *testing.T) {
+	expired := make(chan time.Time) // closing it fires every queue timeout
+	l := NewLimiter(LimiterConfig{
+		Limit:        1,
+		QueueTimeout: time.Millisecond,
+		MaxQueue:     1,
+		After:        func(time.Duration) <-chan time.Time { return expired },
+	})
+	hold, err := l.Acquire(context.Background(), ClassMitigate)
+	if err != nil {
+		t.Fatalf("holder acquire: %v", err)
+	}
+
+	// Two job waiters: the second finds the one-waiter queue full.
+	jobErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			release, err := l.Acquire(context.Background(), ClassJobs)
+			if err == nil {
+				release()
+			}
+			jobErr <- err
+		}()
+	}
+	waitQueued(t, l, 2)
+
+	// Interactive waiters are still bounded and shed: a mitigate waiter
+	// fills the queue, and a characterize arrival evicts it, not a job.
+	mitigateErr := make(chan error, 1)
+	go func() {
+		_, err := l.Acquire(context.Background(), ClassMitigate)
+		mitigateErr <- err
+	}()
+	waitQueued(t, l, 3)
+	charErr := make(chan error, 1)
+	go func() {
+		_, err := l.Acquire(context.Background(), ClassCharacterize)
+		charErr <- err
+	}()
+	var oe *Error
+	if err := <-mitigateErr; !errors.As(err, &oe) || oe.Reason != "queue_full" {
+		t.Fatalf("mitigate waiter: got %v, want evicted with queue_full", err)
+	}
+	waitQueued(t, l, 3)
+
+	// Every queue timeout fires: the characterize waiter is shed, the
+	// job waiters keep waiting.
+	close(expired)
+	if err := <-charErr; !errors.As(err, &oe) || oe.Reason != "queue_timeout" {
+		t.Fatalf("characterize waiter: got %v, want queue_timeout", err)
+	}
+	s := l.Stats()
+	if s.Queued != 2 || s.Shed[ClassJobs] != 0 || s.Timeouts[ClassJobs] != 0 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v, want both jobs still queued and none shed", s)
+	}
+
+	hold()
+	for i := 0; i < 2; i++ {
+		if err := <-jobErr; err != nil {
+			t.Fatalf("job waiter after the slot freed: %v", err)
+		}
+	}
+	if s := l.Stats(); s.Admitted[ClassJobs] != 2 || s.Inflight != 0 {
+		t.Fatalf("stats = %+v, want both jobs admitted and the slot free", s)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package overload is the admission-control layer for biasmitd: a
 // fixed-limit priority admission gate (per-class FIFO queues admitted
 // highest class first, with an optional CoDel-style queue timeout and a
-// bounded queue that shed lowest class first) and deadline propagation
-// over the wire.
+// bounded queue that shed interactive requests lowest class first, and
+// never shed async job executions) and deadline propagation over the
+// wire.
 //
 // The package depends only on the standard library so that server and
 // client can both import it without cycles. The gate is safe for
@@ -16,15 +17,16 @@ import (
 )
 
 // Class is the admission priority of a request. Freed slots go to the
-// highest class first, and shedding order is the inverse of the numeric
-// order: ClassJobs is shed first (async work can
-// wait in the durable queue), ClassCharacterize is shed last
+// highest class first. Shedding applies to the interactive classes,
+// lowest first: ClassMitigate before ClassCharacterize
 // (characterization runs are the expensive investment that every later
 // mitigation amortizes, so dropping one wastes the most).
 type Class int
 
 const (
-	// ClassJobs is asynchronous job execution — shed first.
+	// ClassJobs is asynchronous job execution: admitted after every
+	// interactive request, and never shed — no queue timeout, no full
+	// queue refusal, no eviction. Its callers already chose to wait.
 	ClassJobs Class = iota
 	// ClassMitigate is interactive mitigation traffic.
 	ClassMitigate

@@ -109,39 +109,6 @@ func LoadProfile(r io.Reader) (ProfileRecord, error) {
 	return rec, nil
 }
 
-// RBMSMeta annotates a saved profile with its provenance.
-type RBMSMeta struct {
-	Machine string
-	Layout  []int
-	Method  string // "brute", "esct", "awct", …
-}
-
-// SaveRBMS writes a learned measurement-strength profile. It is a thin
-// wrapper over SaveProfile kept for callers that carry the RBMS and its
-// provenance separately.
-func SaveRBMS(w io.Writer, r core.RBMS, meta RBMSMeta) error {
-	return SaveProfile(w, ProfileRecord{
-		Machine:  meta.Machine,
-		Layout:   meta.Layout,
-		Method:   meta.Method,
-		Width:    r.Width,
-		Strength: r.Strength,
-	})
-}
-
-// LoadRBMS reads a profile and its provenance.
-func LoadRBMS(r io.Reader) (core.RBMS, RBMSMeta, error) {
-	rec, err := LoadProfile(r)
-	if err != nil {
-		return core.RBMS{}, RBMSMeta{}, err
-	}
-	rbms, err := rec.RBMS()
-	if err != nil {
-		return core.RBMS{}, RBMSMeta{}, err
-	}
-	return rbms, RBMSMeta{Machine: rec.Machine, Layout: rec.Layout, Method: rec.Method}, nil
-}
-
 // ProfileSnapshot is a compacted image of a profile store: every live
 // record plus the journal sequence number of the last WAL entry the
 // image reflects. Recovery loads the snapshot, then replays only WAL

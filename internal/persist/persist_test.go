@@ -22,17 +22,21 @@ func TestRBMSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := RBMSMeta{Machine: "ibmqx4", Layout: []int{0, 1, 2, 3, 4}, Method: "brute"}
+	rec := ProfileRecord{Machine: "ibmqx4", Layout: []int{0, 1, 2, 3, 4}, Method: "brute", Width: orig.Width, Strength: orig.Strength}
 	var buf bytes.Buffer
-	if err := SaveRBMS(&buf, orig, meta); err != nil {
+	if err := SaveProfile(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	loaded, gotMeta, err := LoadRBMS(&buf)
+	got, err := LoadProfile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotMeta.Machine != meta.Machine || gotMeta.Method != meta.Method {
-		t.Errorf("meta = %+v", gotMeta)
+	if got.Machine != rec.Machine || got.Method != rec.Method {
+		t.Errorf("record = %+v", got)
+	}
+	loaded, err := got.RBMS()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if loaded.Width != 5 {
 		t.Fatalf("width = %d", loaded.Width)
@@ -58,10 +62,14 @@ func TestLoadedRBMSDrivesAIM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveRBMS(&buf, rbms, RBMSMeta{Machine: dev.Name, Method: "brute"}); err != nil {
+	if err := SaveProfile(&buf, ProfileRecord{Machine: dev.Name, Method: "brute", Width: rbms.Width, Strength: rbms.Strength}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadRBMS(&buf)
+	rec, err := LoadProfile(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := rec.RBMS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestKindMismatchRejected(t *testing.T) {
 	if err := SaveSnapshot(&buf, ProfileSnapshot{LastSeq: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadRBMS(&buf); err == nil {
+	if _, err := LoadProfile(&buf); err == nil {
 		t.Error("snapshot file loaded as RBMS")
 	}
 	buf.Reset()
@@ -114,7 +122,7 @@ func TestGarbageRejected(t *testing.T) {
 	if _, err := LoadSnapshot(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := LoadRBMS(strings.NewReader(`{"kind":"biasmit/rbms","version":1,"payload":{"width":3,"strength":[1]}}`)); err == nil {
+	if _, err := LoadProfile(strings.NewReader(`{"kind":"biasmit/rbms","version":1,"payload":{"width":3,"strength":[1]}}`)); err == nil {
 		t.Error("inconsistent RBMS accepted")
 	}
 }

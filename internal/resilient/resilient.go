@@ -1,7 +1,10 @@
 // Package resilient executes backend runs on unreliable machines: it
 // retries transient failures with exponential backoff and full jitter,
 // fails fast on permanent errors (see IsTransient), and sheds load
-// through a per-machine circuit breaker.
+// through a per-machine circuit breaker. biasmitd's per-machine
+// executors are the only place a failed run is retried; the offline
+// CLIs call the backend directly, and nothing above the executor (the
+// job queue, the client) retries again.
 //
 // # Retries and determinism
 //
@@ -18,7 +21,6 @@ package resilient
 import (
 	"context"
 	"errors"
-	"flag"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -35,13 +37,9 @@ import (
 type Policy struct {
 	// MaxAttempts bounds how many times a run is executed before the
 	// last transient error is surfaced (default 4; 1 disables retries).
+	// The delay before attempt k (k ≥ 2) is uniform in
+	// (0, min(maxDelay, baseDelay·2^(k-2))] — "full jitter".
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff: the delay before attempt
-	// k (k ≥ 2) is uniform in (0, min(MaxDelay, BaseDelay·2^(k-2))] —
-	// "full jitter" (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
 	// Seed drives the backoff jitter. Jitter affects only timing, never
 	// results; a zero seed uses 1.
 	Seed int64
@@ -86,16 +84,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 }
 
-// Flags registers the CLI retry flag on fs and returns the policy it
-// fills in; pair with chaos.Flags to build the full -chaos-* execution
-// path. Retries only fire on failures and replay the run whole, so the
-// defaults keep results byte-identical to an unretried backend.
-func Flags(fs *flag.FlagSet) *Policy {
-	p := &Policy{}
-	fs.IntVar(&p.MaxAttempts, "retry-attempts", 4,
-		"execution attempts per backend run before the transient error surfaces (1 disables retries)")
-	return p
-}
+// The full-jitter backoff starts at baseDelay and doubles per retry up
+// to maxDelay.
+const (
+	baseDelay = 50 * time.Millisecond
+	maxDelay  = 2 * time.Second
+)
 
 // Executor is a retrying backend.Runner. Construct with New; safe for
 // concurrent use (core fans SIM/AIM groups out over one shared
@@ -112,12 +106,6 @@ type Executor struct {
 func New(run backend.Runner, p Policy) *Executor {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -145,9 +133,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // backoff returns the full-jitter delay before the given retry (attempt
 // numbering starts at 1; the first retry is attempt 2).
 func (e *Executor) backoff(attempt int) time.Duration {
-	max := e.policy.BaseDelay << uint(attempt-2)
-	if max <= 0 || max > e.policy.MaxDelay {
-		max = e.policy.MaxDelay
+	max := baseDelay << uint(attempt-2)
+	if max <= 0 || max > maxDelay {
+		max = maxDelay
 	}
 	e.mu.Lock()
 	d := time.Duration(e.rng.Int63n(int64(max))) + 1

@@ -145,11 +145,11 @@ func TestSingleSliceKeepsCallerSeed(t *testing.T) {
 func TestBackoffBounds(t *testing.T) {
 	ex := New(func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
 		return nil, nil
-	}, Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond})
+	}, Policy{})
 	for attempt := 2; attempt <= 12; attempt++ {
-		cap := time.Duration(10*time.Millisecond) << uint(attempt-2)
-		if cap > 80*time.Millisecond || cap <= 0 {
-			cap = 80 * time.Millisecond
+		cap := time.Duration(50*time.Millisecond) << uint(attempt-2)
+		if cap > 2*time.Second || cap <= 0 {
+			cap = 2 * time.Second
 		}
 		for i := 0; i < 50; i++ {
 			d := ex.backoff(attempt)

@@ -113,10 +113,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := jobs.Spec{
-		Type:        req.Type,
-		Tenant:      tenantKey(r),
-		Priority:    req.Priority,
-		MaxAttempts: req.MaxAttempts,
+		Type:     req.Type,
+		Tenant:   tenantKey(r),
+		Priority: req.Priority,
 		// The submission's trace ID rides into the persisted spec: the
 		// job's executions — including a re-run after crash recovery —
 		// continue the trace the submitter saw in the 202 envelope.
@@ -162,9 +161,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // starts at submission: its queue_wait span runs from 0 to dispatch,
 // and its elapsed time covers the job's wait as well as its run.
 func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, *jobs.Failure) {
-	// Async work is the first class shed under overload: its callers
-	// already chose to wait, so an admission retry later beats competing
-	// with interactive requests now.
+	// Async work is admitted after every interactive request and is
+	// never shed: its callers already chose to wait, and the worker slot
+	// the scheduler holds for it bounds how many jobs wait at the gate.
 	ctx = overload.WithClass(ctx, overload.ClassJobs)
 	start, dispatched := j.SubmittedAt, s.cfg.Now()
 	if start.After(dispatched) {
@@ -251,19 +250,11 @@ func (s *Server) runJob(ctx context.Context, j jobs.Job) (json.RawMessage, *jobs
 	return raw, nil
 }
 
-// jobFailure maps an execution error onto the job's terminal failure,
-// marking the transient classes (upstream faults, open breakers)
-// retryable so the scheduler can requeue within the job's attempt
-// budget — with the breaker's cooldown as the retry delay.
+// jobFailure maps an execution error onto the job's terminal failure:
+// the code, message and status its synchronous twin would answer.
 func jobFailure(err error) *jobs.Failure {
 	ae := toAPIError(err)
-	f := &jobs.Failure{Code: ae.Code, Message: ae.Message, Status: ae.Status}
-	switch ae.Code {
-	case api.CodeUpstreamTransient, api.CodeBreakerOpen, api.CodeOverloaded:
-		f.Retryable = true
-		f.RetryAfterMS = ae.RetryAfter.Milliseconds()
-	}
-	return f
+	return &jobs.Failure{Code: ae.Code, Message: ae.Message, Status: ae.Status}
 }
 
 // handleJobList lists jobs in submission (ULID) order, one page at a

@@ -303,6 +303,53 @@ func TestJobSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestJobSubmitRejectsMaxAttempts: a job has no attempt budget of its
+// own (the executor retries each backend run), so a submission that
+// still carries max_attempts is an unknown field, a 400.
+func TestJobSubmitRejectsMaxAttempts(t *testing.T) {
+	_, ts := jobsTestServer(t, 0)
+	body := `{"type":"mitigate","max_attempts":3,"mitigate":{"machine":"ibmqx4","policy":"baseline","benchmark":"bv-4A","shots":100}}`
+	resp, data := doRequest(t, http.MethodPost, ts.URL+"/v1/jobs", body, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+	}
+	if ae := decodeError(t, data); ae.Code != api.CodeBadRequest {
+		t.Fatalf("code %q, want %q", ae.Code, api.CodeBadRequest)
+	}
+}
+
+// TestAWCTBelowItsWindowIsBadRequest: AWCT characterizes awctWindow-qubit
+// windows, so a forced AWCT on a narrower register is a 400 bad_request
+// on both sync routes and at job submission, not a 500 from the run.
+func TestAWCTBelowItsWindowIsBadRequest(t *testing.T) {
+	_, ts := jobsTestServer(t, 0)
+	check := func(name string, resp *http.Response, data []byte) {
+		t.Helper()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", name, resp.StatusCode, data)
+		}
+		if ae := decodeError(t, data); ae.Code != api.CodeBadRequest {
+			t.Fatalf("%s: code %q, want %q", name, ae.Code, api.CodeBadRequest)
+		}
+	}
+	char := &api.CharacterizeRequest{Machine: "ibmqx2", Method: "awct", Qubits: awctWindow - 1}
+	aim := &api.MitigateRequest{Machine: "ibmqx2", Policy: "aim", Benchmark: "bv:01", Shots: 600, ProfileMethod: "awct"}
+	resp, data := postJSON(t, ts.URL+"/v1/characterize", char)
+	check("characterize", resp, data)
+	resp, data = postJSON(t, ts.URL+"/v1/mitigate", aim)
+	check("aim mitigate", resp, data)
+	resp, data = postJob(t, ts.URL, "", &api.JobSubmitRequest{Type: api.JobTypeCharacterize, Characterize: char})
+	check("characterize job", resp, data)
+	resp, data = postJob(t, ts.URL, "", &api.JobSubmitRequest{Type: api.JobTypeMitigate, Mitigate: aim})
+	check("aim mitigate job", resp, data)
+
+	// One window wide is enough.
+	char.Qubits = awctWindow
+	if resp, data := postJSON(t, ts.URL+"/v1/characterize", char); resp.StatusCode != http.StatusOK {
+		t.Fatalf("characterize at the window width: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 func TestJobIDValidationAndNotFound(t *testing.T) {
 	_, ts := jobsTestServer(t, 0)
 	resp, data := getBody(t, ts.URL+"/v1/jobs/not-a-job-id")
@@ -380,12 +427,12 @@ func TestStalledJobsEndAtDeadline(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	mitigate := func(policy string) *api.JobSubmitRequest {
-		return &api.JobSubmitRequest{Type: api.JobTypeMitigate, MaxAttempts: 1, Mitigate: &api.MitigateRequest{
+		return &api.JobSubmitRequest{Type: api.JobTypeMitigate, Mitigate: &api.MitigateRequest{
 			Machine: "ibmqx4", Policy: policy, Benchmark: "bv-4A", Shots: 512, Seed: 3,
 		}}
 	}
 	characterize := func(method string) *api.JobSubmitRequest {
-		return &api.JobSubmitRequest{Type: api.JobTypeCharacterize, MaxAttempts: 1, Characterize: &api.CharacterizeRequest{
+		return &api.JobSubmitRequest{Type: api.JobTypeCharacterize, Characterize: &api.CharacterizeRequest{
 			Machine: "ibmqx2", Method: method, Force: true,
 		}}
 	}

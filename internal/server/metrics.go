@@ -200,7 +200,6 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	}
 	counter(w, "biasmitd_jobs_submitted_total", "Async job submissions accepted.", jobStats.Submitted)
 	counter(w, "biasmitd_jobs_throttled_total", "Async job submissions rejected by a tenant quota.", jobStats.Throttled)
-	counter(w, "biasmitd_job_retries_total", "Jobs requeued after a retryable failure.", jobStats.Retries)
 	counter(w, "biasmitd_job_drain_requeues_total", "Running jobs checkpointed back to queued by a drain deadline.", jobStats.DrainRequeues)
 	counter(w, "biasmitd_job_journal_errors_total", "Job journal appends that failed (the queue kept going).", jobStats.JournalErrors)
 	gauge(w, "biasmitd_jobs_recovered", "Live jobs reconstructed from the journal at the last boot.", int64(jobStats.RecoveredJobs))

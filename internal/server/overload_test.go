@@ -274,6 +274,58 @@ func TestAdmissionGateWaitsHighestClassFirst(t *testing.T) {
 	}
 }
 
+// TestJobOutlivesQueueTimeout: with the gate shedding (a 5ms queue
+// timeout) and its one slot held by a parked sync run for 200ms, a job
+// submitted with no retry field waits at the gate instead of being
+// shed, and ends done on its first attempt once the slot frees.
+func TestJobOutlivesQueueTimeout(t *testing.T) {
+	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
+	entered := blocker.entered
+	cfg := Config{
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		QueueTimeout: 5 * time.Millisecond,
+	}
+	cfg.wrapRun = blocker.wrap
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var once sync.Once
+	release := func() { once.Do(func() { close(blocker.release) }) }
+	t.Cleanup(release)
+
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 128, Seed: 3}
+	syncStatus := make(chan int, 1)
+	go func() {
+		raw, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/mitigate", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Errorf("sync mitigate: %v", err)
+			syncStatus <- 0
+			return
+		}
+		resp.Body.Close()
+		syncStatus <- resp.StatusCode
+	}()
+	<-entered // the slot-holder is inside the backend, parked
+
+	jobReq := req
+	jobReq.Seed = 4
+	job := submitJob(t, ts.URL, "", &api.JobSubmitRequest{Type: api.JobTypeMitigate, Mitigate: &jobReq})
+	waitGateQueued(t, s, 1)            // the job's execution waits at the gate
+	time.Sleep(200 * time.Millisecond) // forty queue timeouts
+	release()
+	if status := <-syncStatus; status != http.StatusOK {
+		t.Fatalf("parked sync mitigate: status %d, want 200", status)
+	}
+	got := waitJob(t, ts.URL, job.Job.ID).Job
+	if got.State != api.JobStateDone || got.Attempts != 1 {
+		t.Fatalf("job %s on attempt %d (error %+v), want done on attempt 1", got.State, got.Attempts, got.Error)
+	}
+	if st := s.limiter.Stats(); st.Shed[overload.ClassJobs] != 0 || st.Timeouts[overload.ClassJobs] != 0 {
+		t.Fatalf("limiter stats %+v shed a job execution", st)
+	}
+}
+
 // waitGateQueued polls until the admission gate holds n waiters.
 func waitGateQueued(t *testing.T, s *Server, n int) {
 	t.Helper()

@@ -35,6 +35,13 @@ const (
 	defaultTopOutcomes = 10
 )
 
+// Every AWCT characterization the server runs uses these windows, so a
+// register narrower than awctWindow cannot be characterized by AWCT.
+const (
+	awctWindow  = 4
+	awctOverlap = 2
+)
+
 // mitigatePlan is a validated mitigate request with every default
 // applied: the one normalization of the request that execution reads
 // and the result cache hashes. Its JSON is the cache key, so it carries
@@ -160,7 +167,8 @@ func resolveBenchmark(req *api.MitigateRequest) (kernels.Benchmark, error) {
 }
 
 // resolveProfileMethod applies the paper's size rule when the request
-// does not force a method: brute force up to 5 qubits, AWCT beyond.
+// does not force a method: brute force up to 5 qubits, AWCT beyond. A
+// forced AWCT needs a register at least one window wide.
 func resolveProfileMethod(method string, width int) (string, error) {
 	switch method {
 	case "", "auto":
@@ -168,7 +176,13 @@ func resolveProfileMethod(method string, width int) (string, error) {
 			return "brute", nil
 		}
 		return "awct", nil
-	case "brute", "esct", "awct":
+	case "awct":
+		if width < awctWindow {
+			return "", apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
+				"awct characterizes %d-qubit windows, so it needs at least %d qubits, not %d", awctWindow, awctWindow, width)
+		}
+		return method, nil
+	case "brute", "esct":
 		return method, nil
 	}
 	return "", apiErrorf(http.StatusBadRequest, api.CodeBadRequest,
@@ -270,8 +284,9 @@ func (s *Server) mitigateCached(ctx context.Context, p *mitigatePlan) (*api.Miti
 // reserves an execution slot through the priority gate: a request past
 // the MaxJobs running ones queues, and freed slots go to the highest
 // class first. Without a QueueTimeout it waits until a slot frees or
-// its deadline ends; with one it is shed, lowest class first, with a
-// typed overload error. done releases the slot and the deadline.
+// its deadline ends; with one an interactive request is shed, lowest
+// class first, with a typed overload error, and a job execution still
+// waits. done releases the slot and the deadline.
 func (s *Server) admit(ctx context.Context, timeoutMS int) (_ context.Context, done func(), err error) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
@@ -310,8 +325,8 @@ func newMachineExecs(cfg Config, runMetrics *resilient.Metrics) map[string]*mach
 			Cooldown:  cfg.BreakerCooldown,
 			Now:       cfg.Now,
 		})
-		// Backoff starts at resilient's 50ms default. This executor is
-		// the only retry limit on a run: every request-path run holds
+		// Backoff starts at 50ms. This executor is the only code that
+		// retries a backend run, sync or async: every run holds
 		// one of the MaxJobs admission slots while it retries, so
 		// retries lengthen a request but add no concurrency, and the
 		// breaker stops a machine whose runs keep failing.
@@ -592,7 +607,7 @@ func (s *Server) characterizeKey(ctx context.Context, key profilestore.Key) (*pr
 	case "esct":
 		rbms, err = prof.ESCTContext(ctx, s.cfg.ProfileShots, seed)
 	case "awct":
-		rbms, err = prof.AWCTContext(ctx, 4, 2, s.cfg.ProfileShots, seed)
+		rbms, err = prof.AWCTContext(ctx, awctWindow, awctOverlap, s.cfg.ProfileShots, seed)
 	default:
 		return nil, apiErrorf(http.StatusBadRequest, api.CodeBadRequest, "unknown characterization method %q", key.Method)
 	}

@@ -78,11 +78,13 @@ type Config struct {
 	// per-key seed is derived from it so profiles are reproducible.
 	Seed int64
 	// Chaos injects faults into every backend execution on every machine
-	// (tests and the CI chaos job); the zero Plan disables injection.
+	// (biasmitd's -chaos-* flags, and tests); the zero Plan disables
+	// injection.
 	Chaos chaos.Plan
 	// RetryAttempts bounds how many times each backend run is attempted
 	// before its transient error surfaces (default 4; 1 disables
-	// retries).
+	// retries). It is the only retry limit a run has: a failed request
+	// or job is not run again.
 	RetryAttempts int
 	// BreakerThreshold is how many consecutive failed runs open a
 	// machine's circuit breaker (default 5); BreakerCooldown is how long
@@ -106,7 +108,9 @@ type Config struct {
 	// until a slot frees or its deadline ends. Positive sheds it with a
 	// typed 503 overloaded + Retry-After once it has queued this long,
 	// CoDel style, or at once when the queue already holds
-	// maxAdmissionQueue requests and none of them ranks below it.
+	// maxAdmissionQueue requests and none of them ranks below it. An
+	// async job execution is never shed: it waits, admitted after every
+	// interactive request, until a slot frees or its deadline ends.
 	QueueTimeout time.Duration
 	// QueueHighWater, when positive, flips /healthz to 503 unavailable
 	// once more than this many async jobs sit queued — the backpressure
@@ -147,9 +151,10 @@ var machineNames = func() []string {
 	return names
 }()
 
-// maxAdmissionQueue bounds the admission queue when the gate sheds
-// (Config.QueueTimeout > 0); an arrival past it evicts a lower-class
-// waiter or is shed itself.
+// maxAdmissionQueue bounds the interactive admission queue when the
+// gate sheds (Config.QueueTimeout > 0); an arrival past it evicts a
+// lower-class waiter or is shed itself. Job executions do not count:
+// JobWorkers bounds them.
 const maxAdmissionQueue = 64
 
 func (c Config) withDefaults() Config {

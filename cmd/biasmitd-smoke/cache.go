@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -43,13 +41,7 @@ func replayCanon(out *api.MitigateResponse) (string, error) {
 //  4. check the cache counters tell the whole story, then SIGTERM and
 //     require a clean drain.
 func cacheScenario(ctx context.Context, bin, dir string) error {
-	if bin == "" || dir == "" {
-		return fmt.Errorf("the cache scenario needs -daemon and -data-dir (scratch space)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	d, err := startDaemon(ctx, bin, filepath.Join(dir, "cache.log"),
+	d, err := startScratchDaemon(ctx, "cache", bin, dir,
 		"-workers", "2",
 		"-profile-shots", "256",
 	)

@@ -1,16 +1,19 @@
 // Command biasmitd-smoke is the CI black-box prober for biasmitd,
 // replacing the curl+grep scripts that used to live in the workflow: it
-// drives a running daemon through the typed client (internal/client), so
-// the smoke test exercises the same wire contract (internal/api) that
-// real Go callers use, and a contract break fails to compile instead of
-// failing to grep.
+// boots the daemon binary named by -daemon and drives it through the
+// typed client (internal/client), so the smoke test exercises the same
+// wire contract (internal/api) that real Go callers use, and a contract
+// break fails to compile instead of failing to grep. Every scenario owns
+// its daemon: it boots a fresh one, logs it into its scratch directory,
+// and ends by stopping it with SIGTERM and requiring a clean drain.
 //
 // Seven scenarios, selected with -scenario:
 //
 //	serve    health, an AIM profile-cache miss, a result-cache replay of
 //	         the identical request, a reseeded profile-cache hit, a typed
 //	         over-budget rejection, and the /metrics counters that prove
-//	         it all happened.
+//	         it all happened. Owns the daemon (-daemon, -data-dir as
+//	         scratch), booted at its defaults, result cache included.
 //	cache    result-cache round-trip. Owns the daemon (-daemon,
 //	         -data-dir as scratch): an identical request pair must
 //	         replay byte-identical stored bytes (ElapsedMS included),
@@ -20,17 +23,17 @@
 //	breaker  two injected outages open the machine's breaker, the third
 //	         request is rejected up front with breaker_open + a
 //	         Retry-After cooldown, /healthz degrades honestly, and after
-//	         the cooldown the half-open probe recovers the machine.
-//	         Expects the daemon started with -chaos-fail-first 2
-//	         -retry-attempts 1 -breaker-threshold 2.
-//	recover  crash-recovery round-trip. Unlike the other two, this
-//	         scenario manages the daemon itself (-daemon, -data-dir): it
-//	         boots one, learns profiles, records an AIM run, SIGKILLs
-//	         the daemon mid-characterization, corrupts the WAL tail the
-//	         way a torn write would, restarts from the same -data-dir,
-//	         and asserts the profiles serve warm — original learned_at,
-//	         zero re-characterizations, byte-identical mitigation
-//	         output — before stopping the second daemon gracefully.
+//	         the cooldown the half-open probe recovers the machine. Owns
+//	         the daemon (-daemon, -data-dir as scratch), booted with
+//	         -chaos-fail-first 2 -retry-attempts 1 -breaker-threshold 2.
+//	recover  crash-recovery round-trip (-daemon, -data-dir): it boots a
+//	         daemon on -data-dir, learns profiles, records an AIM run,
+//	         SIGKILLs the daemon mid-characterization, corrupts the WAL
+//	         tail the way a torn write would, restarts from the same
+//	         -data-dir, and asserts the profiles serve warm — original
+//	         learned_at, zero re-characterizations, byte-identical
+//	         mitigation output — before stopping the second daemon
+//	         gracefully.
 //	overload admission-control round-trip. Owns the daemon (-daemon,
 //	         -data-dir as scratch): boots it with the shedding admission
 //	         gate and a gray-slow chaos backend, storms the mitigate
@@ -72,10 +75,9 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "daemon address (host:port or URL; serve/breaker scenarios)")
 	scenario := flag.String("scenario", "serve", "round-trip to run: serve, cache, breaker, recover, jobs, trace, or overload")
-	daemonBin := flag.String("daemon", "", "path to the biasmitd binary (recover scenario)")
-	dataDir := flag.String("data-dir", "", "durable store directory handed to the daemon (recover scenario)")
+	daemonBin := flag.String("daemon", "", "path to the biasmitd binary the scenario boots")
+	dataDir := flag.String("data-dir", "", "scratch directory the scenario logs its daemon into (every scenario but jobs); recover also boots the daemon on it as its -data-dir")
 	jobsDir := flag.String("jobs-dir", "", "durable job-queue directory handed to the daemon (jobs scenario)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	flag.Parse()
@@ -86,11 +88,11 @@ func main() {
 	var err error
 	switch *scenario {
 	case "serve":
-		err = serveScenario(ctx, client.New(*addr))
+		err = serveScenario(ctx, *daemonBin, *dataDir)
 	case "cache":
 		err = cacheScenario(ctx, *daemonBin, *dataDir)
 	case "breaker":
-		err = breakerScenario(ctx, client.New(*addr))
+		err = breakerScenario(ctx, *daemonBin, *dataDir)
 	case "recover":
 		err = recoverScenario(ctx, *daemonBin, *dataDir)
 	case "jobs":
@@ -109,9 +111,17 @@ func main() {
 	fmt.Fprintf(os.Stderr, "smoke: ok (%s)\n", *scenario)
 }
 
-// serveScenario is the happy-path round-trip of the CI serve job,
-// against a daemon running with its defaults — result cache included.
-func serveScenario(ctx context.Context, cl *client.Client) error {
+// serveScenario is the happy-path round-trip of the CI serve job. It
+// boots a fresh daemon at its defaults — result cache included — so the
+// /metrics counts it asserts are exact.
+func serveScenario(ctx context.Context, bin, dir string) error {
+	d, err := startScratchDaemon(ctx, "serve", bin, dir, "-workers", "2", "-profile-shots", "256")
+	if err != nil {
+		return err
+	}
+	defer d.kill()
+	cl := d.cl
+
 	h, err := cl.Healthz(ctx)
 	if err != nil {
 		return fmt.Errorf("healthz: %w", err)
@@ -176,7 +186,7 @@ func serveScenario(ctx context.Context, cl *client.Client) error {
 		return fmt.Errorf("over-budget run: code=%q status=%d, want bad_budget/400", ae.Code, ae.Status)
 	}
 
-	return expectMetrics(ctx, cl,
+	if err := expectMetrics(ctx, cl,
 		"biasmitd_profile_cache_misses_total 1",
 		"biasmitd_profile_cache_hits_total 1",
 		"biasmitd_result_cache_enabled 1",
@@ -184,11 +194,29 @@ func serveScenario(ctx context.Context, cl *client.Client) error {
 		"biasmitd_result_cache_misses_total 2",
 		`biasmitd_requests_total{route="/v1/mitigate",code="200"} 3`,
 		`biasmitd_requests_total{route="/v1/mitigate",code="400"} 1`,
-	)
+	); err != nil {
+		return err
+	}
+	return d.stopGracefully()
 }
 
 // breakerScenario is the fault-injection round-trip of the CI chaos job.
-func breakerScenario(ctx context.Context, cl *client.Client) error {
+// Its daemon fails its first two backend runs and opens a machine's
+// breaker after two failed runs, each attempted once.
+func breakerScenario(ctx context.Context, bin, dir string) error {
+	d, err := startScratchDaemon(ctx, "breaker", bin, dir,
+		"-workers", "2",
+		"-chaos-fail-first", "2",
+		"-retry-attempts", "1",
+		"-breaker-threshold", "2",
+		"-breaker-cooldown", "2s",
+	)
+	if err != nil {
+		return err
+	}
+	defer d.kill()
+	cl := d.cl
+
 	req := &api.MitigateRequest{
 		Machine: "ibmqx2", Policy: "baseline", Benchmark: "bv:01", Shots: 512, Seed: 1,
 	}
@@ -207,7 +235,7 @@ func breakerScenario(ctx context.Context, cl *client.Client) error {
 	}
 
 	// Open breaker: rejected up front, typed, with a cooldown.
-	_, err := cl.Mitigate(ctx, req)
+	_, err = cl.Mitigate(ctx, req)
 	var ae *api.Error
 	if !errors.As(err, &ae) {
 		return fmt.Errorf("open breaker: got %v (%T), want *api.Error", err, err)
@@ -250,12 +278,15 @@ func breakerScenario(ctx context.Context, cl *client.Client) error {
 		return fmt.Errorf("healthz status %q after recovery, want ok", h.Status)
 	}
 
-	return expectMetrics(ctx, cl,
+	if err := expectMetrics(ctx, cl,
 		"biasmitd_breaker_rejections_total 1",
 		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="open"} 1`,
 		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="closed"} 1`,
 		`biasmitd_breaker_state{machine="ibmqx2"} 0`,
-	)
+	); err != nil {
+		return err
+	}
+	return d.stopGracefully()
 }
 
 // expectMetrics scrapes /metrics and requires every line to be present.

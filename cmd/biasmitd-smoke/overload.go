@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,13 +68,7 @@ func (st *stormStats) record(resp *api.MitigateResponse, err error, waited time.
 //  4. check the gate counters on /metrics, then SIGTERM and require a
 //     clean drain.
 func overloadScenario(ctx context.Context, bin, dir string) error {
-	if bin == "" || dir == "" {
-		return fmt.Errorf("the overload scenario needs -daemon and -data-dir (scratch space)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	d, err := startDaemon(ctx, bin, filepath.Join(dir, "overload.log"),
+	d, err := startScratchDaemon(ctx, "overload", bin, dir,
 		// The post-storm probe below reuses the pre-warm request
 		// verbatim; a result-cache hit would replay the pre-storm bytes
 		// without running. This scenario measures admission control, so

@@ -16,9 +16,9 @@ import (
 	"biasmit/internal/persist"
 )
 
-// daemon is one biasmitd process the recover scenario owns: spawned
-// against a log file (stdout+stderr), addressed through the ephemeral
-// port parsed back out of that log.
+// daemon is one biasmitd process a scenario owns: spawned against a log
+// file (stdout+stderr), addressed through the ephemeral port parsed back
+// out of that log.
 type daemon struct {
 	cmd     *exec.Cmd
 	logPath string
@@ -48,6 +48,18 @@ func startDaemon(ctx context.Context, bin, logPath string, args ...string) (*dae
 		return nil, err
 	}
 	return &daemon{cmd: cmd, logPath: logPath, cl: client.New(addr)}, nil
+}
+
+// startScratchDaemon boots the one daemon a single-boot scenario owns,
+// logging to <dir>/<scenario>.log; dir is scratch space.
+func startScratchDaemon(ctx context.Context, scenario, bin, dir string, args ...string) (*daemon, error) {
+	if bin == "" || dir == "" {
+		return nil, fmt.Errorf("the %s scenario needs -daemon and -data-dir (scratch space)", scenario)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return startDaemon(ctx, bin, filepath.Join(dir, scenario+".log"), args...)
 }
 
 // awaitListening polls the daemon's structured log for the listen

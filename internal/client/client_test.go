@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"biasmit/internal/api"
 	"biasmit/internal/server"
@@ -22,7 +21,6 @@ func testDaemon(t *testing.T) *Client {
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 16,
-		ProfileTTL:   time.Hour,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

@@ -22,7 +22,6 @@ func jobsDaemon(t *testing.T, key string) *Client {
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 16,
-		ProfileTTL:   time.Hour,
 		JobWorkers:   2,
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -36,7 +36,7 @@ func durableStore(t *testing.T, d *DiskLog, clock *fakeClock, calls *atomic.Int6
 	return New(func(ctx context.Context, k Key) (*Profile, error) {
 		n := calls.Add(1)
 		return uniformProfile(k, float64(n)), nil
-	}, Options{TTL: time.Hour, Now: clock.now, Journal: d})
+	}, Options{Now: clock.now, Journal: d})
 }
 
 // TestDiskLogCrashRecovery is the core round trip: journaled puts and
@@ -51,7 +51,7 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 	s1 := durableStore(t, d1, clock, &calls)
 	keyA, keyB, keyC := testKey("qa", 3), testKey("qb", 2), testKey("qc", 1)
 	for _, k := range []Key{keyA, keyB, keyC} {
-		if _, _, err := s1.GetOrCharacterize(context.Background(), k); err != nil {
+		if _, _, err := s1.Serve(context.Background(), k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestDiskLogCrashRecovery(t *testing.T) {
 		t.Fatalf("Load = %d, want 2", n)
 	}
 	before := calls.Load()
-	p, cached, err := s2.GetOrCharacterize(context.Background(), keyA)
+	p, cached, err := s2.Serve(context.Background(), keyA)
 	if err != nil || !cached {
 		t.Fatalf("warm lookup: cached=%v err=%v", cached, err)
 	}

@@ -1,18 +1,19 @@
 // Package profilestore caches learned RBMS profiles between mitigation
-// runs, so a machine is characterized once per calibration cycle instead
-// of once per request — the reuse the paper explicitly validates (§6.1:
-// the bias ordering is stable across calibration cycles) and the reason
-// AIM's profiling cost amortizes.
+// runs, so a machine is characterized once instead of once per request
+// — the reuse the paper explicitly validates (§6.1: the bias ordering
+// is stable across calibration cycles) and the reason AIM's profiling
+// cost amortizes.
 //
 // The store is the serving layer's memory: profiles are keyed by
-// (machine, register width, characterization method), served while
-// younger than a TTL, and re-learned on demand. Concurrent requests for
-// the same missing profile are deduplicated singleflight-style — one
+// (machine, register width, characterization method) and learned on
+// demand. A key's profile changes only when something characterizes it
+// again: a forced characterization, an import, or the warm-restart
+// load; a profile never expires. Concurrent requests for the same
+// missing profile are deduplicated singleflight-style — one
 // internal/flight flight runs the characterization circuits, every
 // caller waits for its result on its own context — so a burst of AIM
 // requests after a restart triggers exactly one characterization per
-// key, and no caller's hang-up fails the others. A profile that outlives
-// its TTL is re-learned in-line by the next request for it.
+// key, and no caller's hang-up fails the others.
 //
 // Profiles are immutable once published: a re-characterization builds
 // the new profile off to the side and swaps the pointer under the store
@@ -54,6 +55,10 @@ type Profile struct {
 	Layout    []int // physical qubits the profile was learned on
 	Shots     int   // trials per state/window spent learning it
 	LearnedAt time.Time
+	// Gen is the key's generation this profile was published under,
+	// stamped by the store before any reader can see the profile. It is
+	// not part of the on-disk record.
+	Gen uint64
 }
 
 // CharacterizeFunc learns a fresh profile for key by running the actual
@@ -94,15 +99,8 @@ func FromRecord(rec persist.ProfileRecord) (*Profile, error) {
 	}, nil
 }
 
-// DefaultTTL is the freshness window when Options.TTL is zero — a
-// conservative stand-in for the device's calibration cycle.
-const DefaultTTL = 30 * time.Minute
-
 // Options configures a Store.
 type Options struct {
-	// TTL is how long a learned profile is served before it is
-	// considered stale (zero selects DefaultTTL).
-	TTL time.Duration
 	// Journal, when non-nil, records every published profile durably,
 	// before it becomes visible to readers (write-ahead). A journal
 	// error never fails the serving path — the in-memory store stays
@@ -114,17 +112,15 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Stats counts cache outcomes since the store was created. Hits, Misses
-// and Expired partition lookups; Joined counts callers deduplicated onto
-// an in-flight characterization.
+// Stats counts cache outcomes since the store was created. Hits and
+// Misses partition lookups; Joined counts callers deduplicated onto an
+// in-flight characterization.
 type Stats struct {
 	Hits               uint64
 	Misses             uint64
-	Expired            uint64
 	Joined             uint64
 	Characterizations  uint64
 	CharacterizeErrors uint64
-	DegradedServes     uint64
 	// JournalErrors counts journal writes that failed (the in-memory
 	// store kept serving).
 	JournalErrors uint64
@@ -134,7 +130,6 @@ type Stats struct {
 // Store is a concurrency-safe profile cache. Construct with New.
 type Store struct {
 	characterize CharacterizeFunc
-	ttl          time.Duration
 	journal      *DiskLog
 	now          func() time.Time
 	flights      flight.Group[Key, *Profile]
@@ -147,15 +142,11 @@ type Store struct {
 
 // New returns a store that learns missing profiles with characterize.
 func New(characterize CharacterizeFunc, opt Options) *Store {
-	if opt.TTL <= 0 {
-		opt.TTL = DefaultTTL
-	}
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
 	return &Store{
 		characterize: characterize,
-		ttl:          opt.TTL,
 		journal:      opt.Journal,
 		now:          opt.Now,
 		profiles:     make(map[Key]*Profile),
@@ -166,80 +157,37 @@ func New(characterize CharacterizeFunc, opt Options) *Store {
 // Age returns how old the profile is on the store's clock.
 func (s *Store) Age(p *Profile) time.Duration { return s.now().Sub(p.LearnedAt) }
 
-// Stale reports whether the profile has outlived the TTL.
-func (s *Store) Stale(p *Profile) bool { return s.Age(p) >= s.ttl }
-
-// Get returns the cached profile for key if one exists and is fresh,
-// without triggering characterization. Lookups are counted in Stats.
+// Get returns the cached profile for key if one exists, without
+// triggering characterization. Lookups are counted in Stats.
 func (s *Store) Get(key Key) (*Profile, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.profiles[key]
-	switch {
-	case p == nil:
+	if p == nil {
 		s.stats.Misses++
-		return nil, false
-	case s.now().Sub(p.LearnedAt) >= s.ttl:
-		s.stats.Expired++
 		return nil, false
 	}
 	s.stats.Hits++
 	return p, true
 }
 
-// GetOrCharacterize returns the cached profile for key, learning it
-// first if it is missing or stale. The second result reports whether the
-// profile came from cache. Concurrent callers for the same key share one
+// Serve returns the cached profile for key, learning it first if none
+// is cached. The second result reports whether the profile came from
+// cache. Concurrent callers for the same key share one
 // characterization, each waiting on its own ctx; a caller whose ctx
 // ends gets its ctx error while the characterization runs on for the
 // rest. A characterization failure is returned to every waiter and
 // nothing is cached.
-func (s *Store) GetOrCharacterize(ctx context.Context, key Key) (*Profile, bool, error) {
+func (s *Store) Serve(ctx context.Context, key Key) (*Profile, bool, error) {
 	s.mu.Lock()
-	if p := s.profiles[key]; p != nil && s.now().Sub(p.LearnedAt) < s.ttl {
+	if p := s.profiles[key]; p != nil {
 		s.stats.Hits++
 		s.mu.Unlock()
 		return p, true, nil
-	} else if p == nil {
-		s.stats.Misses++
-	} else {
-		s.stats.Expired++
 	}
+	s.stats.Misses++
 	p, err := s.characterizeLocked(ctx, key)
 	return p, false, err
-}
-
-// ServeResult reports how Serve satisfied a lookup.
-type ServeResult struct {
-	// Cached is true when the profile came from the cache rather than a
-	// characterization run on this call.
-	Cached bool
-	// Degraded is true when the served profile had outlived its TTL and
-	// re-characterization failed: stale data beats no data, but the
-	// caller must surface the degradation.
-	Degraded bool
-}
-
-// Serve is GetOrCharacterize with graceful degradation: when the
-// profile is missing-or-stale and re-learning it fails, a stale cached
-// profile (a failed re-learn keeps it) is served flagged Degraded
-// instead of erroring. Only a key with no profile at all surfaces the
-// characterization error.
-func (s *Store) Serve(ctx context.Context, key Key) (*Profile, ServeResult, error) {
-	p, cached, err := s.GetOrCharacterize(ctx, key)
-	if err == nil {
-		return p, ServeResult{Cached: cached}, nil
-	}
-	s.mu.Lock()
-	stale := s.profiles[key]
-	if stale != nil {
-		s.stats.DegradedServes++
-	}
-	s.mu.Unlock()
-	if stale != nil {
-		return stale, ServeResult{Cached: true, Degraded: true}, nil
-	}
-	return nil, ServeResult{}, err
 }
 
 // Characterize forces a fresh characterization for key regardless of
@@ -307,17 +255,19 @@ func (s *Store) settle(p *Profile, err error) (*Profile, error) {
 	return p, nil
 }
 
-// publishLocked installs p under its key and bumps the key's
-// generation: the one path every profile takes into the cache. Caller
-// holds s.mu.
+// publishLocked bumps p's key's generation, stamps it on p and
+// installs p under its key: the one path every profile takes into the
+// cache. p must not be visible to any reader yet. Caller holds s.mu.
 func (s *Store) publishLocked(p *Profile) {
-	s.profiles[p.Key] = p
 	s.gens[p.Key]++
+	p.Gen = s.gens[p.Key]
+	s.profiles[p.Key] = p
 }
 
 // Load seeds the store with already-durable profiles (crash recovery)
-// without journaling them again; a later profile for a key replaces an
-// earlier one. Returns how many profiles were installed.
+// without journaling them again, and takes ownership of them; a later
+// profile for a key replaces an earlier one. Returns how many profiles
+// were installed.
 func (s *Store) Load(profiles []*Profile) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,11 +311,12 @@ func (s *Store) Import(p *Profile) error {
 
 // Generation returns the profile generation of key: a monotonic
 // counter bumped every time a profile is published under that key
-// (characterize, import, warm-restart load). Downstream result caches
-// record the generation a computation used and discard entries the
-// moment it moves — a re-characterized profile can never be paired
-// with results computed against its predecessor. Keys never published
-// report 0.
+// (characterize, import, warm-restart load), and the Gen of the key's
+// current profile. Downstream result caches store each result under
+// the Gen of the profile it consumed and discard the entry once the
+// key's generation moves past it — a re-characterized profile can
+// never be paired with results computed against its predecessor. Keys
+// never published report 0.
 func (s *Store) Generation(key Key) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

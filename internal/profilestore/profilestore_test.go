@@ -66,9 +66,9 @@ func TestGetOrCharacterizeCachesAndExpires(t *testing.T) {
 	s := New(func(ctx context.Context, k Key) (*Profile, error) {
 		n := calls.Add(1)
 		return uniformProfile(k, float64(n)), nil
-	}, Options{TTL: 10 * time.Minute, Now: clock.now})
+	}, Options{Now: clock.now})
 
-	p1, cached, err := s.GetOrCharacterize(context.Background(), key)
+	p1, cached, err := s.Serve(context.Background(), key)
 	if err != nil || cached {
 		t.Fatalf("first call: cached=%v err=%v, want miss", cached, err)
 	}
@@ -79,7 +79,7 @@ func TestGetOrCharacterizeCachesAndExpires(t *testing.T) {
 		t.Fatalf("LearnedAt %v, want store clock %v", p1.LearnedAt, clock.now())
 	}
 
-	p2, cached, err := s.GetOrCharacterize(context.Background(), key)
+	p2, cached, err := s.Serve(context.Background(), key)
 	if err != nil || !cached {
 		t.Fatalf("second call: cached=%v err=%v, want hit", cached, err)
 	}
@@ -90,26 +90,26 @@ func TestGetOrCharacterizeCachesAndExpires(t *testing.T) {
 		t.Fatalf("characterize ran %d times, want 1", got)
 	}
 
-	// Within TTL the profile stays fresh; past it the entry expires.
-	clock.advance(9 * time.Minute)
-	if _, cached, _ := s.GetOrCharacterize(context.Background(), key); !cached {
-		t.Fatal("profile expired before its TTL")
+	// A profile never expires: a day later it is still served from
+	// cache, and nothing re-learns it.
+	clock.advance(24 * time.Hour)
+	p3, cached, err := s.Serve(context.Background(), key)
+	if err != nil || !cached {
+		t.Fatalf("day-old call: cached=%v err=%v, want hit", cached, err)
 	}
-	clock.advance(2 * time.Minute)
-	p3, cached, err := s.GetOrCharacterize(context.Background(), key)
-	if err != nil || cached {
-		t.Fatalf("post-TTL call: cached=%v err=%v, want re-characterization", cached, err)
+	if p3 != p1 {
+		t.Fatal("day-old call served a different profile")
 	}
-	if p3 == p1 {
-		t.Fatal("expired entry served the old profile")
+	if got := s.Age(p3); got != 24*time.Hour {
+		t.Fatalf("age %v, want 24h", got)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("characterize ran %d times, want 2", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("characterize ran %d times, want 1", got)
 	}
 
 	st := s.StatsSnapshot()
-	if st.Hits != 2 || st.Misses != 1 || st.Expired != 1 || st.Characterizations != 2 {
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss / 1 expired / 2 characterizations", st)
+	if st.Hits != 2 || st.Misses != 1 || st.Characterizations != 1 {
+		t.Fatalf("stats = %+v, want 2 hits / 1 miss / 1 characterization", st)
 	}
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
@@ -125,13 +125,13 @@ func TestConcurrentGetOrCharacterizeDeduplicates(t *testing.T) {
 		calls.Add(1)
 		<-release // hold the leader until every other caller has joined
 		return uniformProfile(k, 7), nil
-	}, Options{TTL: time.Hour})
+	}, Options{})
 
 	results := make(chan *Profile, waiters)
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			p, cached, err := s.GetOrCharacterize(context.Background(), key)
+			p, cached, err := s.Serve(context.Background(), key)
 			if cached {
 				err = errors.New("burst call reported a cache hit")
 			}
@@ -181,9 +181,9 @@ func TestLeaderErrorPropagatesAndCachesNothing(t *testing.T) {
 			return nil, wantErr
 		}
 		return uniformProfile(k, 1), nil
-	}, Options{TTL: time.Hour})
+	}, Options{})
 
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); !errors.Is(err, wantErr) {
+	if _, _, err := s.Serve(context.Background(), key); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
 	if st := s.StatsSnapshot(); st.Entries != 0 || st.CharacterizeErrors != 1 {
@@ -191,7 +191,7 @@ func TestLeaderErrorPropagatesAndCachesNothing(t *testing.T) {
 	}
 	// The failure is not cached: the next call retries.
 	fail.Store(false)
-	if _, cached, err := s.GetOrCharacterize(context.Background(), key); err != nil || cached {
+	if _, cached, err := s.Serve(context.Background(), key); err != nil || cached {
 		t.Fatalf("retry after failure: cached=%v err=%v", cached, err)
 	}
 }
@@ -214,9 +214,9 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 			p.RBMS.Strength[i] = v
 		}
 		return p, nil
-	}, Options{TTL: time.Hour})
+	}, Options{})
 
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
+	if _, _, err := s.Serve(context.Background(), key); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +234,7 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 					return
 				default:
 				}
-				p, cached, err := s.GetOrCharacterize(context.Background(), key)
+				p, cached, err := s.Serve(context.Background(), key)
 				if err != nil {
 					readErrs <- err
 					return
@@ -273,45 +273,54 @@ func TestBackgroundRefreshServesOnlyCompleteProfiles(t *testing.T) {
 // TestGenerationTracksProfileChanges pins the contract downstream
 // result caches rely on: Generation(key) is 0 before any publication
 // and bumps on every event that publishes a profile under the key —
-// characterize, TTL re-characterize, import — so a result computed
-// against generation G can be recognized as stale the moment the
-// profile moves.
+// characterize, forced re-characterize, import — and each published
+// profile carries the generation it was published under, so a result
+// computed against generation G can be recognized as stale the moment
+// the profile moves.
 func TestGenerationTracksProfileChanges(t *testing.T) {
 	clock := newFakeClock()
 	var calls atomic.Int64
 	key := Key{Machine: "ibmqx4", Width: 3, Method: "brute"}
 	s := New(func(ctx context.Context, k Key) (*Profile, error) {
 		return uniformProfile(k, float64(calls.Add(1))), nil
-	}, Options{TTL: 10 * time.Minute, Now: clock.now})
+	}, Options{Now: clock.now})
 
 	if g := s.Generation(key); g != 0 {
 		t.Fatalf("virgin key generation %d, want 0", g)
 	}
 
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err != nil {
+	p1, _, err := s.Serve(context.Background(), key)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g1 := s.Generation(key)
 	if g1 == 0 {
 		t.Fatal("characterization did not bump the generation")
 	}
+	if p1.Gen != g1 {
+		t.Fatalf("published profile carries generation %d, want %d", p1.Gen, g1)
+	}
 
 	// A cache hit must NOT bump: generations track the profile, not use.
-	if _, cached, _ := s.GetOrCharacterize(context.Background(), key); !cached {
+	if _, cached, _ := s.Serve(context.Background(), key); !cached {
 		t.Fatal("expected a cache hit")
 	}
 	if g := s.Generation(key); g != g1 {
 		t.Fatalf("cache hit moved the generation %d -> %d", g1, g)
 	}
 
-	// TTL expiry forces a re-characterization: new profile, new gen.
+	// A forced re-characterization publishes a new profile: new gen.
 	clock.advance(11 * time.Minute)
-	if _, cached, _ := s.GetOrCharacterize(context.Background(), key); cached {
-		t.Fatal("expected a post-TTL re-characterization")
+	p2, err := s.Characterize(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
 	}
 	g2 := s.Generation(key)
-	if g2 <= g1 {
-		t.Fatalf("re-characterization generation %d, want > %d", g2, g1)
+	if g2 <= g1 || p2.Gen != g2 {
+		t.Fatalf("re-characterization generation %d (profile %d), want > %d", g2, p2.Gen, g1)
+	}
+	if p1.Gen != g1 {
+		t.Fatalf("re-characterization restamped the replaced profile: %d, want %d", p1.Gen, g1)
 	}
 
 	// Import is a publication too.
@@ -321,8 +330,12 @@ func TestGenerationTracksProfileChanges(t *testing.T) {
 	if err := s.Import(imp); err != nil {
 		t.Fatal(err)
 	}
-	if g := s.Generation(key); g <= g2 {
-		t.Fatalf("import generation %d, want > %d", g, g2)
+	g3 := s.Generation(key)
+	if g3 <= g2 {
+		t.Fatalf("import generation %d, want > %d", g3, g2)
+	}
+	if p, _ := s.Get(key); p.Gen != g3 {
+		t.Fatalf("imported profile carries generation %d, want %d", p.Gen, g3)
 	}
 
 	// Other keys are untouched by all of the above.
@@ -350,12 +363,12 @@ func TestWaiterSurvivesLeaderCancel(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}, Options{TTL: time.Hour})
+	}, Options{})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := s.GetOrCharacterize(leaderCtx, key)
+		_, _, err := s.Serve(leaderCtx, key)
 		leaderErr <- err
 	}()
 	<-started
@@ -365,7 +378,7 @@ func TestWaiterSurvivesLeaderCancel(t *testing.T) {
 	}
 	waiter := make(chan result, 1)
 	go func() {
-		p, _, err := s.GetOrCharacterize(context.Background(), key)
+		p, _, err := s.Serve(context.Background(), key)
 		waiter <- result{p, err}
 	}()
 	deadline := time.After(10 * time.Second)
@@ -387,7 +400,7 @@ func TestWaiterSurvivesLeaderCancel(t *testing.T) {
 		t.Fatalf("waiter with a live ctx got %v", res.err)
 	}
 	checkUniform(t, res.p)
-	if p, cached, err := s.GetOrCharacterize(context.Background(), key); err != nil || !cached || p != res.p {
+	if p, cached, err := s.Serve(context.Background(), key); err != nil || !cached || p != res.p {
 		t.Fatalf("after the flight: cached=%v err=%v, want the published profile", cached, err)
 	}
 	if n := calls.Load(); n != 1 {
@@ -406,15 +419,15 @@ func TestCharacterizePanicBecomesError(t *testing.T) {
 			panic("characterizer bug")
 		}
 		return uniformProfile(k, 1), nil
-	}, Options{TTL: time.Hour})
+	}, Options{})
 
-	if _, _, err := s.GetOrCharacterize(context.Background(), key); err == nil {
+	if _, _, err := s.Serve(context.Background(), key); err == nil {
 		t.Fatal("panicking characterization returned no error")
 	}
 	if st := s.StatsSnapshot(); st.CharacterizeErrors != 1 || st.Entries != 0 {
 		t.Fatalf("stats after panic = %+v, want 1 error and nothing cached", st)
 	}
-	p, cached, err := s.GetOrCharacterize(context.Background(), key)
+	p, cached, err := s.Serve(context.Background(), key)
 	if err != nil || cached || p == nil {
 		t.Fatalf("call after panic: cached=%v err=%v, want a fresh characterization", cached, err)
 	}

@@ -8,11 +8,11 @@
 // results safe to cache by content hash and to fan out to concurrent
 // identical requests, as long as two hazards are handled:
 //
-//   - Staleness: an AIM/SIM result computed against profile generation
-//     G must never be served after the profile store publishes
+//   - Staleness: an AIM result computed against profile generation G
+//     must never be served after the profile store publishes
 //     generation G+1 (a new profile for the key).
-//     Every entry therefore records the profile generation it was
-//     computed under, and lookups compare it against the caller's
+//     Every entry therefore records the profile generation its
+//     computation consumed, and lookups compare it against the caller's
 //     current generation — a mismatch deletes the entry and counts an
 //     invalidation.
 //
@@ -44,8 +44,8 @@ type Outcome int
 
 const (
 	// Miss: this call ran the computation (it was the singleflight
-	// leader). The result may or may not have been stored, per the
-	// compute closure's store flag.
+	// leader). A successful result was stored under the generation it
+	// consumed.
 	Miss Outcome = iota
 	// Hit: the result was served from a cached entry whose profile
 	// generation still matches; no computation ran.
@@ -88,16 +88,13 @@ type Computed struct {
 	// Value is the bytes to fan out to every waiter.
 	Value []byte
 	// Gen is the profile generation the computation actually consumed
-	// — the generation the entry is stored under. It may be newer
-	// than the generation the lookup saw when the computation itself
-	// (re)published the profile (an AIM request characterizing
-	// in-line); storing under the consumed generation keeps the entry
-	// valid instead of stillborn.
+	// — the generation the entry is stored under. It is newer than the
+	// generation the lookup saw when the profile was (re)published
+	// between the lookup and the computation's read of it, as when an
+	// AIM request characterizes in-line. An entry stored under a
+	// generation the profile has since moved past is dropped by the
+	// next lookup.
 	Gen uint64
-	// Store is false for results that are not pure functions of the
-	// request (stale-profile serving): the bytes fan out to every waiter
-	// but nothing is cached.
-	Store bool
 }
 
 // maxEntries bounds the number of stored results; the least recently
@@ -152,9 +149,9 @@ func New() *Cache {
 //
 // compute receives a detached context — canceling ctx abandons the
 // wait but not the shared computation. It reports back a Computed
-// (the bytes to fan out, the generation they were computed under, and
-// whether to store them) or an error. Errors fan out to every waiter
-// and are never cached; the next request retries.
+// (the bytes to fan out and store, and the generation they were
+// computed under) or an error. Errors fan out to every waiter and are
+// never cached; the next request retries.
 //
 // A cached entry whose generation differs from gen is deleted
 // (counted as an invalidation) and the lookup proceeds as a miss.
@@ -181,10 +178,9 @@ func (c *Cache) Do(ctx context.Context, key string, gen uint64, compute func(con
 	cl, joined := c.flights.Do(ctx, fk, compute, func(res Computed, err error) (Computed, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		switch {
-		case err != nil:
+		if err != nil {
 			c.errors++
-		case res.Store:
+		} else {
 			c.storeLocked(key, res.Gen, res.Value)
 		}
 		return res, err

@@ -19,7 +19,7 @@ func TestHitMiss(t *testing.T) {
 	var runs atomic.Int64
 	compute := func(context.Context) (Computed, error) {
 		runs.Add(1)
-		return Computed{Value: []byte("result"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("result"), Gen: 1}, nil
 	}
 
 	v, out, err := c.Do(ctx, "k", 1, compute)
@@ -47,7 +47,7 @@ func TestGenerationInvalidation(t *testing.T) {
 
 	mk := func(tag string, g uint64) func(context.Context) (Computed, error) {
 		return func(context.Context) (Computed, error) {
-			return Computed{Value: []byte(tag), Gen: g, Store: true}, nil
+			return Computed{Value: []byte(tag), Gen: g}, nil
 		}
 	}
 
@@ -87,7 +87,7 @@ func TestCoalescing(t *testing.T) {
 		runs.Add(1)
 		close(started)
 		<-release
-		return Computed{Value: []byte("shared"), Gen: 3, Store: true}, nil
+		return Computed{Value: []byte("shared"), Gen: 3}, nil
 	}
 
 	type res struct {
@@ -169,7 +169,7 @@ func TestWaiterCancelDoesNotCancelComputation(t *testing.T) {
 		if cctx.Err() != nil {
 			sawCancel.Store(true)
 		}
-		return Computed{Value: []byte("survived"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("survived"), Gen: 1}, nil
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -199,7 +199,7 @@ func TestWaiterCancelDoesNotCancelComputation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		v, out, err := c.Do(context.Background(), "k", 1, func(context.Context) (Computed, error) {
-			return Computed{Value: []byte("recomputed"), Gen: 1, Store: true}, nil
+			return Computed{Value: []byte("recomputed"), Gen: 1}, nil
 		})
 		if err != nil {
 			t.Fatalf("post-cancel Do: %v", err)
@@ -234,7 +234,7 @@ func TestErrorsNotCached(t *testing.T) {
 		t.Fatalf("failing Do = %v, %v; want boom, miss", out, err)
 	}
 	v, out, err := c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("ok"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("ok"), Gen: 1}, nil
 	})
 	if err != nil || out != Miss || string(v) != "ok" {
 		t.Fatalf("retry Do = %q, %v, %v; want ok, miss, nil", v, out, err)
@@ -260,30 +260,6 @@ func TestComputePanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestStoreFalseFansOutWithoutCaching: responses flagged store=false
-// (e.g. stale-profile serving) reach every waiter but are never cached.
-func TestStoreFalseFansOutWithoutCaching(t *testing.T) {
-	c := New()
-	ctx := context.Background()
-
-	v, out, err := c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("degraded"), Gen: 1, Store: false}, nil
-	})
-	if err != nil || out != Miss || string(v) != "degraded" {
-		t.Fatalf("store=false Do = %q, %v, %v", v, out, err)
-	}
-	// Nothing cached: the next call misses again.
-	_, out, _ = c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("fresh"), Gen: 1, Store: true}, nil
-	})
-	if out != Miss {
-		t.Fatalf("second Do outcome %v, want miss (store=false must not cache)", out)
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
-		t.Fatalf("stats %+v; want 2 misses and only the stored entry", st)
-	}
-}
-
 // TestLRUEviction: the entry bound holds, victims are least recently
 // used, and the byte gauge tracks exactly the stored payloads.
 func TestLRUEviction(t *testing.T) {
@@ -293,7 +269,7 @@ func TestLRUEviction(t *testing.T) {
 	put := func(key, val string) {
 		t.Helper()
 		_, _, err := c.Do(ctx, key, 1, func(context.Context) (Computed, error) {
-			return Computed{Value: []byte(val), Gen: 1, Store: true}, nil
+			return Computed{Value: []byte(val), Gen: 1}, nil
 		})
 		if err != nil {
 			t.Fatalf("put %s: %v", key, err)
@@ -317,9 +293,9 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatalf("%s outcome %v, want hit (should have survived eviction)", k, out)
 		}
 	}
-	// Probe b with store=false so the probe itself cannot evict.
+	// Probe b last: the probe stores b again and evicts another entry.
 	if _, out, _ := c.Do(ctx, "b", 1, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("bb"), Gen: 1, Store: false}, nil
+		return Computed{Value: []byte("bb"), Gen: 1}, nil
 	}); out != Miss {
 		t.Fatalf("b outcome %v, want miss (b was the LRU victim)", out)
 	}
@@ -338,7 +314,7 @@ func TestStoreUnderNewerGeneration(t *testing.T) {
 	var runs atomic.Int64
 	v, out, err := c.Do(ctx, "k", 0, func(context.Context) (Computed, error) {
 		runs.Add(1)
-		return Computed{Value: []byte("cold"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("cold"), Gen: 1}, nil
 	})
 	if err != nil || out != Miss || string(v) != "cold" {
 		t.Fatalf("cold Do = %q, %v, %v; want cold, miss, nil", v, out, err)
@@ -346,7 +322,7 @@ func TestStoreUnderNewerGeneration(t *testing.T) {
 	// The next caller sees the bumped generation and must hit.
 	v, out, err = c.Do(ctx, "k", 1, func(context.Context) (Computed, error) {
 		runs.Add(1)
-		return Computed{Value: []byte("warm"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("warm"), Gen: 1}, nil
 	})
 	if err != nil || out != Hit || string(v) != "cold" {
 		t.Fatalf("warm Do = %q, %v, %v; want cached cold bytes, hit, nil", v, out, err)
@@ -359,7 +335,7 @@ func TestStoreUnderNewerGeneration(t *testing.T) {
 	// hit; its recompute reports the current generation again, so the
 	// entry it stores does not clobber anything newer.
 	_, out, _ = c.Do(ctx, "k", 0, func(context.Context) (Computed, error) {
-		return Computed{Value: []byte("straggler"), Gen: 1, Store: true}, nil
+		return Computed{Value: []byte("straggler"), Gen: 1}, nil
 	})
 	if out != Miss {
 		t.Fatalf("straggler outcome %v, want miss (gen mismatch invalidates)", out)
@@ -395,7 +371,7 @@ func TestConcurrentHitMissInvalidate(t *testing.T) {
 				}
 				want := fmt.Sprintf("%s@%d", key, g)
 				v, _, err := c.Do(ctx, key, g, func(context.Context) (Computed, error) {
-					return Computed{Value: []byte(want), Gen: g, Store: true}, nil
+					return Computed{Value: []byte(want), Gen: g}, nil
 				})
 				if err != nil {
 					t.Errorf("Do(%s, %d): %v", key, g, err)
@@ -427,7 +403,7 @@ func TestConcurrentHitMissInvalidate(t *testing.T) {
 	g := gen.Load()
 	probe := func(g uint64) func(context.Context) (Computed, error) {
 		return func(context.Context) (Computed, error) {
-			return Computed{Value: []byte("probe"), Gen: g, Store: true}, nil
+			return Computed{Value: []byte("probe"), Gen: g}, nil
 		}
 	}
 	if _, out, _ := c.Do(ctx, "post-storm", g, probe(g)); out != Miss {

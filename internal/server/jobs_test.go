@@ -26,7 +26,6 @@ func jobsTestServer(t *testing.T, quota int) (*Server, *httptest.Server) {
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 20,
-		ProfileTTL:   time.Hour,
 		JobWorkers:   1,
 		JobQuota:     quota,
 	})
@@ -420,7 +419,7 @@ func TestStalledJobsEndAtDeadline(t *testing.T) {
 	// for the race detector on 2 vCPUs.
 	const slack = 250 * time.Millisecond
 	s := New(Config{
-		Workers: 2, MaxJobs: 2, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Workers: 2, MaxJobs: 2, ProfileShots: 64, MaxShots: 1 << 16,
 		JobWorkers: 2, MaxTimeout: maxTimeout, Chaos: chaos.Plan{StallRate: 1},
 	})
 	ts := httptest.NewServer(s.Handler())

@@ -141,11 +141,9 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 
 	counter(w, "biasmitd_profile_cache_hits_total", "Profile lookups served from a fresh cache entry.", cache.Hits)
 	counter(w, "biasmitd_profile_cache_misses_total", "Profile lookups with no cached entry.", cache.Misses)
-	counter(w, "biasmitd_profile_cache_expired_total", "Profile lookups whose cached entry had outlived its TTL.", cache.Expired)
 	counter(w, "biasmitd_profile_cache_joined_total", "Profile lookups deduplicated onto an in-flight characterization.", cache.Joined)
 	counter(w, "biasmitd_profile_characterizations_total", "Request-path characterizations completed.", cache.Characterizations)
 	counter(w, "biasmitd_profile_characterize_errors_total", "Request-path characterizations failed.", cache.CharacterizeErrors)
-	counter(w, "biasmitd_profile_degraded_serves_total", "Stale profiles served because re-characterization failed.", cache.DegradedServes)
 	counter(w, "biasmitd_profile_journal_errors_total", "Journal writes that failed (the in-memory cache kept serving).", cache.JournalErrors)
 	fmt.Fprintln(w, "# HELP biasmitd_profile_cache_entries Profiles currently cached.")
 	fmt.Fprintln(w, "# TYPE biasmitd_profile_cache_entries gauge")

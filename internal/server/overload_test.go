@@ -101,7 +101,7 @@ func TestAdaptiveLimiterShedsTyped503(t *testing.T) {
 	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
 	entered := blocker.entered
 	cfg := Config{
-		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16,
 		QueueTimeout: 5 * time.Millisecond,
 	}
 	cfg.wrapRun = blocker.wrap
@@ -158,7 +158,7 @@ func TestAdmissionGateWaitsHighestClassFirst(t *testing.T) {
 		mu    sync.Mutex
 		order []overload.Class // class of each admitted request, in run order
 	)
-	cfg := Config{Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour}
+	cfg := Config{Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16}
 	cfg.wrapRun = func(run backend.Runner) backend.Runner {
 		parked := blocker.wrap(run)
 		return func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
@@ -282,7 +282,7 @@ func TestJobOutlivesQueueTimeout(t *testing.T) {
 	blocker := &blockingRuns{release: make(chan struct{}), entered: make(chan struct{})}
 	entered := blocker.entered
 	cfg := Config{
-		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16,
 		QueueTimeout: 5 * time.Millisecond,
 	}
 	cfg.wrapRun = blocker.wrap
@@ -394,7 +394,7 @@ func TestJobSubmitPersistsDeadline(t *testing.T) {
 // 503 so balancers stop routing here, and the depth gauges are visible.
 func TestHealthzQueueHighWater(t *testing.T) {
 	s := New(Config{
-		Workers: 2, MaxJobs: 2, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Workers: 2, MaxJobs: 2, ProfileShots: 64, MaxShots: 1 << 16,
 		QueueHighWater: 1,
 	})
 	ts := httptest.NewServer(s.Handler())

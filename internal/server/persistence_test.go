@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"biasmit/internal/api"
 	"biasmit/internal/profilestore"
@@ -23,7 +22,6 @@ func durableServer(t *testing.T, dir string) (*Server, *httptest.Server, *profil
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 16,
-		ProfileTTL:   time.Hour,
 		Persist:      dlog,
 	})
 	ts := httptest.NewServer(s.Handler())

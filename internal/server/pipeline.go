@@ -199,14 +199,16 @@ func (s *Server) mitigate(ctx context.Context, req *api.MitigateRequest) (*api.M
 	if s.rescache != nil {
 		return s.mitigateCached(ctx, p)
 	}
-	return s.mitigateExec(ctx, p)
+	resp, _, err := s.mitigateExec(ctx, p)
+	return resp, err
 }
 
 // mitigateCached fronts mitigateExec with the result cache: the plan's
 // hash plus the AIM profile's generation addresses the stored bytes,
-// identical in-flight requests coalesce onto one execution, and
-// responses that are not pure functions of the request (stale-profile
-// serving) fan out without being stored.
+// and identical in-flight requests coalesce onto one execution. Every
+// result is stored under the generation of the profile its run
+// consumed, so a result whose profile was replaced mid-run is dropped
+// by the next lookup instead of replayed.
 // Cached bytes are the marshaled response exactly as first computed,
 // ElapsedMS included, so a hit is byte-identical to the original; only
 // the per-request envelope and the cache_hit/coalesced metadata differ.
@@ -224,38 +226,15 @@ func (s *Server) mitigateCached(ctx context.Context, p *mitigatePlan) (*api.Miti
 	}
 
 	compute := func(cctx context.Context) (rescache.Computed, error) {
-		resp, rerr := s.mitigateExec(cctx, p)
+		resp, used, rerr := s.mitigateExec(cctx, p)
 		if rerr != nil {
 			return rescache.Computed{}, rerr
-		}
-		// Only pure-function-of-the-request responses are stored:
-		// stale-profile serving depends on server state at execution
-		// time.
-		store := !resp.Degraded
-		storeGen := gen
-		if store && p.Policy == "aim" {
-			switch cur := s.store.Generation(p.profileKey()); {
-			case cur == gen:
-				// Warm path: the profile the lookup keyed on is the one
-				// the run consumed.
-			case resp.Profile != nil && !resp.Profile.Cached:
-				// The run characterized in-line, publishing the profile
-				// itself (cold start: generation 0 → 1). The bytes
-				// belong to the new generation; storing them there
-				// keeps the entry alive instead of stillborn.
-				storeGen = cur
-			default:
-				// Someone else republished the profile mid-run: the
-				// result was computed against the old profile and is
-				// stale under either generation.
-				store = false
-			}
 		}
 		data, merr := json.Marshal(resp)
 		if merr != nil {
 			return rescache.Computed{}, merr
 		}
-		return rescache.Computed{Value: data, Gen: storeGen, Store: store}, nil
+		return rescache.Computed{Value: data, Gen: used}, nil
 	}
 
 	data, outcome, err := s.rescache.Do(ctx, key, gen, compute)
@@ -310,14 +289,16 @@ type machineExec struct {
 }
 
 // newMachineExecs builds the retrying executor and circuit breaker of
-// every machine device.ByName resolves. Machines share the chaos plan,
-// retry policy and metrics, but each has its own breaker, so one
+// every machine device.ByName resolves. Machines share one fault
+// injector, whose schedule counts every run the daemon makes, and the
+// retry policy and metrics; each has its own breaker, so one
 // persistently failing machine sheds load without darkening the rest.
 func newMachineExecs(cfg Config, runMetrics *resilient.Metrics) map[string]*machineExec {
 	run := backend.RunContext
 	if cfg.wrapRun != nil {
 		run = cfg.wrapRun(run)
 	}
+	run = cfg.Chaos.Wrap(run)
 	execs := make(map[string]*machineExec, len(machineNames))
 	for _, name := range machineNames {
 		br := resilient.NewBreaker(resilient.BreakerOptions{
@@ -330,7 +311,7 @@ func newMachineExecs(cfg Config, runMetrics *resilient.Metrics) map[string]*mach
 		// one of the MaxJobs admission slots while it retries, so
 		// retries lengthen a request but add no concurrency, and the
 		// breaker stops a machine whose runs keep failing.
-		ex := resilient.New(cfg.Chaos.Wrap(run), resilient.Policy{
+		ex := resilient.New(run, resilient.Policy{
 			MaxAttempts: cfg.RetryAttempts,
 			Seed:        cfg.Seed,
 			Breaker:     br,
@@ -356,19 +337,19 @@ func (s *Server) machine(dev *device.Device) *core.Machine {
 
 // mitigateExec runs one plan through the pipeline: admission,
 // placement, sample, correct. It is the compute function behind the
-// result cache: the one nondeterministic thing about a response,
-// degraded profile serving, is visible on the returned struct, which
-// mitigateCached inspects to decide cacheability.
-func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.MitigateResponse, error) {
+// result cache, and also returns the generation of the profile the run
+// consumed (0 for baseline and SIM, which use none): the generation
+// the result is stored under.
+func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.MitigateResponse, uint64, error) {
 	ctx, done, err := s.admit(ctx, p.timeoutMS)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer done()
 
 	job, err := core.NewJob(p.bench.Circuit, s.machine(p.dev))
 	if err != nil {
-		return nil, asBadRequest(err)
+		return nil, 0, asBadRequest(err)
 	}
 
 	started := time.Now()
@@ -382,38 +363,42 @@ func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.Mitiga
 		Layout:       job.Plan.InitialLayout,
 		Swaps:        job.Plan.SwapCount,
 	}
-	var counts *dist.Counts
+	var (
+		counts *dist.Counts
+		gen    uint64
+	)
 	switch p.Policy {
 	case "baseline":
 		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		counts, err = job.BaselineContext(ctx, p.Shots, p.Seed)
 		ssp.End()
 		if err != nil {
-			return nil, toAPIError(err)
+			return nil, 0, toAPIError(err)
 		}
 	case "sim":
 		invs, serr := core.StandardInversionStrings(job.Width(), p.Modes)
 		if serr != nil {
-			return nil, asBadRequest(serr)
+			return nil, 0, asBadRequest(serr)
 		}
 		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		res, serr := core.SIMContext(ctx, job, invs, p.Shots, p.Seed)
 		ssp.End()
 		if serr != nil {
-			return nil, asBadRequest(serr)
+			return nil, 0, asBadRequest(serr)
 		}
 		counts = res.Merged
 	case "aim":
-		prof, serveRes, aerr := s.aimProfile(ctx, p)
+		prof, cached, aerr := s.aimProfile(ctx, p)
 		if aerr != nil {
-			return nil, aerr
+			return nil, 0, aerr
 		}
+		gen = prof.Gen
 		cfg := core.AIMConfig{CanaryFraction: p.Canary, K: p.K}
 		ssp := obs.StartSpan(ctx, "sample").Tag("policy", p.Policy)
 		res, serr := core.AIMContext(ctx, job, prof.RBMS, cfg, p.Shots, p.Seed)
 		ssp.End()
 		if serr != nil {
-			return nil, asBadRequest(serr)
+			return nil, 0, asBadRequest(serr)
 		}
 		counts = res.Merged
 		resp.Strongest = res.Strongest.String()
@@ -424,12 +409,7 @@ func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.Mitiga
 				Inversion:  c.Inversion.String(),
 			})
 		}
-		resp.Profile = &api.MitigateProfile{
-			ProfileInfo: s.profileInfo(prof),
-			Cached:      serveRes.Cached,
-			Degraded:    serveRes.Degraded,
-		}
-		resp.Degraded = serveRes.Degraded
+		resp.Profile = &api.MitigateProfile{ProfileInfo: s.profileInfo(prof), Cached: cached}
 	}
 
 	csp := obs.StartSpan(ctx, "correct")
@@ -447,7 +427,7 @@ func (s *Server) mitigateExec(ctx context.Context, p *mitigatePlan) (*api.Mitiga
 	}
 	csp.End()
 	resp.ElapsedMS = float64(time.Since(started).Microseconds()) / 1000
-	return resp, nil
+	return resp, gen, nil
 }
 
 // outcomeRows renders the plan's top outcomes of a run's histogram (d
@@ -467,35 +447,29 @@ func outcomeRows(p *mitigatePlan, counts *dist.Counts, d dist.Dist) ([]api.Outco
 	return rows, len(d.P)
 }
 
-// aimProfile resolves the RBMS profile an AIM plan needs: a fresh
-// cached profile when available, otherwise an in-line characterization,
+// aimProfile resolves the RBMS profile an AIM plan needs: the cached
+// profile when there is one, otherwise an in-line characterization,
 // unless the request insists on cache-only, which maps a miss onto the
-// profile_stale error. When re-characterization fails but a stale
-// profile survives, the stale one is served with Degraded set: the
-// paper's stability result (§6.1) makes an aged profile a better guide
-// than none.
-func (s *Server) aimProfile(ctx context.Context, p *mitigatePlan) (*profilestore.Profile, profilestore.ServeResult, error) {
+// profile_stale error. The second result reports a cache hit.
+func (s *Server) aimProfile(ctx context.Context, p *mitigatePlan) (*profilestore.Profile, bool, error) {
 	key := p.profileKey()
 	sp := obs.StartSpan(ctx, "characterize")
 	defer sp.End()
 	if p.Require {
 		prof, ok := s.store.Get(key)
 		if !ok {
-			return nil, profilestore.ServeResult{}, apiErrorf(http.StatusConflict, api.CodeProfileStale,
+			return nil, false, apiErrorf(http.StatusConflict, api.CodeProfileStale,
 				"no fresh %s profile cached for %s; POST /v1/characterize first or drop require_cached_profile", p.Method, key)
 		}
 		sp.Tag("cached", "true")
-		return prof, profilestore.ServeResult{Cached: true}, nil
+		return prof, true, nil
 	}
-	prof, res, err := s.store.Serve(ctx, key)
-	sp.Tag("cached", strconv.FormatBool(res.Cached))
-	if res.Degraded {
-		sp.Tag("degraded", "true")
-	}
+	prof, cached, err := s.store.Serve(ctx, key)
+	sp.Tag("cached", strconv.FormatBool(cached))
 	if err != nil {
-		return nil, res, toAPIError(err)
+		return nil, false, toAPIError(err)
 	}
-	return prof, res, nil
+	return prof, cached, nil
 }
 
 // validateCharacterize checks a characterization request and resolves
@@ -538,16 +512,16 @@ func (s *Server) characterize(ctx context.Context, req *api.CharacterizeRequest)
 
 	started := time.Now()
 	var (
-		p   *profilestore.Profile
-		res profilestore.ServeResult
+		p      *profilestore.Profile
+		cached bool
 	)
 	csp := obs.StartSpan(ctx, "characterize")
 	if req.Force {
 		p, err = s.store.Characterize(ctx, key)
 		csp.Tag("forced", "true")
 	} else {
-		p, res, err = s.store.Serve(ctx, key)
-		csp.Tag("cached", strconv.FormatBool(res.Cached))
+		p, cached, err = s.store.Serve(ctx, key)
+		csp.Tag("cached", strconv.FormatBool(cached))
 	}
 	csp.End()
 	if err != nil {
@@ -555,8 +529,7 @@ func (s *Server) characterize(ctx context.Context, req *api.CharacterizeRequest)
 	}
 	resp := &api.CharacterizeResponse{
 		Profile:   s.profileInfo(p),
-		Cached:    res.Cached,
-		Degraded:  res.Degraded,
+		Cached:    cached,
 		ElapsedMS: float64(time.Since(started).Microseconds()) / 1000,
 	}
 	if req.IncludeStrengths || p.Key.Width <= 8 {

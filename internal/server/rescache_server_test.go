@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/obs"
+	"biasmit/internal/profilestore"
 )
 
 // countingRuns counts backend executions, optionally holding each one
@@ -44,8 +46,7 @@ func (c *countingRuns) wrap(run backend.Runner) backend.Runner {
 func cachedServer(t *testing.T, counting *countingRuns) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		Workers: 2, MaxJobs: 4, ProfileShots: 64, MaxShots: 1 << 16,
-		ProfileTTL: time.Hour, ResultCache: true,
+		Workers: 2, MaxJobs: 4, ProfileShots: 64, MaxShots: 1 << 16, ResultCache: true,
 	}
 	if counting != nil {
 		cfg.wrapRun = counting.wrap
@@ -388,5 +389,107 @@ func TestResultCacheKeyEquivalences(t *testing.T) {
 		if out.CacheHit != tc.hit || out.Coalesced {
 			t.Fatalf("%s: cache_hit %v coalesced %v, want cache_hit %v", tc.name, out.CacheHit, out.Coalesced, tc.hit)
 		}
+	}
+}
+
+// TestResultCacheStoresUnderConsumedGeneration: a cold-start AIM run
+// publishes its profile in-line and samples against it. When a forced
+// re-characterization replaces that profile while the run is still
+// sampling, the run's result belongs to the replaced profile, so the
+// next identical request recomputes against the new one instead of
+// replaying the old bytes.
+func TestResultCacheStoresUnderConsumedGeneration(t *testing.T) {
+	clk := newFakeClock()
+	learnedAt := clk.now()
+	key := profilestore.Key{Machine: "ibmqx4", Width: 5, Method: "brute"}
+	var (
+		s       *Server
+		parking atomic.Bool
+	)
+	parked, release := make(chan struct{}), make(chan struct{})
+	cfg := Config{
+		Workers: 2, MaxJobs: 4, ProfileShots: 64, MaxShots: 1 << 16, ResultCache: true,
+		Now: clk.now,
+		// Park the first run after the in-line publish: the AIM run's
+		// first sampling run.
+		wrapRun: func(run backend.Runner) backend.Runner {
+			return func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
+				if s.store.Generation(key) == 1 && parking.CompareAndSwap(false, true) {
+					close(parked)
+					<-release
+				}
+				return run(ctx, c, dev, opt)
+			}
+		},
+	}
+	s = New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark) // runs before ts.Close, so a failed test cannot leave the run parked
+
+	req := &api.MitigateRequest{Machine: "ibmqx4", Policy: "aim", Benchmark: "bv-4A", Shots: 512, Seed: 7}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	cold := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/mitigate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			cold <- result{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		cold <- result{resp.StatusCode, raw, err}
+	}()
+	select {
+	case <-parked:
+	case r := <-cold:
+		t.Fatalf("cold AIM run ended without parking: %d %s %v", r.status, r.body, r.err)
+	}
+
+	clk.advance(time.Minute)
+	cresp, craw := postJSON(t, ts.URL+"/v1/characterize",
+		&api.CharacterizeRequest{Machine: key.Machine, Method: key.Method, Qubits: key.Width, Force: true})
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("forced characterize: %d %s", cresp.StatusCode, craw)
+	}
+	unpark()
+
+	first := <-cold
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	if first.status != http.StatusOK {
+		t.Fatalf("cold AIM run: %d %s", first.status, first.body)
+	}
+	var m1 api.MitigateResponse
+	if err := json.Unmarshal(first.body, &m1); err != nil {
+		t.Fatal(err)
+	}
+	if m1.Profile == nil || m1.Profile.Cached || !m1.Profile.LearnedAt.Equal(learnedAt) {
+		t.Fatalf("cold AIM run should use its in-line profile learned at %v: %s", learnedAt, first.body)
+	}
+
+	resp2, raw2 := postJSON(t, ts.URL+"/v1/mitigate", req)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("repeat request: %d %s", resp2.StatusCode, raw2)
+	}
+	var m2 api.MitigateResponse
+	if err := json.Unmarshal(raw2, &m2); err != nil {
+		t.Fatal(err)
+	}
+	if m2.CacheHit {
+		t.Fatalf("repeat request replayed the result of the replaced profile: %s", raw2)
+	}
+	if want := learnedAt.Add(time.Minute); m2.Profile == nil || !m2.Profile.LearnedAt.Equal(want) {
+		t.Fatalf("repeat request should run on the forced profile learned at %v: %s", want, raw2)
 	}
 }

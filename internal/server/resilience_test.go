@@ -15,6 +15,7 @@ import (
 
 	"biasmit/internal/api"
 	"biasmit/internal/backend"
+	"biasmit/internal/chaos"
 	"biasmit/internal/circuit"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
@@ -269,96 +270,102 @@ func TestHealthzUnavailableWhenEveryBreakerOpen(t *testing.T) {
 	}
 }
 
-func TestCharacterizeServesStaleProfileDegraded(t *testing.T) {
-	f := &faultySwitch{}
-	_, ts, clk := resilientServer(t, f, Config{
-		RetryAttempts:    1,
-		BreakerThreshold: 1000, // keep the breaker out of this test
-		ProfileShots:     64,
-		ProfileTTL:       time.Minute,
+// TestChaosFailFirstCountsEveryMachine: the fault plan's FailFirst
+// fails the daemon's first N runs, not each machine's: after two ibmqx4
+// runs fail, the next run, on ibmqx2, succeeds.
+func TestChaosFailFirstCountsEveryMachine(t *testing.T) {
+	_, ts, _ := resilientServer(t, &faultySwitch{}, Config{
+		Chaos:         chaos.Plan{FailFirst: 2},
+		RetryAttempts: 1,
 	})
-	req := api.CharacterizeRequest{Machine: "ibmqx2", Method: "brute", Qubits: 2}
-
-	resp, data := postJSON(t, ts.URL+"/v1/characterize", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	req := api.MitigateRequest{Machine: "ibmqx4", Policy: "baseline", Benchmark: "bv-4A", Shots: 256, Seed: 1}
+	for i := 1; i <= 2; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("ibmqx4 run %d: status %d, want 503: %s", i, resp.StatusCode, data)
+		}
+		if ae := decodeError(t, data); ae.Code != api.CodeUpstreamTransient {
+			t.Fatalf("ibmqx4 run %d: code %q, want %q", i, ae.Code, api.CodeUpstreamTransient)
+		}
 	}
-	var out api.CharacterizeResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Cached || out.Degraded {
-		t.Fatalf("first characterization cached=%v degraded=%v", out.Cached, out.Degraded)
-	}
-
-	// Past the TTL with the backend dark, the stale profile is served
-	// flagged degraded instead of erroring.
-	clk.advance(2 * time.Minute)
-	f.on.Store(true)
-	resp, data = postJSON(t, ts.URL+"/v1/characterize", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded serve status %d: %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded || !out.Cached {
-		t.Fatalf("degraded serve cached=%v degraded=%v: %s", out.Cached, out.Degraded, data)
-	}
-	if !out.Profile.Stale {
-		t.Fatal("the served profile should be marked stale")
-	}
-
-	_, mdata := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(string(mdata), "biasmitd_profile_degraded_serves_total 1") {
-		t.Fatalf("metrics missing degraded-serve counter:\n%s", mdata)
-	}
-
-	// /healthz reports the stale cache entry.
-	_, hdata := getBody(t, ts.URL+"/healthz")
-	var h api.HealthResponse
-	if err := json.Unmarshal(hdata, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "degraded" || h.ProfilesStale != 1 || h.ProfilesCached != 1 {
-		t.Fatalf("health %+v, want degraded with 1/1 profiles stale", h)
+	req.Machine, req.Benchmark = "ibmqx2", "bv:01"
+	if resp, data := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ibmqx2 run after the fault budget is spent: status %d, want 200: %s", resp.StatusCode, data)
 	}
 }
 
-func TestMitigateAIMDegradedProfile(t *testing.T) {
+// TestProfilesNeverExpire: a cached profile is learned again only when
+// a characterization forces it. Long after it was learned, with every
+// characterization run failing, an AIM request and a non-forced
+// characterize are both served the cached profile, undegraded, nothing
+// re-learns it, and /healthz reads ok.
+func TestProfilesNeverExpire(t *testing.T) {
 	// Fail only characterization-sized runs (the 257-shot sentinel), so
-	// the AIM run itself succeeds against a stale profile.
+	// the AIM run itself succeeds.
 	f := &faultySwitch{failShots: 257}
-	_, ts, clk := resilientServer(t, f, Config{
+	s, ts, clk := resilientServer(t, f, Config{
 		RetryAttempts:    1,
-		BreakerThreshold: 1000,
+		BreakerThreshold: 1000, // keep the breaker out of this test
 		ProfileShots:     257,
-		ProfileTTL:       time.Minute,
 	})
 	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "aim", Benchmark: "bv:01", Shots: 400, Seed: 5}
+	if resp, data := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold AIM run: status %d: %s", resp.StatusCode, data)
+	}
+	profs := s.store.Profiles()
+	if len(profs) != 1 {
+		t.Fatalf("%d profiles cached after the cold run, want 1", len(profs))
+	}
+	key := profs[0].Key
+	gen := s.store.Generation(key)
+	before := s.store.StatsSnapshot()
 
+	// Past the 30-minute TTL the store used to apply, with every
+	// characterization run failing.
+	clk.advance(31 * time.Minute)
+	f.on.Store(true)
+
+	req.Seed = 6
 	resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+		t.Fatalf("AIM run on the old profile: status %d: %s", resp.StatusCode, data)
 	}
 	var out api.MitigateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Degraded || out.Profile == nil || out.Profile.Degraded {
-		t.Fatalf("fresh AIM run should not be degraded: %s", data)
+	if out.Degraded || out.Profile == nil || !out.Profile.Cached || out.Profile.Degraded || out.Profile.Stale {
+		t.Fatalf("AIM run on the old profile: want a plain profile-cache hit: %s", data)
 	}
 
-	clk.advance(2 * time.Minute)
-	f.on.Store(true)
-	resp, data = postJSON(t, ts.URL+"/v1/mitigate", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded AIM status %d: %s", resp.StatusCode, data)
+	cresp, cdata := postJSON(t, ts.URL+"/v1/characterize",
+		api.CharacterizeRequest{Machine: key.Machine, Method: key.Method, Qubits: key.Width})
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("characterize: status %d: %s", cresp.StatusCode, cdata)
 	}
-	if err := json.Unmarshal(data, &out); err != nil {
+	var cout api.CharacterizeResponse
+	if err := json.Unmarshal(cdata, &cout); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Degraded || out.Profile == nil || !out.Profile.Degraded || !out.Profile.Cached {
-		t.Fatalf("degraded AIM response flags wrong: %s", data)
+	if !cout.Cached || cout.Degraded || cout.Profile.Stale {
+		t.Fatalf("characterize: want the cached profile, undegraded: %s", cdata)
+	}
+
+	if g := s.store.Generation(key); g != gen {
+		t.Fatalf("generation moved %d -> %d", gen, g)
+	}
+	after := s.store.StatsSnapshot()
+	if after.Characterizations != before.Characterizations || after.CharacterizeErrors != before.CharacterizeErrors {
+		t.Fatalf("characterizations %d -> %d, errors %d -> %d; want no re-learn",
+			before.Characterizations, after.Characterizations, before.CharacterizeErrors, after.CharacterizeErrors)
+	}
+
+	_, hdata := getBody(t, ts.URL+"/healthz")
+	var h api.HealthResponse
+	if err := json.Unmarshal(hdata, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != "ok" || h.ProfilesStale != 0 || h.ProfilesCached != 1 {
+		t.Fatalf("health %+v, want ok with 1 cached profile and none stale", h)
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	POST /v1/mitigate     run a benchmark under baseline/SIM/AIM
 //	POST /v1/characterize learn (or reuse) an RBMS profile
-//	GET  /v1/profiles     list cached profiles and their freshness
+//	GET  /v1/profiles     list cached profiles and their age
 //	GET  /healthz         liveness probe
 //	GET  /metrics         Prometheus text metrics
 //
@@ -65,9 +65,6 @@ type Config struct {
 	// ProfileShots is the characterization budget per basis state
 	// (brute) or per window (awct) or total (esct); default 2048.
 	ProfileShots int
-	// ProfileTTL is how long cached profiles stay fresh (default
-	// profilestore.DefaultTTL).
-	ProfileTTL time.Duration
 	// Persist, when non-nil, makes the profile store durable: every
 	// published profile is journaled through it (WAL + snapshots) and
 	// its recovered profiles are loaded into the store at construction,
@@ -249,14 +246,12 @@ func New(cfg Config) *Server {
 	}
 	s.limiter = overload.NewLimiter(gate)
 	s.store = profilestore.New(s.characterizeKey, profilestore.Options{
-		TTL:     cfg.ProfileTTL,
 		Journal: cfg.Persist,
 		Now:     cfg.Now,
 	})
 	if cfg.Persist != nil {
 		// Warm restart: profiles recovered from snapshot+WAL serve
-		// immediately, with their original LearnedAt (staleness carries
-		// across the restart — an old profile on disk is still old).
+		// immediately, with their original LearnedAt.
 		s.store.Load(profilestore.RecoveredProfiles(cfg.Persist))
 	}
 	s.jobq = jobs.NewQueue(jobs.Options{
@@ -506,7 +501,6 @@ func (s *Server) profileInfo(p *profilestore.Profile) api.ProfileInfo {
 		Shots:     p.Shots,
 		LearnedAt: p.LearnedAt.UTC(),
 		AgeMS:     s.store.Age(p).Milliseconds(),
-		Stale:     s.store.Stale(p),
 		Strongest: p.RBMS.StrongestState().String(),
 	}
 	if corr, err := p.RBMS.HammingCorrelation(); err == nil {
@@ -542,15 +536,16 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports honest readiness rather than bare liveness:
-// each machine's breaker state, plus how much of the profile cache has
-// gone stale. The status is "ok" with every breaker closed, "degraded"
-// while any breaker is open/half-open or any cached profile is stale,
-// and "unavailable" (with a 503, so load balancers stop routing here)
-// only when every machine's breaker is open.
+// each machine's breaker state, the cached profile count and the job
+// queue's depth. The status is "ok" with every breaker closed,
+// "degraded" while any breaker is open/half-open, and "unavailable"
+// (with a 503, so load balancers stop routing here) only when every
+// machine's breaker is open.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := &api.HealthResponse{
-		Status:   "ok",
-		UptimeMS: time.Since(s.start).Milliseconds(),
+		Status:         "ok",
+		UptimeMS:       time.Since(s.start).Milliseconds(),
+		ProfilesCached: s.store.StatsSnapshot().Entries,
 	}
 	open := 0
 	for _, name := range machineNames {
@@ -564,13 +559,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 		resp.Machines = append(resp.Machines, hm)
-	}
-	for _, p := range s.store.Profiles() {
-		resp.ProfilesCached++
-		if s.store.Stale(p) {
-			resp.ProfilesStale++
-			resp.Status = "degraded"
-		}
 	}
 	jst := s.jobq.Stats()
 	resp.JobsQueued = jst.Queued

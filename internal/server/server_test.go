@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"biasmit/internal/api"
 	"biasmit/internal/backend"
@@ -18,6 +18,7 @@ import (
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/obs"
+	"biasmit/internal/profilestore"
 )
 
 // testServer spins up the API over httptest with a budget small enough
@@ -29,7 +30,6 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 16,
-		ProfileTTL:   time.Hour,
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -295,7 +295,7 @@ func TestMitigateDeadlineExceeded(t *testing.T) {
 // trace is in /debug/traces.
 func TestPanickingHandlerEndsRequest(t *testing.T) {
 	cfg := Config{
-		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16, ProfileTTL: time.Hour,
+		Workers: 1, MaxJobs: 1, ProfileShots: 64, MaxShots: 1 << 16,
 		Logger: obs.NewLogger(io.Discard, obs.LevelInfo),
 	}
 	cfg.wrapRun = func(backend.Runner) backend.Runner {
@@ -429,6 +429,49 @@ func TestCharacterizeEndpointSharesStoreWithAIM(t *testing.T) {
 	}
 	if ch.Cached {
 		t.Fatalf("force=true reported a cache hit: %s", data)
+	}
+}
+
+// TestRecharacterizationIsDeterministic pins what lets a profile live
+// until something characterizes it again: the simulated devices never
+// drift and each key's characterization seed is fixed, so a forced
+// re-characterization publishes a new generation with bit-identical
+// strengths.
+func TestRecharacterizationIsDeterministic(t *testing.T) {
+	s := New(Config{Workers: 2, MaxJobs: 2, MaxShots: 1 << 16}) // default profile shots
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, key := range []profilestore.Key{
+		{Machine: "ibmqx2", Width: 4, Method: "brute"},
+		{Machine: "ibmqx4", Width: 5, Method: "brute"},
+		{Machine: "ibmqx4", Width: 5, Method: "esct"},
+		{Machine: "ibmq-melbourne", Width: 7, Method: "awct"},
+		{Machine: "ibmq-melbourne", Width: 8, Method: "awct"},
+	} {
+		req := api.CharacterizeRequest{Machine: key.Machine, Method: key.Method, Qubits: key.Width}
+		var strengths [2][]float64
+		for i, force := range []bool{false, true} {
+			req.Force = force
+			if resp, data := postJSON(t, ts.URL+"/v1/characterize", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s force=%v: status %d: %s", key, force, resp.StatusCode, data)
+			}
+			if g := s.store.Generation(key); g != uint64(i+1) {
+				t.Fatalf("%s force=%v: generation %d, want %d", key, force, g, i+1)
+			}
+			p, ok := s.store.Get(key)
+			if !ok {
+				t.Fatalf("%s: no profile cached", key)
+			}
+			strengths[i] = p.RBMS.Strength
+		}
+		if len(strengths[0]) != 1<<key.Width || len(strengths[1]) != len(strengths[0]) {
+			t.Fatalf("%s: %d and %d strengths, want %d", key, len(strengths[0]), len(strengths[1]), 1<<key.Width)
+		}
+		for j, v := range strengths[0] {
+			if math.Float64bits(v) != math.Float64bits(strengths[1][j]) {
+				t.Fatalf("%s: strength[%d] %v re-learned as %v", key, j, v, strengths[1][j])
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"biasmit/internal/api"
 	"biasmit/internal/obs"
@@ -59,7 +58,6 @@ func TestErrorEnvelopeFullyStamped(t *testing.T) {
 		MaxJobs:      2,
 		ProfileShots: 64,
 		MaxShots:     1 << 16,
-		ProfileTTL:   time.Hour,
 		JobQuota:     1,
 		JobWorkers:   1,
 	})

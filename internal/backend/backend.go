@@ -16,7 +16,10 @@
 // (ShotsPerTrajectory), since measurement sampling without collapse is
 // equivalent to re-preparing the same noisy execution. The exact engine
 // (exact.go) applies every channel to a density matrix once and draws
-// each shot from its diagonal. RunContext picks the exact engine for
+// each shot from its diagonal. The runs of one SIM or AIM call execute
+// one placed program under different inversion strings, so they share
+// one evolution of that program (WithSharedPrefix) and each applies only
+// its own X layer before sampling. RunContext picks the exact engine for
 // small registers at shot counts where one O(4^n) evolution costs less
 // than a trajectory per shot (see Options.ShotsPerTrajectory); both
 // engines sample the same output distribution, but through different
@@ -238,7 +241,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 	readout := dev.ReadoutModel().Compile()
 
 	if opt.useExact(dev.NumQubits) {
-		return runExact(ctx, p, opt, readout)
+		return runExact(ctx, p, dev, opt, readout)
 	}
 	opt = opt.withDefaults(dev.NumQubits)
 	if !opt.NoFastPath {

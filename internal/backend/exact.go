@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
@@ -35,15 +37,17 @@ func (o Options) useExact(n int) bool {
 }
 
 // runExact is the exact-channel engine: it evolves the density matrix
-// once through the plan, then draws every shot from diag(ρ) through a
-// CDF (one rng draw and an O(n) binary search per shot) and corrupts it
-// with the compiled readout channel. The outcome histogram is kept in a
-// flat 2^n array until the end, so a run allocates the same whatever its
-// shot count.
-func runExact(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
+// through the plan (exactState: the whole plan, or only the steps after
+// a shared prefix), then draws every shot from diag(ρ) through a CDF
+// (one rng draw and an O(n) binary search per shot) and corrupts it
+// with the compiled readout channel. ρ is only read here, since it may
+// be a prefix shared with sibling runs. The outcome histogram is kept in
+// a flat 2^n array until the end, so a run allocates the same whatever
+// its shot count.
+func runExact(ctx context.Context, p *plan, dev *device.Device, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	n := p.c.NumQubits
-	m := density.New(n)
-	if err := p.evolve(ctx, m); err != nil {
+	m, err := exactState(ctx, p, dev)
+	if err != nil {
 		return nil, err
 	}
 	d := 1 << uint(n)
@@ -86,6 +90,120 @@ func runExact(ctx context.Context, p *plan, opt Options, readout *noise.Compiled
 	return counts, nil
 }
 
+// exactState returns ρ after every step of p. When ctx carries a shared
+// prefix that p begins with (WithSharedPrefix), it starts from the
+// prefix's ρ: that matrix itself, read-only, when p has no steps after
+// the prefix, else a copy with only p's remaining steps applied. The
+// prefix ρ is bit-identical to what p's own first steps would evolve,
+// so either way ρ is the one evolving p alone gives.
+func exactState(ctx context.Context, p *plan, dev *device.Device) (*density.Matrix, error) {
+	if h, ok := ctx.Value(sharedPrefixKey{}).(*sharedPrefix); ok {
+		rho, k, err := h.evolved(ctx, p, dev)
+		if err != nil {
+			return nil, err
+		}
+		if rho != nil {
+			if k == len(p.steps) {
+				return rho, nil
+			}
+			m := rho.Clone()
+			if err := p.evolve(ctx, m, p.steps[k:]); err != nil {
+				return nil, err
+			}
+			return m, nil
+		}
+	}
+	m := density.New(p.c.NumQubits)
+	if err := p.evolve(ctx, m, p.steps); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// sharedPrefix is the handle WithSharedPrefix attaches: one placed
+// program whose exact evolution the runs under one context share.
+type sharedPrefix struct {
+	c   *circuit.Circuit
+	dev *device.Device
+	opt Options
+
+	mu sync.Mutex
+	// own is c's noise placement and rho is ρ after own's first own.body
+	// steps. Both are set together, only by a prefix evolution that
+	// completed, and are read-only after.
+	own *plan
+	rho *density.Matrix
+	// evolutions counts completed prefix evolutions, for tests.
+	evolutions int
+}
+
+type sharedPrefixKey struct{}
+
+// WithSharedPrefix returns a context under which the exact-engine runs of
+// circuits that begin with c's ops, on dev, evolve the steps placed for
+// c's ops once between them. SIM and AIM attach one per call
+// (internal/core): their groups run one placed program under different
+// inversion strings, which add only an X layer before measurement. The
+// first such run to arrive evolves the prefix, under its own context;
+// every run then copies that ρ and applies only its own remaining steps,
+// the X layer and, with ScheduleAwareDecay, the final idle gaps the X
+// layer moves. Each run still samples with its own seed, so its counts
+// are byte-identical to the same run without the handle.
+//
+// A run uses the handle only if its circuit and device are c and dev
+// (the same device, and c's ops at the head of its own) and its placed
+// steps begin with the ones placed for c's ops under opt's noise
+// switches; any other run evolves alone, so a handle attached for
+// another program cannot change a result. The trajectory engine ignores
+// the handle: its noise draws interleave with its sampling draws. A
+// prefix evolution that fails, cancelled or panicking, stores nothing,
+// and the next run evolves it again. The handle lives as long as the
+// context, so attach it for one batch of runs, not for a process.
+func WithSharedPrefix(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options) context.Context {
+	return context.WithValue(ctx, sharedPrefixKey{}, &sharedPrefix{c: c, dev: dev, opt: opt})
+}
+
+// evolved returns the shared prefix ρ and its length in steps when p
+// begins with the handle's program, evolving the prefix under ctx if no
+// run has yet. It returns a nil ρ, and no error, when p does not.
+func (h *sharedPrefix) evolved(ctx context.Context, p *plan, dev *device.Device) (*density.Matrix, int, error) {
+	if dev != h.dev || len(p.c.Ops) < len(h.c.Ops) || p.c.NumQubits != h.c.NumQubits {
+		return nil, 0, nil
+	}
+	for i, op := range h.c.Ops {
+		if !sameOp(op, p.c.Ops[i]) {
+			return nil, 0, nil
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	own := h.own
+	if own == nil {
+		var err error
+		if own, err = placeNoise(h.c, h.dev, h.opt); err != nil {
+			return nil, 0, nil // the run evolves alone
+		}
+	}
+	k := own.body
+	if len(p.steps) < k || !slices.Equal(p.steps[:k], own.steps[:k]) {
+		return nil, 0, nil
+	}
+	if h.rho == nil {
+		m := density.New(own.c.NumQubits)
+		if err := own.evolve(ctx, m, own.steps[:k]); err != nil {
+			return nil, 0, err
+		}
+		h.own, h.rho = own, m
+		h.evolutions++
+	}
+	return h.rho, k, nil
+}
+
+// sameOp reports whether a and b are the same circuit op.
+func sameOp(a, b circuit.Op) bool {
+	return a.Kind == b.Kind && a.Matrix == b.Matrix && a.Label == b.Label && slices.Equal(a.Qubits, b.Qubits)
+}
+
 // ExactDist returns the exact output distribution of c on dev under
 // opt's noise switches: the distribution the exact engine samples, and
 // the one the trajectory engine converges to as its shot count grows.
@@ -109,7 +227,7 @@ func ExactDist(c *circuit.Circuit, dev *device.Device, opt Options) (dist.Dist, 
 		return dist.Dist{}, err
 	}
 	m := density.New(dev.NumQubits)
-	if err := p.evolve(context.Background(), m); err != nil {
+	if err := p.evolve(context.Background(), m, p.steps); err != nil {
 		return dist.Dist{}, err
 	}
 	readout := dev.ReadoutModel()

@@ -99,7 +99,7 @@ func TestEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, err := runExact(ctx, p, opt, dev.ReadoutModel().Compile())
+		counts, err := runExact(ctx, p, dev, opt, dev.ReadoutModel().Compile())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,6 +55,9 @@ type plan struct {
 	// device qubit active[j]. It is nil when the plan acts on the whole
 	// device register.
 	active []int
+	// body is the number of steps placed for c's ops; the steps after
+	// it are the final idle gaps before measurement (ScheduleAwareDecay).
+	body int
 }
 
 // channel appends a noise step. A channel with zero probability is the
@@ -93,6 +96,7 @@ func placeNoise(c *circuit.Circuit, dev *device.Device, opt Options) (*plan, err
 			return nil, fmt.Errorf("backend: op %d (%s): %w", i, op.Label, err)
 		}
 	}
+	p.body = len(p.steps)
 	for _, gap := range final {
 		p.idleGap(dev, opt, gap)
 	}
@@ -209,7 +213,7 @@ func (p *plan) compact() *plan {
 		}
 		steps[i] = s
 	}
-	return &plan{c: c, steps: steps, width: p.width, active: active}
+	return &plan{c: c, steps: steps, width: p.width, active: active, body: p.body}
 }
 
 // outcome maps a basis index sampled from the plan's register to the
@@ -254,10 +258,10 @@ func (p *plan) runTrajectory(state *quantum.State, rng *rand.Rand) {
 	}
 }
 
-// evolve applies every step of the plan exactly to the density matrix
-// m, stopping between steps if ctx ends.
-func (p *plan) evolve(ctx context.Context, m *density.Matrix) error {
-	for _, s := range p.steps {
+// evolve applies steps, a run of the plan's steps, exactly to the
+// density matrix m, stopping between steps if ctx ends.
+func (p *plan) evolve(ctx context.Context, m *density.Matrix, steps []step) error {
+	for _, s := range steps {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

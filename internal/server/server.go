@@ -520,8 +520,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, aerr)
 		return
 	}
-	profs := s.store.Profiles()
-	sort.Slice(profs, func(i, j int) bool { return profs[i].Key.String() < profs[j].Key.String() })
+	profs := s.store.Profiles() // in key order
 	i := sort.Search(len(profs), func(i int) bool { return profs[i].Key.String() > cursor })
 	profs = profs[i:]
 	resp := &api.ProfilesResponse{Profiles: []api.ProfileInfo{}}

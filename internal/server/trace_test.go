@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -271,21 +273,23 @@ func TestJobTraceSpansWithinElapsed(t *testing.T) {
 	}
 }
 
-// TestProfilesPagination learns three profiles and walks them in pages
-// of two, requiring the cursor to hand out each profile exactly once in
-// key order.
+// TestProfilesPagination learns four profiles out of key order and walks
+// them in pages of two: the pages list each profile exactly once, in key
+// order (machine/width/method, the order Store.Profiles returns), and
+// each next_cursor is the key of its page's last profile.
 func TestProfilesPagination(t *testing.T) {
 	_, ts := testServer(t)
 	for _, body := range []string{
-		`{"machine":"ibmqx2","method":"brute","qubits":2}`,
-		`{"machine":"ibmqx4","method":"brute","qubits":3}`,
 		`{"machine":"ibmqx4","method":"brute","qubits":5}`,
+		`{"machine":"ibmqx2","method":"brute","qubits":2}`,
+		`{"machine":"ibmqx4","method":"awct","qubits":5}`,
+		`{"machine":"ibmqx4","method":"brute","qubits":3}`,
 	} {
 		if resp, data := postJSON(t, ts.URL+"/v1/characterize", json.RawMessage(body)); resp.StatusCode != 200 {
 			t.Fatalf("characterize %s: %d %s", body, resp.StatusCode, data)
 		}
 	}
-	var got []api.ProfileInfo
+	var got []string
 	cursor := ""
 	for page := 0; ; page++ {
 		url := ts.URL + "/v1/profiles?limit=2"
@@ -297,25 +301,23 @@ func TestProfilesPagination(t *testing.T) {
 		if err := json.Unmarshal(data, &pr); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, pr.Profiles...)
+		for _, p := range pr.Profiles {
+			got = append(got, fmt.Sprintf("%s/%dq/%s", p.Machine, p.Width, p.Method))
+		}
 		if pr.NextCursor == "" {
 			break
+		}
+		if pr.NextCursor != got[len(got)-1] {
+			t.Fatalf("page %d: next_cursor %q, want its last key %q", page, pr.NextCursor, got[len(got)-1])
 		}
 		cursor = pr.NextCursor
 		if page > 3 {
 			t.Fatal("pagination did not terminate")
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("paged %d profiles, want 3: %+v", len(got), got)
-	}
-	seen := map[string]bool{}
-	for _, p := range got {
-		key := p.Machine + "/" + p.Method
-		if seen[key+string(rune('0'+p.Width))] {
-			t.Fatalf("profile %s width %d served twice", key, p.Width)
-		}
-		seen[key+string(rune('0'+p.Width))] = true
+	want := []string{"ibmqx2/2q/brute", "ibmqx4/3q/brute", "ibmqx4/5q/awct", "ibmqx4/5q/brute"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("paged profiles %v, want %v", got, want)
 	}
 }
 

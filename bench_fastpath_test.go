@@ -4,7 +4,7 @@ package biasmit
 // naive form at each width (bodies in internal/benchsuite, shared with
 // cmd/bench which gates CI on them):
 //
-//	go test -bench='RunShots|Sample|ReadoutApply' -benchmem .
+//	go test -bench='RunShots|RunExactSIM|Sample|ReadoutApply' -benchmem .
 
 import (
 	"fmt"
@@ -38,6 +38,8 @@ func BenchmarkRunShotsParallel(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkRunExactSIM(b *testing.B) { benchsuite.RunExactSIM(b) }
 
 func BenchmarkSample(b *testing.B) {
 	for _, w := range benchsuite.Widths {

@@ -146,6 +146,7 @@ func main() {
 		naive := record(fmt.Sprintf("Sample/width=%d/linear", w), func(b *testing.B) { benchsuite.Sample(b, w, false) })
 		merit(fmt.Sprintf("Sample/width=%d", w), fast, naive)
 	}
+	record("RunExactSIM/width=5", benchsuite.RunExactSIM)
 	{
 		fast := record("ReadoutApply/compiled", func(b *testing.B) { benchsuite.ReadoutApply(b, true) })
 		naive := record("ReadoutApply/naive", func(b *testing.B) { benchsuite.ReadoutApply(b, false) })

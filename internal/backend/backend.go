@@ -15,11 +15,15 @@
 // vector, and several shots may share one trajectory
 // (ShotsPerTrajectory), since measurement sampling without collapse is
 // equivalent to re-preparing the same noisy execution. The exact engine
-// (exact.go) applies every channel to a density matrix once and draws
-// each shot from its diagonal. The runs of one SIM or AIM call execute
-// one placed program under different inversion strings, so they share
-// one evolution of that program (WithSharedPrefix) and each applies only
-// its own X layer before sampling. RunContext picks the exact engine for
+// (exact.go) applies every channel exactly and draws each shot from
+// diag(ρ). It evolves the density matrix only through the plan's prefix,
+// the steps before its trailing run of diagonal-closed steps (X, CNOT,
+// SWAP, CZ, depolarizing, amplitude damping), and applies that suffix to
+// the diagonal alone. The prefix's diagonal is memoized process-wide by
+// the prefix's content, so a program run again — a SIM or AIM group
+// under another inversion string, which adds only an X layer before
+// measurement, a repeated request, a profile preparation — evolves no
+// density matrix at all. RunContext picks the exact engine for
 // small registers at shot counts where one O(4^n) evolution costs less
 // than a trajectory per shot (see Options.ShotsPerTrajectory); both
 // engines sample the same output distribution, but through different
@@ -241,7 +245,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 	readout := dev.ReadoutModel().Compile()
 
 	if opt.useExact(dev.NumQubits) {
-		return runExact(ctx, p, dev, opt, readout)
+		return runExact(ctx, p, opt, readout)
 	}
 	opt = opt.withDefaults(dev.NumQubits)
 	if !opt.NoFastPath {

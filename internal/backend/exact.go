@@ -2,9 +2,10 @@ package backend
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
@@ -36,23 +37,19 @@ func (o Options) useExact(n int) bool {
 	return o.ShotsPerTrajectory == 0 && !o.NoFastPath && n <= exactMaxQubits && o.Shots >= 1<<uint(n)
 }
 
-// runExact is the exact-channel engine: it evolves the density matrix
-// through the plan (exactState: the whole plan, or only the steps after
-// a shared prefix), then draws every shot from diag(ρ) through a CDF
-// (one rng draw and an O(n) binary search per shot) and corrupts it
-// with the compiled readout channel. ρ is only read here, since it may
-// be a prefix shared with sibling runs. The outcome histogram is kept in
-// a flat 2^n array until the end, so a run allocates the same whatever
-// its shot count.
-func runExact(ctx context.Context, p *plan, dev *device.Device, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
+// runExact is the exact-channel engine: it takes diag(ρ) after every
+// step of the plan (exactDiag), then draws every shot from it through a
+// CDF (one rng draw and an O(n) binary search per shot) and corrupts it
+// with the compiled readout channel. The outcome histogram is kept in a
+// flat 2^n array until the end, so a run allocates the same whatever its
+// shot count.
+func runExact(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	n := p.c.NumQubits
-	m, err := exactState(ctx, p, dev)
+	cdf, err := p.exactDiag(ctx)
 	if err != nil {
 		return nil, err
 	}
-	d := 1 << uint(n)
-	cdf := make([]float64, d)
-	m.ProbabilitiesInto(cdf)
+	d := len(cdf)
 	var total float64
 	for i, q := range cdf {
 		// Round-off can leave a diagonal entry a hair below zero; the CDF
@@ -90,118 +87,111 @@ func runExact(ctx context.Context, p *plan, dev *device.Device, opt Options, rea
 	return counts, nil
 }
 
-// exactState returns ρ after every step of p. When ctx carries a shared
-// prefix that p begins with (WithSharedPrefix), it starts from the
-// prefix's ρ: that matrix itself, read-only, when p has no steps after
-// the prefix, else a copy with only p's remaining steps applied. The
-// prefix ρ is bit-identical to what p's own first steps would evolve,
-// so either way ρ is the one evolving p alone gives.
-func exactState(ctx context.Context, p *plan, dev *device.Device) (*density.Matrix, error) {
-	if h, ok := ctx.Value(sharedPrefixKey{}).(*sharedPrefix); ok {
-		rho, k, err := h.evolved(ctx, p, dev)
-		if err != nil {
-			return nil, err
-		}
-		if rho != nil {
-			if k == len(p.steps) {
-				return rho, nil
-			}
-			m := rho.Clone()
-			if err := p.evolve(ctx, m, p.steps[k:]); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
+// exactDiag returns diag(ρ) after every step of p, in a slice the caller
+// owns. It splits the plan at its diagonal-closed suffix, the trailing
+// steps whose effect on diag(ρ) depends on diag(ρ) alone (diagClosed):
+// for a SIM or AIM group, the inversion layer before measurement with
+// its gate noise and, with ScheduleAwareDecay, the final idle gaps. The
+// prefix's diagonal comes from the process-wide memo, or from evolving
+// the density matrix through the prefix (prefixDiag), and the suffix is
+// applied to a copy of it. The diagonal kernels repeat the matrix
+// kernels' arithmetic, so the result is bit for bit the diagonal of ρ
+// evolved through every step.
+func (p *plan) exactDiag(ctx context.Context) (density.Diag, error) {
+	cut := len(p.steps)
+	for cut > 0 && p.diagClosed(p.steps[cut-1]) {
+		cut--
 	}
-	m := density.New(p.c.NumQubits)
-	if err := p.evolve(ctx, m, p.steps); err != nil {
+	prefix, err := p.prefixDiag(ctx, p.steps[:cut])
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	d := append(density.Diag(nil), prefix...)
+	p.evolveDiag(d, p.steps[cut:])
+	return d, nil
 }
 
-// sharedPrefix is the handle WithSharedPrefix attaches: one placed
-// program whose exact evolution the runs under one context share.
-type sharedPrefix struct {
-	c   *circuit.Circuit
-	dev *device.Device
-	opt Options
+// exactMemoCap bounds the prefix memo. An entry holds 2^n floats (2 KB
+// at exactMaxQubits) and a key of some 11 bytes per noise step and 80
+// per gate step, so a full memo of 8-qubit programs of a few hundred
+// steps stays within a few MB. The programs one daemon serves — the
+// suite benchmarks, their profile preparations, a client's repeated
+// circuits — fill a small fraction of it.
+const exactMemoCap = 256
 
-	mu sync.Mutex
-	// own is c's noise placement and rho is ρ after own's first own.body
-	// steps. Both are set together, only by a prefix evolution that
-	// completed, and are read-only after.
-	own *plan
-	rho *density.Matrix
-	// evolutions counts completed prefix evolutions, for tests.
+// prefixMemo maps the content of an exact-engine prefix (prefixKey) to
+// diag(ρ) after it. An entry is stored only after its evolution
+// completed, and a slice in it is never written again. It is one per
+// process, like a sync.Pool: which entries it holds changes how long a
+// run takes, never its counts.
+type prefixMemo struct {
+	mu    sync.Mutex
+	diags map[string][]float64
+	// evolutions counts the prefix evolutions stored, for tests.
 	evolutions int
 }
 
-type sharedPrefixKey struct{}
+var exactMemo = prefixMemo{diags: make(map[string][]float64)}
 
-// WithSharedPrefix returns a context under which the exact-engine runs of
-// circuits that begin with c's ops, on dev, evolve the steps placed for
-// c's ops once between them. SIM and AIM attach one per call
-// (internal/core): their groups run one placed program under different
-// inversion strings, which add only an X layer before measurement. The
-// first such run to arrive evolves the prefix, under its own context;
-// every run then copies that ρ and applies only its own remaining steps,
-// the X layer and, with ScheduleAwareDecay, the final idle gaps the X
-// layer moves. Each run still samples with its own seed, so its counts
-// are byte-identical to the same run without the handle.
-//
-// A run uses the handle only if its circuit and device are c and dev
-// (the same device, and c's ops at the head of its own) and its placed
-// steps begin with the ones placed for c's ops under opt's noise
-// switches; any other run evolves alone, so a handle attached for
-// another program cannot change a result. The trajectory engine ignores
-// the handle: its noise draws interleave with its sampling draws. A
-// prefix evolution that fails, cancelled or panicking, stores nothing,
-// and the next run evolves it again. The handle lives as long as the
-// context, so attach it for one batch of runs, not for a process.
-func WithSharedPrefix(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options) context.Context {
-	return context.WithValue(ctx, sharedPrefixKey{}, &sharedPrefix{c: c, dev: dev, opt: opt})
+// prefixDiag returns diag(ρ) after steps, a prefix of p's steps: from the
+// memo when a run has stored it, else by evolving ρ under ctx outside the
+// memo's lock and storing the result. Runs that miss on one key at once
+// each evolve it; their results are identical. The returned slice is
+// shared, so the caller must not write it.
+func (p *plan) prefixDiag(ctx context.Context, steps []step) ([]float64, error) {
+	key := p.prefixKey(steps)
+	exactMemo.mu.Lock()
+	diag, ok := exactMemo.diags[string(key)]
+	exactMemo.mu.Unlock()
+	if ok {
+		return diag, nil
+	}
+	m := density.New(p.c.NumQubits)
+	if err := p.evolve(ctx, m, steps); err != nil {
+		return nil, err
+	}
+	diag = m.Probabilities()
+	exactMemo.mu.Lock()
+	defer exactMemo.mu.Unlock()
+	if _, ok := exactMemo.diags[string(key)]; !ok && len(exactMemo.diags) >= exactMemoCap {
+		for k := range exactMemo.diags { // evict an arbitrary entry
+			delete(exactMemo.diags, k)
+			break
+		}
+	}
+	exactMemo.diags[string(key)] = diag
+	exactMemo.evolutions++
+	return diag, nil
 }
 
-// evolved returns the shared prefix ρ and its length in steps when p
-// begins with the handle's program, evolving the prefix under ctx if no
-// run has yet. It returns a nil ρ, and no error, when p does not.
-func (h *sharedPrefix) evolved(ctx context.Context, p *plan, dev *device.Device) (*density.Matrix, int, error) {
-	if dev != h.dev || len(p.c.Ops) < len(h.c.Ops) || p.c.NumQubits != h.c.NumQubits {
-		return nil, 0, nil
-	}
-	for i, op := range h.c.Ops {
-		if !sameOp(op, p.c.Ops[i]) {
-			return nil, 0, nil
+// prefixKey encodes what the evolution of steps depends on: the register
+// width, each step's kind, qubits and probability bits, and each gate
+// step's op kind, qubits and matrix bits. Every field has a fixed width
+// or a length before it, so two step lists share a key only if they
+// evolve the same ρ. Qubit indices fit a byte: the exact engine runs at
+// most exactMaxQubits.
+func (p *plan) prefixKey(steps []step) []byte {
+	key := make([]byte, 0, 1+48*len(steps))
+	key = append(key, byte(p.c.NumQubits))
+	for _, s := range steps {
+		key = append(key, byte(s.kind), byte(s.q0), byte(s.q1))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(s.p))
+		if s.kind != stepGate {
+			continue
+		}
+		op := p.c.Ops[s.op]
+		key = append(key, byte(op.Kind), byte(len(op.Qubits)))
+		for _, q := range op.Qubits {
+			key = append(key, byte(q))
+		}
+		for _, row := range op.Matrix {
+			for _, z := range row {
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(real(z)))
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(imag(z)))
+			}
 		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	own := h.own
-	if own == nil {
-		var err error
-		if own, err = placeNoise(h.c, h.dev, h.opt); err != nil {
-			return nil, 0, nil // the run evolves alone
-		}
-	}
-	k := own.body
-	if len(p.steps) < k || !slices.Equal(p.steps[:k], own.steps[:k]) {
-		return nil, 0, nil
-	}
-	if h.rho == nil {
-		m := density.New(own.c.NumQubits)
-		if err := own.evolve(ctx, m, own.steps[:k]); err != nil {
-			return nil, 0, err
-		}
-		h.own, h.rho = own, m
-		h.evolutions++
-	}
-	return h.rho, k, nil
-}
-
-// sameOp reports whether a and b are the same circuit op.
-func sameOp(a, b circuit.Op) bool {
-	return a.Kind == b.Kind && a.Matrix == b.Matrix && a.Label == b.Label && slices.Equal(a.Qubits, b.Qubits)
+	return key
 }
 
 // ExactDist returns the exact output distribution of c on dev under

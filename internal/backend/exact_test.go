@@ -99,7 +99,7 @@ func TestEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, err := runExact(ctx, p, dev, opt, dev.ReadoutModel().Compile())
+		counts, err := runExact(ctx, p, opt, dev.ReadoutModel().Compile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +187,10 @@ func TestExactRunAllocsIndependentOfShots(t *testing.T) {
 }
 
 // TestExactRunStopsOnCancel: a context that ends mid-run stops a
-// 2^20-shot exact run with its error. The engine checks ctx only while
-// it evolves and samples, so a run that ignored the deadline would
+// 2^20-shot exact run with its error. The engine checks ctx between the
+// steps of a prefix evolution and while it samples; once an earlier run
+// has memoized the prefix it evolves nothing, so a warm run checks ctx
+// only while sampling, and one that ignored the deadline there would
 // return counts instead.
 func TestExactRunStopsOnCancel(t *testing.T) {
 	dev := device.IBMQX4()

@@ -1,6 +1,12 @@
 package backend
 
-import "context"
+import (
+	"context"
+
+	"biasmit/internal/circuit"
+	"biasmit/internal/density"
+	"biasmit/internal/device"
+)
 
 // Ablation is one corner of fastPathAblations, exported for the external
 // test package.
@@ -22,14 +28,40 @@ func FastPathAblations() []Ablation {
 // CountsDigest is countsDigest for the external test package.
 var CountsDigest = countsDigest
 
-// PrefixHandle returns the shared-prefix handle WithSharedPrefix attached
-// to ctx, or nil, and how many prefix evolutions it has completed.
-func PrefixHandle(ctx context.Context) (any, int) {
-	h, _ := ctx.Value(sharedPrefixKey{}).(*sharedPrefix)
-	if h == nil {
-		return nil, 0
+// ExactMemoCap is the prefix memo's bound, for the external test
+// package.
+const ExactMemoCap = exactMemoCap
+
+// ResetExactMemo empties the exact engine's prefix memo and zeroes its
+// evolution count.
+func ResetExactMemo() {
+	exactMemo.mu.Lock()
+	defer exactMemo.mu.Unlock()
+	exactMemo.diags, exactMemo.evolutions = make(map[string][]float64), 0
+}
+
+// ExactMemoStats returns how many prefixes the memo holds and how many
+// prefix evolutions it has stored since the last reset.
+func ExactMemoStats() (entries, evolutions int) {
+	exactMemo.mu.Lock()
+	defer exactMemo.mu.Unlock()
+	return len(exactMemo.diags), exactMemo.evolutions
+}
+
+// ExactDiags returns diag(ρ) for c on dev under opt's noise switches
+// twice: as the exact engine computes it (memoized prefix, diagonal
+// suffix) and from a density matrix evolved through every placed step.
+func ExactDiags(c *circuit.Circuit, dev *device.Device, opt Options) (engine, full []float64, err error) {
+	p, err := placeNoise(c, dev, opt)
+	if err != nil {
+		return nil, nil, err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h, h.evolutions
+	if engine, err = p.exactDiag(context.Background()); err != nil {
+		return nil, nil, err
+	}
+	m := density.New(c.NumQubits)
+	if err := p.evolve(context.Background(), m, p.steps); err != nil {
+		return nil, nil, err
+	}
+	return engine, m.Probabilities(), nil
 }

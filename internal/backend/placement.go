@@ -24,7 +24,8 @@ import (
 // (IdleInversion). It is compiled once per run into a flat list of
 // steps that both engines replay: the trajectory engine samples one
 // Pauli kick or damping jump per channel step, the exact engine applies
-// the channel to a density matrix.
+// the channel to a density matrix, or to its diagonal alone in the
+// plan's diagonal-closed suffix.
 
 // stepKind names what one step of a plan does.
 type stepKind uint8
@@ -55,9 +56,6 @@ type plan struct {
 	// device qubit active[j]. It is nil when the plan acts on the whole
 	// device register.
 	active []int
-	// body is the number of steps placed for c's ops; the steps after
-	// it are the final idle gaps before measurement (ScheduleAwareDecay).
-	body int
 }
 
 // channel appends a noise step. A channel with zero probability is the
@@ -96,7 +94,6 @@ func placeNoise(c *circuit.Circuit, dev *device.Device, opt Options) (*plan, err
 			return nil, fmt.Errorf("backend: op %d (%s): %w", i, op.Label, err)
 		}
 	}
-	p.body = len(p.steps)
 	for _, gap := range final {
 		p.idleGap(dev, opt, gap)
 	}
@@ -213,7 +210,7 @@ func (p *plan) compact() *plan {
 		}
 		steps[i] = s
 	}
-	return &plan{c: c, steps: steps, width: p.width, active: active, body: p.body}
+	return &plan{c: c, steps: steps, width: p.width, active: active}
 }
 
 // outcome maps a basis index sampled from the plan's register to the
@@ -279,4 +276,30 @@ func (p *plan) evolve(ctx context.Context, m *density.Matrix, steps []step) erro
 		}
 	}
 	return nil
+}
+
+// diagClosed reports whether step s changes diag(ρ) by a function of
+// diag(ρ) alone, so evolveDiag can apply it: every noise step and
+// idle-inversion X, and a gate step whose op density.DiagClosed admits.
+func (p *plan) diagClosed(s step) bool {
+	return s.kind != stepGate || density.DiagClosed(p.c.Ops[s.op])
+}
+
+// evolveDiag applies steps, each of them diagClosed, to diag(ρ) in d,
+// with the arithmetic evolve does on ρ's diagonal.
+func (p *plan) evolveDiag(d density.Diag, steps []step) {
+	for _, s := range steps {
+		switch s.kind {
+		case stepGate:
+			d.ApplyOp(p.c.Ops[s.op])
+		case stepX:
+			d.ApplyX(s.q0)
+		case stepDepol1:
+			d.Depolarize1(s.q0, s.p)
+		case stepDepol2:
+			d.Depolarize2(s.q0, s.q1, s.p)
+		case stepDamp:
+			d.AmplitudeDamp(s.q0, s.p)
+		}
+	}
 }

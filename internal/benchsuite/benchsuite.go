@@ -7,7 +7,8 @@
 // The suite measures the three layers the PR 4 fast path optimizes —
 // measurement sampling, the backend trial loop, and the readout
 // channel — each in its fast and naive form, so every recorded figure
-// of merit is a same-binary A/B comparison.
+// of merit is a same-binary A/B comparison. One more row, RunExactSIM,
+// puts the exact density-matrix engine under the allocation gate.
 package benchsuite
 
 import (
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"biasmit/internal/backend"
+	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
@@ -117,6 +119,36 @@ func RunShotsParallel(b *testing.B, width int, naive bool) {
 		ShotsPerTrajectory: samplingBatch,
 		NoFastPath:         naive,
 	}, width)
+}
+
+// RunExactSIM benchmarks one SIM-shaped call on the exact engine: the
+// 5-qubit suite circuit under SIM's four standard inversion strings (all
+// zeros, all ones and the two alternating strings), 750 shots each, one
+// backend run per string. The runs before the timer warm the exact
+// engine's prefix memo, as a daemon's repeated programs do, so an
+// iteration measures the diagonal suffix and the sampling, not the
+// density-matrix evolution.
+func RunExactSIM(b *testing.B) {
+	const width, shots = 5, 750
+	dev := Device(width)
+	var groups []*circuit.Circuit
+	for _, s := range []string{"00000", "11111", "01010", "10101"} {
+		groups = append(groups, Circuit(width).ApplyInversionString(bitstring.MustParse(s)))
+	}
+	run := func() {
+		for i, c := range groups {
+			if _, err := backend.RunContext(context.Background(), c, dev, backend.Options{Shots: shots, Seed: int64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(len(groups)*shots), "shots/op")
 }
 
 // Sample benchmarks one measurement draw from a fixed superposition:

@@ -190,12 +190,10 @@ func topKByLikelihood(l map[bitstring.Bits]float64, k int) []bitstring.Bits {
 //
 // All phases' corrected histograms merge into the final output log; the
 // total trial count equals the baseline's, as in the paper. The canary
-// phase runs as a (possibly parallel) SIM; the adaptive phase's
+// phase runs as a (possibly parallel) SIMContext; the adaptive phase's
 // tailored modes are independent jobs run on Machine.Workers goroutines,
 // with each mode's seed derived from (seed, mode index) and histograms
-// merged in mode order — bit-identical at every worker count. Both
-// phases' groups share one evolution of the placed program on the exact
-// engine (see Job.shareEvolution).
+// merged in mode order — bit-identical at every worker count.
 func AIMContext(ctx context.Context, j *Job, rbms RBMS, cfg AIMConfig, shots int, seed int64) (*AIMResult, error) {
 	cfg, err := cfg.withDefaults(j.Width())
 	if err != nil {
@@ -213,8 +211,7 @@ func AIMContext(ctx context.Context, j *Job, rbms RBMS, cfg AIMConfig, shots int
 		return nil, fmt.Errorf("core: %d adaptive shots cannot cover K=%d", adaptiveShots, cfg.K)
 	}
 
-	ctx = j.shareEvolution(ctx)
-	canary, err := runSIM(ctx, j, cfg.CanaryStrings, canaryShots, deriveSeed(seed, 1000))
+	canary, err := SIMContext(ctx, j, cfg.CanaryStrings, canaryShots, deriveSeed(seed, 1000))
 	if err != nil {
 		return nil, fmt.Errorf("core: AIM canary phase: %w", err)
 	}

@@ -133,16 +133,6 @@ func (j *Job) RunWithInversionContext(ctx context.Context, s bitstring.Bits, sho
 	return j.Plan.ExtractLogical(raw).XorTransform(s), nil
 }
 
-// shareEvolution returns ctx carrying a backend handle through which
-// the job's runs under it evolve the placed program once on the exact
-// engine (backend.WithSharedPrefix): each run then applies only its own
-// inversion layer and samples with its own seed, so its counts are the
-// ones it would get alone. SIM and AIM attach one per call; the handle
-// ends with the call.
-func (j *Job) shareEvolution(ctx context.Context) context.Context {
-	return backend.WithSharedPrefix(ctx, j.Plan.Physical, j.Machine.Device, j.Machine.Opt)
-}
-
 // Baseline executes the job in standard mode only — the paper's baseline
 // policy with variability-aware allocation.
 func (j *Job) Baseline(shots int, seed int64) (*dist.Counts, error) {

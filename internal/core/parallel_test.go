@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"biasmit/internal/backend"
-	"biasmit/internal/circuit"
 	"biasmit/internal/device"
 	"biasmit/internal/dist"
 	"biasmit/internal/kernels"
@@ -187,65 +185,5 @@ func TestBruteForceBudgetGuard(t *testing.T) {
 	}
 	if _, err := j.Profiler().AWCTContext(context.Background(), 3, 1, backend.MaxShots, 1); !errors.As(err, &be) {
 		t.Fatalf("overflowing AWCT budget err = %v, want *backend.BudgetError", err)
-	}
-}
-
-// TestSharedEvolutionMatchesLoneGroups runs SIM and AIM with their groups
-// sharing one evolution of the placed program (the default runner, at
-// Workers 4) and with every group evolving alone (a runner that drops the
-// call's context, and with it the shared prefix, at Workers 1). The
-// results are byte-identical on the exact engine's groups, on the
-// trajectory groups of a small budget and under trajectory-only options.
-func TestSharedEvolutionMatchesLoneGroups(t *testing.T) {
-	alone := func(_ context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
-		return backend.RunContext(context.Background(), c, dev, opt)
-	}
-	opts := []backend.Options{
-		{},
-		{NoReadoutError: true},
-		{ScheduleAwareDecay: true},
-		{ScheduleAwareDecay: true, IdleInversion: true},
-		{ShotsPerTrajectory: 32},
-	}
-	circuits := []*circuit.Circuit{kernels.GHZ(4), kernels.BV("bv-0111", bs("0111")).Circuit}
-	for _, dev := range []*device.Device{device.IBMQX2(), device.IBMQX4()} {
-		for _, c := range circuits {
-			for i, opt := range opts {
-				for _, shots := range []int{3000, 512} {
-					run := func(workers int, r backend.Runner) (*SIMResult, *AIMResult) {
-						m := NewMachine(dev)
-						m.Opt = opt
-						m.Workers = workers
-						m.Run = r
-						j, err := NewJob(c, m)
-						if err != nil {
-							t.Fatal(err)
-						}
-						strength := make([]float64, 1<<uint(j.Width()))
-						for s := range strength {
-							strength[s] = 1 + float64(s%3)
-						}
-						rbms, err := NewRBMS(j.Width(), strength)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sim, err := SIM4Context(context.Background(), j, shots, 23)
-						if err != nil {
-							t.Fatal(err)
-						}
-						aim, err := AIMContext(context.Background(), j, rbms, AIMConfig{}, shots, 29)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return sim, aim
-					}
-					sim, aim := run(4, nil)
-					wantSIM, wantAIM := run(1, alone)
-					label := fmt.Sprintf("%s/%s/options %d/%d shots", dev.Name, c.Name, i, shots)
-					sameCounts(t, label+"/sim", wantSIM.Merged, sim.Merged)
-					sameCounts(t, label+"/aim", wantAIM.Merged, aim.Merged)
-				}
-			}
-		}
 	}
 }

@@ -59,16 +59,8 @@ type SIMResult struct {
 // (paper Fig 7). The inversion groups are independent jobs and run on
 // Machine.Workers goroutines; each group's seed is derived from (seed,
 // group index) and the per-group histograms merge in group order, so
-// the result is bit-identical at every worker count. The groups share
-// one evolution of the placed program on the exact engine (see
-// Job.shareEvolution); each group is still one run on the machine.
+// the result is bit-identical at every worker count.
 func SIMContext(ctx context.Context, j *Job, strings []bitstring.Bits, shots int, seed int64) (*SIMResult, error) {
-	return runSIM(j.shareEvolution(ctx), j, strings, shots, seed)
-}
-
-// runSIM is SIMContext under a context the caller has already attached
-// the job's shared evolution to.
-func runSIM(ctx context.Context, j *Job, strings []bitstring.Bits, shots int, seed int64) (*SIMResult, error) {
 	if len(strings) == 0 {
 		return nil, fmt.Errorf("core: SIM needs at least one inversion string")
 	}

@@ -5,13 +5,16 @@
 // and OutputDist folds in the classical readout channel, producing the
 // true output distribution with no sampling error.
 //
-// It has two roles. It is an engine: the backend evolves ρ once per run
-// through the device's noise placement and draws every shot from diag(ρ)
-// on registers of up to 8 qubits, instead of simulating one noisy
+// It has two roles. It is an engine: the backend evolves ρ through the
+// device's noise placement and draws every shot from diag(ρ) on
+// registers of up to 8 qubits, instead of simulating one noisy
 // trajectory per shot. And it is the oracle the trajectory engine is
 // checked against, since both must agree in distribution. The channel
 // kernels update ρ in place in O(4^n) per operation; the tests check
-// them against their Kraus-sum definitions.
+// them against their Kraus-sum definitions. Diag (diag.go) repeats the
+// kernels whose diagonal output depends on the diagonal alone in O(2^n),
+// bit for bit, so the backend evolves ρ only up to the last step that
+// needs the whole matrix.
 package density
 
 import (
@@ -215,12 +218,6 @@ func (m *Matrix) ApplyCZ(a, b int) {
 			}
 		}
 	}
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{n: m.n, d: m.d, rho: append([]complex128(nil), m.rho...)}
-	return out
 }
 
 // Depolarize1 applies the single-qubit depolarizing channel with error

@@ -7,11 +7,12 @@
 //
 // Against a committed baseline (-baseline), the harness enforces the
 // allocation budget: any benchmark whose allocs/op grows beyond 2× its
-// baseline fails the run (allocation counts are deterministic, so this
-// gate is machine-independent). Timing deltas are reported but never
-// block — CI machines are too noisy for wall-clock gates. The baseline
-// is read before anything runs, and an -out naming the baseline file is
-// refused: the report would overwrite the baseline it is gated against.
+// baseline fails the run. Each row runs recordRuns times and keeps the
+// run with the fewest allocs/op, a count that repeats where one run's
+// does not. Timing deltas are reported but never block — CI machines
+// are too noisy for wall-clock gates. The baseline is read before
+// anything runs, and an -out naming the baseline file is refused: the
+// report would overwrite the baseline it is gated against.
 //
 // Usage:
 //
@@ -62,6 +63,13 @@ type Report struct {
 // allocate more than this many times its baseline allocs/op.
 const allocBudgetFactor = 2.0
 
+// recordRuns is how many times each row runs. Pooled states are
+// refilled after each GC cycle, so a row that runs only a few
+// iterations (RunShotsTrialLoop at width 16 runs 1–2) reads a few more
+// allocs/op in some runs than in others; the fewest of three is the
+// figure that repeats.
+const recordRuns = 3
+
 func main() {
 	out := flag.String("out", "BENCH_PR4.json", "path to write the report")
 	baseline := flag.String("baseline", "", "committed report to gate allocs/op against (empty = record only)")
@@ -101,7 +109,12 @@ func main() {
 	}
 
 	record := func(name string, fn func(b *testing.B)) Result {
-		r := testing.Benchmark(fn)
+		var r testing.BenchmarkResult
+		for i := 0; i < recordRuns; i++ {
+			if ri := testing.Benchmark(fn); i == 0 || ri.AllocsPerOp() < r.AllocsPerOp() {
+				r = ri
+			}
+		}
 		res := Result{
 			Name:        name,
 			NsPerOp:     float64(r.NsPerOp()),

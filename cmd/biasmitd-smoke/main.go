@@ -20,12 +20,12 @@
 //	         a forced re-characterization must invalidate them, and a
 //	         concurrent burst of identical requests must coalesce onto
 //	         exactly one execution — all visible on /metrics.
-//	breaker  two injected outages open the machine's breaker, the third
-//	         request is rejected up front with breaker_open + a
-//	         Retry-After cooldown, /healthz degrades honestly, and after
-//	         the cooldown the half-open probe recovers the machine. Owns
-//	         the daemon (-daemon, -data-dir as scratch), booted with
-//	         -chaos-fail-first 2 -retry-attempts 1 -breaker-threshold 2.
+//	faults   fault-injection round-trip: two injected outages each
+//	         answer a typed upstream_transient 503, the next request is
+//	         served, /healthz stays ok, and /metrics counts exactly the
+//	         three runs, the two failures and no retries. Owns the daemon
+//	         (-daemon, -data-dir as scratch), booted with
+//	         -chaos-fail-first 2 -retry-attempts 1.
 //	recover  crash-recovery round-trip (-daemon, -data-dir): it boots a
 //	         daemon on -data-dir, learns profiles, records an AIM run,
 //	         SIGKILLs the daemon mid-characterization, corrupts the WAL
@@ -75,7 +75,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "serve", "round-trip to run: serve, cache, breaker, recover, jobs, trace, or overload")
+	scenario := flag.String("scenario", "serve", "round-trip to run: serve, cache, faults, recover, jobs, trace, or overload")
 	daemonBin := flag.String("daemon", "", "path to the biasmitd binary the scenario boots")
 	dataDir := flag.String("data-dir", "", "scratch directory the scenario logs its daemon into (every scenario but jobs); recover also boots the daemon on it as its -data-dir")
 	jobsDir := flag.String("jobs-dir", "", "durable job-queue directory handed to the daemon (jobs scenario)")
@@ -91,8 +91,8 @@ func main() {
 		err = serveScenario(ctx, *daemonBin, *dataDir)
 	case "cache":
 		err = cacheScenario(ctx, *daemonBin, *dataDir)
-	case "breaker":
-		err = breakerScenario(ctx, *daemonBin, *dataDir)
+	case "faults":
+		err = faultsScenario(ctx, *daemonBin, *dataDir)
 	case "recover":
 		err = recoverScenario(ctx, *daemonBin, *dataDir)
 	case "jobs":
@@ -200,16 +200,13 @@ func serveScenario(ctx context.Context, bin, dir string) error {
 	return d.stopGracefully()
 }
 
-// breakerScenario is the fault-injection round-trip of the CI chaos job.
-// Its daemon fails its first two backend runs and opens a machine's
-// breaker after two failed runs, each attempted once.
-func breakerScenario(ctx context.Context, bin, dir string) error {
-	d, err := startScratchDaemon(ctx, "breaker", bin, dir,
+// faultsScenario is the fault-injection round-trip of the CI chaos job.
+// Its daemon fails its first two backend runs, each attempted once.
+func faultsScenario(ctx context.Context, bin, dir string) error {
+	d, err := startScratchDaemon(ctx, "faults", bin, dir,
 		"-workers", "2",
 		"-chaos-fail-first", "2",
 		"-retry-attempts", "1",
-		"-breaker-threshold", "2",
-		"-breaker-cooldown", "2s",
 	)
 	if err != nil {
 		return err
@@ -221,8 +218,7 @@ func breakerScenario(ctx context.Context, bin, dir string) error {
 		Machine: "ibmqx2", Policy: "baseline", Benchmark: "bv:01", Shots: 512, Seed: 1,
 	}
 
-	// Two injected outages: upstream_transient each, reaching the
-	// breaker threshold.
+	// Two injected outages: a typed, retryable 503 each.
 	for i := 1; i <= 2; i++ {
 		_, err := cl.Mitigate(ctx, req)
 		var ae *api.Error
@@ -234,55 +230,26 @@ func breakerScenario(ctx context.Context, bin, dir string) error {
 		}
 	}
 
-	// Open breaker: rejected up front, typed, with a cooldown.
-	_, err = cl.Mitigate(ctx, req)
-	var ae *api.Error
-	if !errors.As(err, &ae) {
-		return fmt.Errorf("open breaker: got %v (%T), want *api.Error", err, err)
-	}
-	if ae.Code != api.CodeBreakerOpen || ae.Status != 503 {
-		return fmt.Errorf("open breaker: code=%q status=%d, want breaker_open/503", ae.Code, ae.Status)
-	}
-	if ae.RetryAfter <= 0 {
-		return fmt.Errorf("open breaker: no Retry-After cooldown on %v", ae)
-	}
-
-	// Health is honest while the machine is dark.
-	h, err := cl.Healthz(ctx)
-	if err != nil {
-		return fmt.Errorf("healthz while open: %w", err)
-	}
-	if h.Status != "degraded" {
-		return fmt.Errorf("healthz status %q while breaker open, want degraded", h.Status)
-	}
-
-	// Sleep out the advertised cooldown; the half-open probe then
-	// succeeds (the fault budget is spent) and the machine serves again.
-	select {
-	case <-time.After(ae.RetryAfter + 500*time.Millisecond):
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	// The fault budget is spent: the next run is served.
 	resp, err := cl.Mitigate(ctx, req)
 	if err != nil {
-		return fmt.Errorf("post-cooldown run: %w", err)
+		return fmt.Errorf("run after the outages: %w", err)
 	}
 	if resp.Policy != "baseline" {
-		return fmt.Errorf("post-cooldown run: policy %q, want baseline", resp.Policy)
+		return fmt.Errorf("run after the outages: policy %q, want baseline", resp.Policy)
 	}
-	h, err = cl.Healthz(ctx)
+	h, err := cl.Healthz(ctx)
 	if err != nil {
-		return fmt.Errorf("healthz after recovery: %w", err)
+		return fmt.Errorf("healthz: %w", err)
 	}
 	if h.Status != "ok" {
-		return fmt.Errorf("healthz status %q after recovery, want ok", h.Status)
+		return fmt.Errorf("healthz status %q after the outages, want ok", h.Status)
 	}
 
 	if err := expectMetrics(ctx, cl,
-		"biasmitd_breaker_rejections_total 1",
-		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="open"} 1`,
-		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="closed"} 1`,
-		`biasmitd_breaker_state{machine="ibmqx2"} 0`,
+		"biasmitd_backend_runs_total 3\n",
+		"biasmitd_backend_run_failures_total 2\n",
+		"biasmitd_backend_retries_total 0\n",
 	); err != nil {
 		return err
 	}

@@ -76,8 +76,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	seed := flag.Int64("seed", 1, "base seed for characterization runs")
 	retryAttempts := flag.Int("retry-attempts", 4, "execution attempts per backend run before its transient error surfaces (1 disables retries)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failed runs that open a machine's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker rejects work before probing again")
 	jobsDir := flag.String("jobs-dir", "", "durable async job-queue directory (WAL + snapshots; empty = memory-only)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing async jobs")
 	tenantQuota := flag.Int("tenant-quota", 64, "queued+running async jobs allowed per tenant (0 = unbounded)")
@@ -138,26 +136,24 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Workers:          *workers,
-		MaxJobs:          *maxJobs,
-		DefaultTimeout:   *defaultTimeout,
-		MaxTimeout:       *maxTimeout,
-		MaxShots:         *maxShots,
-		ProfileShots:     *profileShots,
-		Seed:             *seed,
-		Chaos:            *chaosPlan,
-		RetryAttempts:    *retryAttempts,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Persist:          dlog,
-		JobsLog:          jlog,
-		JobWorkers:       *jobWorkers,
-		JobQuota:         *tenantQuota,
-		QueueTimeout:     *queueTimeout,
-		QueueHighWater:   *queueHighWater,
-		ResultCache:      *resultCache,
-		Logger:           lg,
-		SlowRequest:      *slowRequest,
+		Workers:        *workers,
+		MaxJobs:        *maxJobs,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		MaxShots:       *maxShots,
+		ProfileShots:   *profileShots,
+		Seed:           *seed,
+		Chaos:          *chaosPlan,
+		RetryAttempts:  *retryAttempts,
+		Persist:        dlog,
+		JobsLog:        jlog,
+		JobWorkers:     *jobWorkers,
+		JobQuota:       *tenantQuota,
+		QueueTimeout:   *queueTimeout,
+		QueueHighWater: *queueHighWater,
+		ResultCache:    *resultCache,
+		Logger:         lg,
+		SlowRequest:    *slowRequest,
 	})
 	if st := srv.JobStats(); st.RecoveredJobs > 0 {
 		lg.Info("requeued recovered jobs interrupted mid-run",

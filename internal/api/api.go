@@ -46,10 +46,6 @@ const (
 	CodeProfileStale = "profile_stale"
 	// CodeDeadlineExceeded marks a request that ran out of its deadline.
 	CodeDeadlineExceeded = "deadline_exceeded"
-	// CodeBreakerOpen marks a request refused because the target
-	// machine's circuit breaker is open after repeated failures; the
-	// response carries a Retry-After header with the cooldown remainder.
-	CodeBreakerOpen = "breaker_open"
 	// CodeUpstreamTransient marks a run that kept failing transiently
 	// through all of the server's per-run attempts; the request is safe
 	// to retry.
@@ -117,8 +113,8 @@ type Error struct {
 	TraceID string `json:"trace_id,omitempty"`
 	Status  int    `json:"-"` // HTTP status, not serialized
 	// RetryAfter, when positive, is surfaced as a Retry-After header —
-	// set on breaker_open responses with the breaker's remaining
-	// cooldown. The client restores it from the header, so the field
+	// set on overloaded responses with how long the caller should back
+	// off. The client restores it from the header, so the field
 	// round-trips even though it is not part of the JSON body.
 	RetryAfter time.Duration `json:"-"`
 }
@@ -301,15 +297,6 @@ type ProfilesResponse struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// HealthMachine is one machine's health row: the circuit-breaker state
-// ("closed", "open", or "half-open") and, when open, how long until the
-// next probe.
-type HealthMachine struct {
-	Machine      string `json:"machine"`
-	Breaker      string `json:"breaker"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
 // Job types accepted by POST /v1/jobs.
 const (
 	JobTypeMitigate     = "mitigate"
@@ -358,7 +345,7 @@ type JobInfo struct {
 	StartedAt   *time.Time `json:"started_at,omitempty"`
 	FinishedAt  *time.Time `json:"finished_at,omitempty"`
 	// Attempts counts executions started; Requeues counts times the job
-	// went back from running to queued (crash recovery, drain, retry).
+	// went back from running to queued (crash recovery, drain).
 	Attempts int `json:"attempts,omitempty"`
 	Requeues int `json:"requeues,omitempty"`
 	// CancelRequested is true once DELETE /v1/jobs/{id} has been
@@ -396,18 +383,16 @@ type JobListResponse struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// HealthResponse is the body of GET /healthz. Status is "ok" when every
-// breaker is closed, "degraded" when any breaker is not closed, and
-// "unavailable" (HTTP 503) when every machine's breaker is open.
-// ProfilesStale is always 0, since a profile never expires; it stays on
+// HealthResponse is the body of GET /healthz. Status is "ok", or
+// "unavailable" (HTTP 503) while more async jobs sit queued than the
+// server's high-water mark. ProfilesStale is always 0, since a profile never expires; it stays on
 // the wire until the end-to-end benchmark's next change.
 type HealthResponse struct {
 	Envelope
-	Status         string          `json:"status"`
-	UptimeMS       int64           `json:"uptime_ms"`
-	Machines       []HealthMachine `json:"machines,omitempty"`
-	ProfilesCached int             `json:"profiles_cached"`
-	ProfilesStale  int             `json:"profiles_stale"`
+	Status         string `json:"status"`
+	UptimeMS       int64  `json:"uptime_ms"`
+	ProfilesCached int    `json:"profiles_cached"`
+	ProfilesStale  int    `json:"profiles_stale"`
 	// JobsQueued/JobsRunning expose the async queue depth; a queue past
 	// the server's high-water mark flips Status to "unavailable" (503)
 	// so load balancers stop routing new work here.

@@ -15,7 +15,7 @@
 // faults land.
 //
 // biasmitd is the only process that injects faults (its -chaos-* flags
-// set the Plan under its retrying executors); tests wrap a runner with
+// set the Plan under its retrying executor); tests wrap a runner with
 // a Plan explicitly. No environment variable turns it on.
 //
 // Faults never corrupt results: an injected failure either returns a
@@ -61,19 +61,19 @@ type Plan struct {
 	// plain transient failure instead of hanging forever.
 	StallRate float64
 	// GraySlowRate is the probability of a gray failure: the call
-	// succeeds — nothing for a breaker to count — but only after a
+	// succeeds — nothing for a retry to react to — but only after a
 	// delay of 50–100% of GraySlow. This is the slow-drip backend that
-	// kills services the error-rate machinery cannot see: slow runs
-	// hold their admission slots longer, so what reacts to it is a
-	// shedding admission gate's queue timeout (and deadlines).
+	// kills services the error handling cannot see: slow runs hold
+	// their admission slots longer, so what reacts to it is a shedding
+	// admission gate's queue timeout (and deadlines).
 	GraySlowRate float64
 	// GraySlow is the maximum gray-failure delay (default 100ms when a
 	// gray-slow fault fires with a zero GraySlow).
 	GraySlow time.Duration
 	// FailFirst deterministically fails the first N intercepted calls
-	// with a transient error before the probabilistic schedule applies.
-	// This is the knob breaker tests use: N failures open the breaker,
-	// call N+1 succeeds and closes it again.
+	// with a transient error before the probabilistic schedule applies:
+	// with one attempt per run, the first N runs answer a typed
+	// transient failure and run N+1 succeeds.
 	FailFirst int
 }
 

@@ -10,7 +10,7 @@
 //
 //	resp, err := cl.Mitigate(ctx, req)
 //	var ae *api.Error
-//	if errors.As(err, &ae) && ae.Code == api.CodeBreakerOpen { ... }
+//	if errors.As(err, &ae) && ae.Code == api.CodeOverloaded { ... }
 //
 // Every call is one round trip: the client never retries, and
 // ae.RetryAfter carries the cooldown the daemon advertised.
@@ -175,9 +175,9 @@ func pageQuery(limit int, cursor string, extra url.Values) string {
 }
 
 // Healthz runs GET /healthz. The daemon serves the health body with an
-// HTTP 503 when every machine's breaker is open ("unavailable"), and
-// that still decodes here: callers read Status rather than an error, so
-// a degraded daemon is observable, not opaque.
+// HTTP 503 when its job queue is past the high-water mark
+// ("unavailable"), and that still decodes here: callers read Status
+// rather than an error, so a backed-up daemon is observable, not opaque.
 func (c *Client) Healthz(ctx context.Context) (*api.HealthResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {

@@ -54,7 +54,7 @@ func TestRetryAfterHTTPDateDecodes(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(map[string]any{
 			"api_version": api.Version,
-			"error":       map[string]any{"code": api.CodeBreakerOpen, "message": "open"},
+			"error":       map[string]any{"code": api.CodeOverloaded, "message": "shed"},
 		})
 	}))
 	defer srv.Close()

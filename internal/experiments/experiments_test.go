@@ -169,6 +169,18 @@ func TestTable2Shape(t *testing.T) {
 	if r.Rows[0].ROCA > r.Rows[4].ROCA {
 		t.Errorf("ROCA did not degrade: A=%d E=%d", r.Rows[0].ROCA, r.Rows[4].ROCA)
 	}
+	// IST: the weight-4 graphs (D, E) are masked below 1 by their own
+	// low-weight complements, while Graph-A's weight-1 optimum stays on
+	// top. IST does not fall monotonically with weight at every seed
+	// (C can read above B), so only the two ends are asserted.
+	for _, row := range r.Rows[3:] {
+		if row.IST >= 1 {
+			t.Errorf("graph %s (weight %d): IST %v, want < 1", row.Graph, row.HammingWeight, row.IST)
+		}
+	}
+	if a := r.Rows[0]; a.IST <= 1 {
+		t.Errorf("graph %s (weight %d): IST %v, want > 1", a.Graph, a.HammingWeight, a.IST)
+	}
 }
 
 func TestFigure7WorkedExample(t *testing.T) {

@@ -113,8 +113,8 @@ func (t *Trace) SetTag(key, value string) {
 	t.tags[key] = value
 }
 
-// Annotate appends a free-form event to the trace — retries, breaker
-// rejections, result-cache outcomes. Bounded; past the cap new
+// Annotate appends a free-form event to the trace — retries and
+// result-cache outcomes. Bounded; past the cap new
 // annotations are dropped and a single "... (truncated)" marker records
 // the loss.
 func (t *Trace) Annotate(format string, args ...any) {

@@ -1,10 +1,9 @@
 // Package resilient executes backend runs on unreliable machines: it
 // retries transient failures with exponential backoff and full jitter,
-// fails fast on permanent errors (see IsTransient), and sheds load
-// through a per-machine circuit breaker. biasmitd's per-machine
-// executors are the only place a failed run is retried; the offline
-// CLIs call the backend directly, and nothing above the executor (the
-// job queue, the client) retries again.
+// and fails fast on permanent errors (see IsTransient). biasmitd's one
+// executor, shared by every machine, is the only place a failed run is
+// retried; the offline CLIs call the backend directly, and nothing
+// above the executor (the job queue, the client) retries again.
 //
 // # Retries and determinism
 //
@@ -20,7 +19,6 @@ package resilient
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -43,45 +41,15 @@ type Policy struct {
 	// Seed drives the backoff jitter. Jitter affects only timing, never
 	// results; a zero seed uses 1.
 	Seed int64
-	// Breaker, when set, gates every run: open → immediate
-	// *BreakerOpenError naming the run's device; run outcomes feed back
-	// into it.
-	Breaker *Breaker
 	// Sleep overrides the backoff sleep, for tests. It must honour ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Metrics, when set, receives the executor's counters; several
-	// executors may share one Metrics.
-	Metrics *Metrics
 }
 
-// Metrics counts executor outcomes with atomic counters, shareable
-// across executors and safe for concurrent scraping.
-type Metrics struct {
-	Runs              atomic.Uint64 // runs started (past the breaker)
-	Retries           atomic.Uint64 // attempts after a run's first
-	Failures          atomic.Uint64 // runs that ultimately failed
-	BreakerRejections atomic.Uint64 // runs refused by an open breaker
-}
-
-// MetricsSnapshot is a plain-value copy of Metrics for rendering.
-type MetricsSnapshot struct {
-	Runs              uint64
-	Retries           uint64
-	Failures          uint64
-	BreakerRejections uint64
-}
-
-// Snapshot copies the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return MetricsSnapshot{
-		Runs:              m.Runs.Load(),
-		Retries:           m.Retries.Load(),
-		Failures:          m.Failures.Load(),
-		BreakerRejections: m.BreakerRejections.Load(),
-	}
+// Stats counts an executor's outcomes since New.
+type Stats struct {
+	Runs     uint64 // runs started
+	Retries  uint64 // attempts after a run's first
+	Failures uint64 // runs that ultimately failed
 }
 
 // The full-jitter backoff starts at baseDelay and doubles per retry up
@@ -98,11 +66,13 @@ type Executor struct {
 	run    backend.Runner
 	policy Policy
 
+	runs, retries, failures atomic.Uint64
+
 	mu  sync.Mutex
 	rng *rand.Rand // backoff jitter
 }
 
-// New wraps run with the retry/breaker policy.
+// New wraps run with the retry policy.
 func New(run backend.Runner, p Policy) *Executor {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -143,42 +113,31 @@ func (e *Executor) backoff(attempt int) time.Duration {
 	return d
 }
 
+// Stats copies the counters.
+func (e *Executor) Stats() Stats {
+	return Stats{Runs: e.runs.Load(), Retries: e.retries.Load(), Failures: e.failures.Load()}
+}
+
 // Run executes one backend run under the policy. It implements
 // backend.Runner, so a *core.Machine can use it directly.
 func (e *Executor) Run(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
-	m := e.policy.Metrics
-	br := e.policy.Breaker
 	if err := backend.CheckShots(opt.Shots); err != nil {
 		// A bad budget is the caller's mistake, not the machine's: fail
-		// before the breaker sees anything.
+		// before any attempt.
 		return nil, err
 	}
-	if br != nil {
-		if ok, retryAfter := br.Allow(); !ok {
-			if m != nil {
-				m.BreakerRejections.Add(1)
-			}
-			obs.Annotate(ctx, "breaker open: %s rejected the run (retry after %s)", dev.Name, retryAfter)
-			return nil, &BreakerOpenError{Machine: dev.Name, RetryAfter: retryAfter}
-		}
-	}
-	if m != nil {
-		m.Runs.Add(1)
-	}
+	e.runs.Add(1)
 
 	var lastErr error
 	for attempt := 1; attempt <= e.policy.MaxAttempts; attempt++ {
-		if attempt > 1 && m != nil {
-			m.Retries.Add(1)
+		if attempt > 1 {
+			e.retries.Add(1)
 		}
 		if lastErr = ctx.Err(); lastErr != nil {
 			break
 		}
 		counts, err := e.run(ctx, c, dev, opt)
 		if err == nil {
-			if br != nil {
-				br.Success()
-			}
 			return counts, nil
 		}
 		lastErr = err
@@ -191,17 +150,6 @@ func (e *Executor) Run(ctx context.Context, c *circuit.Circuit, dev *device.Devi
 			break
 		}
 	}
-	if br != nil {
-		// A run cut short by the caller's own context says nothing about
-		// the machine; release any probe slot without a transition.
-		if errors.Is(lastErr, context.Canceled) || errors.Is(lastErr, context.DeadlineExceeded) {
-			br.Cancel()
-		} else {
-			br.Failure()
-		}
-	}
-	if m != nil {
-		m.Failures.Add(1)
-	}
+	e.failures.Add(1)
 	return nil, lastErr
 }

@@ -63,8 +63,7 @@ func runOpts(shots int) backend.Options { return backend.Options{Shots: shots, S
 
 func TestRetriesTransientThenSucceeds(t *testing.T) {
 	r := &scriptRunner{fail: map[int]bool{0: true, 1: true}}
-	m := &Metrics{}
-	ex := New(r.run, Policy{MaxAttempts: 4, Sleep: noSleep, Metrics: m})
+	ex := New(r.run, Policy{MaxAttempts: 4, Sleep: noSleep})
 	counts, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(100))
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +74,8 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	if r.callCount() != 3 {
 		t.Fatalf("calls = %d, want 3", r.callCount())
 	}
-	if s := m.Snapshot(); s.Retries != 2 || s.Failures != 0 {
-		t.Fatalf("metrics = %+v", s)
+	if s := ex.Stats(); s.Runs != 1 || s.Retries != 2 || s.Failures != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 	for i, seed := range r.seeds {
 		if seed != 11 {
@@ -100,8 +99,7 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	r := &scriptRunner{fail: map[int]bool{0: true, 1: true, 2: true}}
-	m := &Metrics{}
-	ex := New(r.run, Policy{MaxAttempts: 3, Sleep: noSleep, Metrics: m})
+	ex := New(r.run, Policy{MaxAttempts: 3, Sleep: noSleep})
 	_, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(100))
 	if !IsTransient(err) {
 		t.Fatalf("error = %v, want the final transient error", err)
@@ -109,15 +107,14 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if r.callCount() != 3 {
 		t.Fatalf("calls = %d, want 3", r.callCount())
 	}
-	if s := m.Snapshot(); s.Failures != 1 {
-		t.Fatalf("metrics = %+v, want one failed run", s)
+	if s := ex.Stats(); s.Failures != 1 {
+		t.Fatalf("stats = %+v, want one failed run", s)
 	}
 }
 
 func TestBadBudgetNeverDispatches(t *testing.T) {
 	r := &scriptRunner{}
-	br := NewBreaker(BreakerOptions{Threshold: 1})
-	ex := New(r.run, Policy{Sleep: noSleep, Breaker: br})
+	ex := New(r.run, Policy{Sleep: noSleep})
 	_, err := ex.Run(context.Background(), probeCircuit(), device.IBMQX2(), runOpts(-5))
 	var be *backend.BudgetError
 	if !errors.As(err, &be) {
@@ -126,8 +123,8 @@ func TestBadBudgetNeverDispatches(t *testing.T) {
 	if r.callCount() != 0 {
 		t.Fatal("a bad budget must not reach the backend")
 	}
-	if br.State() != StateClosed {
-		t.Fatal("a bad budget must not charge the breaker")
+	if s := ex.Stats(); s.Runs != 0 {
+		t.Fatalf("stats = %+v: a bad budget must not count as a run", s)
 	}
 }
 
@@ -157,50 +154,5 @@ func TestBackoffBounds(t *testing.T) {
 				t.Fatalf("attempt %d: backoff %v outside (0, %v]", attempt, d, cap)
 			}
 		}
-	}
-}
-
-func TestBreakerOpenRejectsRun(t *testing.T) {
-	r := &scriptRunner{fail: map[int]bool{0: true, 1: true}}
-	br := NewBreaker(BreakerOptions{Threshold: 2, Cooldown: time.Hour})
-	m := &Metrics{}
-	ex := New(r.run, Policy{MaxAttempts: 1, Sleep: noSleep, Breaker: br, Metrics: m})
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := ex.Run(ctx, probeCircuit(), device.IBMQX2(), runOpts(10)); err == nil {
-			t.Fatal("scripted failure should surface")
-		}
-	}
-	if br.State() != StateOpen {
-		t.Fatalf("breaker state %q, want open after 2 failures", br.State())
-	}
-	_, err := ex.Run(ctx, probeCircuit(), device.IBMQX2(), runOpts(10))
-	var boe *BreakerOpenError
-	if !errors.As(err, &boe) {
-		t.Fatalf("error = %v, want BreakerOpenError", err)
-	}
-	if boe.Machine != "ibmqx2" || boe.RetryAfter <= 0 {
-		t.Fatalf("BreakerOpenError = %+v", boe)
-	}
-	if r.callCount() != 2 {
-		t.Fatal("an open breaker must not dispatch work")
-	}
-	if s := m.Snapshot(); s.BreakerRejections != 1 {
-		t.Fatalf("metrics = %+v, want one breaker rejection", s)
-	}
-}
-
-func TestContextCancellationDoesNotChargeBreaker(t *testing.T) {
-	br := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Hour})
-	ex := New(func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
-		return nil, ctx.Err()
-	}, Policy{MaxAttempts: 3, Sleep: noSleep, Breaker: br})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ex.Run(ctx, probeCircuit(), device.IBMQX2(), runOpts(10)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want Canceled", err)
-	}
-	if br.State() != StateClosed {
-		t.Fatalf("breaker state %q: a caller cancellation is not machine failure", br.State())
 	}
 }

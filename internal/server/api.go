@@ -14,7 +14,6 @@ import (
 	"biasmit/internal/backend"
 	"biasmit/internal/obs"
 	"biasmit/internal/overload"
-	"biasmit/internal/resilient"
 )
 
 // apiErrorf builds an api.Error with a formatted message.
@@ -30,12 +29,6 @@ func toAPIError(err error) *api.Error {
 	var ae *api.Error
 	if errors.As(err, &ae) {
 		return ae
-	}
-	var boe *resilient.BreakerOpenError
-	if errors.As(err, &boe) {
-		out := apiErrorf(http.StatusServiceUnavailable, api.CodeBreakerOpen, "%v", boe)
-		out.RetryAfter = boe.RetryAfter
-		return out
 	}
 	var oe *overload.Error
 	if errors.As(err, &oe) {

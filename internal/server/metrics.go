@@ -93,23 +93,11 @@ func histogram(w io.Writer, name, label, value string, h obs.StageHist) {
 	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.Count)
 }
 
-// breakerStateValue encodes a breaker state as a gauge value: 0 closed,
-// 1 half-open, 2 open.
-func breakerStateValue(state string) int {
-	switch state {
-	case resilient.StateHalfOpen:
-		return 1
-	case resilient.StateOpen:
-		return 2
-	}
-	return 0
-}
-
-// write renders the registry plus the profile-cache stats, the resilient
-// executor counters, each machine's breaker in machine-name order, and
-// the profile and job journals' counters and recovery gauges (nil for a
-// memory-only store or queue), in the Prometheus text exposition format.
-func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resilient.MetricsSnapshot, execs map[string]*machineExec, profiles *persist.JournalStats, jobStats jobs.Stats, jobsJournal *persist.JournalStats) {
+// write renders the registry plus the profile-cache stats, the retrying
+// executor's counters, and the profile and job journals' counters and
+// recovery gauges (nil for a memory-only store or queue), in the
+// Prometheus text exposition format.
+func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resilient.Stats, profiles *persist.JournalStats, jobStats jobs.Stats, jobsJournal *persist.JournalStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -204,25 +192,9 @@ func (m *metricsRegistry) write(w io.Writer, cache profilestore.Stats, runs resi
 	gauge(w, "biasmitd_jobs_recovered_requeued", "Recovered jobs that were mid-run and went back to queued.", int64(jobStats.RecoveredRequeued))
 	journal("biasmitd_jobs_", "job", jobsJournal)
 
-	counter(w, "biasmitd_backend_runs_total", "Backend runs started (past the breaker).", runs.Runs)
+	counter(w, "biasmitd_backend_runs_total", "Backend runs started.", runs.Runs)
 	counter(w, "biasmitd_backend_retries_total", "Attempts after a run's first, i.e. transient-failure retries.", runs.Retries)
 	counter(w, "biasmitd_backend_run_failures_total", "Backend runs that failed after exhausting retries.", runs.Failures)
-	counter(w, "biasmitd_breaker_rejections_total", "Runs refused outright by an open circuit breaker.", runs.BreakerRejections)
-
-	fmt.Fprintln(w, "# HELP biasmitd_breaker_state Circuit-breaker state per machine (0 closed, 1 half-open, 2 open).")
-	fmt.Fprintln(w, "# TYPE biasmitd_breaker_state gauge")
-	machines := sortedKeys(execs)
-	for _, name := range machines {
-		fmt.Fprintf(w, "biasmitd_breaker_state{machine=%q} %d\n", name, breakerStateValue(execs[name].breaker.State()))
-	}
-	fmt.Fprintln(w, "# HELP biasmitd_breaker_transitions_total Circuit-breaker state transitions per machine.")
-	fmt.Fprintln(w, "# TYPE biasmitd_breaker_transitions_total counter")
-	for _, name := range machines {
-		st := execs[name].breaker.Stats()
-		fmt.Fprintf(w, "biasmitd_breaker_transitions_total{machine=%q,to=\"open\"} %d\n", name, st.Opened)
-		fmt.Fprintf(w, "biasmitd_breaker_transitions_total{machine=%q,to=\"half-open\"} %d\n", name, st.HalfOpened)
-		fmt.Fprintf(w, "biasmitd_breaker_transitions_total{machine=%q,to=\"closed\"} %d\n", name, st.Closed)
-	}
 }
 
 // writeOverloadMetrics renders the admission gate: its occupancy and

@@ -282,56 +282,30 @@ func (s *Server) admit(ctx context.Context, timeoutMS int) (_ context.Context, d
 	return ctx, func() { release(); cancel() }, nil
 }
 
-// machineExec is one machine's execution path plus its breaker.
-type machineExec struct {
-	breaker *resilient.Breaker
-	run     backend.Runner
-}
-
-// newMachineExecs builds the retrying executor and circuit breaker of
-// every machine device.ByName resolves. Machines share one fault
-// injector, whose schedule counts every run the daemon makes, and the
-// retry policy and metrics; each has its own breaker, so one
-// persistently failing machine sheds load without darkening the rest.
-func newMachineExecs(cfg Config, runMetrics *resilient.Metrics) map[string]*machineExec {
+// newExecutor builds the retrying executor every machine's runs go
+// through, over the one fault injector, whose schedule counts every run
+// the daemon makes. It is the only code that retries a backend run,
+// sync or async. Every run holds one of the MaxJobs admission slots
+// while it retries, so retries lengthen a request but add no
+// concurrency, and RetryAttempts caps each run's attempts.
+func newExecutor(cfg Config) *resilient.Executor {
 	run := backend.RunContext
 	if cfg.wrapRun != nil {
 		run = cfg.wrapRun(run)
 	}
-	run = cfg.Chaos.Wrap(run)
-	execs := make(map[string]*machineExec, len(machineNames))
-	for _, name := range machineNames {
-		br := resilient.NewBreaker(resilient.BreakerOptions{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			Now:       cfg.Now,
-		})
-		// Backoff starts at 50ms. This executor is the only code that
-		// retries a backend run, sync or async: every run holds
-		// one of the MaxJobs admission slots while it retries, so
-		// retries lengthen a request but add no concurrency, and the
-		// breaker stops a machine whose runs keep failing.
-		ex := resilient.New(run, resilient.Policy{
-			MaxAttempts: cfg.RetryAttempts,
-			Seed:        cfg.Seed,
-			Breaker:     br,
-			Sleep:       cfg.sleep,
-			Metrics:     runMetrics,
-		})
-		execs[name] = &machineExec{breaker: br, run: ex.Run}
-	}
-	return execs
+	return resilient.New(cfg.Chaos.Wrap(run), resilient.Policy{
+		MaxAttempts: cfg.RetryAttempts,
+		Seed:        cfg.Seed,
+		Sleep:       cfg.sleep,
+	})
 }
 
-// exec returns the machine's execution path.
-func (s *Server) exec(dev *device.Device) *machineExec { return s.execs[dev.Name] }
-
 // machine is the core.Machine every run on dev goes through: the
-// server's worker bound and the machine's resilient executor.
+// server's worker bound and its retrying executor.
 func (s *Server) machine(dev *device.Device) *core.Machine {
 	m := core.NewMachine(dev)
 	m.Workers = s.cfg.Workers
-	m.Run = s.exec(dev).run
+	m.Run = s.exec.Run
 	return m
 }
 

@@ -46,16 +46,21 @@ func (c *fakeClock) advance(d time.Duration) {
 // faultySwitch makes every backend run fail transiently while on. The
 // failShots filter, when non-zero, restricts failures to runs with that
 // exact shot budget (used to break characterization but not mitigation).
-// calls counts every backend call, retries included.
+// panicNext makes the next backend call panic, once. calls counts every
+// backend call, retries included.
 type faultySwitch struct {
 	on        atomic.Bool
 	failShots int
+	panicNext atomic.Bool
 	calls     atomic.Int64
 }
 
 func (f *faultySwitch) wrap(run backend.Runner) backend.Runner {
 	return func(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt backend.Options) (*dist.Counts, error) {
 		f.calls.Add(1)
+		if f.panicNext.CompareAndSwap(true, false) {
+			panic("injected panic")
+		}
 		if f.on.Load() && (f.failShots == 0 || opt.Shots == f.failShots) {
 			return nil, &backend.TransientError{Op: "test", Err: fmt.Errorf("injected outage")}
 		}
@@ -64,8 +69,7 @@ func (f *faultySwitch) wrap(run backend.Runner) backend.Runner {
 }
 
 // resilientServer builds a server with a switchable fault source, a fake
-// clock, no retries, and a tight breaker, so breaker transitions are
-// driven by individual requests.
+// clock and no backoff sleep, so a retried run costs no wall time.
 func resilientServer(t *testing.T, f *faultySwitch, cfg Config) (*Server, *httptest.Server, *fakeClock) {
 	t.Helper()
 	clk := newFakeClock()
@@ -84,90 +88,51 @@ func resilientServer(t *testing.T, f *faultySwitch, cfg Config) (*Server, *httpt
 	return s, ts, clk
 }
 
-func TestBreakerOpensServes503AndRecovers(t *testing.T) {
+// TestOutageServesTyped503AndRecovers: while every run fails, each
+// request answers a typed upstream_transient 503 after its attempts and
+// /healthz stays ok; once the outage ends the next request is served.
+// /metrics counts every run, retry and failure.
+func TestOutageServesTyped503AndRecovers(t *testing.T) {
 	f := &faultySwitch{}
-	_, ts, clk := resilientServer(t, f, Config{
-		RetryAttempts:    1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  5 * time.Second,
-		ProfileShots:     64,
-	})
+	_, ts, _ := resilientServer(t, f, Config{RetryAttempts: 2, ProfileShots: 64})
 	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00", Shots: 64, Seed: 1}
 
-	// Two failing runs, one attempt each, open the breaker.
 	f.on.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 1; i <= 3; i++ {
 		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("request %d: status %d, want 503: %s", i+1, resp.StatusCode, data)
+			t.Fatalf("request %d: status %d, want 503: %s", i, resp.StatusCode, data)
 		}
 		if ae := decodeError(t, data); ae.Code != api.CodeUpstreamTransient {
-			t.Fatalf("request %d: code %q, want %q", i+1, ae.Code, api.CodeUpstreamTransient)
+			t.Fatalf("request %d: code %q, want %q", i, ae.Code, api.CodeUpstreamTransient)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Fatalf("request %d: Retry-After %q on an upstream_transient reply", i, ra)
 		}
 	}
-
-	// The third request is rejected by the open breaker without touching
-	// the backend: typed code plus a Retry-After header.
-	resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, data)
-	}
-	if ae := decodeError(t, data); ae.Code != api.CodeBreakerOpen {
-		t.Fatalf("code %q, want %q", ae.Code, api.CodeBreakerOpen)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "5" {
-		t.Fatalf("Retry-After %q, want %q", ra, "5")
+	if calls := f.calls.Load(); calls != 3*2 {
+		t.Fatalf("%d backend calls during the outage, want 3 runs × 2 attempts = 6", calls)
 	}
 
-	// /healthz is honest about it: degraded, with the machine marked open.
+	// A failing backend does not make the daemon unready.
 	hresp, hdata := getBody(t, ts.URL+"/healthz")
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d (only one machine is dark)", hresp.StatusCode)
-	}
 	var h api.HealthResponse
 	if err := json.Unmarshal(hdata, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "degraded" {
-		t.Fatalf("health status %q, want degraded: %s", h.Status, hdata)
-	}
-	foundOpen := false
-	for _, m := range h.Machines {
-		if m.Machine == "ibmqx2" {
-			foundOpen = m.Breaker == "open" && m.RetryAfterMS > 0
-		} else if m.Breaker != "closed" {
-			t.Fatalf("machine %s breaker %q, want closed", m.Machine, m.Breaker)
-		}
-	}
-	if !foundOpen {
-		t.Fatalf("ibmqx2 not reported open: %s", hdata)
-	}
-
-	// After the cooldown the half-open probe succeeds and the breaker
-	// closes again.
-	clk.advance(6 * time.Second)
-	f.on.Store(false)
-	resp, data = postJSON(t, ts.URL+"/v1/mitigate", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery status %d: %s", resp.StatusCode, data)
-	}
-	hresp, hdata = getBody(t, ts.URL+"/healthz")
-	if err := json.Unmarshal(hdata, &h); err != nil {
-		t.Fatal(err)
-	}
 	if hresp.StatusCode != http.StatusOK || h.Status != "ok" {
-		t.Fatalf("health after recovery: status %d %q", hresp.StatusCode, h.Status)
+		t.Fatalf("health during the outage: status %d %q, want 200 ok: %s", hresp.StatusCode, h.Status, hdata)
 	}
 
-	// /metrics exposes the retry and breaker-transition counters.
+	f.on.Store(false)
+	if resp, data := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-outage status %d: %s", resp.StatusCode, data)
+	}
 	_, mdata := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		"biasmitd_backend_retries_total",
-		"biasmitd_breaker_rejections_total 1",
-		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="open"} 1`,
-		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="half-open"} 1`,
-		`biasmitd_breaker_transitions_total{machine="ibmqx2",to="closed"} 1`,
-		`biasmitd_breaker_state{machine="ibmqx2"} 0`,
+		"biasmitd_backend_runs_total 4\n",
+		"biasmitd_backend_retries_total 3\n",
+		"biasmitd_backend_run_failures_total 3\n",
 	} {
 		if !strings.Contains(string(mdata), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, mdata)
@@ -175,27 +140,21 @@ func TestBreakerOpensServes503AndRecovers(t *testing.T) {
 	}
 }
 
-// TestRetriesBoundedByAttemptsAndBreaker pins what bounds backend work
-// against a machine whose every run fails: the executor's attempt cap
-// per run, and the breaker, which opens after Threshold failed runs.
-// Runs execute only inside an admission slot, so when the breaker opens
-// at most MaxJobs-1 other runs are already past it. With 8 concurrent
-// clients that leaves at most Threshold+MaxJobs-1 runs reaching the
-// backend, each attempted at most RetryAttempts times; every later
-// request is refused as breaker_open.
-func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
+// TestRetriesBoundedByAttempts pins what bounds backend work against a
+// machine whose every run fails: the executor's attempt cap per run.
+// Every request runs, is attempted exactly RetryAttempts times inside
+// its admission slot, and answers upstream_transient, so 8 clients × 5
+// requests make exactly 40 × 4 backend calls.
+func TestRetriesBoundedByAttempts(t *testing.T) {
 	const (
-		maxJobs   = 2
 		attempts  = 4 // the default
-		threshold = 5 // the default
 		clients   = 8
 		perClient = 5
 	)
 	f := &faultySwitch{}
 	f.on.Store(true)
-	_, ts, _ := resilientServer(t, f, Config{MaxJobs: maxJobs})
+	s, ts, _ := resilientServer(t, f, Config{MaxJobs: 2})
 
-	codes := make(chan string, clients*perClient)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -217,56 +176,56 @@ func TestRetriesBoundedByAttemptsAndBreaker(t *testing.T) {
 					t.Errorf("status %d, want a typed 503 (decode error %v)", resp.StatusCode, err)
 					return
 				}
-				codes <- env.Error.Code
+				if env.Error.Code != api.CodeUpstreamTransient {
+					t.Errorf("code %q, want %s", env.Error.Code, api.CodeUpstreamTransient)
+				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	close(codes)
 
-	transient, open := 0, 0
-	for code := range codes {
-		switch code {
-		case api.CodeUpstreamTransient:
-			transient++
-		case api.CodeBreakerOpen:
-			open++
-		default:
-			t.Errorf("code %q, want %s or %s", code, api.CodeUpstreamTransient, api.CodeBreakerOpen)
-		}
+	const requests = clients * perClient
+	if calls := f.calls.Load(); calls != requests*attempts {
+		t.Fatalf("%d backend calls, want %d requests × %d attempts = %d", calls, requests, attempts, requests*attempts)
 	}
-	const maxRuns = threshold + maxJobs - 1
-	if calls := f.calls.Load(); calls > maxRuns*attempts {
-		t.Fatalf("%d backend calls, want at most (%d+%d-1)×%d = %d", calls, threshold, maxJobs, attempts, maxRuns*attempts)
-	}
-	if transient < threshold || transient > maxRuns {
-		t.Fatalf("%d upstream_transient replies, want %d to %d", transient, threshold, maxRuns)
-	}
-	if transient+open != clients*perClient {
-		t.Fatalf("%d transient + %d breaker_open replies, want %d in all", transient, open, clients*perClient)
+	if st := s.exec.Stats(); st.Runs != requests || st.Retries != requests*(attempts-1) || st.Failures != requests {
+		t.Fatalf("executor stats %+v, want %d runs, %d retries, %d failures", st, requests, requests*(attempts-1), requests)
 	}
 }
 
-func TestHealthzUnavailableWhenEveryBreakerOpen(t *testing.T) {
+// TestPanickingRunDoesNotDarkenMachine: a run that panics ends its own
+// request with a 500 internal and leaves no state behind, so after a
+// streak of failed runs and a panic, healthy requests an hour apart
+// are all served.
+func TestPanickingRunDoesNotDarkenMachine(t *testing.T) {
 	f := &faultySwitch{}
-	s, ts, _ := resilientServer(t, f, Config{BreakerThreshold: 1})
-	for _, name := range machineNames {
-		dev, ok := device.ByName(name)
-		if !ok {
-			t.Fatalf("unknown machine %q", name)
+	_, ts, clk := resilientServer(t, f, Config{RetryAttempts: 1})
+	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "baseline", Benchmark: "prep:00", Shots: 64, Seed: 1}
+
+	f.on.Store(true)
+	for i := 1; i <= 5; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("failing request %d: status %d, want 503: %s", i, resp.StatusCode, data)
 		}
-		s.exec(dev).breaker.Failure()
 	}
-	resp, data := getBody(t, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 with every breaker open: %s", resp.StatusCode, data)
+	f.on.Store(false)
+	clk.advance(time.Minute)
+
+	f.panicNext.Store(true)
+	resp, data := postJSON(t, ts.URL+"/v1/mitigate", req)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking run: status %d, want 500: %s", resp.StatusCode, data)
 	}
-	var h api.HealthResponse
-	if err := json.Unmarshal(data, &h); err != nil {
-		t.Fatal(err)
+	if ae := decodeError(t, data); ae.Code != api.CodeInternal {
+		t.Fatalf("panicking run: code %q, want %q", ae.Code, api.CodeInternal)
 	}
-	if h.Status != "unavailable" {
-		t.Fatalf("status %q, want unavailable", h.Status)
+
+	for i := 1; i <= 3; i++ {
+		clk.advance(time.Hour)
+		if resp, data := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthy request %d, %dh after the panic: status %d, want 200: %s", i, i, resp.StatusCode, data)
+		}
 	}
 }
 
@@ -303,11 +262,7 @@ func TestProfilesNeverExpire(t *testing.T) {
 	// Fail only characterization-sized runs (the 257-shot sentinel), so
 	// the AIM run itself succeeds.
 	f := &faultySwitch{failShots: 257}
-	s, ts, clk := resilientServer(t, f, Config{
-		RetryAttempts:    1,
-		BreakerThreshold: 1000, // keep the breaker out of this test
-		ProfileShots:     257,
-	})
+	s, ts, clk := resilientServer(t, f, Config{RetryAttempts: 1, ProfileShots: 257})
 	req := api.MitigateRequest{Machine: "ibmqx2", Policy: "aim", Benchmark: "bv:01", Shots: 400, Seed: 5}
 	if resp, data := postJSON(t, ts.URL+"/v1/mitigate", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold AIM run: status %d: %s", resp.StatusCode, data)

@@ -34,7 +34,6 @@ import (
 	"biasmit/internal/api"
 	"biasmit/internal/backend"
 	"biasmit/internal/chaos"
-	"biasmit/internal/device"
 	"biasmit/internal/jobs"
 	"biasmit/internal/obs"
 	"biasmit/internal/overload"
@@ -83,11 +82,6 @@ type Config struct {
 	// retries). It is the only retry limit a run has: a failed request
 	// or job is not run again.
 	RetryAttempts int
-	// BreakerThreshold is how many consecutive failed runs open a
-	// machine's circuit breaker (default 5); BreakerCooldown is how long
-	// an open breaker rejects work before probing again (default 30s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// JobsLog, when non-nil, makes the async job queue durable: every job
 	// state transition is journaled through it (WAL + snapshots) and the
 	// jobs it recovered are re-queued or surfaced as history at
@@ -137,17 +131,6 @@ type Config struct {
 	wrapRun func(backend.Runner) backend.Runner
 }
 
-// machineNames lists the machines the server runs on, the only ones
-// device.ByName resolves: the paper's three, which /healthz and the
-// breaker metrics always report on.
-var machineNames = func() []string {
-	var names []string
-	for _, dev := range device.AllMachines() {
-		names = append(names, dev.Name)
-	}
-	return names
-}()
-
 // maxAdmissionQueue bounds the interactive admission queue when the
 // gate sheds (Config.QueueTimeout > 0); an arrival past it evicts a
 // lower-class waiter or is shed itself. Job executions do not count:
@@ -194,12 +177,10 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// Per-machine resilient execution: every backend run (mitigation
-	// and characterization alike) goes through the machine's retrying
-	// executor and circuit breaker; the counters are shared so /metrics
-	// shows one fleet-wide view.
-	runMetrics *resilient.Metrics
-	execs      map[string]*machineExec
+	// exec is the retrying executor every backend run goes through,
+	// mitigation and characterization alike, on every machine: one
+	// fault injector, one retry policy and one set of counters.
+	exec *resilient.Executor
 
 	// Async job queue (POST /v1/jobs): durable when cfg.JobsLog is set,
 	// drained into the same mitigate/characterize paths the synchronous
@@ -228,14 +209,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		reg:        newMetricsRegistry(),
-		mux:        http.NewServeMux(),
-		start:      cfg.Now(),
-		runMetrics: &resilient.Metrics{},
-		traces:     obs.NewRecorder(0, cfg.SlowRequest), // keeps the last 256 traces
+		cfg:    cfg,
+		reg:    newMetricsRegistry(),
+		mux:    http.NewServeMux(),
+		start:  cfg.Now(),
+		exec:   newExecutor(cfg),
+		traces: obs.NewRecorder(0, cfg.SlowRequest), // keeps the last 256 traces
 	}
-	s.execs = newMachineExecs(cfg, s.runMetrics)
 	if cfg.ResultCache {
 		s.rescache = rescache.New()
 	}
@@ -534,40 +514,21 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, resp)
 }
 
-// handleHealthz reports honest readiness rather than bare liveness:
-// each machine's breaker state, the cached profile count and the job
-// queue's depth. The status is "ok" with every breaker closed,
-// "degraded" while any breaker is open/half-open, and "unavailable"
-// (with a 503, so load balancers stop routing here) only when every
-// machine's breaker is open.
+// handleHealthz reports readiness rather than bare liveness: the
+// cached profile count and the job queue's depth. The status is "ok",
+// or "unavailable" (with a 503, so load balancers stop routing here)
+// while the job queue is past QueueHighWater.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	jst := s.jobq.Stats()
 	resp := &api.HealthResponse{
 		Status:         "ok",
 		UptimeMS:       time.Since(s.start).Milliseconds(),
 		ProfilesCached: s.store.StatsSnapshot().Entries,
+		JobsQueued:     jst.Queued,
+		JobsRunning:    jst.Running,
+		OldestQueuedMS: jst.OldestQueued.Milliseconds(),
 	}
-	open := 0
-	for _, name := range machineNames {
-		br := s.execs[name].breaker
-		hm := api.HealthMachine{Machine: name, Breaker: br.State()}
-		if hm.Breaker == resilient.StateOpen {
-			open++
-			hm.RetryAfterMS = br.RetryAfter().Milliseconds()
-		}
-		if hm.Breaker != resilient.StateClosed {
-			resp.Status = "degraded"
-		}
-		resp.Machines = append(resp.Machines, hm)
-	}
-	jst := s.jobq.Stats()
-	resp.JobsQueued = jst.Queued
-	resp.JobsRunning = jst.Running
-	resp.OldestQueuedMS = jst.OldestQueued.Milliseconds()
 	status := http.StatusOK
-	if len(resp.Machines) > 0 && open == len(resp.Machines) {
-		resp.Status = "unavailable"
-		status = http.StatusServiceUnavailable
-	}
 	// Backlog past the high-water mark means new work will sit longer
 	// than it is worth: tell the balancer to stop routing here until the
 	// queue drains below the mark.
@@ -589,8 +550,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.cfg.JobsLog.Stats()
 		jobsJournal = &st
 	}
-	s.reg.write(w, s.store.StatsSnapshot(), s.runMetrics.Snapshot(), s.execs, profiles,
-		s.jobq.Stats(), jobsJournal)
+	s.reg.write(w, s.store.StatsSnapshot(), s.exec.Stats(), profiles, s.jobq.Stats(), jobsJournal)
 	s.writeOverloadMetrics(w)
 	s.writeResultCacheMetrics(w)
 	s.writeTraceMetrics(w)

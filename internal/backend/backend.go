@@ -23,11 +23,18 @@
 // the prefix's content, so a program run again — a SIM or AIM group
 // under another inversion string, which adds only an X layer before
 // measurement, a repeated request, a profile preparation — evolves no
-// density matrix at all. RunContext picks the exact engine for
+// density matrix at all. Its shots then go through a compiled sampler:
+// a guide-table search of the CDF and a readout flip table with one row
+// per true outcome, drawing from a copy of math/rand's generator
+// (rng.go) called directly. It draws and compares exactly as
+// rand.New(rand.NewSource(seed)), sort.Search and CompiledReadout.Apply
+// would. RunContext picks the exact engine for
 // small registers at shot counts where one O(4^n) evolution costs less
 // than a trajectory per shot (see Options.ShotsPerTrajectory); both
 // engines sample the same output distribution, but through different
-// random streams.
+// random streams. Runs on either engine take their generator, and the
+// exact engine its sampling buffers, from one free list (runScratch), so
+// no run allocates a generator.
 //
 // The trajectory engine simulates only the qubits the placement touches
 // (plan.compact). A placed circuit often occupies a few of the device's
@@ -53,6 +60,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"biasmit/internal/bitstring"
 	"biasmit/internal/circuit"
@@ -174,8 +182,9 @@ type Options struct {
 	// derived seeds. Results are deterministic for a fixed (Seed,
 	// Workers) pair but differ between worker counts, since the random
 	// streams are partitioned differently. Zero or one keeps the
-	// sequential path. The exact engine ignores it: its one evolution
-	// and its O(n)-per-shot sampling run on the calling goroutine.
+	// sequential path. The exact engine ignores it: its evolution and
+	// its sampling, a guide-table lookup and one draw per qubit per
+	// shot, run on the calling goroutine.
 	Workers int
 	// IdleInversion inserts an X–X pair at the midpoint of every idle
 	// window (requires ScheduleAwareDecay): the qubit spends half its
@@ -254,12 +263,74 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 	if opt.Workers > 1 {
 		return runParallel(ctx, p, opt, readout)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	sc := acquireScratch(opt.Seed)
+	defer releaseScratch(sc)
 	counts := dist.NewCounts(dev.NumQubits)
-	if err := runShots(ctx, p, opt, readout, opt.Shots, rng, counts); err != nil {
+	if err := runShots(ctx, p, opt, readout, opt.Shots, sc.rng, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
+}
+
+// runScratch is what a run reuses from earlier runs: the generator every
+// engine draws from and the exact engine's sampling buffers. Acquiring
+// it seeds the generator, and the exact engine writes every buffer
+// before it reads it, so nothing carries over from an earlier run, even
+// one that panicked halfway.
+type runScratch struct {
+	src lfSource
+	// rng is rand.New(&src), the generator the trajectory engine and
+	// the readout channel's Apply draw from; the exact engine calls src
+	// directly, on the same stream.
+	rng   *rand.Rand
+	cdf   []float64
+	guide []int
+	flips []float64
+	hist  []int
+}
+
+// scratchFreeCap bounds how many released runScratch values wait for
+// the next runs; a process on a few CPUs runs far fewer at once. Each
+// holds the 4.9 KB generator and, after an 8-qubit exact run, some 22 KB
+// of buffers.
+const scratchFreeCap = 32
+
+// scratchFree holds released runScratch values, the most recently
+// released last, so a run takes the one whose memory is warmest. It is a
+// free list rather than a sync.Pool because a pool's contents are not
+// stable: under the race detector it drops a quarter of its Puts, and GC
+// cycles empty it, so a run's allocations would vary from run to run.
+var scratchFree struct {
+	mu   sync.Mutex
+	list []*runScratch
+}
+
+// acquireScratch returns a released runScratch, or a new one, whose
+// generator draws what rand.New(rand.NewSource(seed)) would.
+func acquireScratch(seed int64) *runScratch {
+	var sc *runScratch
+	scratchFree.mu.Lock()
+	if n := len(scratchFree.list); n > 0 {
+		sc = scratchFree.list[n-1]
+		scratchFree.list = scratchFree.list[:n-1]
+	}
+	scratchFree.mu.Unlock()
+	if sc == nil {
+		sc = new(runScratch)
+		sc.rng = rand.New(&sc.src)
+	}
+	sc.rng.Seed(seed)
+	return sc
+}
+
+// releaseScratch hands sc to the next run, or to the GC when
+// scratchFreeCap runs' worth already wait.
+func releaseScratch(sc *runScratch) {
+	scratchFree.mu.Lock()
+	if len(scratchFree.list) < scratchFreeCap {
+		scratchFree.list = append(scratchFree.list, sc)
+	}
+	scratchFree.mu.Unlock()
 }
 
 // runShots executes the trajectory trial loop sequentially into counts,
@@ -388,8 +459,9 @@ func runParallel(ctx context.Context, p *plan, opt Options, readout *noise.Compi
 	partial, err := orchestrate.Map(ctx, workers, shotsFor,
 		func(ctx context.Context, w, shots int) (*dist.Counts, error) {
 			local := dist.NewCounts(p.width)
-			rng := rand.New(rand.NewSource(orchestrate.DeriveSeed(opt.Seed, w)))
-			if err := runShots(ctx, p, opt, readout, shots, rng, local); err != nil {
+			sc := acquireScratch(orchestrate.DeriveSeed(opt.Seed, w))
+			defer releaseScratch(sc)
+			if err := runShots(ctx, p, opt, readout, shots, sc.rng, local); err != nil {
 				return nil, err
 			}
 			return local, nil

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 
 	"biasmit/internal/bitstring"
@@ -38,58 +36,131 @@ func (o Options) useExact(n int) bool {
 }
 
 // runExact is the exact-channel engine: it takes diag(ρ) after every
-// step of the plan (exactDiag), then draws every shot from it through a
-// CDF (one rng draw and an O(n) binary search per shot) and corrupts it
-// with the compiled readout channel. The outcome histogram is kept in a
-// flat 2^n array until the end, so a run allocates the same whatever its
-// shot count.
+// step of the plan (exactDiag) and draws every shot from it through
+// a compiled kernel that draws the same values in the same order, and
+// makes the same comparisons, as rand.New(rand.NewSource(opt.Seed)),
+// sort.Search over the CDF and CompiledReadout.Apply would. The
+// generator is math/rand's own (lfSource), from a reused runScratch and
+// called directly; the CDF search starts at a guide-table bucket
+// (cdfSearch), a step or two from its answer; and the readout channel
+// is folded into a flip table with one row per true outcome
+// (CompiledReadout.FlipTable), so a shot reads its row and makes one
+// draw per qubit whose flip probability is positive. The buffers come
+// from the same scratch, so a run allocates the same whatever its shot
+// count.
 func runExact(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	n := p.c.NumQubits
-	cdf, err := p.exactDiag(ctx)
+	sc := acquireScratch(opt.Seed)
+	defer releaseScratch(sc)
+	diag, err := p.exactDiag(ctx, sc.cdf)
 	if err != nil {
 		return nil, err
 	}
-	d := len(cdf)
-	var total float64
-	for i, q := range cdf {
-		// Round-off can leave a diagonal entry a hair below zero; the CDF
-		// must stay non-decreasing for the binary search.
-		if q > 0 {
-			total += q
-		}
-		cdf[i] = total
+	search := newCDFSearch(diag, sc.guide)
+	sc.cdf, sc.guide = search.cdf, search.guide
+	var flips []float64
+	if !opt.NoReadoutError {
+		sc.flips = readout.FlipTable(sc.flips[:0])
+		flips = sc.flips
 	}
-	hist := make([]int, d)
-	rng := rand.New(rand.NewSource(opt.Seed))
+	if cap(sc.hist) < len(diag) {
+		sc.hist = make([]int, len(diag))
+	}
+	hist := sc.hist[:len(diag)]
+	clear(hist)
+	src := &sc.src
 	for shot := 0; shot < opt.Shots; shot++ {
 		if shot%exactCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		// Scaling by the accumulated mass keeps u below the last CDF
-		// entry even when round-off moved the trace off 1.
-		u := rng.Float64() * total
-		i := sort.Search(d, func(j int) bool { return u < cdf[j] })
-		if i == d {
-			i = d - 1
+		i := search.index(src.Float64() * search.total)
+		out := i
+		if flips != nil {
+			for q, t := range flips[i*n : i*n+n] {
+				if t > 0 && src.Float64() < t {
+					out ^= 1 << uint(q)
+				}
+			}
 		}
-		out := bitstring.New(uint64(i), n)
-		if !opt.NoReadoutError {
-			out = readout.Apply(out, rng)
-		}
-		hist[out.Uint64()]++
+		hist[out]++
 	}
-	counts := dist.NewCounts(n)
+	distinct := 0
+	for _, k := range hist {
+		if k > 0 {
+			distinct++
+		}
+	}
+	counts := dist.NewCountsSize(n, distinct)
 	for i, k := range hist {
 		counts.Add(bitstring.New(uint64(i), n), k)
 	}
 	return counts, nil
 }
 
-// exactDiag returns diag(ρ) after every step of p, in a slice the caller
-// owns. It splits the plan at its diagonal-closed suffix, the trailing
-// steps whose effect on diag(ρ) depends on diag(ρ) alone (diagClosed):
+// cdfSearch finds where a draw falls in a CDF through a guide table
+// (Chen and Asau's indexed search): guide[b] is the answer for the
+// lowest draw that maps to bucket b, so a draw's search starts at its
+// bucket's entry, at or just below its answer.
+type cdfSearch struct {
+	cdf   []float64
+	total float64 // the CDF's last entry
+	guide []int
+	scale float64 // len(guide) / total
+}
+
+// newCDFSearch turns diag into its CDF in place and builds the guide
+// table, one bucket per entry, in guide's storage. A negative diagonal
+// entry, which round-off can leave a hair below zero, adds nothing, so
+// the CDF never decreases.
+func newCDFSearch(diag []float64, guide []int) cdfSearch {
+	var total float64
+	for i, q := range diag {
+		if q > 0 {
+			total += q
+		}
+		diag[i] = total
+	}
+	s := cdfSearch{cdf: diag, total: total, guide: guide[:0], scale: float64(len(diag)) / total}
+	j := 0
+	for b := range diag {
+		lo := float64(b) / s.scale
+		for j < len(diag) && !(lo < diag[j]) {
+			j++
+		}
+		s.guide = append(s.guide, j)
+	}
+	return s
+}
+
+// index returns the first j with u < cdf[j], the index sort.Search
+// finds, or the last index when no entry exceeds u. The guide entry is
+// only where the search starts: rounding can put a bucket's entry past
+// a draw at its lower edge, so the search steps forwards to the first
+// entry above u and then back while the one before is above u too. The
+// CDF never decreases, so the two walks end at sort.Search's answer
+// from any start. That lets the bucket be clamped into the table,
+// whatever u·scale converts to when the total is zero or not finite.
+func (s *cdfSearch) index(u float64) int {
+	cdf, guide := s.cdf, s.guide
+	b := int(u * s.scale)
+	if uint(b) >= uint(len(guide)) {
+		b = len(guide) - 1
+	}
+	j := guide[b]
+	for j < len(cdf) && !(u < cdf[j]) {
+		j++
+	}
+	for j > 0 && u < cdf[j-1] {
+		j--
+	}
+	return min(j, len(cdf)-1)
+}
+
+// exactDiag returns diag(ρ) after every step of p, in dst's storage. It
+// splits the plan at its diagonal-closed suffix, the trailing steps
+// whose effect on diag(ρ) depends on diag(ρ) alone (diagClosed):
 // for a SIM or AIM group, the inversion layer before measurement with
 // its gate noise and, with ScheduleAwareDecay, the final idle gaps. The
 // prefix's diagonal comes from the process-wide memo, or from evolving
@@ -97,7 +168,7 @@ func runExact(ctx context.Context, p *plan, opt Options, readout *noise.Compiled
 // applied to a copy of it. The diagonal kernels repeat the matrix
 // kernels' arithmetic, so the result is bit for bit the diagonal of ρ
 // evolved through every step.
-func (p *plan) exactDiag(ctx context.Context) (density.Diag, error) {
+func (p *plan) exactDiag(ctx context.Context, dst []float64) (density.Diag, error) {
 	cut := len(p.steps)
 	for cut > 0 && p.diagClosed(p.steps[cut-1]) {
 		cut--
@@ -106,7 +177,7 @@ func (p *plan) exactDiag(ctx context.Context) (density.Diag, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := append(density.Diag(nil), prefix...)
+	d := append(density.Diag(dst[:0]), prefix...)
 	p.evolveDiag(d, p.steps[cut:])
 	return d, nil
 }

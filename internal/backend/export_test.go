@@ -6,6 +6,7 @@ import (
 	"biasmit/internal/circuit"
 	"biasmit/internal/density"
 	"biasmit/internal/device"
+	"biasmit/internal/dist"
 )
 
 // Ablation is one corner of fastPathAblations, exported for the external
@@ -56,7 +57,7 @@ func ExactDiags(c *circuit.Circuit, dev *device.Device, opt Options) (engine, fu
 	if err != nil {
 		return nil, nil, err
 	}
-	if engine, err = p.exactDiag(context.Background()); err != nil {
+	if engine, err = p.exactDiag(context.Background(), nil); err != nil {
 		return nil, nil, err
 	}
 	m := density.New(c.NumQubits)
@@ -64,4 +65,14 @@ func ExactDiags(c *circuit.Circuit, dev *device.Device, opt Options) (engine, fu
 		return nil, nil, err
 	}
 	return engine, m.Probabilities(), nil
+}
+
+// ExactReference runs c on dev through the exact engine's oracle loop
+// (runExactReference) instead of its compiled sampler.
+func ExactReference(c *circuit.Circuit, dev *device.Device, opt Options) (*dist.Counts, error) {
+	p, err := placeNoise(c, dev, opt)
+	if err != nil {
+		return nil, err
+	}
+	return runExactReference(context.Background(), p, opt, dev.ReadoutModel().Compile())
 }

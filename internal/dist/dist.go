@@ -33,6 +33,12 @@ func NewCounts(width int) *Counts {
 	return &Counts{width: width, m: make(map[bitstring.Bits]int)}
 }
 
+// NewCountsSize returns an empty histogram for width-wide outcomes with
+// room for size distinct outcomes before it grows.
+func NewCountsSize(width, size int) *Counts {
+	return &Counts{width: width, m: make(map[bitstring.Bits]int, size)}
+}
+
 // Width returns the outcome width in bits.
 func (c *Counts) Width() int { return c.width }
 

@@ -95,3 +95,35 @@ func TestCompiledModelRoundTrip(t *testing.T) {
 	}()
 	c.Apply(bitstring.MustParse("101"), rand.New(rand.NewSource(1)))
 }
+
+// TestFlipTableStreamIdentical: drawing against a true outcome's row of
+// the flip table, one Float64 per positive entry, corrupts it exactly as
+// Apply does on the same rng stream, for every true state, with stacked
+// correlations on one target and a qubit that never misreads 0.
+func TestFlipTableStreamIdentical(t *testing.T) {
+	for _, m := range []*ReadoutModel{correlatedTestModel(), {PerQubit: correlatedTestModel().PerQubit}} {
+		c := m.Compile()
+		n := c.NumQubits()
+		table := c.FlipTable(nil)
+		if len(table) != n<<uint(n) {
+			t.Fatalf("table holds %d entries, want %d", len(table), n<<uint(n))
+		}
+		rngA := rand.New(rand.NewSource(99))
+		rngB := rand.New(rand.NewSource(99))
+		for _, x := range bitstring.All(n) {
+			row := table[int(x.Uint64())*n:][:n]
+			for shot := 0; shot < 200; shot++ {
+				want := c.Apply(x, rngA)
+				got := x.Uint64()
+				for q, p := range row {
+					if p > 0 && rngB.Float64() < p {
+						got ^= 1 << uint(q)
+					}
+				}
+				if got != want.Uint64() {
+					t.Fatalf("x=%s shot %d: Apply %s, table %s", x, shot, want, bitstring.New(got, n))
+				}
+			}
+		}
+	}
+}

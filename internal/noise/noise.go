@@ -163,8 +163,11 @@ func (m *ReadoutModel) Apply(x bitstring.Bits, rng *rand.Rand) bitstring.Bits {
 // is positive, in ascending qubit order, compared with `<` against the
 // same IEEE-754 probability values (correlations fold in the same order
 // as the model's Correlations slice) — so the corrupted outcome stream
-// is byte-identical. The equality tests in this package and the backend
-// fast-path suite assert exactly that.
+// is byte-identical. FlipTable lays out the same probabilities per true
+// outcome, so a loop that draws against a row keeps the stream too; the
+// backend's exact engine samples through it. The equality tests in this
+// package, the backend fast-path suite and the exact sampler's oracle
+// assert exactly that.
 //
 // Compile snapshots the model: mutations to the ReadoutModel after
 // compiling are not reflected.
@@ -212,26 +215,49 @@ func (c *CompiledReadout) Apply(x bitstring.Bits, rng *rand.Rand) bitstring.Bits
 	if x.Width() != n {
 		panic(fmt.Sprintf("noise: outcome width %d does not match model %d", x.Width(), n))
 	}
-	out := x
+	v := x.Uint64()
+	out := v
 	for i := 0; i < n; i++ {
-		var pi float64
-		if x.Bit(i) {
-			pi = c.p10[i]
-		} else {
-			pi = c.p01[i]
-		}
-		if c.corrByTarget != nil {
-			for _, corr := range c.corrByTarget[i] {
-				if x.Bit(corr.Trigger) == corr.TriggerState {
-					pi = pi + corr.PExtra - pi*corr.PExtra
-				}
-			}
-		}
-		if pi > 0 && rng.Float64() < pi {
-			out = out.SetBit(i, !out.Bit(i))
+		if pi := c.flipProb(v, i); pi > 0 && rng.Float64() < pi {
+			out ^= 1 << uint(i)
 		}
 	}
-	return out
+	return bitstring.New(out, n)
+}
+
+// flipProb is qubit i's effective flip probability when the true
+// outcome is x, its packed value: the qubit's misread probability for
+// its bit of x, with every correlation on it whose trigger x satisfies
+// folded in the model's Correlations order.
+func (c *CompiledReadout) flipProb(x uint64, i int) float64 {
+	pi := c.p01[i]
+	if x>>uint(i)&1 == 1 {
+		pi = c.p10[i]
+	}
+	if c.corrByTarget != nil {
+		for _, corr := range c.corrByTarget[i] {
+			if (x>>uint(corr.Trigger)&1 == 1) == corr.TriggerState {
+				pi = pi + corr.PExtra - pi*corr.PExtra
+			}
+		}
+	}
+	return pi
+}
+
+// FlipTable appends to dst the flip probability Apply compares each
+// draw against, for every true outcome: 2^n rows in packed order, row x
+// holding qubits 0 to n−1. For each true outcome x, drawing
+// rng.Float64() < t for every positive t of row x, in order, and
+// flipping the qubits whose draw succeeds consumes rng and corrupts x
+// exactly as Apply does.
+func (c *CompiledReadout) FlipTable(dst []float64) []float64 {
+	n := len(c.p01)
+	for x := uint64(0); x < 1<<uint(n); x++ {
+		for i := 0; i < n; i++ {
+			dst = append(dst, c.flipProb(x, i))
+		}
+	}
+	return dst
 }
 
 // SuccessProb returns the exact probability that state x is read back

@@ -63,11 +63,10 @@ type Report struct {
 // allocate more than this many times its baseline allocs/op.
 const allocBudgetFactor = 2.0
 
-// recordRuns is how many times each row runs. Pooled states are
-// refilled after each GC cycle, so a row that runs only a few
-// iterations (RunShotsTrialLoop at width 16 runs 1–2) reads a few more
-// allocs/op in some runs than in others; the fewest of three is the
-// figure that repeats.
+// recordRuns is how many times each row runs. A parallel row's workers
+// race one another to the backend's free list of run scratch, so
+// RunShotsParallel reads a few more allocs/op in some runs than in
+// others; the fewest of three is the figure that repeats.
 const recordRuns = 3
 
 func main() {

@@ -32,9 +32,12 @@
 // small registers at shot counts where one O(4^n) evolution costs less
 // than a trajectory per shot (see Options.ShotsPerTrajectory); both
 // engines sample the same output distribution, but through different
-// random streams. Runs on either engine take their generator, and the
-// exact engine its sampling buffers, from one free list (runScratch), so
-// no run allocates a generator.
+// random streams. A run on either engine takes its generator and every
+// buffer it reuses — the trajectory engine's state vector and batch
+// sampler, the exact engine's memo key and sampling buffers — from one
+// free list (runScratch), one per sequential run and one per parallel
+// worker, so no run allocates a generator, and a run allocates the same
+// however long ago the GC last ran.
 //
 // The trajectory engine simulates only the qubits the placement touches
 // (plan.compact). A placed circuit often occupies a few of the device's
@@ -194,7 +197,7 @@ type Options struct {
 	// gates pay their own gate-error and duration cost.
 	IdleInversion bool
 	// NoFastPath is a debug/verification knob: it disables the exact
-	// engine, register compaction, the CDF batch sampler, the pooled
+	// engine, register compaction, the CDF batch sampler, the reused
 	// trajectory state, and the compiled readout channel, running the
 	// original full-width, allocate-per-trajectory,
 	// linear-scan-per-shot trial loop instead.
@@ -253,46 +256,59 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 	// rebuilding a flip-probability slice per shot.
 	readout := dev.ReadoutModel().Compile()
 
-	if opt.useExact(dev.NumQubits) {
-		return runExact(ctx, p, opt, readout)
-	}
-	opt = opt.withDefaults(dev.NumQubits)
-	if !opt.NoFastPath {
-		p = p.compact()
-	}
-	if opt.Workers > 1 {
-		return runParallel(ctx, p, opt, readout)
+	exact := opt.useExact(dev.NumQubits)
+	if !exact {
+		opt = opt.withDefaults(dev.NumQubits)
+		if !opt.NoFastPath {
+			p = p.compact()
+		}
+		if opt.Workers > 1 {
+			return runParallel(ctx, p, opt, readout)
+		}
 	}
 	sc := acquireScratch(opt.Seed)
 	defer releaseScratch(sc)
+	if exact {
+		return runExact(ctx, p, opt, readout, sc)
+	}
 	counts := dist.NewCounts(dev.NumQubits)
-	if err := runShots(ctx, p, opt, readout, opt.Shots, sc.rng, counts); err != nil {
+	if err := runShots(ctx, p, opt, readout, opt.Shots, sc, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
 }
 
 // runScratch is what a run reuses from earlier runs: the generator every
-// engine draws from and the exact engine's sampling buffers. Acquiring
-// it seeds the generator, and the exact engine writes every buffer
-// before it reads it, so nothing carries over from an earlier run, even
-// one that panicked halfway.
+// engine draws from, the trajectory engine's state vector and batch
+// sampler, and the exact engine's memo key and sampling buffers. A
+// sequential run takes one, and a parallel run one per worker. Acquiring
+// it seeds the generator, and both engines write every buffer before
+// they read it, so nothing carries over from an earlier run, even one
+// that panicked halfway: every trajectory re-prepares the state, every
+// batch rebuilds the sampler's CDF, and every exact run rebuilds its
+// key, CDF, guide, flip table and histogram.
 type runScratch struct {
 	src lfSource
 	// rng is rand.New(&src), the generator the trajectory engine and
 	// the readout channel's Apply draw from; the exact engine calls src
 	// directly, on the same stream.
-	rng   *rand.Rand
-	cdf   []float64
-	guide []int
-	flips []float64
-	hist  []int
+	rng *rand.Rand
+	// state is the trajectory engine's state vector, kept while runs
+	// keep its width.
+	state   *quantum.State
+	sampler quantum.Sampler
+	key     []byte
+	cdf     []float64
+	guide   []int
+	flips   []float64
+	hist    []int
 }
 
 // scratchFreeCap bounds how many released runScratch values wait for
 // the next runs; a process on a few CPUs runs far fewer at once. Each
 // holds the 4.9 KB generator and, after an 8-qubit exact run, some 22 KB
-// of buffers.
+// of buffers; after a trajectory run, its state vector and CDF take
+// 24 bytes per amplitude of the widest register it simulated.
 const scratchFreeCap = 32
 
 // scratchFree holds released runScratch values, the most recently
@@ -300,6 +316,8 @@ const scratchFreeCap = 32
 // free list rather than a sync.Pool because a pool's contents are not
 // stable: under the race detector it drops a quarter of its Puts, and GC
 // cycles empty it, so a run's allocations would vary from run to run.
+// The price is that a released scratch keeps its buffers until a run
+// reuses it or the process exits.
 var scratchFree struct {
 	mu   sync.Mutex
 	list []*runScratch
@@ -333,15 +351,25 @@ func releaseScratch(sc *runScratch) {
 	scratchFree.mu.Unlock()
 }
 
+// trajectoryState returns sc's n-qubit state vector, replacing it when
+// the last run that used sc simulated another width.
+func (sc *runScratch) trajectoryState(n int) *quantum.State {
+	if sc.state == nil || sc.state.NumQubits() != n {
+		sc.state = quantum.NewState(n)
+	}
+	return sc.state
+}
+
 // runShots executes the trajectory trial loop sequentially into counts,
-// stopping between trajectory batches if ctx ends.
+// drawing from sc's generator and stopping between trajectory batches if
+// ctx ends.
 //
 // This is the hot path of every run the exact engine does not take:
 // wide registers, small shot budgets, and explicit ShotsPerTrajectory.
 // The fast path (default) evolves the compacted register of p (see
-// plan.compact) in one pooled state vector for the whole loop,
-// re-preparing it in place per trajectory, samples each trajectory
-// batch through a CDF built once per trajectory (O(2^n) once + O(n)
+// plan.compact) in sc's state vector for the whole loop, re-preparing
+// it in place per trajectory, samples each trajectory batch through
+// sc's sampler, whose CDF it rebuilds per batch (O(2^n) once + O(n)
 // binary search per shot) instead of linear-scanning 2^n amplitudes on
 // every shot, and maps each sampled index to its device outcome
 // (plan.outcome). Compaction, the CDF sampler and the compiled readout
@@ -350,26 +378,13 @@ func releaseScratch(sc *runScratch) {
 // are byte-identical to Options.NoFastPath (asserted by
 // TestFastPathMatchesNaive and the fuzz suite in internal/quantum).
 func runShots(ctx context.Context, p *plan, opt Options,
-	readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
+	readout *noise.CompiledReadout, shots int, sc *runScratch, counts *dist.Counts) error {
+	rng := sc.rng
 	if opt.NoFastPath {
 		return runShotsNaive(ctx, p, opt, readout.Model(), shots, rng, counts)
 	}
-	state := quantum.AcquireState(p.c.NumQubits)
-	var sampler *quantum.Sampler
-	defer func() {
-		// A panic mid-trajectory (chaos injection, a faulted gate)
-		// leaves these buffers in an unknown state: drop them for the
-		// GC instead of pooling them, then let the panic continue to
-		// the orchestrator's recovery. Pooling a torn buffer would
-		// hand a corrupted state vector to an unrelated future run.
-		if r := recover(); r != nil {
-			panic(r)
-		}
-		quantum.ReleaseState(state)
-		if sampler != nil {
-			quantum.ReleaseSampler(sampler)
-		}
-	}()
+	state := sc.trajectoryState(p.c.NumQubits)
+	sampler := &sc.sampler
 	remaining := shots
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
@@ -392,11 +407,7 @@ func runShots(ctx context.Context, p *plan, opt Options,
 			remaining--
 			continue
 		}
-		if sampler == nil {
-			sampler = quantum.AcquireSampler(state)
-		} else {
-			sampler.Reset(state)
-		}
+		sampler.Reset(state)
 		for i := 0; i < batch; i++ {
 			out := p.outcome(sampler.SampleIndex(rng))
 			if !opt.NoReadoutError {
@@ -461,7 +472,7 @@ func runParallel(ctx context.Context, p *plan, opt Options, readout *noise.Compi
 			local := dist.NewCounts(p.width)
 			sc := acquireScratch(orchestrate.DeriveSeed(opt.Seed, w))
 			defer releaseScratch(sc)
-			if err := runShots(ctx, p, opt, readout, shots, sc.rng, local); err != nil {
+			if err := runShots(ctx, p, opt, readout, shots, sc, local); err != nil {
 				return nil, err
 			}
 			return local, nil
@@ -492,29 +503,10 @@ func checkConnectivity(c *circuit.Circuit, dev *device.Device) error {
 
 // RunIdeal returns the exact error-free output distribution of c — the
 // reference the paper calls the "ideal quantum computer" (Fig 3b). Cost
-// is one state-vector simulation. Callers that evaluate it in loops
-// (the QAOA angle optimizer runs one per objective evaluation) pay no
-// per-call 2^n allocations: the state and probability buffers come from
-// the pools in internal/quantum.
+// is one state-vector simulation and its 2^n probabilities.
 func RunIdeal(c *circuit.Circuit) dist.Dist {
-	state := quantum.AcquireState(c.NumQubits)
-	var probs []float64
-	defer func() {
-		// As in runShots: a panic mid-simulation abandons the buffers
-		// to the GC rather than pooling possibly-torn contents.
-		if r := recover(); r != nil {
-			panic(r)
-		}
-		quantum.ReleaseState(state)
-		if probs != nil {
-			quantum.ReleaseProbs(c.NumQubits, probs)
-		}
-	}()
-	c.SimulateInto(state)
-	probs = quantum.AcquireProbs(c.NumQubits)
-	state.ProbabilitiesInto(probs)
 	d := dist.NewDist(c.NumQubits)
-	for i, p := range probs {
+	for i, p := range c.Simulate().Probabilities() {
 		if p > 1e-15 {
 			d.P[bitstring.New(uint64(i), c.NumQubits)] = p
 		}

@@ -48,11 +48,9 @@ func (o Options) useExact(n int) bool {
 // draw per qubit whose flip probability is positive. The buffers come
 // from the same scratch, so a run allocates the same whatever its shot
 // count.
-func runExact(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
+func runExact(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout, sc *runScratch) (*dist.Counts, error) {
 	n := p.c.NumQubits
-	sc := acquireScratch(opt.Seed)
-	defer releaseScratch(sc)
-	diag, err := p.exactDiag(ctx, sc.cdf)
+	diag, err := p.exactDiag(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -158,26 +156,28 @@ func (s *cdfSearch) index(u float64) int {
 	return min(j, len(cdf)-1)
 }
 
-// exactDiag returns diag(ρ) after every step of p, in dst's storage. It
-// splits the plan at its diagonal-closed suffix, the trailing steps
-// whose effect on diag(ρ) depends on diag(ρ) alone (diagClosed):
-// for a SIM or AIM group, the inversion layer before measurement with
-// its gate noise and, with ScheduleAwareDecay, the final idle gaps. The
-// prefix's diagonal comes from the process-wide memo, or from evolving
-// the density matrix through the prefix (prefixDiag), and the suffix is
-// applied to a copy of it. The diagonal kernels repeat the matrix
-// kernels' arithmetic, so the result is bit for bit the diagonal of ρ
-// evolved through every step.
-func (p *plan) exactDiag(ctx context.Context, dst []float64) (density.Diag, error) {
+// exactDiag returns diag(ρ) after every step of p, in sc.cdf's storage,
+// building the memo key in sc.key's. It splits the plan at its
+// diagonal-closed suffix, the trailing steps whose effect on diag(ρ)
+// depends on diag(ρ) alone (diagClosed): for a SIM or AIM group, the
+// inversion layer before measurement with its gate noise and, with
+// ScheduleAwareDecay, the final idle gaps. The prefix's diagonal comes
+// from the process-wide memo, or from evolving the density matrix
+// through the prefix (prefixDiag), and the suffix is applied to a copy
+// of it. The diagonal kernels repeat the matrix kernels' arithmetic, so
+// the result is bit for bit the diagonal of ρ evolved through every
+// step.
+func (p *plan) exactDiag(ctx context.Context, sc *runScratch) (density.Diag, error) {
 	cut := len(p.steps)
 	for cut > 0 && p.diagClosed(p.steps[cut-1]) {
 		cut--
 	}
-	prefix, err := p.prefixDiag(ctx, p.steps[:cut])
+	sc.key = p.prefixKey(sc.key[:0], p.steps[:cut])
+	prefix, err := p.prefixDiag(ctx, p.steps[:cut], sc.key)
 	if err != nil {
 		return nil, err
 	}
-	d := append(density.Diag(dst[:0]), prefix...)
+	d := append(density.Diag(sc.cdf[:0]), prefix...)
 	p.evolveDiag(d, p.steps[cut:])
 	return d, nil
 }
@@ -193,8 +193,8 @@ const exactMemoCap = 256
 // prefixMemo maps the content of an exact-engine prefix (prefixKey) to
 // diag(ρ) after it. An entry is stored only after its evolution
 // completed, and a slice in it is never written again. It is one per
-// process, like a sync.Pool: which entries it holds changes how long a
-// run takes, never its counts.
+// process: which entries it holds changes how long a run takes, never
+// its counts.
 type prefixMemo struct {
 	mu    sync.Mutex
 	diags map[string][]float64
@@ -204,13 +204,13 @@ type prefixMemo struct {
 
 var exactMemo = prefixMemo{diags: make(map[string][]float64)}
 
-// prefixDiag returns diag(ρ) after steps, a prefix of p's steps: from the
-// memo when a run has stored it, else by evolving ρ under ctx outside the
-// memo's lock and storing the result. Runs that miss on one key at once
-// each evolve it; their results are identical. The returned slice is
-// shared, so the caller must not write it.
-func (p *plan) prefixDiag(ctx context.Context, steps []step) ([]float64, error) {
-	key := p.prefixKey(steps)
+// prefixDiag returns diag(ρ) after steps, a prefix of p's steps whose
+// prefixKey is key: from the memo when a run has stored it, else by
+// evolving ρ under ctx outside the memo's lock and storing the result
+// under a copy of key. Runs that miss on one key at once each evolve it;
+// their results are identical. The returned slice is shared, so the
+// caller must not write it.
+func (p *plan) prefixDiag(ctx context.Context, steps []step, key []byte) ([]float64, error) {
 	exactMemo.mu.Lock()
 	diag, ok := exactMemo.diags[string(key)]
 	exactMemo.mu.Unlock()
@@ -235,14 +235,13 @@ func (p *plan) prefixDiag(ctx context.Context, steps []step) ([]float64, error) 
 	return diag, nil
 }
 
-// prefixKey encodes what the evolution of steps depends on: the register
-// width, each step's kind, qubits and probability bits, and each gate
-// step's op kind, qubits and matrix bits. Every field has a fixed width
-// or a length before it, so two step lists share a key only if they
-// evolve the same ρ. Qubit indices fit a byte: the exact engine runs at
-// most exactMaxQubits.
-func (p *plan) prefixKey(steps []step) []byte {
-	key := make([]byte, 0, 1+48*len(steps))
+// prefixKey appends to key an encoding of what the evolution of steps
+// depends on: the register width, each step's kind, qubits and
+// probability bits, and each gate step's op kind, qubits and matrix
+// bits. Every field has a fixed width or a length before it, so two step
+// lists share a key only if they evolve the same ρ. Qubit indices fit a
+// byte: the exact engine runs at most exactMaxQubits.
+func (p *plan) prefixKey(key []byte, steps []step) []byte {
 	key = append(key, byte(p.c.NumQubits))
 	for _, s := range steps {
 		key = append(key, byte(s.kind), byte(s.q0), byte(s.q1))

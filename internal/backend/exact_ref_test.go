@@ -16,7 +16,7 @@ import (
 // CompiledReadout.Apply per outcome, on the same diagonal.
 func runExactReference(ctx context.Context, p *plan, opt Options, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	n := p.c.NumQubits
-	cdf, err := p.exactDiag(ctx, nil)
+	cdf, err := p.exactDiag(ctx, new(runScratch))
 	if err != nil {
 		return nil, err
 	}

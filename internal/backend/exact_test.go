@@ -99,7 +99,9 @@ func TestEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, err := runExact(ctx, p, opt, dev.ReadoutModel().Compile())
+		sc := acquireScratch(opt.Seed)
+		defer releaseScratch(sc)
+		counts, err := runExact(ctx, p, opt, dev.ReadoutModel().Compile(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func ExactDiags(c *circuit.Circuit, dev *device.Device, opt Options) (engine, fu
 	if err != nil {
 		return nil, nil, err
 	}
-	if engine, err = p.exactDiag(context.Background(), nil); err != nil {
+	if engine, err = p.exactDiag(context.Background(), new(runScratch)); err != nil {
 		return nil, nil, err
 	}
 	m := density.New(c.NumQubits)

@@ -9,12 +9,13 @@ import (
 	"biasmit/internal/dist"
 )
 
-// The fast-path equality suite: the CDF batch sampler, pooled state, and
-// compiled readout channel must produce byte-identical histograms to the
-// naive trial loop (Options.NoFastPath) for every combination of seed,
-// register width, noise ablation, trajectory batch size, and worker
-// count. "Byte-identical" is literal — same rng stream, same comparisons,
-// same counts at every outcome — not a statistical tolerance.
+// The fast-path equality suite: the CDF batch sampler, the reused state
+// vector, and the compiled readout channel must produce byte-identical
+// histograms to the naive trial loop (Options.NoFastPath) for every
+// combination of seed, register width, noise ablation, trajectory batch
+// size, and worker count. "Byte-identical" is literal — same rng stream,
+// same comparisons, same counts at every outcome — not a statistical
+// tolerance.
 
 // fastPathCase pairs a device with a circuit valid on its coupling.
 type fastPathCase struct {
@@ -160,9 +161,10 @@ func TestFastPathBatchBoundary(t *testing.T) {
 	}
 }
 
-// TestFastPathDeterministicAcrossRuns guards the pooling: buffers handed
-// back by one run must not leak state into the next (Reset on acquire),
-// so back-to-back identical runs stay byte-identical.
+// TestFastPathDeterministicAcrossRuns guards the scratch reuse: the state
+// vector and sampler one run hands back must not leak into the next
+// (every trajectory re-prepares the state, every batch rebuilds the
+// CDF), so back-to-back identical runs stay byte-identical.
 func TestFastPathDeterministicAcrossRuns(t *testing.T) {
 	fc := fastPathCases()[1]
 	opt := Options{Shots: 500, Seed: 5, ShotsPerTrajectory: 16}

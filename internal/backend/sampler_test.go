@@ -12,6 +12,7 @@ import (
 	"biasmit/internal/circuit"
 	"biasmit/internal/core"
 	"biasmit/internal/device"
+	"biasmit/internal/dist"
 )
 
 // samplerSeeds are the seeds the exact sampler's oracle runs at: both
@@ -196,5 +197,48 @@ func TestExactRunAfterPanicMidSampling(t *testing.T) {
 			backend.RunContext(ctx, c, dev, opt)
 		}()
 		sameHistogram(t, fmt.Sprintf("after panic %d", i), want, mustRun(t, context.Background(), c, dev, opt))
+	}
+}
+
+// TestTrajectoryRunAfterPanicMidRun is TestExactRunAfterPanicMidSampling's
+// trajectory twin: a run at 8 shots per trajectory whose context panics
+// at its fourth batch, three trajectories in, hands its state vector and
+// batch sampler back to the free list as they are; the runs after it,
+// which take them, give the counts of a run that never saw the panic. A
+// compacted melbourne program and a 5-qubit one take turns, so the
+// scratch also changes width.
+func TestTrajectoryRunAfterPanicMidRun(t *testing.T) {
+	ctx := context.Background()
+	mel := device.IBMQMelbourne()
+	type program struct {
+		label string
+		c     *circuit.Circuit
+		dev   *device.Device
+		want  *dist.Counts
+	}
+	programs := []*program{
+		{label: "melbourne/bv-6", c: placedJob(t, "bv-6", core.NewMachine(mel)).Plan.Physical, dev: mel},
+		{label: "ibmqx4/ghz", c: ghzQX4(), dev: device.IBMQX4()},
+	}
+	opt := backend.Options{Shots: 400, Seed: 12, ShotsPerTrajectory: 8}
+	for _, p := range programs {
+		p.want = mustRun(t, ctx, p.c, p.dev, opt)
+	}
+	for round := 0; round < 3; round++ {
+		for _, failed := range programs {
+			failing := &failingCtx{Context: ctx, left: 3, panics: true}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: the run did not panic", failed.label)
+					}
+				}()
+				backend.RunContext(failing, failed.c, failed.dev, opt)
+			}()
+			for _, p := range programs {
+				label := fmt.Sprintf("round %d, %s after a panic in %s", round, p.label, failed.label)
+				sameHistogram(t, label, p.want, mustRun(t, ctx, p.c, p.dev, opt))
+			}
+		}
 	}
 }

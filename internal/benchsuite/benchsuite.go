@@ -29,7 +29,7 @@ import (
 var Widths = []int{4, 8, 12, 16}
 
 // shotsPerIteration is the trial budget one benchmark iteration runs —
-// large enough that per-run setup (readout compilation, pool warm-up)
+// large enough that per-run setup (readout compilation, placement)
 // amortizes out, as it does in real experiments.
 const shotsPerIteration = 16384
 
@@ -110,7 +110,7 @@ func benchRun(b *testing.B, opt backend.Options, width int) {
 }
 
 // RunShotsParallel is RunShots across 4 workers — the configuration the
-// orchestration layers actually run — exercising per-worker pool churn.
+// orchestration layers actually run — exercising per-worker scratch churn.
 func RunShotsParallel(b *testing.B, width int, naive bool) {
 	benchRun(b, backend.Options{
 		Shots:              shotsPerIteration,

@@ -385,21 +385,6 @@ func (c *Circuit) Simulate() *quantum.State {
 	return s
 }
 
-// SimulateInto is Simulate for callers that sit in loops: it resets s to
-// the ground state and evolves it in place, so a pooled state
-// (quantum.AcquireState) can be reused across evaluations instead of
-// allocating 2^n amplitudes per call — e.g. the QAOA angle optimizer,
-// which simulates one circuit per objective evaluation.
-func (c *Circuit) SimulateInto(s *quantum.State) {
-	if s.NumQubits() != c.NumQubits {
-		panic(fmt.Sprintf("circuit: SimulateInto state width %d for %d-qubit circuit", s.NumQubits(), c.NumQubits))
-	}
-	s.Reset()
-	for _, op := range c.Ops {
-		applyOp(s, op)
-	}
-}
-
 // applyOp applies one circuit op to a state. Shared with the noisy
 // backend, which interleaves noise around it.
 func applyOp(s *quantum.State, op Op) {

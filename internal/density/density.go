@@ -81,20 +81,10 @@ func (m *Matrix) Purity() float64 {
 // Probabilities returns the measurement distribution diag(ρ).
 func (m *Matrix) Probabilities() []float64 {
 	out := make([]float64, m.d)
-	m.ProbabilitiesInto(out)
+	for i := range out {
+		out[i] = real(m.rho[i*m.d+i])
+	}
 	return out
-}
-
-// ProbabilitiesInto writes diag(ρ) into dst, the allocation-free form of
-// Probabilities for callers that evaluate channels in loops; dst must
-// have length exactly 2^n.
-func (m *Matrix) ProbabilitiesInto(dst []float64) {
-	if len(dst) != m.d {
-		panic(fmt.Sprintf("density: ProbabilitiesInto dst length %d for dimension %d", len(dst), m.d))
-	}
-	for i := 0; i < m.d; i++ {
-		dst[i] = real(m.rho[i*m.d+i])
-	}
 }
 
 func (m *Matrix) checkQubit(q int) {
@@ -342,16 +332,7 @@ func (m *Matrix) OutputDist(readout *noise.ReadoutModel) dist.Dist {
 	if readout.NumQubits() != m.n {
 		panic(fmt.Sprintf("density: readout model has %d qubits for %d-qubit state", readout.NumQubits(), m.n))
 	}
-	probs := quantum.AcquireProbs(m.n)
-	defer func() {
-		// Drop (don't pool) the buffer when unwinding a panic; its
-		// contents are torn.
-		if r := recover(); r != nil {
-			panic(r)
-		}
-		quantum.ReleaseProbs(m.n, probs)
-	}()
-	m.ProbabilitiesInto(probs)
+	probs := m.Probabilities()
 	out := dist.NewDist(m.n)
 	for _, x := range bitstring.All(m.n) {
 		px := probs[x.Uint64()]

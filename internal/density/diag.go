@@ -17,9 +17,9 @@ import (
 // the Matrix kernel of the same name does there, in the same order. The
 // Matrix kernels' diagonal real parts depend on no other entry (the
 // imaginary parts X mixes in are multiplied by exact zeros), so after any
-// sequence of these channels a Diag taken from ProbabilitiesInto equals
-// ProbabilitiesInto of the matrix the same sequence evolves, bit for bit
-// up to the sign of a zero.
+// sequence of these channels a Diag taken from Probabilities equals
+// Probabilities of the matrix the same sequence evolves, bit for bit up
+// to the sign of a zero.
 type Diag []float64
 
 // DiagClosed reports whether op's effect on diag(ρ) depends on diag(ρ)

@@ -164,11 +164,11 @@ type Options struct {
 	// MaxPerTenant bounds a tenant's non-terminal jobs; submissions past
 	// it are rejected with *QuotaError. Zero = unbounded.
 	MaxPerTenant int
-	// Retention bounds how many terminal jobs stay queryable; the oldest
-	// are evicted (and dropped from the journal's next snapshot). Zero
-	// selects 4096.
-	Retention int
 }
+
+// terminalRetention bounds how many terminal jobs stay queryable; the
+// oldest are evicted (and dropped from the journal's next snapshot).
+const terminalRetention = 4096
 
 // Stats is a point-in-time snapshot of the queue's gauges and counters.
 type Stats struct {
@@ -234,9 +234,6 @@ type Queue struct {
 func NewQueue(opts Options) *Queue {
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	if opts.Retention <= 0 {
-		opts.Retention = 4096
 	}
 	q := &Queue{
 		opts:        opts,
@@ -497,10 +494,10 @@ func (q *Queue) requeueLocked(j *Job) {
 	q.notify()
 }
 
-// enforceRetentionLocked evicts the oldest terminal jobs past the
-// retention bound, dropping them from future snapshots too.
+// enforceRetentionLocked evicts the oldest terminal jobs past
+// terminalRetention, dropping them from future snapshots too.
 func (q *Queue) enforceRetentionLocked() {
-	for len(q.terminal) > q.opts.Retention {
+	for len(q.terminal) > terminalRetention {
 		id := q.terminal[0]
 		q.terminal = q.terminal[1:]
 		delete(q.jobs, id)

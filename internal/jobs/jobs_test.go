@@ -360,21 +360,25 @@ func TestListFilters(t *testing.T) {
 	}
 }
 
+// TestTerminalRetention: past terminalRetention terminal jobs, the
+// oldest are evicted and the rest stay queryable.
 func TestTerminalRetention(t *testing.T) {
-	q := NewQueue(Options{Retention: 2})
+	q := NewQueue(Options{})
 	var ids []string
-	for i := 0; i < 4; i++ {
-		j, _ := q.Submit(Spec{})
+	for i := 0; i < terminalRetention+2; i++ {
+		j, err := q.Submit(Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := q.Cancel(j.ID); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
 	}
-	if _, ok := q.Get(ids[0]); ok {
-		t.Fatal("oldest terminal job should have been evicted")
-	}
-	if _, ok := q.Get(ids[3]); !ok {
-		t.Fatal("newest terminal job should be retained")
+	for i, id := range ids {
+		if _, ok := q.Get(id); ok != (i >= 2) {
+			t.Fatalf("terminal job %d of %d: queryable %v", i, len(ids), ok)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package quantum
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -27,14 +26,13 @@ import (
 // basis state.
 //
 // A Sampler does not alias the state it was built from; the state may be
-// mutated or released afterwards. Construct with NewSampler or recycle
-// one with Reset; the zero value is not usable.
+// mutated afterwards. Construct one with NewSampler, or Reset a zero
+// value: a trial loop keeps one Sampler and Resets it for every
+// trajectory batch, which reuses its prefix buffer whenever the new
+// state is no wider than the widest it has held.
 type Sampler struct {
 	n      int
 	prefix []float64
-	// released marks a sampler currently owned by the pool; see
-	// State.released.
-	released bool
 }
 
 // NewSampler builds the CDF of s.
@@ -44,9 +42,8 @@ func NewSampler(s *State) *Sampler {
 	return sp
 }
 
-// Reset rebuilds the CDF from s, reusing the prefix buffer when the
-// widths match (the per-trajectory refill path of the backend trial
-// loop).
+// Reset rebuilds the CDF from s, reusing the prefix buffer when it is
+// large enough (the per-batch refill path of the backend trial loop).
 func (sp *Sampler) Reset(s *State) {
 	sp.n = s.n
 	if cap(sp.prefix) >= len(s.amps) {
@@ -60,9 +57,6 @@ func (sp *Sampler) Reset(s *State) {
 		sp.prefix[i] = acc
 	}
 }
-
-// NumQubits returns the register width the CDF was built over.
-func (sp *Sampler) NumQubits() int { return sp.n }
 
 // Sample draws one measurement outcome. See the type comment for the
 // stream-identity contract with State.Sample.
@@ -91,23 +85,9 @@ func (sp *Sampler) SampleIndex(rng *rand.Rand) (i uint64, ok bool) {
 	return uint64(j), true
 }
 
-// ProbabilitiesInto writes the full measurement distribution over all
-// 2^n basis states into dst, indexed by packed basis value. It is the
-// allocation-free form of Probabilities for callers that sit in loops;
-// dst must have length exactly 2^n.
-func (s *State) ProbabilitiesInto(dst []float64) {
-	if len(dst) != len(s.amps) {
-		panic(fmt.Sprintf("quantum: ProbabilitiesInto dst length %d for 2^%d amplitudes", len(dst), s.n))
-	}
-	for i, a := range s.amps {
-		dst[i] = real(a)*real(a) + imag(a)*imag(a)
-	}
-}
-
 // Reset returns s to the computational ground state |00…0⟩ in place,
-// the re-preparation step of the NISQ trial loop. Combined with
-// AcquireState/ReleaseState it lets the backend reuse one amplitude
-// buffer across every trajectory of a run.
+// the re-preparation step of the NISQ trial loop: the backend evolves
+// every trajectory of a run in one state vector, resetting it first.
 func (s *State) Reset() {
 	for i := range s.amps {
 		s.amps[i] = 0

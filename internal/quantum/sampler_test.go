@@ -129,44 +129,6 @@ func TestSamplerResetReusesBuffer(t *testing.T) {
 	drawPair(t, s2, sp, 9, 100)
 }
 
-func TestProbabilitiesInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := randomMassState(4, rng, 1)
-	want := s.Probabilities()
-	dst := make([]float64, len(want))
-	s.ProbabilitiesInto(dst)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("index %d: ProbabilitiesInto %v, Probabilities %v", i, dst[i], want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short dst did not panic")
-		}
-	}()
-	s.ProbabilitiesInto(make([]float64, 3))
-}
-
-func TestAcquireReleaseState(t *testing.T) {
-	s := AcquireState(3)
-	if s.NumQubits() != 3 || s.amps[0] != 1 {
-		t.Fatal("acquired state is not the ground state")
-	}
-	s.Apply1(H, 0)
-	ReleaseState(s)
-	s2 := AcquireState(3)
-	if s2.amps[0] != 1 || s2.Norm() != 1 {
-		t.Fatal("recycled state was not reset to ground")
-	}
-	for i := 1; i < len(s2.amps); i++ {
-		if s2.amps[i] != 0 {
-			t.Fatalf("recycled state has residual amplitude at %d", i)
-		}
-	}
-	ReleaseState(s2)
-}
-
 // sampleU is a test hook: sample with an explicit uniform value instead
 // of drawing from an rng.
 func (sp *Sampler) sampleU(u float64) bitstring.Bits {

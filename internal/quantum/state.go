@@ -18,9 +18,6 @@ const MaxQubits = 24
 type State struct {
 	n    int
 	amps []complex128
-	// released marks a state currently owned by the pool; ReleaseState
-	// sets it so overlapping cleanup paths cannot double-Put.
-	released bool
 }
 
 // NewState returns the n-qubit computational ground state |00…0⟩.
